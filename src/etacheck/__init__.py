@@ -9,7 +9,7 @@ ell-adic valuation gained at each step.
 """
 
 from .errors import ContractError, EtacheckError, SearchExhaustedError, SpecError
-from .series import CoeffRing, QSeries, QQ, ZZ, zmod
+from .series import CoeffRing, QSeries, ZZ, zmod
 from .eta import EtaQuotient, divisors, eta_expand, eta_expand_normalized, euler_product
 from .modcurve import (
     Cusp,
@@ -28,24 +28,20 @@ from .tfinder import PoleSets, WSolution, compute_pole_sets, find_t, solve_W, ve
 from .basis import (
     AlgebraBasis,
     BasisFunction,
-    ReductionResult,
+    ModuleElement,
     construct_basis,
     load_basis_n20,
+    module_element_series,
     mw_reduce,
-    reduction_series,
     verify_basis,
 )
 from .ujump import (
     FamilyGenerator,
-    ModuleElement,
     StabilityExponents,
     UImageTable,
     build_A,
     compute_m_constants,
-    module_element_series,
-    stability_exponent,
     u_ell,
-    u_image,
     u_step,
 )
 from .verifier import (

@@ -9,9 +9,10 @@ leading term, and the pole order strictly drops.    A remainder of order zero
 is a constant, which ends the reduction; an order that no basis element can
 reach disproves membership.
 
-Reduction arithmetic is exact rational.  Callers that expect integer results
-(the U-operator image tables do) assert integrality afterwards; a silent
-rational answer would poison everything built on top.
+Reduction arithmetic is exact integer.  Every basis monomial t**e * g_k leads
+with coefficient 1, so each greedy step divides exactly; a step that does not
+is a broken basis or a non-integral input, and raises rather than let a
+fractional answer poison everything built on top.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand_normalized
@@ -29,7 +29,7 @@ from .modcurve import (
     infinity_class,
     newman_check,
 )
-from .series import QSeries, QQ, ZZ
+from .series import CoeffRing, QSeries, ZZ, zmod
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ class AlgebraBasis:
                 ws["g"][k] = g.series(prec)
             ws["tpow"] = {0: QSeries.one(ZZ, prec), 1: ws["t"]}
             ws["monomial"] = {}
-            ws["monomial_q"] = {}
         return ws
 
     def t_power(self, e: int, prec: int) -> QSeries:
@@ -166,16 +165,14 @@ class AlgebraBasis:
                         tp[k] = cur
             return tp[e]
 
-    def monomial(self, e: int, k: int, prec: int, rational: bool = False) -> QSeries:
+    def monomial(self, e: int, k: int, prec: int) -> QSeries:
         """Expansion of t**e * g_k (g_0 = 1) at the workspace precision."""
         with self._lock:
             ws = self._grown(prec)
             key = (e, k)
-            store = ws["monomial_q" if rational else "monomial"]
+            store = ws["monomial"]
             if key not in store:
-                if rational:
-                    store[key] = self.monomial(e, k, prec).to_rational()
-                elif k == 0:
+                if k == 0:
                     store[key] = self.t_power(e, prec)
                 elif e == 0:
                     store[key] = ws["g"][k]
@@ -237,42 +234,116 @@ def load_basis_n20() -> AlgebraBasis:
     return _BASIS_N20
 
 
+# -- module elements ---------------------------------------------------------
+
+class ModuleElement:
+    """Finite sum of c[j,k] * t**j * g_k with nonzero coefficients only."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: CoeffRing, terms: dict):
+        clean = {}
+        for (j, k), c in terms.items():
+            c = ring.coerce(c)
+            if c != 0:
+                clean[(int(j), int(k))] = c
+        self.ring = ring
+        self.terms = clean
+
+    @classmethod
+    def one(cls, ring: CoeffRing) -> "ModuleElement":
+        return cls(ring, {(0, 0): 1})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def reduce_mod(self, ell: int, power: int) -> "ModuleElement":
+        if self.ring.kind != "Z":
+            raise SpecError("only exact-integer elements reduce")
+        return ModuleElement(zmod(ell, power), self.terms)
+
+    def scaled_into(self, c, acc: dict, modulus: int | None):
+        for key, v in self.terms.items():
+            val = acc.get(key, 0) + c * v
+            if modulus is not None:
+                val %= modulus
+            if val:
+                acc[key] = val
+            elif key in acc:
+                del acc[key]
+
+    def j_range(self) -> tuple:
+        if not self.terms:
+            return (0, 0)
+        js = [j for j, _ in self.terms]
+        return (min(js), max(js))
+
+    def min_ell_valuation(self, ell: int, cap: int) -> int:
+        """Largest v <= cap with ell**v dividing every nonzero coefficient
+        (cap if there are none)."""
+        best = cap
+        for c in self.terms.values():
+            v = 0
+            while v < best and c % ell == 0:
+                c //= ell
+                v += 1
+            best = min(best, v)
+            if best == 0:
+                break
+        return best
+
+    def __eq__(self, other):
+        return (isinstance(other, ModuleElement)
+                and self.ring == other.ring and self.terms == other.terms)
+
+    def __repr__(self):
+        if not self.terms:
+            return "<0>"
+        bits = []
+        for (j, k) in sorted(self.terms):
+            c = self.terms[(j, k)]
+            mono = []
+            if j:
+                mono.append(f"t^{j}" if j != 1 else "t")
+            if k:
+                mono.append(f"g{k}")
+            body = "*".join(mono) if mono else "1"
+            bits.append(f"{c}*{body}")
+        return "<" + " + ".join(bits) + f" over {self.ring}>"
+
+
+def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSeries:
+    """Honest q-expansion of a module element, over the element's ring."""
+    v1 = b.v + 1
+    deepest = 0
+    for (j, k) in me.terms:
+        n_k = -b.gs[k - 1].ord_inf if k else 0
+        deepest = max(deepest, v1 * j + n_k)  # = trunc - val(t^j g_k), sans trunc
+    prec = trunc + deepest + v1
+    out = QSeries.zero(ZZ, trunc)
+    for (j, k), c in sorted(me.terms.items()):
+        s = b.monomial(j, k, prec)
+        out = out.add(s.truncate(min(s.trunc, trunc)).scale(int(c)))
+    if me.ring.kind == "Zmod":
+        return out.reduce_mod(me.ring.ell, me.ring.power)
+    return out
+
+
 # -- membership reduction ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionResult:
-    """Either polynomial coefficients p_0..p_v (dicts degree -> Fraction with
-    sum p_k(t) g_k reproducing the input) or the pole order where the greedy
-    descent stalled."""
-
-    polys: tuple | None
-    stall_order: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.polys is not None
-
-    def poly(self, k: int) -> dict:
-        if not self.ok:
-            raise SpecError("reduction failed; no polynomials to report")
-        return dict(self.polys[k])
-
-    def integral(self) -> bool:
-        return self.ok and all(c.denominator == 1
-                               for p in self.polys for c in p.values())
-
-
-def mw_reduce(f: QSeries, b: AlgebraBasis) -> ReductionResult:
-    """Greedy principal-part reduction of f against the basis.
+def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
+    """Greedy principal-part reduction of an exact-integer series f against
+    the basis, returning f as a module element sum c[e,k] * t**e * g_k.
 
     f must carry at least the principal part and constant (truncation >= 1);
     whatever tail is available beyond that is consumed as a corruption check,
     because after a successful reduction the residual must vanish identically.
+    Raises ContractError when the descent stalls at a pole order no basis
+    element reaches, or when a step's leading coefficient is not divisible
+    by the monomial's.
     """
-    if f.ring.kind == "Z":
-        f = f.to_rational()
-    if f.ring.kind != "Q":
-        raise SpecError("reduction works over exact rationals")
+    if f.ring != ZZ:
+        raise SpecError("reduction works over the exact integers")
     f = f.normalize_offset()
     if f.trunc < 1:
         raise SpecError("insufficient truncation: need the constant term in view")
@@ -281,7 +352,9 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ReductionResult:
     # monomials matching a pole of order m are known to f.trunc when the
     # workspace holds this much relative precision
     prec = f.trunc + max(0, -f.val)
-    polys = [dict() for _ in range(b.v + 1)]
+    # each step fills a distinct (e, k): the pole order m strictly drops and
+    # determines both, so the step coefficient is the final coefficient
+    terms = {}
     fk = f
     prev_m = None
     while True:
@@ -290,43 +363,29 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ReductionResult:
             raise ContractError("reduction failed to descend strictly")
         prev_m = m
         if m == 0:
-            c0 = fk.coeff(0) if fk.trunc > 0 else Fraction(0)
-            if c0:
-                polys[0][0] = polys[0].get(0, Fraction(0)) + c0
-            residual = fk.sub(QSeries.const(QQ, c0, fk.trunc))
+            c0 = fk.coeff(0) if fk.trunc > 0 else 0
+            terms[(0, 0)] = c0
+            residual = fk.sub(QSeries.const(ZZ, c0, fk.trunc))
             if not residual.is_zero():
                 raise ContractError(
                     "nonzero residual after reduction: the input is not in the "
                     "module to its stated truncation (or was under-truncated)")
-            return ReductionResult(tuple(polys))
+            return ModuleElement(ZZ, terms)
         rho = m % v1
         k = b.residue_index(rho)
         n_k = orders[k] if k else 0
         if k and n_k > m:
-            return ReductionResult(None, stall_order=m)
+            raise ContractError(
+                f"reduction stalled at pole order {m}: no basis element reaches it")
         e = (m - n_k) // v1
-        s = b.monomial(e, k, prec, rational=True)
-        alpha = fk.coeffs[0] / s.coeffs[0]
+        s = b.monomial(e, k, prec)
+        alpha, rem = divmod(fk.coeffs[0], s.coeffs[0])
+        if rem:
+            raise ContractError(
+                f"non-integral reduction step at pole order {m}: {fk.coeffs[0]} "
+                f"is not a multiple of the leading coefficient {s.coeffs[0]} of t^{e}*g{k}")
         fk = fk.sub(s.truncate(min(s.trunc, fk.trunc)).scale(alpha))
-        polys[k][e] = polys[k].get(e, Fraction(0)) + alpha
-
-
-def reduction_series(result: ReductionResult, b: AlgebraBasis, trunc: int) -> QSeries:
-    """Re-expand sum p_k(t) g_k as a rational series, for reconstruction checks."""
-    v1 = b.v + 1
-    deepest = 0
-    for k, p in enumerate(result.polys):
-        n_k = -b.gs[k - 1].ord_inf if k else 0
-        for e in p:
-            deepest = max(deepest, e * v1 + n_k)
-    prec = trunc + deepest
-    out = QSeries.zero(QQ, trunc)
-    for k, p in enumerate(result.polys):
-        for e, c in p.items():
-            if c:
-                s = b.monomial(e, k, prec, rational=True)
-                out = out.add(s.truncate(min(s.trunc, trunc)).scale(c))
-    return out
+        terms[(e, k)] = alpha
 
 
 # -- basis construction from a generator -------------------------------------

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage or bad
-family spec, 3 an internal contract was violated (non-integral image,
-reduction stall, runaway support).
+family spec, 3 an internal contract was violated (a reduction step that does
+not divide exactly, a reduction stall or nonzero residual, runaway support).
 
 Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
 or a path to a JSON file with fields
@@ -67,7 +67,7 @@ def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
     except json.JSONDecodeError as exc:
         raise SpecError(f"{source}: invalid JSON ({exc})") from exc
     spec = CongruenceFamilySpec.from_json(data)
-    return CongruenceFamilySpec(spec.name, spec.gen, spec.c, spec.pattern, B) if B else spec
+    return spec if B is None else CongruenceFamilySpec(spec.name, spec.gen, spec.c, spec.pattern, B)
 
 
 def default_cache_dir():
@@ -155,8 +155,7 @@ def cmd_u_image(args) -> int:
 def cmd_verify(args) -> int:
     spec = load_family_spec(args.spec, args.B)
     b = resolve_basis(spec)
-    report = iterate(spec, b, args.iterations, cache_dir=args.cache_dir,
-                     threads=args.threads)
+    report = iterate(spec, b, args.iterations, cache_dir=args.cache_dir)
     print(report.text())
     payload = {"spec": spec.to_json(), "report": report.to_json()}
     if args.output:
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "eta-quotient algebra basis")
     p.add_argument("--cache-dir", type=Path, default=default_cache_dir(),
                    help="directory for the persistent image table")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for parallel image computation")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("cusps", help="list cusp representatives of Gamma0(N)")

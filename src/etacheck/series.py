@@ -2,8 +2,7 @@
 
 A :class:`QSeries` is a finite window of a Laurent series in ``q``: integer
 exponents from ``val`` up to (but excluding) ``trunc``, coefficients in one of
-three rings (exact integers, exact rationals, integers mod a prime power), and
-a global prefactor ``q**(offset24/24)``.  The fractional prefactor exists so
+two rings (exact integers, integers mod a prime power), and a global prefactor ``q**(offset24/24)``.  The fractional prefactor exists so
 that eta-function expansions, which natively live on the 1/24 exponent grid,
 are never silently rounded; folding it into the integer exponents is an
 explicit step that fails loudly when 24 does not divide it.
@@ -20,8 +19,8 @@ convolution; this is the single hot spot of the whole package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SpecError
 
@@ -43,16 +42,15 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CoeffRing:
-    """Coefficient ring tag: exact integers ('Z'), exact rationals ('Q'),
-    or integers modulo ell**power ('Zmod') with canonical representatives
-    in [0, ell**power)."""
+    """Coefficient ring tag: exact integers ('Z') or integers modulo
+    ell**power ('Zmod') with canonical representatives in [0, ell**power)."""
 
     kind: str
     ell: int = 0
     power: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Zmod"):
+        if self.kind not in ("Z", "Zmod"):
             raise SpecError(f"unknown coefficient ring kind {self.kind!r}")
         if self.kind == "Zmod":
             if not _is_prime(self.ell):
@@ -67,22 +65,14 @@ class CoeffRing:
         return self.ell ** self.power
 
     def coerce(self, c):
-        """Bring an int (or Fraction, for 'Q') into canonical form."""
-        if self.kind == "Z":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise SpecError(f"{c} is not an integer")
-                return c.numerator
-            return int(c)
-        if self.kind == "Q":
-            return Fraction(c)
-        return int(c) % self.modulus
+        """Bring an integer into canonical form; a non-integer raises
+        TypeError instead of being truncated."""
+        c = operator.index(c)
+        return c if self.kind == "Z" else c % self.modulus
 
     def is_unit(self, c) -> bool:
         if self.kind == "Z":
             return c in (1, -1)
-        if self.kind == "Q":
-            return c != 0
         return c % self.ell != 0
 
     def invert_unit(self, c):
@@ -90,20 +80,15 @@ class CoeffRing:
             raise SpecError(f"{c} is not a unit in {self}")
         if self.kind == "Z":
             return c
-        if self.kind == "Q":
-            return 1 / Fraction(c)
         return pow(c, -1, self.modulus)
 
     def __str__(self):
         if self.kind == "Z":
             return "Z"
-        if self.kind == "Q":
-            return "Q"
         return f"Z/{self.ell}^{self.power}"
 
 
 ZZ = CoeffRing("Z")
-QQ = CoeffRing("Q")
 
 
 def zmod(ell: int, power: int) -> CoeffRing:
@@ -159,21 +144,6 @@ def convolve_ints(a, b, n_out):
         neg2 = _convolve_nonneg(an, bp, n_out, bound)
         return [p + p2 - m - m2 for p, p2, m, m2 in zip(pos, pos2, neg, neg2)]
     return _convolve_nonneg(a, b, n_out, bound)
-
-
-def _convolve_fractions(a, b, n_out):
-    if n_out <= 0 or not a or not b:
-        return []
-    out = [Fraction(0)] * n_out
-    for i, ca in enumerate(a):
-        if ca == 0 or i >= n_out:
-            continue
-        top = min(len(b), n_out - i)
-        for j in range(top):
-            cb = b[j]
-            if cb:
-                out[i + j] += ca * cb
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +287,6 @@ class QSeries:
 
     # -- ring changes -------------------------------------------------------
 
-    def to_rational(self) -> "QSeries":
-        if self.ring.kind == "Q":
-            return self
-        if self.ring.kind != "Z":
-            raise SpecError("only exact-integer series convert to rationals")
-        return QSeries(QQ, [Fraction(c) for c in self.coeffs], self.val, self.trunc, self.offset24)
-
-    def to_integer(self) -> "QSeries":
-        """Rational series with unit denominators back to exact integers."""
-        if self.ring.kind == "Z":
-            return self
-        if self.ring.kind != "Q":
-            raise SpecError("only rational series convert back to integers")
-        coeffs = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise SpecError(f"coefficient {c} is not an integer")
-            coeffs.append(c.numerator)
-        return QSeries(ZZ, coeffs, self.val, self.trunc, self.offset24)
-
     def reduce_mod(self, ell: int, power: int) -> "QSeries":
         """Map an exact-integer series into Z/ell**power, least positive residues."""
         if self.ring.kind != "Z":
@@ -391,14 +341,7 @@ class QSeries:
         n_out = trunc - val
         if n_out <= 0:
             return QSeries(self.ring, (), trunc, trunc, offset)
-        kind = self.ring.kind
-        if kind == "Q":
-            out = _convolve_fractions(self.coeffs, other.coeffs, n_out)
-        elif kind == "Zmod":
-            out = [c % self.ring.modulus
-                   for c in convolve_ints(self.coeffs, other.coeffs, n_out)]
-        else:
-            out = convolve_ints(self.coeffs, other.coeffs, n_out)
+        out = self._conv(self.coeffs, other.coeffs, n_out)
         return QSeries(self.ring, out, val, trunc, offset)
 
     def inv(self) -> "QSeries":
@@ -426,8 +369,6 @@ class QSeries:
         return QSeries(self.ring, g, -self.val, self.trunc - 2 * self.val, -self.offset24)
 
     def _conv(self, a, b, n_out):
-        if self.ring.kind == "Q":
-            return _convolve_fractions(a, b, n_out)
         out = convolve_ints(a, b, n_out)
         if self.ring.kind == "Zmod":
             m = self.ring.modulus

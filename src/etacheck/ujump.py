@@ -24,25 +24,21 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basis import AlgebraBasis, BasisFunction, mw_reduce
+from .basis import (  # noqa: F401  (ModuleElement, module_element_series re-exported)
+    AlgebraBasis,
+    BasisFunction,
+    ModuleElement,
+    module_element_series,
+    mw_reduce,
+)
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand_normalized
 from .modcurve import cusp_representatives, eta_order_at_cusp, infinity_class, newman_check
-from .series import CoeffRing, QSeries, ZZ, zmod
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .series import QSeries, ZZ, _is_prime
 
 
 @dataclass(frozen=True)
@@ -166,12 +162,22 @@ class StabilityExponents:
         return i * self.m_A + mk
 
 
-def stability_exponent(se: StabilityExponents, i: int, j: int, k: int) -> int:
-    return se.exponent(i, j, k)
+def _scaled_t_orders(b: AlgebraBasis, ell: int) -> dict:
+    """Orders of t(ell*tau) over Gamma0(ell*level) at every cusp but infinity."""
+    N = ell * b.level
+    t_scaled = b.t_quotient().scale_tau(ell)
+    orders = {x: eta_order_at_cusp(t_scaled, x)
+              for x in cusp_representatives(N) if x != infinity_class(N)}
+    if any(o.denominator != 1 for o in orders.values()):
+        raise ContractError("non-integral order for a modular quotient")
+    return orders
 
 
-def _min_taming_power(ord_t_scaled: dict, f_orders: dict, what: str) -> int:
-    """Least m >= 0 with m*ord(t(ell*tau)) + ord(f) >= 0 at every listed cusp."""
+def _taming_power(ord_t_scaled: dict, eq: EtaQuotient, level: int, what: str) -> int:
+    """Least m >= 0 with m*ord(t(ell*tau)) + ord(eq) >= 0 at every listed cusp,
+    orders of eq taken over Gamma0(level)."""
+    fine = eq.at_level(level)
+    f_orders = {x: eta_order_at_cusp(fine, x) for x in ord_t_scaled}
     m = 0
     for x, of in f_orders.items():
         ot = ord_t_scaled[x]
@@ -192,13 +198,7 @@ def _min_taming_power(ord_t_scaled: dict, f_orders: dict, what: str) -> int:
 def quotient_taming_power(b: AlgebraBasis, eq: EtaQuotient, ell: int) -> int:
     """Minimal m with t(ell*tau)**m * eq free of poles away from infinity,
     orders taken over Gamma0(ell * level)."""
-    N = b.level
-    cusps = [x for x in cusp_representatives(ell * N) if x != infinity_class(ell * N)]
-    t_scaled = b.t_quotient().scale_tau(ell)
-    ord_t_scaled = {x: eta_order_at_cusp(t_scaled, x) for x in cusps}
-    fine = eq.at_level(ell * N)
-    orders = {x: eta_order_at_cusp(fine, x) for x in cusps}
-    return _min_taming_power(ord_t_scaled, orders, repr(eq))
+    return _taming_power(_scaled_t_orders(b, ell), eq, ell * b.level, repr(eq))
 
 
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:
@@ -208,133 +208,25 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
     A compound basis function needs the max over its terms of the summed
     exponents of the factors (products add, sums take the worst case).
     """
-    N = b.level
-    if A.level != ell * N:
-        raise SpecError(f"A must live at level {ell * N}")
-    cusps = [x for x in cusp_representatives(ell * N) if x != infinity_class(ell * N)]
-    t_eq = b.t_quotient()
-    t_scaled = t_eq.scale_tau(ell)
-    ord_t_scaled = {x: eta_order_at_cusp(t_scaled, x) for x in cusps}
-    for x, o in ord_t_scaled.items():
-        if o.denominator != 1:
-            raise ContractError("non-integral order for a modular quotient")
-
-    def quotient_m(eq: EtaQuotient, what: str) -> int:
-        fine = eq.at_level(ell * N)
-        orders = {x: eta_order_at_cusp(fine, x) for x in cusps}
-        return _min_taming_power(ord_t_scaled, orders, what)
-
+    level = ell * b.level
+    if A.level != level:
+        raise SpecError(f"A must live at level {level}")
+    ord_t_scaled = _scaled_t_orders(b, ell)
     memo = {}
 
-    def cached_quotient_m(eq: EtaQuotient, what: str) -> int:
+    def quotient_m(eq: EtaQuotient, what: str) -> int:
         if eq not in memo:
-            memo[eq] = quotient_m(eq, what)
+            memo[eq] = _taming_power(ord_t_scaled, eq, level, what)
         return memo[eq]
 
     def function_m(fn: BasisFunction) -> int:
-        best = 0
-        for _, factors in fn.construction:
-            best = max(best, sum(cached_quotient_m(f, fn.name) for f in factors))
-        return best
+        return max((sum(quotient_m(f, fn.name) for f in factors)
+                    for _, factors in fn.construction), default=0)
 
-    m_a = quotient_m(A, "A")
-    m_t = cached_quotient_m(t_eq, "t")
-    m_negt = cached_quotient_m(t_eq.inverse(), "1/t")
-    m_g = tuple(function_m(g) for g in b.gs)
-    return StabilityExponents(m_a, m_t, m_negt, m_g)
-
-
-class ModuleElement:
-    """Finite sum of c[j,k] * t**j * g_k with nonzero coefficients only."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: CoeffRing, terms: dict):
-        clean = {}
-        for (j, k), c in terms.items():
-            c = ring.coerce(c)
-            if c != 0:
-                clean[(int(j), int(k))] = c
-        self.ring = ring
-        self.terms = clean
-
-    @classmethod
-    def one(cls, ring: CoeffRing) -> "ModuleElement":
-        return cls(ring, {(0, 0): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def reduce_mod(self, ell: int, power: int) -> "ModuleElement":
-        if self.ring.kind != "Z":
-            raise SpecError("only exact-integer elements reduce")
-        return ModuleElement(zmod(ell, power), self.terms)
-
-    def scaled_into(self, c, acc: dict, modulus: int | None):
-        for key, v in self.terms.items():
-            val = acc.get(key, 0) + c * v
-            if modulus is not None:
-                val %= modulus
-            if val:
-                acc[key] = val
-            elif key in acc:
-                del acc[key]
-
-    def j_range(self) -> tuple:
-        if not self.terms:
-            return (0, 0)
-        js = [j for j, _ in self.terms]
-        return (min(js), max(js))
-
-    def min_ell_valuation(self, ell: int, cap: int) -> int:
-        """Largest v <= cap with ell**v dividing every nonzero coefficient
-        (cap if there are none)."""
-        best = cap
-        for c in self.terms.values():
-            v = 0
-            while v < best and c % ell == 0:
-                c //= ell
-                v += 1
-            best = min(best, v)
-            if best == 0:
-                break
-        return best
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleElement)
-                and self.ring == other.ring and self.terms == other.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "<0>"
-        bits = []
-        for (j, k) in sorted(self.terms):
-            c = self.terms[(j, k)]
-            mono = []
-            if j:
-                mono.append(f"t^{j}" if j != 1 else "t")
-            if k:
-                mono.append(f"g{k}")
-            body = "*".join(mono) if mono else "1"
-            bits.append(f"{c}*{body}")
-        return "<" + " + ".join(bits) + f" over {self.ring}>"
-
-
-def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSeries:
-    """Honest q-expansion of a module element, over the element's ring."""
-    v1 = b.v + 1
-    deepest = 0
-    for (j, k) in me.terms:
-        n_k = -b.gs[k - 1].ord_inf if k else 0
-        deepest = max(deepest, v1 * j + n_k)  # = trunc - val(t^j g_k), sans trunc
-    prec = trunc + deepest + v1
-    out = QSeries.zero(ZZ, trunc)
-    for (j, k), c in sorted(me.terms.items()):
-        s = b.monomial(j, k, prec)
-        out = out.add(s.truncate(min(s.trunc, trunc)).scale(int(c)))
-    if me.ring.kind == "Zmod":
-        return out.reduce_mod(me.ring.ell, me.ring.power)
-    return out
+    t_eq = b.t_quotient()
+    return StabilityExponents(quotient_m(A, "A"), quotient_m(t_eq, "t"),
+                              quotient_m(t_eq.inverse(), "1/t"),
+                              tuple(function_m(g) for g in b.gs))
 
 
 class UImageTable:
@@ -388,9 +280,16 @@ class UImageTable:
         rows = [f"{self.basis.level} {self.ell} {i} {j} {k} {self.basis.v}"]
         for (jj, kk) in sorted(me.terms):
             rows.append(f"{jj} {kk} {me.terms[(jj, kk)]}")
-        tmp = p.with_suffix(".tmp")
-        tmp.write_text("\n".join(rows) + "\n")
-        os.replace(tmp, p)  # first writer wins, readers never see partial files
+        # a private temporary file per writer: readers never see a partial
+        # file, and concurrent writers of one key never share a path
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.stem + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write("\n".join(rows) + "\n")
+            os.replace(tmp, p)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- computation ---------------------------------------------------------
 
@@ -410,19 +309,6 @@ class UImageTable:
                 self._store(i, j, k, me)
         self._mem[key] = me
         return me
-
-    def warm(self, keys, threads: int = 1):
-        """Precompute a batch of images; distinct keys are independent and the
-        memo is first-writer-wins, so concurrent computation is safe (the
-        interpreter still serializes the arithmetic)."""
-        todo = sorted({tuple(k) for k in keys} - set(self._mem))
-        if threads <= 1 or len(todo) <= 1:
-            for key in todo:
-                self.image(*key)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda key: self.image(*key), todo))
 
     def _compute(self, i, j, k) -> ModuleElement:
         b = self.basis
@@ -444,21 +330,8 @@ class UImageTable:
             prec *= 2
         else:
             raise ContractError("could not reach a sufficient truncation budget")
-        red = mw_reduce(prod.to_rational(), b)
-        if not red.ok:
-            raise ContractError(
-                f"reduction stalled at order {red.stall_order} for image "
-                f"({i},{j},{k}); the module is not closed here")
-        if not red.integral():
-            raise ContractError(
-                f"image ({i},{j},{k}) has non-integer coefficients; "
-                "the integral closure claim failed")
-        terms = {}
-        for kk, p in enumerate(red.polys):
-            for e, c in p.items():
-                if c:
-                    terms[(e - m, kk)] = terms.get((e - m, kk), 0) + c.numerator
-        return ModuleElement(ZZ, terms)
+        tamed = mw_reduce(prod, b)
+        return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
 
 
 def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement:
@@ -470,15 +343,3 @@ def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement
         table.image(1 if with_A else 0, j, k).scaled_into(int(c), acc, modulus)
     return ModuleElement(me.ring, acc)
 
-
-_TABLES = {}
-
-
-def u_image(i: int, j: int, k: int, b: AlgebraBasis, A: EtaQuotient, ell: int,
-            cache_dir=None) -> ModuleElement:
-    """Convenience wrapper keeping one table per (basis, A, ell, cache_dir)."""
-    key = (b.fingerprint(), A.level, A.exponents, ell, str(cache_dir))
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = UImageTable(b, A, ell, cache_dir)
-    return table.image(i, j, k)

@@ -19,17 +19,10 @@ import time
 from dataclasses import dataclass, field
 from math import gcd
 
-from .basis import AlgebraBasis
+from .basis import AlgebraBasis, ModuleElement, module_element_series
 from .errors import ContractError, SpecError
 from .series import QSeries, ZZ, zmod
-from .ujump import (
-    FamilyGenerator,
-    ModuleElement,
-    UImageTable,
-    build_A,
-    module_element_series,
-    u_step,
-)
+from .ujump import FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
 
@@ -177,7 +170,7 @@ class VerificationReport:
 
 def iterate(spec: CongruenceFamilySpec, b: AlgebraBasis, iterations: int | None = None,
             *, B: int | None = None, table: UImageTable | None = None,
-            cache_dir=None, threads: int = 1, j_ceiling: int = 64) -> VerificationReport:
+            cache_dir=None, j_ceiling: int = 64) -> VerificationReport:
     """Run the iteration for the given number of steps and collect valuations.
 
     Even steps apply U_ell(A * -), odd steps plain U_ell; coefficients live in
@@ -188,6 +181,8 @@ def iterate(spec: CongruenceFamilySpec, b: AlgebraBasis, iterations: int | None 
     if B < 1:
         raise SpecError("B must be >= 1")
     iterations = spec.default_iterations if iterations is None else iterations
+    if iterations < 0:
+        raise SpecError(f"iteration count must be >= 0, got {iterations}")
     ell = spec.gen.ell
     if table is None:
         table = UImageTable(b, build_A(spec.gen), ell, cache_dir)
@@ -204,8 +199,6 @@ def iterate(spec: CongruenceFamilySpec, b: AlgebraBasis, iterations: int | None 
     for alpha in range(iterations):
         t0 = time.monotonic()
         with_A = alpha % 2 == 0
-        if threads > 1:
-            table.warm(((1 if with_A else 0, j, k) for (j, k) in current.terms), threads)
         nxt = u_step(table, current, with_A=with_A)
         j_lo, j_hi = nxt.j_range()
         if j_lo < -j_ceiling or j_hi > j_ceiling:

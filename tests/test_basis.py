@@ -1,22 +1,22 @@
 """The level-20 algebra basis and the greedy membership reduction."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from etacheck.basis import (
     AlgebraBasis,
     BasisFunction,
+    ModuleElement,
     construct_basis,
     load_basis_n20,
+    module_element_series,
     mw_reduce,
-    reduction_series,
     verify_basis,
 )
 from etacheck.errors import ContractError, SpecError
 from etacheck.eta import EtaQuotient, eta_expand_normalized
-from etacheck.series import QSeries, QQ
+from etacheck.series import QSeries, ZZ, zmod
 
 
 @pytest.fixture(scope="module")
@@ -62,56 +62,60 @@ def test_series_leading_coefficients(b20):
 
 
 def test_reduce_constant(b20):
-    one = QSeries.one(QQ, 10)
-    res = mw_reduce(one, b20)
-    assert res.ok
-    assert res.poly(0) == {0: 1}
-    assert all(not res.poly(k) for k in range(1, 5))
+    one = QSeries.one(ZZ, 10)
+    assert mw_reduce(one, b20) == ModuleElement(ZZ, {(0, 0): 1})
 
 
 def test_reduce_t_times_g1(b20):
-    f = b20.monomial(1, 1, 30).to_rational()
-    res = mw_reduce(f, b20)
-    assert res.ok
-    assert res.poly(1) == {1: 1}
-    assert all(not res.poly(k) for k in (0, 2, 3, 4))
+    f = b20.monomial(1, 1, 30)
+    assert mw_reduce(f, b20) == ModuleElement(ZZ, {(1, 1): 1})
 
 
 def test_reduce_stalls_on_order_one(b20):
     # no basis element has |ord| == 1 mod 5 with |ord| <= 1, so a simple pole
     # at infinity is irreducible
-    f = QSeries(QQ, [1, 0, 2], -1, 2)
-    res = mw_reduce(f, b20)
-    assert not res.ok
-    assert res.stall_order == 1
+    f = QSeries(ZZ, [1, 0, 2], -1, 2)
+    with pytest.raises(ContractError, match="pole order 1"):
+        mw_reduce(f, b20)
+
+
+def test_reduce_rejects_non_integral_step(b20):
+    # with g1 doubled the basis is no longer monic: reducing g itself would
+    # need the coefficient 1/2, which an integer reduction must refuse
+    doubled = BasisFunction("g1", ((2, b20.gs[0].construction[0][1]),), -2)
+    b = AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
+    g = b20.monomial(0, 1, 30)
+    with pytest.raises(ContractError, match="non-integral reduction step at pole order 2"):
+        mw_reduce(g, b)
+    assert mw_reduce(g.scale(2), b) == ModuleElement(ZZ, {(0, 1): 1})
 
 
 def test_reduce_detects_corruption(b20):
     # a random series with a module-shaped principal part but a garbage tail
-    f = b20.monomial(1, 1, 30).to_rational()
-    broken = f.add(QSeries.from_terms(QQ, {3: 1}, f.trunc))
+    f = b20.monomial(1, 1, 30)
+    broken = f.add(QSeries.from_terms(ZZ, {3: 1}, f.trunc))
     with pytest.raises(ContractError):
         mw_reduce(broken, b20)
 
 
 def test_reduce_requires_constant_in_view(b20):
-    f = QSeries(QQ, [1], -5, -4)
+    f = QSeries(ZZ, [1], -5, -4)
     with pytest.raises(SpecError):
         mw_reduce(f, b20)
+    with pytest.raises(SpecError):
+        mw_reduce(QSeries.one(zmod(5, 1), 10), b20)
 
 
 def random_module_series(rng, b, prec=40):
-    """A random rational element of the module, plus its exact monomial recipe."""
+    """A random integer element of the module, plus its exact monomial recipe."""
     picks = {}
     for _ in range(rng.randint(1, 5)):
         e = rng.randint(0, 3)
         k = rng.randint(0, b.v)
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        if c:
-            picks[(e, k)] = picks.get((e, k), Fraction(0)) + c
-    out = QSeries.zero(QQ, prec - 25)
+        picks[(e, k)] = picks.get((e, k), 0) + rng.randint(-9, 9)
+    out = QSeries.zero(ZZ, prec - 25)
     for (e, k), c in sorted(picks.items()):
-        s = b.monomial(e, k, prec, rational=True)
+        s = b.monomial(e, k, prec)
         out = out.add(s.truncate(min(s.trunc, prec - 25)).scale(c))
     return out, picks
 
@@ -122,11 +126,9 @@ def run_reduce_reconstruction(cases=200, seed=17):
     for _ in range(cases):
         f, picks = random_module_series(rng, b)
         res = mw_reduce(f, b)
-        assert res.ok
-        got = {(e, k): c for k in range(b.v + 1) for e, c in res.poly(k).items() if c}
-        want = {(e, k): c for (e, k), c in picks.items() if c}
-        assert got == want
-        back = reduction_series(res, b, f.trunc)
+        assert res.ring == ZZ
+        assert res.terms == {key: c for key, c in picks.items() if c}
+        back = module_element_series(res, b, f.trunc)
         assert back.agrees_with(f)
     return cases
 
@@ -138,9 +140,7 @@ def test_reduce_reconstruction_roundtrip():
 def test_reduce_determinism(b20):
     rng = random.Random(4)
     f, _ = random_module_series(rng, b20)
-    r1 = mw_reduce(f, b20)
-    r2 = mw_reduce(f, b20)
-    assert r1.polys == r2.polys
+    assert mw_reduce(f, b20) == mw_reduce(f, b20)
 
 
 def test_construct_basis_level_20(b20):
@@ -158,10 +158,8 @@ def test_construct_basis_degenerate_order_one():
     assert b.v == 0
     assert verify_basis(b)
     # reduction over a pure polynomial module
-    f = b.monomial(2, 0, 20).to_rational().add(
-        b.monomial(1, 0, 20).to_rational().scale(3)).add(QSeries.one(QQ, 12))
-    res = mw_reduce(f, b)
-    assert res.ok and res.poly(0) == {2: 1, 1: 3, 0: 1}
+    f = b.monomial(2, 0, 20).add(b.monomial(1, 0, 20).scale(3)).add(QSeries.one(ZZ, 12))
+    assert mw_reduce(f, b) == ModuleElement(ZZ, {(2, 0): 1, (1, 0): 3, (0, 0): 1})
 
 
 def test_construct_basis_rejects_bad_generator():

@@ -52,6 +52,20 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-subcommand"]) == 2
 
 
+def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                       "verify", "rogers-ramanujan", "--iterations", "-3")
+    assert code == 2 and "VERIFIED" not in out
+    # an explicit --B 0 is rejected for a spec file too, not replaced by its B
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
+                                "c": 24, "pattern": "even-alpha", "B": 2}))
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                       "verify", str(path), "--B", "0", "--iterations", "1")
+    assert code == 2 and "VERIFIED" not in out
+    assert main(["--threads", "2", "cusps", "20"]) == 2
+
+
 def test_contract_violations_exit_3(capsys, monkeypatch):
     from etacheck import cli
     from etacheck.errors import ContractError

@@ -88,6 +88,8 @@ def test_iterate_zero_iterations(basis20, rr_image_table):
     rep = iterate(rogers_ramanujan(B=1), basis20, 0, table=rr_image_table, B=1)
     assert rep.V == [0]
     assert rep.ok
+    with pytest.raises(SpecError):
+        iterate(rogers_ramanujan(B=1), basis20, -3, table=rr_image_table, B=1)
 
 
 def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_dir):
@@ -116,12 +118,6 @@ def test_valuations_nondecreasing_on_passing_runs(basis20, rr_image_table, as_im
         rep = iterate(spec, basis20, n, table=table, B=3)
         assert rep.ok
         assert all(a <= b for a, b in zip(rep.V, rep.V[1:]))
-
-
-def test_iterate_with_thread_warming(basis20, rr_image_table):
-    spec = rogers_ramanujan(B=2)
-    rep = iterate(spec, basis20, 4, table=rr_image_table, B=2, threads=4)
-    assert rep.V == [0, 0, 1, 1, 2]
 
 
 def test_check_pattern_stricter_requirement_fails(basis20, as_image_table):
