@@ -14,7 +14,7 @@ vanish 5-adically on their own.
 from etacheck import (
     UImageTable,
     build_A,
-    eta_expand_normalized,
+    eta_expand,
     load_basis_n20,
     module_element_series,
     u_ell,
@@ -37,7 +37,7 @@ print("the first image: U(A) expressed over the basis")
 me = table.image(1, 0, 0)
 print(f"  {me}")
 check = module_element_series(me, b, 20)
-direct = u_ell(eta_expand_normalized(table.A, 400), 5)
+direct = u_ell(eta_expand(table.A, 400), 5)
 print("  matches U applied to the raw expansion:",
       check.agrees_with(direct.truncate(20)))
 

@@ -10,7 +10,7 @@ ell-adic valuation gained at each step.
 
 from .errors import ContractError, EtacheckError, SearchExhaustedError, SpecError
 from .series import CoeffRing, QSeries, ZZ, zmod
-from .eta import EtaQuotient, divisors, eta_expand, eta_expand_normalized, euler_product
+from .eta import EtaQuotient, divisors, eta_expand, euler_product, euler_quotient
 from .modcurve import (
     Cusp,
     CuspOrderVector,

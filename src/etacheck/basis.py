@@ -9,10 +9,11 @@ leading term, and the pole order strictly drops.    A remainder of order zero
 is a constant, which ends the reduction; an order that no basis element can
 reach disproves membership.
 
-Reduction arithmetic is exact integer.  Every basis monomial t**e * g_k leads
-with coefficient 1, so each greedy step divides exactly; a step that does not
-is a broken basis or a non-integral input, and raises rather than let a
-fractional answer poison everything built on top.
+Reduction arithmetic is exact integer.  Every basis function leads with
+coefficient 1 (``verify_basis`` checks it), hence so does every monomial
+t**e * g_k, and each greedy step divides exactly; a step that does not is a
+broken basis or a non-integral input, and raises rather than let a fractional
+answer poison everything built on top.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import ContractError, SearchExhaustedError, SpecError
-from .eta import EtaQuotient, eta_expand_normalized
+from .eta import EtaQuotient, eta_expand
 from .modcurve import (
     cusp_representatives,
     eta_order_at_cusp,
@@ -60,7 +61,7 @@ class BasisFunction:
         for coef, factors in self.construction:
             term = None
             for f in factors:
-                s = eta_expand_normalized(f, trunc + self.span(factors))
+                s = eta_expand(f, trunc + self.span(factors))
                 term = s if term is None else term.mul(s)
             if term is None:
                 term = QSeries.one(ZZ, trunc)
@@ -132,59 +133,45 @@ class AlgebraBasis:
     # [e*ord(t) + ord(g_k), e*ord(t) + ord(g_k) + prec).
 
     def _grown(self, prec: int) -> dict:
+        """The (e, k) -> t**e * g_k store, rebuilt when prec outgrows it."""
         ws = self._cache
         if ws.get("prec", 0) < prec:
             ws.clear()
             ws["prec"] = prec
-            ws["t"] = self.t.series(prec)
-            ws["g"] = {0: QSeries.one(ZZ, prec)}
+            store = ws["monomial"] = {(0, 0): QSeries.one(ZZ, prec), (1, 0): self.t.series(prec)}
             for k, g in enumerate(self.gs, start=1):
-                ws["g"][k] = g.series(prec)
-            ws["tpow"] = {0: QSeries.one(ZZ, prec), 1: ws["t"]}
-            ws["monomial"] = {}
-        return ws
-
-    def t_power(self, e: int, prec: int) -> QSeries:
-        with self._lock:
-            ws = self._grown(prec)
-            tp = ws["tpow"]
-            if e not in tp:
-                if e >= 0:
-                    best = max(k for k in tp if 0 <= k <= e)
-                    cur = tp[best]
-                    for k in range(best + 1, e + 1):
-                        cur = cur.mul(ws["t"])
-                        tp[k] = cur
-                else:
-                    if -1 not in tp:
-                        tp[-1] = ws["t"].inv()
-                    best = min(k for k in tp if 0 > k >= e)
-                    cur = tp[best]
-                    for k in range(best - 1, e - 1, -1):
-                        cur = cur.mul(tp[-1])
-                        tp[k] = cur
-            return tp[e]
+                store[(0, k)] = g.series(prec)
+        return ws["monomial"]
 
     def monomial(self, e: int, k: int, prec: int) -> QSeries:
-        """Expansion of t**e * g_k (g_0 = 1) at the workspace precision."""
+        """Expansion of t**e * g_k (g_0 = 1) at the workspace precision.
+
+        Powers of t are built one step at a time from the nearest stored
+        power of the same sign, and every step is kept.
+        """
         with self._lock:
-            ws = self._grown(prec)
-            key = (e, k)
-            store = ws["monomial"]
-            if key not in store:
-                if k == 0:
-                    store[key] = self.t_power(e, prec)
-                elif e == 0:
-                    store[key] = ws["g"][k]
-                else:
-                    store[key] = self.t_power(e, prec).mul(ws["g"][k])
-            return store[key]
+            store = self._grown(prec)
+            if (e, k) not in store:
+                step = 1 if e > 0 else -1
+                if e < 0 and (-1, 0) not in store:
+                    store[(-1, 0)] = store[(1, 0)].inv()
+                near = e
+                while (near, 0) not in store:
+                    near -= step
+                cur = store[(near, 0)]
+                for p in range(near + step, e + step, step):
+                    cur = store[(p, 0)] = cur.mul(store[(step, 0)])
+                if k:
+                    store[(e, k)] = cur.mul(store[(0, k)])
+            return store[(e, k)]
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
     """All structural conditions: t has pole order v+1 at infinity, the
     |ord_inf| are strictly increasing and fill the nonzero residues mod v+1,
-    and every eta-quotient constituent is modular at the level."""
+    every eta-quotient constituent is modular at the level, and every
+    function is monic (leads with coefficient 1 at its declared order), so
+    each greedy reduction step divides exactly."""
     v1 = b.v + 1
     if -b.t.ord_inf != v1:
         return False
@@ -200,6 +187,11 @@ def verify_basis(b: AlgebraBasis) -> bool:
         for eq in fn.constituent_quotients():
             if eq.level != b.level or not newman_check(eq)[0]:
                 return False
+        try:
+            if fn.series(1).coeffs[0] != 1:
+                return False
+        except ContractError:  # the expansion does not start at ord_inf
+            return False
     inf = infinity_class(b.level)
     t_eq = b.t_quotient()
     if eta_order_at_cusp(t_eq, inf) != b.t.ord_inf:
@@ -344,7 +336,6 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
     """
     if f.ring != ZZ:
         raise SpecError("reduction works over the exact integers")
-    f = f.normalize_offset()
     if f.trunc < 1:
         raise SpecError("insufficient truncation: need the constant term in view")
     v1 = b.v + 1

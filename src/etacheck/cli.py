@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage or bad
-family spec, 3 an internal contract was violated (a reduction step that does
-not divide exactly, a reduction stall or nonzero residual, runaway support).
+Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage, a bad
+family spec, or a verify run in which no step carried a required valuation
+(NOTHING CHECKED), 3 an internal contract was violated (a reduction step
+that does not divide exactly, a reduction stall or nonzero residual,
+runaway support).
 
 Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
 or a path to a JSON file with fields
@@ -20,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .basis import construct_basis, load_basis_n20, AlgebraBasis
+from .basis import _G20, _H20, construct_basis, load_basis_n20, AlgebraBasis
 from .errors import ContractError, EtacheckError, SpecError
 from .eta import EtaQuotient
 from .modcurve import (
@@ -154,6 +156,8 @@ def cmd_u_image(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_family_spec(args.spec, args.B)
+    if args.iterations is not None and args.iterations < 1:
+        raise SpecError(f"--iterations must be >= 1, got {args.iterations}")
     b = resolve_basis(spec)
     report = iterate(spec, b, args.iterations, cache_dir=args.cache_dir)
     print(report.text())
@@ -162,7 +166,12 @@ def cmd_verify(args) -> int:
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     elif args.json:
         print(json.dumps(payload, indent=2))
-    return 0 if report.ok else 1
+    if not report.ok:
+        return 1
+    if not report.checked:
+        print("error: no step carried a required valuation", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_direct_check(args) -> int:
@@ -221,16 +230,14 @@ def cmd_tables(args) -> int:
 
     se = compute_m_constants(b, A, ell)
     t_scaled = b.t_quotient().scale_tau(ell)
-    h20 = EtaQuotient(20, {1: -1, 4: 1, 5: 5, 20: -5})
-    g20 = EtaQuotient(20, {2: -2, 4: 4, 10: 2, 20: -4})
-    m1 = quotient_taming_power(b, g20, ell)
-    m_h = quotient_taming_power(b, h20, ell)
+    m1 = quotient_taming_power(b, _G20, ell)
+    m_h = quotient_taming_power(b, _H20, ell)
     taming = [
         (f"t(5tau)^{se.m_A} * A", A.at_level(100), se.m_A),
         (f"t(5tau)^{se.m_t} * t", b.t_quotient().at_level(100), se.m_t),
         (f"t(5tau)^{se.m_negt} * 1/t", b.t_quotient().inverse().at_level(100), se.m_negt),
-        (f"t(5tau)^{m1} * g", g20.at_level(100), m1),
-        (f"t(5tau)^{m_h} * h", h20.at_level(100), m_h),
+        (f"t(5tau)^{m1} * g", _G20.at_level(100), m1),
+        (f"t(5tau)^{m_h} * h", _H20.at_level(100), m_h),
     ]
     print(f"stability exponents: m_A={se.m_A} m_t={se.m_t} m_1/t={se.m_negt} "
           f"m_k={list(se.m_g)}")

@@ -2,8 +2,10 @@
 
 An :class:`EtaQuotient` is the formal product of eta(d*tau)**r_d over divisors
 d of a level N.  Its q-expansion is the product of the Euler products
-(q**d; q**d)_infinity ** r_d times the prefactor q**(sum(d*r_d)/24), which is
-carried on the series offset grid so that nothing fractional is ever rounded.
+(q**d; q**d)_infinity ** r_d times the prefactor q**(sum(d*r_d)/24).
+``eta_expand`` is the only place that prefactor is handled: it shifts the
+product by sum(d*r_d)/24 and refuses a quotient for which that is not an
+integer, so nothing fractional is ever rounded.
 
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
@@ -136,31 +138,28 @@ def euler_product(d: int, trunc: int) -> QSeries:
     return QSeries.from_terms(ZZ, terms, trunc)
 
 
+def euler_quotient(exponents, trunc: int) -> QSeries:
+    """prod of (q**d; q**d)_infinity ** r over the (d, r) pairs, to order
+    ``trunc`` over the exact integers: a unit series with leading term 1.
+    The exponents need not satisfy any modularity condition."""
+    out = QSeries.one(ZZ, trunc)
+    for d, r in exponents:
+        base = euler_product(d, trunc)
+        out = out.mul(base.inv().pow(-r) if r < 0 else base.pow(r))
+    return out
+
+
 def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
     """Expand the quotient as a q-series over the exact integers.
 
-    The returned series has offset24 = sum(d*r_d); its integer-grid part is
-    the product of the Euler factors (a unit series, leading coefficient 1)
-    known to order ``trunc``.  Use normalize_offset() to fold the prefactor
-    once it is known to be integral.
+    ``trunc`` counts coefficients past the leading term, so the result covers
+    exponents [sum(d*r_d)/24, sum(d*r_d)/24 + trunc).  Raises SpecError when
+    24 does not divide sum(d*r_d): the expansion would need fractional
+    exponents.
     """
     if trunc < 1:
         raise SpecError("eta expansion needs truncation >= 1")
-    out = QSeries.one(ZZ, trunc)
-    for d, r in eq.exponents:
-        base = euler_product(d, trunc)
-        if r < 0:
-            factor = base.inv().pow(-r)
-        else:
-            factor = base.pow(r)
-        out = out.mul(factor)
-    return QSeries(ZZ, out.coeffs, out.val, out.trunc, eq.sum_dr())
-
-
-def eta_expand_normalized(eq: EtaQuotient, trunc: int) -> QSeries:
-    """Expansion with the prefactor folded into integer exponents.
-
-    ``trunc`` counts coefficients past the leading term, so the result covers
-    exponents [sum(d*r_d)/24, sum(d*r_d)/24 + trunc).
-    """
-    return eta_expand(eq, trunc).normalize_offset()
+    shift, frac = divmod(eq.sum_dr(), 24)
+    if frac:
+        raise SpecError(f"{eq!r} has the fractional prefactor q^({eq.sum_dr()}/24)")
+    return euler_quotient(eq.exponents, trunc).shift(shift)

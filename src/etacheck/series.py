@@ -2,10 +2,10 @@
 
 A :class:`QSeries` is a finite window of a Laurent series in ``q``: integer
 exponents from ``val`` up to (but excluding) ``trunc``, coefficients in one of
-two rings (exact integers, integers mod a prime power), and a global prefactor ``q**(offset24/24)``.  The fractional prefactor exists so
-that eta-function expansions, which natively live on the 1/24 exponent grid,
-are never silently rounded; folding it into the integer exponents is an
-explicit step that fails loudly when 24 does not divide it.
+two rings (exact integers, integers mod a prime power).  Every series lives on
+integer exponents; the fractional eta prefactor q**(sum(d*r_d)/24) is folded
+in by ``eta.eta_expand``, which rejects a quotient whose prefactor is not an
+integer power of q instead of rounding it.
 
 Truncation bookkeeping is pessimistic: every operation reports only the
 coefficients its inputs actually determine (``min`` of the operand windows,
@@ -151,15 +151,15 @@ def convolve_ints(a, b, n_out):
 
 class QSeries:
     """Truncated Laurent series: sum of coeffs[i]*q**(val+i) for
-    val <= val+i < trunc, all times the global prefactor q**(offset24/24).
+    val <= val+i < trunc.
 
     The stored leading coefficient is nonzero; the zero series is canonically
     val == trunc with an empty coefficient tuple.
     """
 
-    __slots__ = ("ring", "offset24", "val", "coeffs", "trunc")
+    __slots__ = ("ring", "val", "coeffs", "trunc")
 
-    def __init__(self, ring: CoeffRing, coeffs, val: int, trunc: int, offset24: int = 0):
+    def __init__(self, ring: CoeffRing, coeffs, val: int, trunc: int):
         coeffs = [ring.coerce(c) for c in coeffs]
         if val + len(coeffs) > trunc:
             raise SpecError("coefficient window exceeds truncation")
@@ -174,7 +174,6 @@ class QSeries:
         if not coeffs:
             val = trunc
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "offset24", offset24)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "trunc", trunc)
@@ -189,15 +188,15 @@ class QSeries:
         return cls(ring, (), trunc, trunc)
 
     @classmethod
-    def from_terms(cls, ring: CoeffRing, terms: dict, trunc: int, offset24: int = 0) -> "QSeries":
+    def from_terms(cls, ring: CoeffRing, terms: dict, trunc: int) -> "QSeries":
         terms = {e: c for e, c in terms.items() if e < trunc}
         if not terms:
-            return cls(ring, (), trunc, trunc, offset24)
+            return cls(ring, (), trunc, trunc)
         lo = min(terms)
         coeffs = [0] * (trunc - lo)
         for e, c in terms.items():
             coeffs[e - lo] = c
-        return cls(ring, coeffs, lo, trunc, offset24)
+        return cls(ring, coeffs, lo, trunc)
 
     @classmethod
     def const(cls, ring: CoeffRing, c, trunc: int) -> "QSeries":
@@ -213,7 +212,7 @@ class QSeries:
         return not self.coeffs
 
     def coeff(self, e: int):
-        """Coefficient of q**e (on the integer grid relative to the offset)."""
+        """Coefficient of q**e."""
         if e >= self.trunc:
             raise SpecError(f"coefficient q^{e} lies beyond truncation {self.trunc}")
         if e < self.val:
@@ -231,20 +230,18 @@ class QSeries:
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Coefficient-for-coefficient equality on the shared window."""
-        a = self._aligned_to(other.offset24) if self.offset24 != other.offset24 else self
-        t = min(a.trunc, other.trunc)
-        lo = min(a.val, other.val)
-        return all(a.coeff(e) == other.coeff(e) for e in range(lo, t))
+        t = min(self.trunc, other.trunc)
+        lo = min(self.val, other.val)
+        return all(self.coeff(e) == other.coeff(e) for e in range(lo, t))
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (self.ring == other.ring and self.offset24 == other.offset24
-                and self.val == other.val and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+        return (self.ring == other.ring and self.val == other.val
+                and self.trunc == other.trunc and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.ring, self.offset24, self.val, self.trunc, self.coeffs))
+        return hash((self.ring, self.val, self.trunc, self.coeffs))
 
     def __repr__(self):
         parts = []
@@ -258,32 +255,7 @@ class QSeries:
                 parts.append("...")
                 break
         body = " + ".join(parts) if parts else "0"
-        pre = f"q^({self.offset24}/24) * " if self.offset24 else ""
-        return f"<{pre}{body} + O(q^{self.trunc}) over {self.ring}>"
-
-    # -- offset handling ----------------------------------------------------
-
-    def normalize_offset(self) -> "QSeries":
-        """Fold the q**(offset24/24) prefactor into the integer exponents.
-
-        Fails unless 24 divides offset24; fractional exponents must never
-        be rounded away.
-        """
-        if self.offset24 == 0:
-            return self
-        if self.offset24 % 24:
-            raise SpecError(f"offset {self.offset24}/24 is not an integer exponent")
-        s = self.offset24 // 24
-        return QSeries(self.ring, self.coeffs, self.val + s, self.trunc + s, 0)
-
-    def _aligned_to(self, offset24: int) -> "QSeries":
-        if self.offset24 == offset24:
-            return self
-        diff = self.offset24 - offset24
-        if diff % 24:
-            raise SpecError("series offsets differ by a non-integer exponent")
-        s = diff // 24
-        return QSeries(self.ring, self.coeffs, self.val + s, self.trunc + s, offset24)
+        return f"<{body} + O(q^{self.trunc}) over {self.ring}>"
 
     # -- ring changes -------------------------------------------------------
 
@@ -292,7 +264,7 @@ class QSeries:
         if self.ring.kind != "Z":
             raise SpecError("reduce_mod expects an exact-integer series")
         ring = zmod(ell, power)
-        return QSeries(ring, self.coeffs, self.val, self.trunc, self.offset24)
+        return QSeries(ring, self.coeffs, self.val, self.trunc)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -302,7 +274,6 @@ class QSeries:
 
     def add(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
-        other = other._aligned_to(self.offset24)
         trunc = min(self.trunc, other.trunc)
         if self.is_zero():
             return other.truncate(trunc)
@@ -316,10 +287,10 @@ class QSeries:
                 if e >= trunc:
                     break
                 out[e - lo] = out[e - lo] + c
-        return QSeries(self.ring, out, lo, trunc, self.offset24)
+        return QSeries(self.ring, out, lo, trunc)
 
     def neg(self) -> "QSeries":
-        return QSeries(self.ring, [-c for c in self.coeffs], self.val, self.trunc, self.offset24)
+        return QSeries(self.ring, [-c for c in self.coeffs], self.val, self.trunc)
 
     def sub(self, other: "QSeries") -> "QSeries":
         return self.add(other.neg())
@@ -329,20 +300,19 @@ class QSeries:
         c = self.ring.coerce(c)
         if c == 0:
             return QSeries.zero(self.ring, self.trunc)
-        return QSeries(self.ring, [c * x for x in self.coeffs], self.val, self.trunc, self.offset24)
+        return QSeries(self.ring, [c * x for x in self.coeffs], self.val, self.trunc)
 
     def mul(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
-        offset = self.offset24 + other.offset24
         trunc = min(self.trunc + other.val, other.trunc + self.val)
         if self.is_zero() or other.is_zero():
-            return QSeries(self.ring, (), trunc, trunc, offset)
+            return QSeries.zero(self.ring, trunc)
         val = self.val + other.val
         n_out = trunc - val
         if n_out <= 0:
-            return QSeries(self.ring, (), trunc, trunc, offset)
+            return QSeries.zero(self.ring, trunc)
         out = self._conv(self.coeffs, other.coeffs, n_out)
-        return QSeries(self.ring, out, val, trunc, offset)
+        return QSeries(self.ring, out, val, trunc)
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration on the unit part.
@@ -366,7 +336,7 @@ class QSeries:
             for i in range(1, len(ag)):
                 ag[i] = self.ring.coerce(-ag[i])
             g = self._conv(g, ag, m)
-        return QSeries(self.ring, g, -self.val, self.trunc - 2 * self.val, -self.offset24)
+        return QSeries(self.ring, g, -self.val, self.trunc - 2 * self.val)
 
     def _conv(self, a, b, n_out):
         out = convolve_ints(a, b, n_out)
@@ -391,17 +361,17 @@ class QSeries:
         return result
 
     def substitute_power(self, d: int) -> "QSeries":
-        """f(q**d): exponents, offset and truncation all scale by d."""
+        """f(q**d): exponents and truncation both scale by d."""
         if d < 1:
             raise SpecError("substitution power must be >= 1")
         if d == 1:
             return self
         if self.is_zero():
-            return QSeries(self.ring, (), d * self.trunc, d * self.trunc, d * self.offset24)
+            return QSeries.zero(self.ring, d * self.trunc)
         out = [0] * (d * (self.trunc - self.val))
         for i, c in enumerate(self.coeffs):
             out[d * i] = c
-        return QSeries(self.ring, out, d * self.val, d * self.trunc, d * self.offset24)
+        return QSeries(self.ring, out, d * self.val, d * self.trunc)
 
     def truncate(self, trunc: int) -> "QSeries":
         """Forget coefficients at exponents >= trunc."""
@@ -410,12 +380,12 @@ class QSeries:
                 raise SpecError("cannot extend a truncated series")
             return self
         if trunc <= self.val:
-            return QSeries(self.ring, (), trunc, trunc, self.offset24)
-        return QSeries(self.ring, self.coeffs[:trunc - self.val], self.val, trunc, self.offset24)
+            return QSeries.zero(self.ring, trunc)
+        return QSeries(self.ring, self.coeffs[:trunc - self.val], self.val, trunc)
 
     def shift(self, k: int) -> "QSeries":
-        """Multiply by q**k (integer grid shift)."""
-        return QSeries(self.ring, self.coeffs, self.val + k, self.trunc + k, self.offset24)
+        """Multiply by q**k."""
+        return QSeries(self.ring, self.coeffs, self.val + k, self.trunc + k)
 
     # operator sugar
     __add__ = add

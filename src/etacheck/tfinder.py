@@ -21,7 +21,6 @@ from 1 until the bounded enumeration finds a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import SearchExhaustedError, SpecError
 from .eta import EtaQuotient, divisors
@@ -119,10 +118,7 @@ def solve_W(N: int, pole_sets: PoleSets, n0: int, bound: int = 12):
     divs = divisors(N)
     w = tuple((d, eq.exponent(d)) for d in divs)
     x2 = -eq.sum_ndr() // 24
-    prod = 1
-    for d, r in eq.exponents:
-        prod *= d ** abs(r)
-    return WSolution(N, w, n0, x2, isqrt(prod))
+    return WSolution(N, w, n0, x2, newman_check(eq)[1])
 
 
 def verify_W(sol: WSolution, pole_sets: PoleSets) -> bool:
@@ -133,12 +129,7 @@ def verify_W(sol: WSolution, pole_sets: PoleSets) -> bool:
         return False
     if eta_order_at_cusp(eq, infinity_class(sol.level)) != -sol.x1:
         return False
-    if eq.sum_ndr() + 24 * sol.x2 != 0:
-        return False
-    prod = 1
-    for d, r in eq.exponents:
-        prod *= d ** abs(r)
-    if sol.x3 * sol.x3 != prod:
+    if eq.sum_ndr() + 24 * sol.x2 != 0 or sol.x3 != k0:
         return False
     for x in pole_sets.p_A | pole_sets.p_g:
         if eta_order_at_cusp(eq, x) <= 0:

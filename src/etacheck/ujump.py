@@ -36,7 +36,7 @@ from .basis import (  # noqa: F401  (ModuleElement, module_element_series re-exp
     mw_reduce,
 )
 from .errors import ContractError, SpecError
-from .eta import EtaQuotient, eta_expand_normalized
+from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import cusp_representatives, eta_order_at_cusp, infinity_class, newman_check
 from .series import QSeries, ZZ, _is_prime
 
@@ -81,12 +81,7 @@ class FamilyGenerator:
 
     def series(self, trunc: int) -> QSeries:
         """The generating function G(q) over the exact integers."""
-        from .eta import euler_product
-        out = QSeries.one(ZZ, trunc)
-        for d, e in self.r:
-            base = euler_product(d, trunc)
-            out = out.mul(base.inv().pow(-e) if e < 0 else base.pow(e))
-        return out
+        return euler_quotient(self.r, trunc)
 
     def coefficients(self, count: int) -> list:
         f = self.series(count)
@@ -103,8 +98,9 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
     """The auxiliary quotient A = q**shift * G(q)/G(q**ell^2) at level ell^2*M.
 
     In eta terms the exponent r_d moves to d and -r_d to ell^2*d; the
-    q-power shift (1-ell^2)*sum(d*r_d)/24 is exactly the offset the eta
-    prefactors produce, so the expansion lives on integer exponents.
+    q-power shift (1-ell^2)*sum(d*r_d)/24 is exactly the eta prefactor
+    q**(sum(d*r_d)/24) of A, an integer power of q, so eta_expand(A) is the
+    expansion on integer exponents.
     """
     ell2 = gen.ell ** 2
     exps = {}
@@ -120,13 +116,9 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
 def u_ell(f: QSeries, ell: int) -> QSeries:
     """Keep exponents divisible by ell and divide them by ell.
 
-    The input must sit on integer exponents (offset a multiple of 24);
-    a coefficient of the output at e is known exactly when ell*e was in
+    A coefficient of the output at e is known exactly when ell*e was in
     view, so the truncation becomes ceil(trunc/ell).
     """
-    if f.offset24 % 24:
-        raise SpecError("U_ell needs integer exponents; normalize the offset first")
-    f = f.normalize_offset()
     trunc = -(-f.trunc // ell)
     if f.is_zero():
         return QSeries(f.ring, (), trunc, trunc)
@@ -295,7 +287,7 @@ class UImageTable:
 
     def _a_expansion(self, prec: int) -> QSeries:
         if self._a_series is None or self._a_series.trunc - self._a_series.val < prec:
-            self._a_series = eta_expand_normalized(self.A, prec)
+            self._a_series = eta_expand(self.A, prec)
         return self._a_series
 
     def image(self, i: int, j: int, k: int) -> ModuleElement:
@@ -317,19 +309,14 @@ class UImageTable:
         v1 = b.v + 1
         n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
         prec = ell * (v1 * m + self.SLACK) + v1 * (abs(j) + i + 2) + n_k + 2 * self.SLACK
-        for _ in range(4):
-            f = b.monomial(j, k, prec)
-            if i:
-                a = self._a_expansion(prec)
-                f = f.mul(a)
-            u = u_ell(f, ell)
-            tm = b.t_power(m, prec)
-            prod = u.mul(tm)
-            if prod.trunc >= 1 + self.SLACK:
-                break
-            prec *= 2
-        else:
-            raise ContractError("could not reach a sufficient truncation budget")
+        f = b.monomial(j, k, prec)
+        if i:
+            f = f.mul(self._a_expansion(prec))
+        prod = u_ell(f, ell).mul(b.monomial(m, 0, prec))
+        if prod.trunc < 1 + self.SLACK:
+            raise ContractError(
+                f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
+                f"constant term and {self.SLACK} check coefficients")
         tamed = mw_reduce(prod, b)
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
 

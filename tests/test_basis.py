@@ -15,7 +15,7 @@ from etacheck.basis import (
     verify_basis,
 )
 from etacheck.errors import ContractError, SpecError
-from etacheck.eta import EtaQuotient, eta_expand_normalized
+from etacheck.eta import EtaQuotient, eta_expand
 from etacheck.series import QSeries, ZZ, zmod
 
 
@@ -48,8 +48,8 @@ def test_broken_bases_fail_verification(b20):
 
 
 def test_g2_series_is_difference(b20):
-    h = eta_expand_normalized(EtaQuotient(20, {1: -1, 4: 1, 5: 5, 20: -5}), 40)
-    g = eta_expand_normalized(EtaQuotient(20, {2: -2, 4: 4, 10: 2, 20: -4}), 40)
+    h = eta_expand(EtaQuotient(20, {1: -1, 4: 1, 5: 5, 20: -5}), 40)
+    g = eta_expand(EtaQuotient(20, {2: -2, 4: 4, 10: 2, 20: -4}), 40)
     g2 = b20.gs[1].series(30)
     assert g2.agrees_with(h.sub(g))
     assert g2.leading() == (-3, 1)
@@ -84,6 +84,7 @@ def test_reduce_rejects_non_integral_step(b20):
     # need the coefficient 1/2, which an integer reduction must refuse
     doubled = BasisFunction("g1", ((2, b20.gs[0].construction[0][1]),), -2)
     b = AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
+    assert not verify_basis(b)
     g = b20.monomial(0, 1, 30)
     with pytest.raises(ContractError, match="non-integral reduction step at pole order 2"):
         mw_reduce(g, b)

@@ -56,6 +56,14 @@ def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
     code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
                        "verify", "rogers-ramanujan", "--iterations", "-3")
     assert code == 2 and "VERIFIED" not in out
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "verify", "rogers-ramanujan", "--iterations", "0")
+    assert code == 2 and "VERIFIED" not in out and "--iterations" in err
+    # one step of an even-alpha family carries no requirement: nothing is checked
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "verify", "rogers-ramanujan", "--iterations", "1")
+    assert code == 2 and "VERIFIED" not in out and "NOTHING CHECKED" in out
+    assert "required valuation" in err
     # an explicit --B 0 is rejected for a spec file too, not replaced by its B
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,

@@ -1,4 +1,4 @@
-"""Series ring laws, Euler product expansion, and the offset bookkeeping."""
+"""Series ring laws, Euler product expansion, and eta-quotient expansion."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 
 from etacheck.errors import SpecError
 from etacheck.series import QSeries, ZZ, zmod, convolve_ints
-from etacheck.eta import EtaQuotient, euler_product, eta_expand, eta_expand_normalized
+from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
 
 
 def finite_euler_oracle(d, trunc):
@@ -149,9 +149,8 @@ def test_substitute_power():
     q = QSeries(ZZ, [1], 1, 2)
     assert q.substitute_power(5).terms() == {5: 1}
     assert q.substitute_power(5).trunc == 10
-    f = QSeries(ZZ, [1, 2, 3], 0, 3, offset24=-120)
-    s = f.substitute_power(5)
-    assert s.offset24 == -600 and s.terms() == {0: 1, 5: 2, 10: 3}
+    s = QSeries(ZZ, [1, 2, 3], 0, 3).substitute_power(5)
+    assert s.terms() == {0: 1, 5: 2, 10: 3}
 
 
 def run_substitution_homomorphism(cases=200, seed=5):
@@ -195,14 +194,6 @@ def test_reduce_mod_is_ring_hom():
     run_reduce_mod_homomorphism()
 
 
-def test_offset_normalization_guards():
-    f = QSeries(ZZ, [1], 0, 1, offset24=-120)
-    assert f.normalize_offset().leading() == (-5, 1)
-    g = QSeries(ZZ, [1], 0, 1, offset24=7)
-    with pytest.raises(SpecError):
-        g.normalize_offset()
-
-
 # -- eta expansion ----------------------------------------------------------
 
 T_EXPONENTS = {1: 2, 4: 2, 10: 8, 5: -2, 20: -10}
@@ -212,16 +203,29 @@ G_EXPONENTS = {4: 4, 10: 2, 2: -2, 20: -4}
 
 def test_eta_expand_leading_terms():
     t = EtaQuotient(20, T_EXPONENTS)
-    f = eta_expand_normalized(t, 30)
+    f = eta_expand(t, 30)
     assert f.leading() == (-5, 1)
-    h = eta_expand_normalized(EtaQuotient(20, H_EXPONENTS), 30)
+    h = eta_expand(EtaQuotient(20, H_EXPONENTS), 30)
     assert h.leading() == (-3, 1)
     assert eta_expand(EtaQuotient(20, {}), 10).terms() == {0: 1}
 
 
 def test_eta_expand_offset_is_weighted_degree():
+    # the prefactor q^(sum(d*r_d)/24) sets the leading exponent, and trunc
+    # counts coefficients past it
     t = EtaQuotient(20, T_EXPONENTS)
-    assert eta_expand(t, 5).offset24 == t.sum_dr() == -120
+    f = eta_expand(t, 5)
+    assert t.sum_dr() == -120
+    assert (f.val, f.trunc) == (-5, 0)
+    assert f.coeffs == euler_quotient(t.exponents, 5).coeffs
+
+
+def test_eta_expand_rejects_fractional_prefactor():
+    # eta(tau) = q^(1/24) (q; q)_inf: no integer exponent to shift by
+    for eq in (EtaQuotient(1, {1: 1}), EtaQuotient(20, {1: 2, 4: 2})):
+        with pytest.raises(SpecError, match="fractional prefactor"):
+            eta_expand(eq, 5)
+    assert eta_expand(EtaQuotient(1, {1: 24}), 3).leading() == (1, 1)
 
 
 def run_eta_multiplicativity(cases=200, seed=13):
@@ -233,9 +237,9 @@ def run_eta_multiplicativity(cases=200, seed=13):
         e1 = EtaQuotient(N, {d: rng.randint(-3, 3) for d in ds})
         e2 = EtaQuotient(N, {d: rng.randint(-3, 3) for d in ds})
         trunc = 18
-        lhs = eta_expand(e1, trunc).mul(eta_expand(e2, trunc))
-        rhs = eta_expand(e1.mul(e2), trunc)
-        assert lhs.agrees_with(rhs) and lhs.offset24 == rhs.offset24
+        lhs = euler_quotient(e1.exponents, trunc).mul(euler_quotient(e2.exponents, trunc))
+        rhs = euler_quotient(e1.mul(e2).exponents, trunc)
+        assert lhs.agrees_with(rhs) and lhs.trunc == rhs.trunc == trunc
     return cases
 
 

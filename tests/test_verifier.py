@@ -87,7 +87,8 @@ def test_iterate_default_lengths(basis20, as_image_table):
 def test_iterate_zero_iterations(basis20, rr_image_table):
     rep = iterate(rogers_ramanujan(B=1), basis20, 0, table=rr_image_table, B=1)
     assert rep.V == [0]
-    assert rep.ok
+    assert rep.ok and not rep.checked
+    assert "NOTHING CHECKED" in rep.text() and "VERIFIED" not in rep.text()
     with pytest.raises(SpecError):
         iterate(rogers_ramanujan(B=1), basis20, -3, table=rr_image_table, B=1)
 
