@@ -56,13 +56,15 @@ class BasisFunction:
         return tuple(seen)
 
     def series(self, trunc: int) -> QSeries:
-        """Exact-integer expansion covering trunc coefficients past ord_inf."""
+        """Exact-integer expansion covering trunc coefficients past ord_inf; each
+        constituent quotient is expanded once, at the most any term needs."""
+        prec = max(trunc + self.span(factors) for _, factors in self.construction)
+        expansions = {f: eta_expand(f, prec) for f in self.constituent_quotients()}
         out = None
         for coef, factors in self.construction:
             term = None
             for f in factors:
-                s = eta_expand(f, trunc + self.span(factors))
-                term = s if term is None else term.mul(s)
+                term = expansions[f] if term is None else term.mul(expansions[f])
             if term is None:
                 term = QSeries.one(ZZ, trunc)
             term = term.scale(coef)

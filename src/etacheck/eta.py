@@ -144,8 +144,7 @@ def euler_quotient(exponents, trunc: int) -> QSeries:
     The exponents need not satisfy any modularity condition."""
     out = QSeries.one(ZZ, trunc)
     for d, r in exponents:
-        base = euler_product(d, trunc)
-        out = out.mul(base.inv().pow(-r) if r < 0 else base.pow(r))
+        out = out.mul(euler_product(d, trunc).pow(r))
     return out
 
 

@@ -12,9 +12,10 @@ coefficients its inputs actually determine (``min`` of the operand windows,
 shifted by valuations for products and inverses).  Values are immutable and
 all operations are pure, so series can be shared freely across threads.
 
-Multiplication packs coefficient blocks into big integers (Kronecker
-substitution) so that CPython's subquadratic integer multiplication does the
-convolution; this is the single hot spot of the whole package.
+Multiplication packs each operand's coefficients, whatever their signs, into
+one signed big integer (Kronecker substitution) and makes one product, so that
+CPython's subquadratic integer multiplication does the convolution; this is
+the single hot spot of the whole package.
 """
 
 from __future__ import annotations
@@ -99,51 +100,42 @@ def zmod(ell: int, power: int) -> CoeffRing:
 # Kronecker-substitution convolution.
 
 def _pack(vals, limb_bytes):
-    buf = bytearray(limb_bytes * len(vals))
+    """The signed integer sum of vals[i] * 2**(8*limb_bytes*i); every |vals[i]|
+    must fit in limb_bytes bytes."""
+    pos = bytearray(limb_bytes * len(vals))
+    neg = bytearray(len(pos))
     for i, v in enumerate(vals):
         if v:
-            buf[i * limb_bytes:(i + 1) * limb_bytes] = v.to_bytes(limb_bytes, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(big, limb_bytes, count):
-    need = limb_bytes * count
-    nb = (big.bit_length() + 7) // 8
-    raw = big.to_bytes(max(nb, need), "little")
-    return [int.from_bytes(raw[i * limb_bytes:(i + 1) * limb_bytes], "little")
-            for i in range(count)]
-
-
-def _convolve_nonneg(a, b, n_out, coeff_bound):
-    # coeff_bound: strict upper bound on any convolution coefficient
-    limb_bits = max(coeff_bound.bit_length() + 1, 8)
-    limb_bytes = (limb_bits + 7) // 8
-    prod = _pack(a, limb_bytes) * _pack(b, limb_bytes)
-    return _unpack(prod, limb_bytes, n_out)
+            buf = pos if v > 0 else neg
+            buf[i * limb_bytes:(i + 1) * limb_bytes] = abs(v).to_bytes(limb_bytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def convolve_ints(a, b, n_out):
-    """First n_out coefficients of the product of integer coefficient lists."""
+    """First n_out coefficients of the product of integer coefficient lists.
+
+    One product of the signed packed operands.  Every wanted coefficient d has
+    |d| < bound < half = 2**(k-1) for the limb width k, so adding half to each
+    of the low n_out limbs turns them into digits in [0, 2**k) with no borrow
+    across limbs; the mask drops the limbs past n_out.
+    """
     if n_out <= 0 or not a or not b:
         return []
-    a = list(a[:n_out])
-    b = list(b[:n_out])
+    a = a[:n_out]
+    b = b[:n_out]
     max_a = max(abs(c) for c in a)
     max_b = max(abs(c) for c in b)
     if max_a == 0 or max_b == 0:
         return [0] * n_out
     bound = max_a * max_b * min(len(a), len(b)) + 1
-    if any(c < 0 for c in a) or any(c < 0 for c in b):
-        ap = [c if c > 0 else 0 for c in a]
-        an = [-c if c < 0 else 0 for c in a]
-        bp = [c if c > 0 else 0 for c in b]
-        bn = [-c if c < 0 else 0 for c in b]
-        pos = _convolve_nonneg(ap, bp, n_out, bound)
-        pos2 = _convolve_nonneg(an, bn, n_out, bound)
-        neg = _convolve_nonneg(ap, bn, n_out, bound)
-        neg2 = _convolve_nonneg(an, bp, n_out, bound)
-        return [p + p2 - m - m2 for p, p2, m, m2 in zip(pos, pos2, neg, neg2)]
-    return _convolve_nonneg(a, b, n_out, bound)
+    limb_bytes = (bound.bit_length() + 8) // 8  # bit_length + 1 bits, whole bytes
+    need = limb_bytes * n_out
+    bias = int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n_out, "little")
+    raw = ((_pack(a, limb_bytes) * _pack(b, limb_bytes) + bias)
+           & ((1 << 8 * need) - 1)).to_bytes(need, "little")
+    half = 1 << (8 * limb_bytes - 1)
+    return [int.from_bytes(raw[i:i + limb_bytes], "little") - half
+            for i in range(0, need, limb_bytes)]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,7 @@ class VerificationReport:
             "passed": list(self.passed),
             "support": list(self.support),
             "ok": self.ok,
+            "checked": self.checked,
         }
         if include_timings:
             out["seconds"] = [round(s, 3) for s in self.seconds]

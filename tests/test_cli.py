@@ -64,6 +64,11 @@ def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
                          "verify", "rogers-ramanujan", "--iterations", "1")
     assert code == 2 and "VERIFIED" not in out and "NOTHING CHECKED" in out
     assert "required valuation" in err
+    # the JSON report says so too, not only "ok"
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                       "verify", "rogers-ramanujan", "--iterations", "1", "--json")
+    report = json.loads(out[out.index("\n{"):])["report"]
+    assert code == 2 and report["ok"] and report["checked"] is False
     # an explicit --B 0 is rejected for a spec file too, not replaced by its B
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
@@ -124,6 +129,7 @@ def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
     assert "VERIFIED" in out
     payload = json.loads(out_file.read_text())
     assert payload["report"]["V"] == [0, 0, 1, 1, 2]
+    assert payload["report"]["checked"] is True
     # spec echo round-trips
     again = CongruenceFamilySpec.from_json(payload["spec"])
     assert again.to_json() == payload["spec"]

@@ -51,12 +51,29 @@ RINGS = [ZZ, zmod(5, 2), zmod(7, 1)]
 
 def test_convolution_matches_schoolbook():
     rng = random.Random(7)
-    for _ in range(300):
-        a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 20))]
-        b = [rng.randint(-50, 50) for _ in range(rng.randint(0, 20))]
-        n = rng.randint(0, 25)
-        assert convolve_ints(a, b, n) == schoolbook(a, b, n)[: len(convolve_ints(a, b, n))] or \
-            convolve_ints(a, b, n) == schoolbook(a, b, n)
+    cases = [([rng.randint(-50, 50) for _ in range(rng.randint(0, 20))],
+              [rng.randint(-50, 50) for _ in range(rng.randint(0, 20))],
+              rng.randint(0, 25)) for _ in range(300)]
+    # every sign pattern, an all-zero and length-1 operands, and windows both
+    # shorter than the operands and longer than the whole product
+    pos = [rng.randint(0, 50) for _ in range(9)]
+    operands = [pos, [-c for c in pos], [rng.randint(-50, 50) for _ in range(7)],
+                [0] * 6, [3], [-3], [0]]
+    cases += [(a, b, n) for a in operands for b in operands
+              for n in (1, 4, len(a) + len(b) - 1, len(a) + len(b) + 5)]
+    # +-(2**s - 1) and +-2**s for every s, s = 8j included: constant operands
+    # reach the extreme coefficients +-(bound - 1), with the bound on either
+    # side of each byte boundary
+    for s in range(1, 42):
+        for c in ((1 << s) - 1, 1 << s):
+            for a in ([c], [-c], [c] * 3, [-c] * 3, [c, -c, c]):
+                cases += [(a, b, n) for b in ([c] * 3, [-c] * 3, [1], [-c])
+                          for n in (1, 3, 7)]
+    for a, b, n in cases:
+        expected = schoolbook(a, b, n) if a and b else []
+        assert convolve_ints(a, b, n) == expected, (a, b, n)
+    assert convolve_ints([], [1, -2], 3) == [] and convolve_ints([5], [], 3) == []
+    assert convolve_ints([10**40, -1], [0, 0], 3) == [0, 0, 0]
 
 
 def test_convolution_huge_coefficients():
