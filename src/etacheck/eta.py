@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SpecError
-from .series import QSeries, ZZ
+from .series import CoeffRing, QSeries, ZZ
 
 
 def divisors(n: int) -> list[int]:
@@ -114,8 +114,8 @@ class EtaQuotient:
         return f"EtaQuotient({self.level}: {body})"
 
 
-def euler_product(d: int, trunc: int) -> QSeries:
-    """(q**d; q**d)_infinity to order ``trunc`` over the exact integers.
+def euler_product(d: int, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
+    """(q**d; q**d)_infinity to order ``trunc`` with coefficients in ``ring``.
 
     Pentagonal expansion: (q;q)_inf = sum over k in Z of (-1)**k * q**(k(3k-1)/2).
     """
@@ -135,16 +135,20 @@ def euler_product(d: int, trunc: int) -> QSeries:
         if not hit and k > 0:
             break
         k += 1
-    return QSeries.from_terms(ZZ, terms, trunc)
+    return QSeries.from_terms(ring, terms, trunc)
 
 
-def euler_quotient(exponents, trunc: int) -> QSeries:
+def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     """prod of (q**d; q**d)_infinity ** r over the (d, r) pairs, to order
-    ``trunc`` over the exact integers: a unit series with leading term 1.
-    The exponents need not satisfy any modularity condition."""
-    out = QSeries.one(ZZ, trunc)
+    ``trunc`` with coefficients in ``ring``: a unit series with leading term
+    1.  The exponents need not satisfy any modularity condition.
+
+    Every Euler product is monic, so negative powers invert in any ring and
+    the expansion in Z/ell**e is the exact expansion reduced mod ell**e.
+    """
+    out = QSeries.one(ring, trunc)
     for d, r in exponents:
-        out = out.mul(euler_product(d, trunc).pow(r))
+        out = out.mul(euler_product(d, trunc, ring).pow(r))
     return out
 
 

@@ -101,14 +101,19 @@ def zmod(ell: int, power: int) -> CoeffRing:
 
 def _pack(vals, limb_bytes):
     """The signed integer sum of vals[i] * 2**(8*limb_bytes*i); every |vals[i]|
-    must fit in limb_bytes bytes."""
+    must fit in limb_bytes bytes.  The buffer for negative coefficients is
+    allocated at the first one, so a nonnegative operand builds one."""
     pos = bytearray(limb_bytes * len(vals))
-    neg = bytearray(len(pos))
+    neg = None
     for i, v in enumerate(vals):
-        if v:
-            buf = pos if v > 0 else neg
-            buf[i * limb_bytes:(i + 1) * limb_bytes] = abs(v).to_bytes(limb_bytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        if v > 0:
+            pos[i * limb_bytes:(i + 1) * limb_bytes] = v.to_bytes(limb_bytes, "little")
+        elif v:
+            if neg is None:
+                neg = bytearray(len(pos))
+            neg[i * limb_bytes:(i + 1) * limb_bytes] = (-v).to_bytes(limb_bytes, "little")
+    packed = int.from_bytes(pos, "little")
+    return packed if neg is None else packed - int.from_bytes(neg, "little")
 
 
 def convolve_ints(a, b, n_out):

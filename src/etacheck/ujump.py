@@ -38,7 +38,7 @@ from .basis import (  # noqa: F401  (ModuleElement, module_element_series re-exp
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import cusp_representatives, eta_order_at_cusp, infinity_class, newman_check
-from .series import QSeries, ZZ, _is_prime
+from .series import CoeffRing, QSeries, ZZ, _is_prime
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,12 @@ class FamilyGenerator:
         object.__setattr__(self, "r", packed)
         object.__setattr__(self, "ell", ell)
 
-    def series(self, trunc: int) -> QSeries:
-        """The generating function G(q) over the exact integers."""
-        return euler_quotient(self.r, trunc)
+    def series(self, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
+        """The generating function G(q) with coefficients in ``ring``."""
+        return euler_quotient(self.r, trunc, ring)
 
-    def coefficients(self, count: int) -> list:
-        f = self.series(count)
+    def coefficients(self, count: int, ring: CoeffRing = ZZ) -> list:
+        f = self.series(count, ring)
         return [f.coeff(n) for n in range(count)]
 
     def first_progression(self) -> tuple:

@@ -10,7 +10,10 @@ valuation sequence either way.
 The direct oracle expands the generating function far enough to test the
 claimed divisibilities coefficient by coefficient, which is exactly the
 computation the iteration exists to avoid, and therefore exactly the right
-independent check at small scale.
+independent check at small scale.  It expands G(q) in Z/ell**e rather than
+over Z (every Euler product is monic, so the Newton inversions run in the
+quotient ring), and it uses only Euler products and ring arithmetic, nothing
+of the basis machinery.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import gcd
 
 from .basis import AlgebraBasis, ModuleElement, module_element_series
 from .errors import ContractError, SpecError
-from .series import QSeries, ZZ, zmod
+from .series import CoeffRing, QSeries, ZZ, zmod
 from .ujump import FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
@@ -259,42 +262,48 @@ class OracleResult:
 
 def direct_oracle(gen: FamilyGenerator, m: int, j: int, ell: int, e: int,
                   n_max: int) -> OracleResult:
-    """Test ell**e | a(m*n + j) for 0 <= n <= n_max by raw expansion."""
-    coeffs = gen.coefficients(m * n_max + j + 1)
-    mod = ell ** e
+    """Test ell**e | a(m*n + j) for 0 <= n <= n_max by raw expansion of G(q)
+    in Z/ell**e.  Raises SpecError unless m >= 1, j >= 0, e >= 1 and
+    n_max >= 0."""
+    if m < 1 or j < 0 or e < 1 or n_max < 0:
+        raise SpecError(f"direct check needs m >= 1, j >= 0, e >= 1 and n_max >= 0, "
+                        f"got m={m} j={j} e={e} n_max={n_max}")
+    coeffs = gen.coefficients(m * n_max + j + 1, zmod(ell, e))
     for n in range(n_max + 1):
-        if coeffs[m * n + j] % mod:
+        if coeffs[m * n + j]:
             return OracleResult(False, n)
     return OracleResult(True)
 
 
 # -- translating module elements back into combinatorial claims --------------
 
-def congruence_subseries(gen: FamilyGenerator, alpha: int, c: int, count: int) -> QSeries:
+def congruence_subseries(gen: FamilyGenerator, alpha: int, c: int, count: int,
+                         ring: CoeffRing = ZZ) -> QSeries:
     """sum of a(n) q**floor(n / ell**alpha) over n with c*n == 1 mod ell**alpha,
-    the raw progression slice of the generating function."""
+    the raw progression slice of the generating function, in ``ring``."""
     if alpha == 0:
-        return gen.series(count)
+        return gen.series(count, ring)
     mod = gen.ell ** alpha
     lam = residue_for_case(c, gen.ell, alpha)
-    coeffs = gen.coefficients(mod * count + lam + 1)
+    coeffs = gen.coefficients(mod * count + lam + 1, ring)
     terms = {s: coeffs[mod * s + lam] for s in range(count)}
-    return QSeries.from_terms(ZZ, terms, count)
+    return QSeries.from_terms(ring, terms, count)
 
 
-def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int) -> QSeries:
-    """The step-alpha function as an honest q-series over Z: the progression
-    slice times the bookkeeping prefactor (q / G(q**ell) on odd steps,
-    q / G(q) on even steps)."""
+def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int,
+                             ring: CoeffRing = ZZ) -> QSeries:
+    """The step-alpha function as an honest q-series in ``ring``: the
+    progression slice times the bookkeeping prefactor (q / G(q**ell) on odd
+    steps, q / G(q) on even steps)."""
     gen = spec.gen
     if alpha == 0:
-        return QSeries.one(ZZ, count)
-    sub = congruence_subseries(gen, alpha, spec.c, count + 2)
+        return QSeries.one(ring, count)
+    sub = congruence_subseries(gen, alpha, spec.c, count + 2, ring)
     inner = count + 2
     if alpha % 2:
-        phi = gen.series(inner).substitute_power(gen.ell).inv().shift(1)
+        phi = gen.series(inner, ring).substitute_power(gen.ell).inv().shift(1)
     else:
-        phi = gen.series(inner).inv().shift(1)
+        phi = gen.series(inner, ring).inv().shift(1)
     out = phi.mul(sub)
     return out.truncate(min(out.trunc, count))
 
@@ -310,5 +319,5 @@ def consistency_check(spec: CongruenceFamilySpec, b: AlgebraBasis, alpha: int,
         table = UImageTable(b, build_A(spec.gen), ell)
     *_, current = _iterates(table, zmod(ell, B), alpha)
     basis_side = module_element_series(current, b, count)
-    direct_side = scaled_congruence_series(spec, alpha, count).reduce_mod(ell, B)
+    direct_side = scaled_congruence_series(spec, alpha, count, zmod(ell, B))
     return basis_side.agrees_with(direct_side)

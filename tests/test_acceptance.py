@@ -230,7 +230,14 @@ def test_criterion_8_oracle_cross_checks(rr_spec, as_spec):
     t0 = time.monotonic()
     assert direct_oracle(as_spec.gen, 5, 3, 5, 1, 200).ok
     assert time.monotonic() - t0 < 60
-    verdict(8, "brute-force congruence checks (two families, witness found)")
+    # deeper cases of both families: 24n == 1 mod 5^4 (RR, step 4 gains 5^2)
+    # and 12n == 1 mod 5^4, 5^5 (AS)
+    t0 = time.monotonic()
+    assert direct_oracle(rr_spec.gen, 625, 599, 5, 2, 20).ok
+    assert direct_oracle(as_spec.gen, 625, 573, 5, 4, 20).ok
+    assert direct_oracle(as_spec.gen, 3125, 1823, 5, 5, 8).ok
+    assert time.monotonic() - t0 < 60
+    verdict(8, "brute-force congruence checks (two families, up to 5^5, witness found)")
 
 
 def test_criterion_9_property_suites():
@@ -246,7 +253,7 @@ def test_criterion_9_property_suites():
 
 def test_criterion_10_consistency_oracle(basis20, rr_spec, as_spec,
                                          rr_image_table, as_image_table):
-    for alpha in (1, 2):
+    for alpha in range(1, 5):
         assert consistency_check(rr_spec, basis20, alpha, 40, table=rr_image_table)
         assert consistency_check(as_spec, basis20, alpha, 40, table=as_image_table)
     verdict(10, "basis-side expansions match direct progression slices mod 5^B")

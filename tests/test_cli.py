@@ -112,6 +112,36 @@ def test_direct_check_exit_codes(capsys):
     assert code == 1 and "FAILS at n = 0" in out
 
 
+def test_direct_check_rejects_bad_progressions(capsys):
+    # none of these is a progression to check: e=0 would "confirm" 5^0, e=-1
+    # would test against the float 5**-1, j=-30 would index from the end
+    for m, j, e, n_max in (("25", "24", "0", "10"), ("25", "24", "-1", "10"),
+                           ("25", "-30", "1", "10"), ("0", "24", "1", "10"),
+                           ("25", "24", "1", "-1")):
+        code, out, err = run(capsys, "direct-check", "rogers-ramanujan", m, j, e, n_max)
+        assert code == 2 and out == "" and "direct check needs" in err
+
+
+def test_partition_specs_below_level_20(capsys, tmp_path):
+    # p(n) runs the generic find_t/construct_basis path at levels 5 and 7
+    cases = (({"ell": 5, "pattern": "every-alpha", "B": 4}, [0, 1, 2, 3, 4]),
+             ({"ell": 7, "pattern": "even-alpha", "B": 3}, [0, 1, 2, 2, 3, 3, 3]))
+    paths = []
+    for fields, V in cases:
+        path = tmp_path / f"partitions-{fields['ell']}.json"
+        path.write_text(json.dumps({"name": path.stem, "M": 1, "r": {"1": -1},
+                                    "c": 24, **fields}))
+        paths.append(path)
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path / "cache"),
+                           "verify", str(path), "--json")
+        assert code == 0 and "VERIFIED" in out
+        assert json.loads(out[out.index("\n{"):])["report"]["V"] == V
+    # Ramanujan's 5^4 | p(625n+599), read off the raw expansion
+    code, out, _ = run(capsys, "direct-check", str(paths[0]), "625", "599", "4", "20")
+    assert code == 0
+    assert out == "confirmed: 5^4 divides a(625*n+599) for all n <= 20\n"
+
+
 def test_tables_bytes_stable(capsys):
     code1, out1, _ = run(capsys, "tables")
     code2, out2, _ = run(capsys, "tables")

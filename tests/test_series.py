@@ -99,6 +99,19 @@ def test_euler_product_against_finite_product(d, trunc):
     assert [f.coeff(e) for e in range(trunc)] == oracle
 
 
+@pytest.mark.parametrize("exponents", [
+    ((1, -3), (2, 5), (4, -2)),   # Rogers-Ramanujan subpartitions
+    ((1, -4), (2, 5), (4, -2)),   # 2-colored Frobenius partitions
+    ((1, -1),),                   # p(n)
+], ids=["rogers-ramanujan", "andrews-sellers", "partitions"])
+def test_euler_quotient_mod_prime_power_is_reduced_exact(exponents):
+    # expanding in Z/5^e, Newton inversions included, is the exact
+    # expansion reduced mod 5^e
+    exact = euler_quotient(exponents, 2000)
+    for e in (1, 2, 5):
+        assert euler_quotient(exponents, 2000, zmod(5, e)) == exact.reduce_mod(5, e)
+
+
 def run_ring_laws(cases=200, seed=2024):
     rng = random.Random(seed)
     for _ in range(cases):
