@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Finding the taming generator t by bounded integer search.
+"""Finding the taming generator t by its orders at the cusps.
 
 The operator U_5 can drag poles from the finer level down to cusps of
 Gamma0(20).  The pole-set analysis classifies every finite cusp by the sign
-constraint it imposes on a candidate generator, and a branch-and-prune walk
-over exponent vectors then finds the smallest-pole generator meeting all of
-them at once.
+constraint it imposes on a candidate generator.  The search then walks the
+integer order vectors that meet all of them at once, maps each back to an
+exponent vector, and keeps the smallest-pole generator.
 """
 
 from etacheck import build_A, compute_pole_sets, find_t, order_vector, solve_W

@@ -19,7 +19,6 @@ answer poison everything built on top.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
 from .errors import ContractError, SearchExhaustedError, SpecError
@@ -30,6 +29,7 @@ from .modcurve import (
     infinity_class,
     newman_check,
 )
+from .search import search_modular_quotients
 from .series import CoeffRing, QSeries, ZZ, zmod
 
 
@@ -99,7 +99,6 @@ class AlgebraBasis:
     gs: tuple
 
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
     @property
     def v(self) -> int:
@@ -151,21 +150,20 @@ class AlgebraBasis:
         Powers of t are built one step at a time from the nearest stored
         power of the same sign, and every step is kept.
         """
-        with self._lock:
-            store = self._grown(prec)
-            if (e, k) not in store:
-                step = 1 if e > 0 else -1
-                if e < 0 and (-1, 0) not in store:
-                    store[(-1, 0)] = store[(1, 0)].inv()
-                near = e
-                while (near, 0) not in store:
-                    near -= step
-                cur = store[(near, 0)]
-                for p in range(near + step, e + step, step):
-                    cur = store[(p, 0)] = cur.mul(store[(step, 0)])
-                if k:
-                    store[(e, k)] = cur.mul(store[(0, k)])
-            return store[(e, k)]
+        store = self._grown(prec)
+        if (e, k) not in store:
+            step = 1 if e > 0 else -1
+            if e < 0 and (-1, 0) not in store:
+                store[(-1, 0)] = store[(1, 0)].inv()
+            near = e
+            while (near, 0) not in store:
+                near -= step
+            cur = store[(near, 0)]
+            for p in range(near + step, e + step, step):
+                cur = store[(p, 0)] = cur.mul(store[(step, 0)])
+            if k:
+                store[(e, k)] = cur.mul(store[(0, k)])
+        return store[(e, k)]
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
@@ -384,7 +382,7 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
 # -- basis construction from a generator -------------------------------------
 
 def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBasis:
-    """Build a basis for the given generator by bounded enumeration.
+    """Build a basis for the given generator from searched eta quotients.
 
     Searches eta quotients with a pole only at infinity for each pole order
     1, 2, ... and keeps the first hit per nonzero residue class mod v+1;
@@ -407,9 +405,7 @@ def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBa
     if v == 0:
         return AlgebraBasis(N, t, ())
 
-    from .search import OrderConstraints, search_modular_quotients
-    nonneg = [x for x in cusp_representatives(N) if x != inf]
-    constraints = OrderConstraints(N, nonneg=nonneg)
+    finite = [x for x in cusp_representatives(N) if x != inf]
 
     needed = set(range(1, v1))
     hits = {}  # residue -> (pole_order, construction tuple)
@@ -417,7 +413,7 @@ def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBa
         rho = n0 % v1
         if rho not in needed or rho in hits:
             continue
-        found = search_modular_quotients(N, n0, exp_bound, constraints, limit=1)
+        found = search_modular_quotients(N, n0, exp_bound, nonneg=finite)
         if found:
             hits[rho] = (n0, ((1, (found[0],)),))
         if len(hits) == len(needed):

@@ -213,8 +213,8 @@ def eta_order_at_cusp(eq: EtaQuotient, x: Cusp) -> Fraction:
     """Order of the quotient at the cusp a/c, as an exact rational.
 
     The value depends only on the cusp class; it is an integer whenever the
-    quotient is modular, but candidate exponent vectors during searches are
-    scored with the same formula, so the rational value is kept.
+    quotient is modular, but the generator search builds its order matrix
+    from single factors eta(d*tau), so the rational value is kept.
     """
     N = eq.level
     if x.is_infinity():

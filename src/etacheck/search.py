@@ -1,169 +1,122 @@
-"""Bounded enumeration of eta-quotient exponent vectors.
+"""Eta quotients found by their orders at the cusps.
 
-Finds integer vectors w over the divisors of N with |w_d| <= bound satisfying
-the two exact linear conditions
+On Gamma0(N) the order of an eta quotient at a cusp a/c depends only on the
+class gcd(c, N), a divisor of N, and the linear map from the exponents w_d
+over the divisors d of N to the orders at the cusps 1/c is invertible
+(Ligozat).  So the search walks integer order vectors instead of exponent
+vectors:
 
-    sum_d w_d = 0,        sum_d d*w_d = -24*n0,
+* each class gets an interval, the intersection of the sign constraints on
+  its cusps, pinned to -n0 at the infinity class, and clipped to the orders
+  the exponent box |w_d| <= bound can reach;
+* the orders, each counted once per cusp of its class, sum to zero, which is
+  sum_d w_d = 0 (weight zero);
+* each vector maps back to w through the exact inverse, and the integral w
+  within the box that pass the modularity conditions are kept.
 
-plus the remaining modularity conditions and per-cusp sign constraints on the
-orders.  The two linear equalities pin the last two coordinates, so the walk
-enumerates prefixes in lexicographic order with interval pruning; the first
-vector that survives all checks is therefore the lexicographically smallest
-solution, which makes every search in this package deterministic.
+The walk fixes one class at a time, narrowest interval first, and admits
+only the orders that leave the weighted sum and every exponent able to end
+in range.  The lexicographically smallest survivor is returned, which makes
+every search in this package deterministic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import floor, gcd, lcm
 
 from .errors import SpecError
 from .eta import EtaQuotient, divisors
+from .modcurve import Cusp, cusp_representatives, eta_order_at_cusp, newman_check
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _inverse(rows):
+    """Exact inverse of an invertible square matrix over Fraction."""
+    k = len(rows)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[k:] for row in a]
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+@lru_cache(maxsize=None)
+def _order_map(N: int):
+    """(divisors, row sums, integer inverse rows, denominator, cusps per class).
+
+    Row c of the order matrix holds the orders of eta(d*tau) at 1/c, so the
+    orders of w are o_c = sum_d rows[c][d] * w_d, at most bound times the row
+    sum in size, and w_d is recovered as sum_c inverse[d][c] * o_c / den.
+    """
+    divs = tuple(divisors(N))
+    rows = [[eta_order_at_cusp(EtaQuotient(N, {d: 1}), Cusp(1, c)) for d in divs] for c in divs]
+    inv = _inverse(rows)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
+    sizes = Counter(gcd(x.c, N) for x in cusp_representatives(N))
+    return divs, tuple(map(sum, rows)), inverse, den, tuple(sizes[c] for c in divs)
 
 
-def iter_exponent_vectors(divs, bound: int, total: int, weighted: int):
-    """Yield vectors w (tuples aligned with divs) with |w_i| <= bound,
-    sum(w) == total and sum(d*w) == weighted, in lexicographic order."""
-    divs = tuple(divs)
-    k = len(divs)
-    if k == 0:
-        if total == 0 and weighted == 0:
-            yield ()
-        return
-    if k == 1:
-        d = divs[0]
-        if abs(total) <= bound and d * total == weighted:
-            yield (total,)
-        return
-
-    head, d1, d2 = divs[:-2], divs[-2], divs[-1]
-    nh = len(head)
-    # suffix divisor sums for pruning the weighted form
-    suffix_dsum = [0] * (nh + 1)
-    for i in range(nh - 1, -1, -1):
-        suffix_dsum[i] = suffix_dsum[i + 1] + head[i]
-    tail_dmax = d1 + d2
-
-    def solve_tail(s_needed, w_needed):
-        num = w_needed - d1 * s_needed
-        den = d2 - d1
-        if num % den:
-            return None
-        w2 = num // den
-        w1 = s_needed - w2
-        if abs(w1) <= bound and abs(w2) <= bound:
-            return (w1, w2)
-        return None
-
-    prefix = [0] * nh
-
-    def rec(i, s, t):
-        if i == nh:
-            tail = solve_tail(total - s, weighted - t)
-            if tail is not None:
-                yield tuple(prefix) + tail
-            return
-        d = head[i]
-        remaining = nh - i - 1
-        rem_smax = bound * (remaining + 2)
-        rem_tmax = bound * (suffix_dsum[i + 1] + tail_dmax)
-        for w in range(-bound, bound + 1):
-            s2 = s + w
-            if abs(total - s2) > rem_smax:
-                continue
-            t2 = t + d * w
-            if abs(weighted - t2) > rem_tmax:
-                continue
-            prefix[i] = w
-            yield from rec(i + 1, s2, t2)
-        prefix[i] = 0
-
-    yield from rec(0, 0, 0)
-
-
-class OrderConstraints:
-    """Per-cusp sign conditions on the order of a candidate quotient:
-    strictly positive on `positive`, nonnegative on `nonneg`, exactly zero
-    on `zero`.  Cusps are given by canonical representatives of level N."""
-
-    def __init__(self, N: int, positive=(), nonneg=(), zero=()):
-        self.N = N
-        self.positive = tuple(positive)
-        self.nonneg = tuple(nonneg)
-        self.zero = tuple(zero)
-
-    def rows(self, divs):
-        """(coefficient tuple, kind) per constraint; order = dot(row, w)."""
-        out = []
-        for kind, cusps in (("pos", self.positive), ("nonneg", self.nonneg), ("zero", self.zero)):
-            for x in cusps:
-                c = x.c if not x.is_infinity() else self.N
-                pref = Fraction(self.N, 24 * gcd(c * c, self.N))
-                row = tuple(pref * Fraction(gcd(c, d) ** 2, d) for d in divs)
-                out.append((row, kind))
-        return out
-
-
-def search_modular_quotients(N: int, n0: int, bound: int,
-                             constraints: OrderConstraints | None = None,
-                             limit: int | None = 1):
-    """Modular eta quotients at level N with order -n0 at the infinity class,
-    |exponents| <= bound, and the given per-cusp order signs.
-
-    Returns up to `limit` EtaQuotients in lexicographic exponent order
-    (all survivors when limit is None).
+def search_modular_quotients(N: int, n0: int, bound: int, positive=(), nonneg=(), zero=()):
+    """The lexicographically smallest modular eta quotient at level N with
+    |exponents| <= bound, order -n0 at the infinity class, and order > 0 on
+    the cusps `positive`, >= 0 on `nonneg` and == 0 on `zero`; returned as a
+    one-element list, or [] when there is none.
     """
     if bound < 1:
         raise SpecError("exponent bound must be >= 1")
-    divs = tuple(divisors(N))
-    primes = _prime_factors(N)
-    parity_rows = [tuple(_valuation(d, p) & 1 for d in divs) for p in primes]
-    inv_weights = tuple(N // d for d in divs)
-    rows = constraints.rows(divs) if constraints is not None else []
+    divs, row_sums, inverse, den, sizes = _order_map(N)
+    reach = [floor(bound * s) for s in row_sums]
+    lo, hi = [-r for r in reach], reach
+    i_inf = divs.index(N)
+    lo[i_inf] = max(lo[i_inf], -n0)
+    hi[i_inf] = min(hi[i_inf], -n0)
+    for least, most, cusps in ((1, None, positive), (0, None, nonneg), (0, 0, zero)):
+        for x in cusps:
+            i = divs.index(gcd(x.c, N))
+            lo[i] = max(lo[i], least)
+            if most is not None:
+                hi[i] = min(hi[i], most)
 
-    found = []
-    for w in iter_exponent_vectors(divs, bound, 0, -24 * n0):
-        if sum(iw * wi for iw, wi in zip(inv_weights, w)) % 24:
-            continue
-        if any(sum(pr * abs(wi) for pr, wi in zip(prow, w)) & 1 for prow in parity_rows):
-            continue
-        ok = True
-        for row, kind in rows:
-            o = sum(rc * wi for rc, wi in zip(row, w) if wi)
-            if kind == "pos" and o <= 0:
-                ok = False
-                break
-            if kind == "nonneg" and o < 0:
-                ok = False
-                break
-            if kind == "zero" and o != 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        found.append(EtaQuotient(N, dict(zip(divs, w))))
-        if limit is not None and len(found) >= limit:
-            break
-    return found
+    # linear forms in the orders, each with the range its value must end in:
+    # the cusp-weighted sum (zero) and den*w_d for every divisor (the box)
+    lim = bound * den
+    forms = [(sizes, 0, 0)] + [(row, -lim, lim) for row in inverse]
+    # narrowest interval first, so a class with conflicting signs (an empty
+    # interval) ends the walk before it starts
+    order = sorted(range(len(divs)), key=lambda i: hi[i] - lo[i])
+    # tails[j]: per form, the least and most the classes order[j:] can add
+    tails = [[(sum(min(r[i] * lo[i], r[i] * hi[i]) for i in order[j:]),
+               sum(max(r[i] * lo[i], r[i] * hi[i]) for i in order[j:])) for r, _, _ in forms]
+             for j in range(len(order) + 1)]
+    best = None
+
+    def walk(depth, acc):
+        nonlocal best
+        if depth == len(order):
+            w = tuple(a // den for a in acc[1:])
+            if (all(a % den == 0 for a in acc[1:]) and (best is None or w < best)
+                    and newman_check(EtaQuotient(N, zip(divs, w)))[0]):
+                best = w
+            return
+        # the orders at class i that leave every form within reach of its range
+        i = order[depth]
+        least, most = lo[i], hi[i]
+        for (r, low, high), a, (t_lo, t_hi) in zip(forms, acc, tails[depth + 1]):
+            c, below, above = r[i], low - a - t_hi, high - a - t_lo
+            if c > 0:
+                least, most = max(least, -(-below // c)), min(most, above // c)
+            elif c < 0:
+                least, most = max(least, -(above // -c)), min(most, -below // -c)
+        for v in range(least, most + 1):
+            walk(depth + 1, [a + r[i] * v for (r, _, _), a in zip(forms, acc)])
+
+    walk(0, [0] * len(forms))
+    return [] if best is None else [EtaQuotient(N, zip(divs, best))]

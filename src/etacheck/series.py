@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SpecError
 
@@ -59,8 +60,10 @@ class CoeffRing:
             if self.power < 1:
                 raise SpecError("modulus exponent must be >= 1")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
+        """ell**power, computed once per ring (the dataclass is frozen, but
+        the cache lives in the instance dict and never enters eq or hash)."""
         if self.kind != "Zmod":
             raise SpecError("only Zmod rings have a modulus")
         return self.ell ** self.power
@@ -128,8 +131,8 @@ def convolve_ints(a, b, n_out):
         return []
     a = a[:n_out]
     b = b[:n_out]
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
+    max_a = max(max(a), -min(a))
+    max_b = max(max(b), -min(b))
     if max_a == 0 or max_b == 0:
         return [0] * n_out
     bound = max_a * max_b * min(len(a), len(b)) + 1

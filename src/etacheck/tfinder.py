@@ -15,7 +15,7 @@ split into four camps that dictate sign constraints on the order of t:
 
 The system W(n0) then asks for a modular exponent vector with order -n0 at
 infinity, positive order on p_A and p_g, and the p0'/p1' signs; n0 climbs
-from 1 until the bounded enumeration finds a solution.
+from 1 until the search over cusp-order vectors finds a solution.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .modcurve import (
     newman_check,
     order_vector,
 )
-from .search import OrderConstraints, search_modular_quotients
+from .search import search_modular_quotients
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,10 @@ def solve_W(N: int, pole_sets: PoleSets, n0: int, bound: int = 12):
     The witnesses: x1 = n0 = -order at infinity, x2 balances the inverse
     weighted sum against 24, x3 is the integer square root of prod d**|w_d|.
     """
-    constraints = OrderConstraints(
-        N,
-        positive=sorted(pole_sets.p_A | pole_sets.p_g),
-        nonneg=sorted(pole_sets.p0_prime),
-        zero=sorted(pole_sets.p1_prime),
-    )
-    hits = search_modular_quotients(N, n0, bound, constraints, limit=1)
+    hits = search_modular_quotients(N, n0, bound,
+                                    positive=pole_sets.p_A | pole_sets.p_g,
+                                    nonneg=pole_sets.p0_prime,
+                                    zero=pole_sets.p1_prime)
     if not hits:
         return None
     eq = hits[0]

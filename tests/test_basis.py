@@ -17,6 +17,8 @@ from etacheck.basis import (
 from etacheck.errors import ContractError, SpecError
 from etacheck.eta import EtaQuotient, eta_expand
 from etacheck.series import QSeries, ZZ, zmod
+from etacheck.tfinder import find_t
+from etacheck.ujump import FamilyGenerator
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +146,22 @@ def test_reduce_determinism(b20):
     assert mw_reduce(f, b20) == mw_reduce(f, b20)
 
 
-def test_construct_basis_level_20(b20):
-    built = construct_basis(b20.t_quotient(), 20)
+# Fingerprints key the cached image tables, so a change to the generator or
+# basis search must leave them as they are: level 20 from the curated t,
+# levels 5 and 7 from the generators found for p(n).
+PINNED_FINGERPRINTS = {20: "4025fb1059232361", 5: "a9716696a9be2a32", 7: "a43c91a2273463fc"}
+
+
+@pytest.mark.parametrize("N", [20, 5, 7])
+def test_construct_basis_level_20(b20, N):
+    t = b20.t_quotient() if N == 20 else find_t(FamilyGenerator(1, {1: -1}, N))
+    built = construct_basis(t, N)
     assert verify_basis(built)
-    assert -built.t.ord_inf == 5
-    residues = sorted((-g.ord_inf) % 5 for g in built.gs)
-    assert residues == [1, 2, 3, 4]
+    assert built.fingerprint() == PINNED_FINGERPRINTS[N]
+    if N == 20:
+        assert -built.t.ord_inf == 5
+        residues = sorted((-g.ord_inf) % 5 for g in built.gs)
+        assert residues == [1, 2, 3, 4]
 
 
 def test_construct_basis_degenerate_order_one():
