@@ -131,7 +131,10 @@ class AlgebraBasis:
     # All cached series carry the same relative precision `prec` (number of
     # coefficients past their leading term).  Products and inverses preserve
     # relative precision, so a monomial t**e * g_k is known on the window
-    # [e*ord(t) + ord(g_k), e*ord(t) + ord(g_k) + prec).
+    # [e*ord(t) + ord(g_k), e*ord(t) + ord(g_k) + prec).  Raising `prec`
+    # recomputes every stored series, so callers size it up front: the image
+    # table grows it once per batch of images (see ujump.UImageTable.images),
+    # and every request at or below the current `prec` reuses the store.
 
     def _grown(self, prec: int) -> dict:
         """The (e, k) -> t**e * g_k store, rebuilt when prec outgrows it."""

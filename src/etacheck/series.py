@@ -160,11 +160,22 @@ class QSeries:
     __slots__ = ("ring", "val", "coeffs", "trunc")
 
     def __init__(self, ring: CoeffRing, coeffs, val: int, trunc: int):
-        coeffs = [ring.coerce(c) for c in coeffs]
+        self._fill(ring, [ring.coerce(c) for c in coeffs], val, trunc)
+
+    @classmethod
+    def _canonical(cls, ring: CoeffRing, coeffs, val: int, trunc: int) -> "QSeries":
+        """A series from coefficients already in the ring's canonical form
+        (a reduced product, or a window of another series of the ring), so
+        no second pass of ``CoeffRing.coerce`` is made over them."""
+        out = object.__new__(cls)
+        out._fill(ring, list(coeffs), val, trunc)
+        return out
+
+    def _fill(self, ring: CoeffRing, coeffs: list, val: int, trunc: int):
         if val + len(coeffs) > trunc:
             raise SpecError("coefficient window exceeds truncation")
         if coeffs:
-            coeffs.extend([ring.coerce(0)] * (trunc - val - len(coeffs)))
+            coeffs.extend([0] * (trunc - val - len(coeffs)))
         # strip leading zeros (can appear after Zmod cancellation)
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
@@ -312,7 +323,7 @@ class QSeries:
         if n_out <= 0:
             return QSeries.zero(self.ring, trunc)
         out = self._conv(self.coeffs, other.coeffs, n_out)
-        return QSeries(self.ring, out, val, trunc)
+        return QSeries._canonical(self.ring, out, val, trunc)
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration on the unit part.
@@ -330,13 +341,12 @@ class QSeries:
         g = [inv0]
         while len(g) < n:
             m = min(2 * len(g), n)
-            # g <- g*(2 - a*g) to m terms
-            ag = self._conv(a[:m], g, m)
-            ag[0] = self.ring.coerce(2 - ag[0])
-            for i in range(1, len(ag)):
-                ag[i] = self.ring.coerce(-ag[i])
+            # g <- g*(2 - a*g) to m terms; 2 - a*g goes in unreduced, since
+            # the product reduces its output
+            ag = [-c for c in self._conv(a[:m], g, m)]
+            ag[0] += 2
             g = self._conv(g, ag, m)
-        return QSeries(self.ring, g, -self.val, self.trunc - 2 * self.val)
+        return QSeries._canonical(self.ring, g, -self.val, self.trunc - 2 * self.val)
 
     def _conv(self, a, b, n_out):
         out = convolve_ints(a, b, n_out)
@@ -371,7 +381,7 @@ class QSeries:
         out = [0] * (d * (self.trunc - self.val))
         for i, c in enumerate(self.coeffs):
             out[d * i] = c
-        return QSeries(self.ring, out, d * self.val, d * self.trunc)
+        return QSeries._canonical(self.ring, out, d * self.val, d * self.trunc)
 
     def truncate(self, trunc: int) -> "QSeries":
         """Forget coefficients at exponents >= trunc."""
@@ -381,11 +391,11 @@ class QSeries:
             return self
         if trunc <= self.val:
             return QSeries.zero(self.ring, trunc)
-        return QSeries(self.ring, self.coeffs[:trunc - self.val], self.val, trunc)
+        return QSeries._canonical(self.ring, self.coeffs[:trunc - self.val], self.val, trunc)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
-        return QSeries(self.ring, self.coeffs, self.val + k, self.trunc + k)
+        return QSeries._canonical(self.ring, self.coeffs, self.val + k, self.trunc + k)
 
     # operator sugar
     __add__ = add

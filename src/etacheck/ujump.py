@@ -18,6 +18,16 @@ Each stability exponent m_f is the least m with
 at every cusp of the finer level except infinity; images are memoized in
 memory and optionally on disk, keyed by a fingerprint of the basis, the
 auxiliary quotient A and ell.
+
+Computing an image needs the basis workspace (the stored expansions of
+t**e * g_k) at a precision given in closed form by the key, and growing the
+workspace recomputes all of it.  So the precision is planned per U-step: the
+images a step needs are exactly the terms of the element it is applied to,
+and ``u_step`` asks the table for all of them at once.  The table loads what
+it can and computes the keys still missing deepest first, so the workspace
+grows once, to the largest precision among them.  A cold verify thus grows
+the workspace only at the steps whose terms reach deeper t-powers than any
+step before.
 """
 
 from __future__ import annotations
@@ -224,6 +234,13 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
 class UImageTable:
     """Memoized images t**(-m) * [t**m * U_ell(A**i t**j g_k)] over Z.
 
+    ``images(keys)`` is the one way images are fetched (``image`` is its
+    one-key case): keys found in memory or on disk are loaded, and the rest
+    are computed, largest ``_precision`` first, and stored.  The basis
+    workspace and the expansion of A thus grow once per batch, to what its
+    deepest key needs.  An image does not depend on the workspace size, only
+    on its own precision being covered.
+
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
         lines   "j k coefficient"
@@ -290,29 +307,49 @@ class UImageTable:
             self._a_series = eta_expand(self.A, prec)
         return self._a_series
 
-    def image(self, i: int, j: int, k: int) -> ModuleElement:
-        key = (i, j, k)
-        if key in self._mem:
-            return self._mem[key]
-        me = self._load(i, j, k) if self.cache_dir else None
-        if me is None:
-            me = self._compute(i, j, k)
+    def _precision(self, i: int, j: int, k: int) -> int:
+        """Relative precision of the expansions the image of A**i t**j g_k is
+        computed from: enough that t**m * U_ell(A**i t**j g_k) is known through
+        its constant term plus SLACK check coefficients."""
+        b = self.basis
+        v1 = b.v + 1
+        n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
+        m = self.se.exponent(i, j, k)
+        return self.ell * (v1 * m + self.SLACK) + v1 * (abs(j) + i + 2) + n_k + 2 * self.SLACK
+
+    def images(self, keys) -> list:
+        """The images of every (i, j, k) in keys, in order; the workspace
+        grows at most once for the whole batch."""
+        missing = []
+        for key in keys:
+            if key in self._mem:
+                continue
+            me = self._load(*key) if self.cache_dir else None
+            if me is None:
+                missing.append(key)
+            else:
+                self._mem[key] = me
+        # largest precision first: the basis workspace and the expansion of A
+        # then grow once for the whole batch, to what its deepest key needs
+        missing.sort(key=lambda key: self._precision(*key), reverse=True)
+        for key in missing:
+            me = self._compute(*key)
             if self.cache_dir:
-                self._store(i, j, k, me)
-        self._mem[key] = me
-        return me
+                self._store(*key, me)
+            self._mem[key] = me
+        return [self._mem[key] for key in keys]
+
+    def image(self, i: int, j: int, k: int) -> ModuleElement:
+        return self.images([(i, j, k)])[0]
 
     def _compute(self, i, j, k) -> ModuleElement:
         b = self.basis
-        ell = self.ell
         m = self.se.exponent(i, j, k)
-        v1 = b.v + 1
-        n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
-        prec = ell * (v1 * m + self.SLACK) + v1 * (abs(j) + i + 2) + n_k + 2 * self.SLACK
+        prec = self._precision(i, j, k)
         f = b.monomial(j, k, prec)
         if i:
             f = f.mul(self._a_expansion(prec))
-        prod = u_ell(f, ell).mul(b.monomial(m, 0, prec))
+        prod = u_ell(f, self.ell).mul(b.monomial(m, 0, prec))
         if prod.trunc < 1 + self.SLACK:
             raise ContractError(
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
@@ -323,10 +360,12 @@ class UImageTable:
 
 def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement:
     """One operator application by linearity over the cached images,
-    staying in the element's coefficient ring."""
+    staying in the element's coefficient ring.  The images are fetched as
+    one batch, because the keys a step needs are exactly the terms of me."""
     modulus = me.ring.modulus if me.ring.kind == "Zmod" else None
+    i = 1 if with_A else 0
+    keys = sorted(me.terms)
     acc: dict = {}
-    for (j, k), c in sorted(me.terms.items()):
-        table.image(1 if with_A else 0, j, k).scaled_into(int(c), acc, modulus)
+    for (j, k), image in zip(keys, table.images([(i, j, k) for j, k in keys])):
+        image.scaled_into(int(me.terms[(j, k)]), acc, modulus)
     return ModuleElement(me.ring, acc)
-

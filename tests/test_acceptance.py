@@ -196,6 +196,18 @@ def test_criterion_6_rogers_ramanujan(basis20, rr_spec, rr_image_table):
     verdict(6, "24n==1 mod 5^(2a) family verified to a=5 (B=5, 10 steps)")
 
 
+def test_criterion_6_deep_full_depth(basis20, rr_spec, rr_image_table):
+    # B=7 reaches j = -5, deeper than any image a B=5 run needs
+    t0 = time.monotonic()
+    report = iterate(rr_spec, basis20, 14, table=rr_image_table, B=7)
+    assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7]
+    assert report.ok and check_pattern(report, rr_spec)
+    assert min(s["j_min"] for s in report.support) == -5
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600, f"B=7 run took {elapsed:.1f}s"
+    verdict(6, "deep: 24n==1 mod 5^(2a) family verified to a=7 (B=7, 14 steps)")
+
+
 def test_criterion_7_andrews_sellers(basis20, as_image_table):
     t0 = time.monotonic()
     spec = andrews_sellers(B=3)
@@ -237,7 +249,11 @@ def test_criterion_8_oracle_cross_checks(rr_spec, as_spec):
     assert direct_oracle(as_spec.gen, 625, 573, 5, 4, 20).ok
     assert direct_oracle(as_spec.gen, 3125, 1823, 5, 5, 8).ok
     assert time.monotonic() - t0 < 60
-    verdict(8, "brute-force congruence checks (two families, up to 5^5, witness found)")
+    # 24n == 1 mod 5^6 (RR, step 6 gains 5^3)
+    t0 = time.monotonic()
+    assert direct_oracle(rr_spec.gen, 15625, 14974, 5, 3, 2).ok
+    assert time.monotonic() - t0 < 60
+    verdict(8, "brute-force congruence checks (two families, up to 5^6, witness found)")
 
 
 def test_criterion_9_property_suites():

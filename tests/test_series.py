@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from etacheck.errors import SpecError
-from etacheck.series import QSeries, ZZ, zmod, convolve_ints
+from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
 from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
 
 
@@ -110,6 +110,19 @@ def test_euler_quotient_mod_prime_power_is_reduced_exact(exponents):
     exact = euler_quotient(exponents, 2000)
     for e in (1, 2, 5):
         assert euler_quotient(exponents, 2000, zmod(5, e)) == exact.reduce_mod(5, e)
+
+
+def test_zmod_results_are_reduced_once(monkeypatch):
+    # a product or inverse is reduced in the convolution, and a window of a
+    # series is canonical already: none of them makes a second coerce pass
+    ring = zmod(5, 3)
+    f = euler_quotient(((1, -3), (2, 5)), 200, ring)
+    calls = []
+    coerce = CoeffRing.coerce
+    monkeypatch.setattr(CoeffRing, "coerce", lambda self, c: calls.append(c) or coerce(self, c))
+    one = f.mul(f.inv()).truncate(150).shift(3)
+    assert calls == []
+    assert one == QSeries.one(ring, 150).shift(3)
 
 
 def run_ring_laws(cases=200, seed=2024):

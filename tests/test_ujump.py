@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from etacheck.basis import load_basis_n20
+from etacheck.basis import AlgebraBasis, load_basis_n20
 from etacheck.errors import SpecError
 from etacheck.eta import eta_expand
 from etacheck.modcurve import newman_check
@@ -18,6 +18,7 @@ from etacheck.ujump import (
     module_element_series,
     u_ell,
 )
+from etacheck.verifier import iterate, rogers_ramanujan
 
 RR = FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5)
 AS = FamilyGenerator(4, {1: -4, 2: 5, 4: -2}, 5)
@@ -295,3 +296,63 @@ def test_tables_differ_between_families(b20, rr_table, tmp_path):
     assert as_table.fingerprint() != rr_table.fingerprint()
     assert as_table.image(1, 0, 0) != rr_table.image(1, 0, 0)
     assert as_table.image(0, 1, 0) == rr_table.image(0, 1, 0)  # no A involved
+
+
+# -- workspace planning: one growth per U-step, not one per image ------------
+
+def fresh_basis():
+    """A level-20 basis with an empty workspace, and the list of precisions
+    its workspace gets built at (one entry per _grown call that raises it)."""
+    b20 = load_basis_n20()
+    b = AlgebraBasis(b20.level, b20.t, b20.gs)
+    builds = []
+    grown = b._grown
+
+    def counted(prec):
+        if b._cache.get("prec", 0) < prec:
+            builds.append(prec)
+        return grown(prec)
+
+    b._grown = counted
+    return b, builds
+
+
+@pytest.fixture(scope="module")
+def rr_cold_run(tmp_path_factory):
+    """A cold RR B=5 iterate on a fresh basis and an empty disk cache."""
+    cache = tmp_path_factory.mktemp("images-rr-cold")
+    b, builds = fresh_basis()
+    table = UImageTable(b, build_A(RR), 5, cache_dir=cache)
+    report = iterate(rogers_ramanujan(B=5), b, table=table)
+    return table, builds, report
+
+
+def test_cold_iterate_builds_workspace_once_per_deeper_step(rr_cold_run):
+    # step 1 needs only (1, 0, 0); step 2 reaches j = -2 and step 3 j = -4,
+    # after which every later step's keys fit the 853-coefficient workspace
+    table, builds, report = rr_cold_run
+    assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+    assert len(builds) <= 3
+    assert builds == sorted(builds) and builds[-1] == 853
+    assert table.basis._cache["prec"] == 853
+
+
+@pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0)])
+def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
+    # (1, -4, 4) sets the batch's workspace size; (1, -1, 0) was computed in
+    # the same batch, far above the 307 coefficients it needs on its own
+    table, _, _ = rr_cold_run
+    b, builds = fresh_basis()
+    alone = UImageTable(b, build_A(RR), 5)
+    assert alone.image(*key) == table.image(*key)
+    assert builds == [alone._precision(*key)]
+
+
+def test_images_from_disk_never_build_the_workspace(rr_cold_run):
+    table, _, report = rr_cold_run
+    b, builds = fresh_basis()
+    warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
+    assert iterate(rogers_ramanujan(B=5), b, table=warm).V == report.V
+    assert builds == [] and "prec" not in b._cache
+    assert warm._mem == table._mem
+

@@ -152,6 +152,9 @@ class _CorruptedTable:
             return ModuleElement(ZZ, terms)
         return me
 
+    def images(self, keys):
+        return [self.image(*key) for key in keys]
+
 
 def test_fault_injection_fails_at_first_affected_step(basis20, as_image_table):
     spec = andrews_sellers(B=3)
