@@ -28,7 +28,7 @@ for spec in (rogers_ramanujan(B=5), andrews_sellers(B=5)):
     print("=" * 60)
     table = UImageTable(b, build_A(spec.gen), 5)
     t0 = time.monotonic()
-    report = iterate(spec, b, table=table)
+    report = iterate(spec, table)
     print(report.text())
     print(f"({time.monotonic() - t0:.1f}s)")
     print()
@@ -54,6 +54,6 @@ print()
 print("and the step functions really are the progression slices:")
 table = UImageTable(b, build_A(rr.gen), 5)
 for alpha in (1, 2):
-    ok = consistency_check(rr, b, alpha, 40, table=table)
+    ok = consistency_check(rr, table, alpha, 40)
     print(f"  step {alpha} expansion == direct slice mod 5^5 "
           f"(40 coefficients): {ok}")

@@ -48,7 +48,6 @@ from .verifier import (
     CongruenceFamilySpec,
     VerificationReport,
     builtin_spec,
-    check_pattern,
     direct_oracle,
     iterate,
     residue_for_case,

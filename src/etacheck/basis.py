@@ -19,6 +19,7 @@ answer poison everything built on top.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ContractError, SearchExhaustedError, SpecError
@@ -349,18 +350,21 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
     # each step fills a distinct (e, k): the pole order m strictly drops and
     # determines both, so the step coefficient is the final coefficient
     terms = {}
-    fk = f
+    # the remainder is one list, rem[i] the coefficient of q**(lo + i), reduced
+    # in place; each step's monomial leads at rem[pos] (BasisFunction.series
+    # checks every declared order), so nothing below pos ever changes
+    lo, rem, pos = f.val, list(f.coeffs), 0
     prev_m = None
     while True:
-        m = -fk.val if (not fk.is_zero() and fk.val < 0) else 0
+        while pos < len(rem) and not rem[pos]:
+            pos += 1
+        m = max(0, -(lo + pos)) if pos < len(rem) else 0
         if prev_m is not None and m >= prev_m:
             raise ContractError("reduction failed to descend strictly")
         prev_m = m
         if m == 0:
-            c0 = fk.coeff(0) if fk.trunc > 0 else 0
-            terms[(0, 0)] = c0
-            residual = fk.sub(QSeries.const(ZZ, c0, fk.trunc))
-            if not residual.is_zero():
+            terms[(0, 0)] = rem.pop(-lo) if lo <= 0 < lo + len(rem) else 0
+            if any(rem):
                 raise ContractError(
                     "nonzero residual after reduction: the input is not in the "
                     "module to its stated truncation (or was under-truncated)")
@@ -373,12 +377,13 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
                 f"reduction stalled at pole order {m}: no basis element reaches it")
         e = (m - n_k) // v1
         s = b.monomial(e, k, prec)
-        alpha, rem = divmod(fk.coeffs[0], s.coeffs[0])
-        if rem:
+        alpha, r = divmod(rem[pos], s.coeffs[0])
+        if r:
             raise ContractError(
-                f"non-integral reduction step at pole order {m}: {fk.coeffs[0]} "
+                f"non-integral reduction step at pole order {m}: {rem[pos]} "
                 f"is not a multiple of the leading coefficient {s.coeffs[0]} of t^{e}*g{k}")
-        fk = fk.sub(s.truncate(min(s.trunc, fk.trunc)).scale(alpha))
+        del rem[s.trunc - lo:]
+        rem[pos:] = map(operator.sub, rem[pos:], map(alpha.__mul__, s.coeffs))
         terms[(e, k)] = alpha
 
 

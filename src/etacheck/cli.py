@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage, a bad
 family spec, or a verify run in which no step carried a required valuation
 (NOTHING CHECKED), 3 an internal contract was violated (a reduction step
 that does not divide exactly, a reduction stall or nonzero residual,
-runaway support).
+runaway support, a malformed cache file).
 
 Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
 or a path to a JSON file with fields
@@ -143,14 +143,18 @@ def cmd_basis(args) -> int:
 
 
 def cmd_u_image(args) -> int:
+    mod = None
+    if args.mod:
+        ell, caret, power = args.mod.partition("^")
+        try:
+            mod = (int(ell), int(power) if caret else 1)
+        except ValueError as exc:
+            raise SpecError(f"cannot parse --mod {args.mod!r}: {exc}") from exc
     spec = load_family_spec(args.spec)
     b = resolve_basis(spec)
     table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
     me = table.image(args.i, args.j, args.k)
-    if args.mod:
-        ell, _, power = args.mod.partition("^")
-        me = me.reduce_mod(int(ell), int(power or "1"))
-    print(me)
+    print(me if mod is None else me.reduce_mod(*mod))
     return 0
 
 
@@ -159,7 +163,8 @@ def cmd_verify(args) -> int:
     if args.iterations is not None and args.iterations < 1:
         raise SpecError(f"--iterations must be >= 1, got {args.iterations}")
     b = resolve_basis(spec)
-    report = iterate(spec, b, args.iterations, cache_dir=args.cache_dir)
+    table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
+    report = iterate(spec, table, args.iterations)
     print(report.text())
     payload = {"spec": spec.to_json(), "report": report.to_json()}
     if args.output:

@@ -67,10 +67,11 @@ def parse_cusp(text: str) -> Cusp:
     text = text.strip()
     if text in ("oo", "inf", "infinity"):
         return Cusp(1, 0)
-    if "/" in text:
-        a, c = text.split("/", 1)
-        return Cusp(int(a), int(c))
-    return Cusp(int(text), 1)
+    a, slash, c = text.partition("/")
+    try:
+        return Cusp(int(a), int(c) if slash else 1)
+    except ValueError as exc:
+        raise SpecError(f"cannot parse cusp {text!r}: {exc}") from exc
 
 
 def _euler_phi(n: int) -> int:

@@ -200,14 +200,14 @@ class QSeries:
 
     @classmethod
     def from_terms(cls, ring: CoeffRing, terms: dict, trunc: int) -> "QSeries":
-        terms = {e: c for e, c in terms.items() if e < trunc}
+        terms = {e: ring.coerce(c) for e, c in terms.items() if e < trunc}
         if not terms:
-            return cls(ring, (), trunc, trunc)
+            return cls.zero(ring, trunc)
         lo = min(terms)
         coeffs = [0] * (trunc - lo)
         for e, c in terms.items():
             coeffs[e - lo] = c
-        return cls(ring, coeffs, lo, trunc)
+        return cls._canonical(ring, coeffs, lo, trunc)
 
     @classmethod
     def const(cls, ring: CoeffRing, c, trunc: int) -> "QSeries":

@@ -38,13 +38,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basis import (  # noqa: F401  (ModuleElement, module_element_series re-exported)
-    AlgebraBasis,
-    BasisFunction,
-    ModuleElement,
-    module_element_series,
-    mw_reduce,
-)
+from .basis import AlgebraBasis, BasisFunction, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import cusp_representatives, eta_order_at_cusp, infinity_class, newman_check
@@ -273,14 +267,17 @@ class UImageTable:
         if not p.exists():
             return None
         lines = p.read_text().splitlines()
-        head = tuple(int(x) for x in lines[0].split())
+        try:
+            head = tuple(int(x) for x in lines[0].split())
+            terms = {}
+            for line in lines[1:]:
+                if line.strip():
+                    jj, kk, c = line.split()
+                    terms[(int(jj), int(kk))] = int(c)
+        except (ValueError, IndexError) as exc:
+            raise ContractError(f"cache file {p} is malformed: {exc}") from exc
         if head != (self.basis.level, self.ell, i, j, k, self.basis.v):
             raise ContractError(f"cache file {p} does not match its key")
-        terms = {}
-        for line in lines[1:]:
-            if line.strip():
-                jj, kk, c = line.split()
-                terms[(int(jj), int(kk))] = int(c)
         return ModuleElement(ZZ, terms)
 
     def _store(self, i, j, k, me: ModuleElement):

@@ -7,6 +7,10 @@ dividing all coefficients.  A conjectured congruence family translates into
 a required minimum for those valuations; the report carries the whole
 valuation sequence either way.
 
+Each input of a run has one source: the spec gives B and the pattern, the
+image table the images, their basis and their disk cache.  A table built for
+another family than the spec's is refused.
+
 The direct oracle expands the generating function far enough to test the
 claimed divisibilities coefficient by coefficient, which is exactly the
 computation the iteration exists to avoid, and therefore exactly the right
@@ -22,12 +26,13 @@ import time
 from dataclasses import dataclass, field
 from math import gcd
 
-from .basis import AlgebraBasis, ModuleElement, module_element_series
+from .basis import ModuleElement, module_element_series
 from .errors import ContractError, SpecError
 from .series import CoeffRing, QSeries, ZZ, zmod
 from .ujump import FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
+J_CEILING = 64  # the largest |j| a run's t-support may reach
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class CongruenceFamilySpec:
                        str(data["pattern"]), int(data.get("B", 5)))
         except KeyError as exc:
             raise SpecError(f"family spec is missing field {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise SpecError(f"malformed family spec: {exc}") from exc
 
 
 def rogers_ramanujan(B: int = 5) -> CongruenceFamilySpec:
@@ -139,12 +146,6 @@ class VerificationReport:
         """Did some step alpha >= 1 carry a required valuation?"""
         return any(req is not None for req in self.required[1:])
 
-    def first_failure(self):
-        for alpha, p in enumerate(self.passed):
-            if p is False:
-                return alpha
-        return None
-
     def to_json(self, include_timings: bool = True) -> dict:
         out = {
             "family": self.spec_name,
@@ -180,33 +181,29 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def iterate(spec: CongruenceFamilySpec, b: AlgebraBasis, iterations: int | None = None,
-            *, B: int | None = None, table: UImageTable | None = None,
-            cache_dir=None, j_ceiling: int = 64) -> VerificationReport:
-    """Run the iteration for the given number of steps and collect valuations.
+def iterate(spec: CongruenceFamilySpec, table: UImageTable,
+            iterations: int | None = None) -> VerificationReport:
+    """Run the iteration for the given number of steps (by default those the
+    spec's pattern needs to reach spec.B) and collect valuations.
 
     Even steps apply U_ell(A * -), odd steps plain U_ell; coefficients live in
-    Z/ell**B throughout.  Images come from the (possibly disk-backed) table;
-    a j-support escape beyond +-j_ceiling aborts loudly rather than truncate.
+    Z/ell**spec.B throughout.  Images come from the (possibly disk-backed)
+    table; a j-support escape beyond +-J_CEILING aborts loudly rather than
+    truncate.
     """
-    B = spec.B if B is None else B
-    if B < 1:
-        raise SpecError("B must be >= 1")
     iterations = spec.default_iterations if iterations is None else iterations
     if iterations < 0:
         raise SpecError(f"iteration count must be >= 0, got {iterations}")
     ell = spec.gen.ell
-    if table is None:
-        table = UImageTable(b, build_A(spec.gen), ell, cache_dir)
-    report = VerificationReport(spec.name, ell, B, iterations)
+    report = VerificationReport(spec.name, ell, spec.B, iterations)
     t0 = time.monotonic()
-    for alpha, me in enumerate(_iterates(table, zmod(ell, B), iterations)):
+    for alpha, me in enumerate(_iterates(spec, table, iterations)):
         j_lo, j_hi = me.j_range()
-        if j_lo < -j_ceiling or j_hi > j_ceiling:
+        if j_lo < -J_CEILING or j_hi > J_CEILING:
             raise ContractError(
-                f"t-support [{j_lo}, {j_hi}] escaped the +-{j_ceiling} ceiling "
+                f"t-support [{j_lo}, {j_hi}] escaped the +-{J_CEILING} ceiling "
                 f"at step {alpha}; the basis is not taming this family")
-        v = me.min_ell_valuation(ell, B)
+        v = me.min_ell_valuation(ell, spec.B)
         req = spec.required_valuation(alpha)
         report.V.append(v)
         report.saturated.append(me.is_zero())
@@ -219,10 +216,12 @@ def iterate(spec: CongruenceFamilySpec, b: AlgebraBasis, iterations: int | None 
     return report
 
 
-def _iterates(table: UImageTable, ring, iterations: int):
+def _iterates(spec: CongruenceFamilySpec, table: UImageTable, iterations: int):
     """L_0 = 1, then L_1 .. L_iterations over the ring Z/ell**B: even steps
     apply U_ell(A * -), odd steps plain U_ell."""
-    current = ModuleElement.one(ring)
+    if (table.A, table.ell) != (build_A(spec.gen), spec.gen.ell):
+        raise SpecError(f"the image table was built for another family than {spec.name}")
+    current = ModuleElement.one(zmod(spec.gen.ell, spec.B))
     yield current
     for alpha in range(iterations):
         current = u_step(table, current, with_A=alpha % 2 == 0)
@@ -232,15 +231,6 @@ def _iterates(table: UImageTable, ring, iterations: int):
 def _support_stats(me: ModuleElement) -> dict:
     j_lo, j_hi = me.j_range()
     return {"terms": len(me.terms), "j_min": j_lo, "j_max": j_hi}
-
-
-def check_pattern(report: VerificationReport, spec: CongruenceFamilySpec) -> bool:
-    """Compare the report's valuations against the claimed pattern."""
-    for alpha, v in enumerate(report.V):
-        req = spec.required_valuation(alpha)
-        if req is not None and v < req:
-            return False
-    return True
 
 
 def residue_for_case(c: int, ell: int, alpha: int) -> int:
@@ -308,16 +298,11 @@ def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int,
     return out.truncate(min(out.trunc, count))
 
 
-def consistency_check(spec: CongruenceFamilySpec, b: AlgebraBasis, alpha: int,
-                      count: int, *, B: int | None = None,
-                      table: UImageTable | None = None) -> bool:
+def consistency_check(spec: CongruenceFamilySpec, table: UImageTable, alpha: int,
+                      count: int) -> bool:
     """Does the basis-side iterate match the direct construction mod ell**B
     on the first `count` coefficients?"""
-    B = spec.B if B is None else B
-    ell = spec.gen.ell
-    if table is None:
-        table = UImageTable(b, build_A(spec.gen), ell)
-    *_, current = _iterates(table, zmod(ell, B), alpha)
-    basis_side = module_element_series(current, b, count)
-    direct_side = scaled_congruence_series(spec, alpha, count, zmod(ell, B))
-    return basis_side.agrees_with(direct_side)
+    *_, current = _iterates(spec, table, alpha)
+    ring = zmod(spec.gen.ell, spec.B)
+    basis_side = module_element_series(current, table.basis, count)
+    return basis_side.agrees_with(scaled_congruence_series(spec, alpha, count, ring))

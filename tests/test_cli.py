@@ -44,12 +44,43 @@ def test_order_and_newman_commands(capsys):
     assert code == 1
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     code, _, _ = run(capsys, "order", "20-bad", "1/2")
     assert code == 2
     code, _, _ = run(capsys, "verify", "no-such-family")
     assert code == 2
     assert main(["no-such-subcommand"]) == 2
+    # malformed numbers in a cusp, a --mod or a spec file: exit 2, no traceback
+    for cusp in ("abc", "1/x", "1/"):
+        code, out, err = run(capsys, "order", "20:1^2,4^2,10^8,5^-2,20^-10", cusp)
+        assert code == 2 and out == "" and "cusp" in err
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", "5^x")
+    assert code == 2 and out == "" and "--mod" in err
+    good = {"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24,
+            "pattern": "even-alpha", "B": 2}
+    for bad in ({**good, "r": [[1, -3]]}, {**good, "M": "x"}, [good]):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == "" and "malformed family spec" in err
+
+
+def test_malformed_cache_file_exits_3(capsys, tmp_path):
+    from etacheck.basis import load_basis_n20
+    from etacheck.ujump import UImageTable, build_A
+    from etacheck.verifier import rogers_ramanujan
+
+    table = UImageTable(load_basis_n20(), build_A(rogers_ramanujan().gen), 5,
+                        cache_dir=tmp_path)
+    path = table._path(1, 0, 0)  # the one image the first step needs
+    path.parent.mkdir(parents=True)
+    header = "20 5 1 0 0 4\n"
+    for body in (header + "-1 0\n", ""):
+        path.write_text(body)
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path),
+                             "verify", "rogers-ramanujan", "--B", "1")
+        assert code == 3 and "VERIFIED" not in out and "malformed" in err
 
 
 def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):

@@ -176,6 +176,19 @@ def test_integer_rings_reject_non_integers():
         for bad in (0.5, Fraction(1, 2), Fraction(2, 1)):
             with pytest.raises(TypeError):
                 QSeries(ring, [bad], 0, 1)
+            with pytest.raises(TypeError):
+                QSeries.from_terms(ring, {2: 1, 5: bad}, 8)
+
+
+def test_from_terms_coerces_only_the_given_terms(monkeypatch):
+    ring = zmod(5, 2)
+    calls = []
+    coerce = CoeffRing.coerce
+    monkeypatch.setattr(CoeffRing, "coerce", lambda self, c: calls.append(c) or coerce(self, c))
+    f = QSeries.from_terms(ring, {-2: -1, 3: 27, 9: 5}, 6)
+    assert calls == [-1, 27]
+    assert (f.val, f.trunc, f.coeffs) == (-2, 6, (24, 0, 0, 0, 0, 2, 0, 0))
+    assert QSeries.from_terms(ring, {1: 25}, 4) == QSeries.zero(ring, 4)
 
 
 def test_truncation_tracking():

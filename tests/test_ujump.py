@@ -4,18 +4,16 @@ import random
 
 import pytest
 
-from etacheck.basis import AlgebraBasis, load_basis_n20
+from etacheck.basis import AlgebraBasis, ModuleElement, load_basis_n20, module_element_series
 from etacheck.errors import SpecError
 from etacheck.eta import eta_expand
 from etacheck.modcurve import newman_check
 from etacheck.series import QSeries, ZZ
 from etacheck.ujump import (
     FamilyGenerator,
-    ModuleElement,
     UImageTable,
     build_A,
     compute_m_constants,
-    module_element_series,
     u_ell,
 )
 from etacheck.verifier import iterate, rogers_ramanujan
@@ -323,7 +321,7 @@ def rr_cold_run(tmp_path_factory):
     cache = tmp_path_factory.mktemp("images-rr-cold")
     b, builds = fresh_basis()
     table = UImageTable(b, build_A(RR), 5, cache_dir=cache)
-    report = iterate(rogers_ramanujan(B=5), b, table=table)
+    report = iterate(rogers_ramanujan(B=5), table)
     return table, builds, report
 
 
@@ -352,7 +350,7 @@ def test_images_from_disk_never_build_the_workspace(rr_cold_run):
     table, _, report = rr_cold_run
     b, builds = fresh_basis()
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
-    assert iterate(rogers_ramanujan(B=5), b, table=warm).V == report.V
+    assert iterate(rogers_ramanujan(B=5), warm).V == report.V
     assert builds == [] and "prec" not in b._cache
     assert warm._mem == table._mem
 

@@ -2,14 +2,15 @@
 
 import pytest
 
+from etacheck import verifier
+from etacheck.basis import ModuleElement
 from etacheck.errors import ContractError, SpecError
 from etacheck.series import ZZ
-from etacheck.ujump import ModuleElement
+from etacheck.ujump import UImageTable, build_A
 from etacheck.verifier import (
     CongruenceFamilySpec,
     andrews_sellers,
     builtin_spec,
-    check_pattern,
     congruence_subseries,
     consistency_check,
     direct_oracle,
@@ -68,37 +69,39 @@ def test_direct_oracle_andrews_sellers():
     assert direct_oracle(gen, 5, 3, 5, 1, 200).ok
 
 
-def test_iterate_small_run(basis20, rr_image_table):
+def test_iterate_small_run(rr_image_table):
     spec = rogers_ramanujan(B=2)
-    rep = iterate(spec, basis20, 4, table=rr_image_table, B=2)
+    rep = iterate(spec, rr_image_table, 4)
     assert rep.V == [0, 0, 1, 1, 2]
-    assert rep.ok and check_pattern(rep, spec)
+    assert rep.ok
     assert all(0 <= v <= 2 for v in rep.V)
 
 
-def test_iterate_default_lengths(basis20, as_image_table):
+def test_iterate_default_lengths(as_image_table):
     spec = andrews_sellers(B=1)
-    rep = iterate(spec, basis20, table=as_image_table)
+    rep = iterate(spec, as_image_table)
     assert rep.iterations == 1
     assert rep.V == [0, 1]
     assert rep.saturated[1]  # everything vanishes mod 5^1 after one step
 
 
-def test_iterate_zero_iterations(basis20, rr_image_table):
-    rep = iterate(rogers_ramanujan(B=1), basis20, 0, table=rr_image_table, B=1)
+def test_iterate_zero_iterations(rr_image_table):
+    rep = iterate(rogers_ramanujan(B=1), rr_image_table, 0)
     assert rep.V == [0]
     assert rep.ok and not rep.checked
     assert "NOTHING CHECKED" in rep.text() and "VERIFIED" not in rep.text()
     with pytest.raises(SpecError):
-        iterate(rogers_ramanujan(B=1), basis20, -3, table=rr_image_table, B=1)
+        iterate(rogers_ramanujan(B=1), rr_image_table, -3)
 
 
 def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_dir):
     # runs with different caps agree wherever the smaller cap was not hit
     spec_lo = andrews_sellers(B=2)
     spec_hi = andrews_sellers(B=4)
-    lo = iterate(spec_lo, basis20, 4, B=2, cache_dir=image_cache_dir)
-    hi = iterate(spec_hi, basis20, 4, B=4, cache_dir=image_cache_dir)
+    lo = iterate(spec_lo, UImageTable(basis20, build_A(spec_lo.gen), 5,
+                                      cache_dir=image_cache_dir), 4)
+    hi = iterate(spec_hi, UImageTable(basis20, build_A(spec_hi.gen), 5,
+                                      cache_dir=image_cache_dir), 4)
     for v_lo, v_hi in zip(lo.V, hi.V):
         if v_lo < 2:
             assert v_lo == v_hi
@@ -106,32 +109,33 @@ def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_di
             assert v_hi >= 2
 
 
-def test_iterate_determinism(basis20, rr_image_table):
+def test_iterate_determinism(rr_image_table):
     spec = rogers_ramanujan(B=3)
-    a = iterate(spec, basis20, 6, table=rr_image_table, B=3)
-    b = iterate(spec, basis20, 6, table=rr_image_table, B=3)
+    a = iterate(spec, rr_image_table, 6)
+    b = iterate(spec, rr_image_table, 6)
     assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
 
 
-def test_valuations_nondecreasing_on_passing_runs(basis20, rr_image_table, as_image_table):
+def test_valuations_nondecreasing_on_passing_runs(rr_image_table, as_image_table):
     for spec, table, n in ((rogers_ramanujan(B=3), rr_image_table, 6),
                            (andrews_sellers(B=3), as_image_table, 3)):
-        rep = iterate(spec, basis20, n, table=table, B=3)
+        rep = iterate(spec, table, n)
         assert rep.ok
         assert all(a <= b for a, b in zip(rep.V, rep.V[1:]))
 
 
-def test_check_pattern_stricter_requirement_fails(basis20, as_image_table):
+def test_check_pattern_stricter_requirement_fails(as_image_table):
     spec = andrews_sellers(B=3)
-    rep = iterate(spec, basis20, 3, table=as_image_table, B=3)
+    rep = iterate(spec, as_image_table, 3)
 
-    class Stricter:
-        @staticmethod
-        def required_valuation(alpha):
+    class Stricter(CongruenceFamilySpec):
+        def required_valuation(self, alpha):
             return alpha + 1
 
-    assert check_pattern(rep, spec)
-    assert not check_pattern(rep, Stricter())
+    stricter = iterate(Stricter(spec.name, spec.gen, spec.c, spec.pattern, spec.B),
+                       as_image_table, 3)
+    assert rep.ok
+    assert not stricter.ok
     # and among the genuine steps the first failure is alpha=1 (v1=1 < 2)
     first_bad = next(a for a, v in enumerate(rep.V) if a >= 1 and v < a + 1)
     assert first_bad == 1
@@ -155,22 +159,33 @@ class _CorruptedTable:
     def images(self, keys):
         return [self.image(*key) for key in keys]
 
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
-def test_fault_injection_fails_at_first_affected_step(basis20, as_image_table):
+
+def test_fault_injection_fails_at_first_affected_step(as_image_table):
     spec = andrews_sellers(B=3)
     # poison an image first consumed at step 2 (plain operator, j=-1, k=0)
     bad = _CorruptedTable(as_image_table, (0, -1, 0))
-    rep = iterate(spec, basis20, 3, table=bad, B=3)
-    assert not check_pattern(rep, spec)
-    clean = iterate(spec, basis20, 3, table=as_image_table, B=3)
+    rep = iterate(spec, bad, 3)
+    assert not rep.ok
+    clean = iterate(spec, as_image_table, 3)
     assert clean.V[1] == rep.V[1] == 1  # step 1 untouched
-    assert rep.first_failure() == 2
+    assert rep.passed.index(False) == 2
 
 
-def test_runaway_support_guard(basis20, rr_image_table):
+def test_runaway_support_guard(rr_image_table, monkeypatch):
     spec = rogers_ramanujan(B=2)
+    monkeypatch.setattr(verifier, "J_CEILING", 1)
     with pytest.raises(ContractError):
-        iterate(spec, basis20, 4, table=rr_image_table, B=2, j_ceiling=1)
+        iterate(spec, rr_image_table, 4)
+
+
+def test_table_of_another_family_is_refused(rr_image_table, as_image_table):
+    with pytest.raises(SpecError, match="another family"):
+        iterate(andrews_sellers(B=2), rr_image_table, 2)
+    with pytest.raises(SpecError, match="another family"):
+        consistency_check(rogers_ramanujan(B=2), as_image_table, 1, 10)
 
 
 def test_progression_subseries_values():
@@ -181,17 +196,17 @@ def test_progression_subseries_values():
     assert [sub.coeff(s) for s in range(10)] == [coeffs[5 * m + 4] for m in range(10)]
 
 
-def test_consistency_alpha_1_and_2(basis20, rr_image_table, as_image_table):
+def test_consistency_alpha_1_and_2(rr_image_table, as_image_table):
     rr = rogers_ramanujan(B=5)
-    assert consistency_check(rr, basis20, 1, 40, table=rr_image_table)
-    assert consistency_check(rr, basis20, 2, 40, table=rr_image_table)
+    assert consistency_check(rr, rr_image_table, 1, 40)
+    assert consistency_check(rr, rr_image_table, 2, 40)
     asp = andrews_sellers(B=5)
-    assert consistency_check(asp, basis20, 1, 40, table=as_image_table)
-    assert consistency_check(asp, basis20, 2, 40, table=as_image_table)
+    assert consistency_check(asp, as_image_table, 1, 40)
+    assert consistency_check(asp, as_image_table, 2, 40)
 
 
-def test_report_text_shape(basis20, rr_image_table):
-    rep = iterate(rogers_ramanujan(B=2), basis20, 4, table=rr_image_table, B=2)
+def test_report_text_shape(rr_image_table):
+    rep = iterate(rogers_ramanujan(B=2), rr_image_table, 4)
     text = rep.text()
     assert "VERIFIED" in text and "alpha= 4" in text
     data = rep.to_json()
