@@ -57,10 +57,18 @@ class BasisFunction:
         return tuple(seen)
 
     def series(self, trunc: int) -> QSeries:
-        """Exact-integer expansion covering trunc coefficients past ord_inf; each
-        constituent quotient is expanded once, at the most any term needs."""
-        prec = max(trunc + self.span(factors) for _, factors in self.construction)
-        expansions = {f: eta_expand(f, prec) for f in self.constituent_quotients()}
+        """Exact-integer expansion covering trunc coefficients past ord_inf.
+
+        A product of quotients leads at the sum of their valuations, so it
+        reaches q**(ord_inf + trunc) from that many coefficients; each
+        constituent quotient is expanded once, to the most any term needs.
+        """
+        need = {}
+        for _, factors in self.construction:
+            lead = sum(f.sum_dr() // 24 for f in factors)
+            for f in factors:
+                need[f] = max(need.get(f, 1), self.ord_inf + trunc - lead)
+        expansions = {f: eta_expand(f, n) for f, n in need.items()}
         out = None
         for coef, factors in self.construction:
             term = None
@@ -77,11 +85,6 @@ class BasisFunction:
                 f"does not match declared order {self.ord_inf}")
         return out
 
-    @staticmethod
-    def span(factors) -> int:
-        # extra precision soaked up by valuation shifts inside one product
-        return sum(abs(f.sum_dr()) // 24 + 1 for f in factors)
-
     def describe(self) -> str:
         parts = []
         for coef, factors in self.construction:
@@ -92,14 +95,14 @@ class BasisFunction:
 
 @dataclass
 class AlgebraBasis:
-    """Generator t plus g_1..g_v; immutable once built, expansion caches grow
-    monotonically and are shared by every reduction at this level."""
+    """Generator t plus g_1..g_v; immutable once built.  The monomial store
+    only grows and is shared by every reduction at this level."""
 
     level: int
     t: BasisFunction
     gs: tuple
 
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _monomials: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def v(self) -> int:
@@ -127,47 +130,40 @@ class AlgebraBasis:
                      tuple((g.construction, g.ord_inf) for g in self.gs)))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    # -- shared expansion workspace -----------------------------------------
+    # -- the monomial store ----------------------------------------------------
     #
-    # All cached series carry the same relative precision `prec` (number of
-    # coefficients past their leading term).  Products and inverses preserve
-    # relative precision, so a monomial t**e * g_k is known on the window
-    # [e*ord(t) + ord(g_k), e*ord(t) + ord(g_k) + prec).  Raising `prec`
-    # recomputes every stored series, so callers size it up front: the image
-    # table grows it once per batch of images (see ujump.UImageTable.images),
-    # and every request at or below the current `prec` reuses the store.
-
-    def _grown(self, prec: int) -> dict:
-        """The (e, k) -> t**e * g_k store, rebuilt when prec outgrows it."""
-        ws = self._cache
-        if ws.get("prec", 0) < prec:
-            ws.clear()
-            ws["prec"] = prec
-            store = ws["monomial"] = {(0, 0): QSeries.one(ZZ, prec), (1, 0): self.t.series(prec)}
-            for k, g in enumerate(self.gs, start=1):
-                store[(0, k)] = g.series(prec)
-        return ws["monomial"]
+    # (e, k) -> t**e * g_k, each entry at its own relative precision (number
+    # of coefficients past the leading term).  Products and inverses preserve
+    # relative precision, so an entry asked for at a larger precision than it
+    # holds is rebuilt alone from its factors, each cut to that precision;
+    # every other entry stays as it is.  Callers ask for what they read: an
+    # image for the window its key needs, a reduction step for the window
+    # its remainder still has.
 
     def monomial(self, e: int, k: int, prec: int) -> QSeries:
-        """Expansion of t**e * g_k (g_0 = 1) at the workspace precision.
+        """Expansion of t**e * g_k (g_0 = 1) to relative precision prec.
 
-        Powers of t are built one step at a time from the nearest stored
-        power of the same sign, and every step is kept.
+        A t-power is t**(e-1) * t (or t**(e+1) * t**-1), a product with a basis
+        function is t**e * g_k, and 1/t is the inverse of t; each factor is
+        taken from the store at prec and the result is kept.
         """
-        store = self._grown(prec)
-        if (e, k) not in store:
-            step = 1 if e > 0 else -1
-            if e < 0 and (-1, 0) not in store:
-                store[(-1, 0)] = store[(1, 0)].inv()
-            near = e
-            while (near, 0) not in store:
-                near -= step
-            cur = store[(near, 0)]
-            for p in range(near + step, e + step, step):
-                cur = store[(p, 0)] = cur.mul(store[(step, 0)])
-            if k:
-                store[(e, k)] = cur.mul(store[(0, k)])
-        return store[(e, k)]
+        s = self._monomials.get((e, k))
+        if s is None or s.trunc - s.val < prec:
+            if k and e:
+                s = self.monomial(e, 0, prec).mul(self.monomial(0, k, prec))
+            elif k:
+                s = self.gs[k - 1].series(prec)
+            elif e == 0:
+                s = QSeries.one(ZZ, prec)
+            elif e == 1:
+                s = self.t.series(prec)
+            elif e == -1:
+                s = self.monomial(1, 0, prec).inv()
+            else:
+                step = 1 if e > 0 else -1
+                s = self.monomial(e - step, 0, prec).mul(self.monomial(step, 0, prec))
+            self._monomials[(e, k)] = s
+        return s.truncate(s.val + prec)
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
@@ -311,15 +307,11 @@ class ModuleElement:
 def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSeries:
     """Honest q-expansion of a module element, over the element's ring."""
     v1 = b.v + 1
-    deepest = 0
-    for (j, k) in me.terms:
-        n_k = -b.gs[k - 1].ord_inf if k else 0
-        deepest = max(deepest, v1 * j + n_k)  # = trunc - val(t^j g_k), sans trunc
-    prec = trunc + deepest + v1
     out = QSeries.zero(ZZ, trunc)
     for (j, k), c in sorted(me.terms.items()):
-        s = b.monomial(j, k, prec)
-        out = out.add(s.truncate(min(s.trunc, trunc)).scale(int(c)))
+        prec = trunc + v1 * j + (-b.gs[k - 1].ord_inf if k else 0)  # trunc - val(t^j g_k)
+        if prec > 0:
+            out = out.add(b.monomial(j, k, prec).scale(int(c)))
     if me.ring.kind == "Zmod":
         return out.reduce_mod(me.ring.ell, me.ring.power)
     return out
@@ -344,9 +336,6 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
         raise SpecError("insufficient truncation: need the constant term in view")
     v1 = b.v + 1
     orders = {k: -g.ord_inf for k, g in enumerate(b.gs, start=1)}
-    # monomials matching a pole of order m are known to f.trunc when the
-    # workspace holds this much relative precision
-    prec = f.trunc + max(0, -f.val)
     # each step fills a distinct (e, k): the pole order m strictly drops and
     # determines both, so the step coefficient is the final coefficient
     terms = {}
@@ -376,13 +365,12 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
             raise ContractError(
                 f"reduction stalled at pole order {m}: no basis element reaches it")
         e = (m - n_k) // v1
-        s = b.monomial(e, k, prec)
+        s = b.monomial(e, k, m + f.trunc)  # leads at q**-m, known to f.trunc
         alpha, r = divmod(rem[pos], s.coeffs[0])
         if r:
             raise ContractError(
                 f"non-integral reduction step at pole order {m}: {rem[pos]} "
                 f"is not a multiple of the leading coefficient {s.coeffs[0]} of t^{e}*g{k}")
-        del rem[s.trunc - lo:]
         rem[pos:] = map(operator.sub, rem[pos:], map(alpha.__mul__, s.coeffs))
         terms[(e, k)] = alpha
 

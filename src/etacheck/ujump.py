@@ -19,15 +19,16 @@ at every cusp of the finer level except infinity; images are memoized in
 memory and optionally on disk, keyed by a fingerprint of the basis, the
 auxiliary quotient A and ell.
 
-Computing an image needs the basis workspace (the stored expansions of
-t**e * g_k) at a precision given in closed form by the key, and growing the
-workspace recomputes all of it.  So the precision is planned per U-step: the
-images a step needs are exactly the terms of the element it is applied to,
-and ``u_step`` asks the table for all of them at once.  The table loads what
-it can and computes the keys still missing deepest first, so the workspace
-grows once, to the largest precision among them.  A cold verify thus grows
-the workspace only at the steps whose terms reach deeper t-powers than any
-step before.
+Computing an image needs expansions of basis monomials t**e * g_k, and the
+basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
+An image asks for t**j * g_k at the precision its key needs, given in closed
+form by ``UImageTable._precision``, for t**m only as far as U_ell of that
+reaches (about a factor ell less), and the reduction asks for each of its
+monomials only as far as its remainder reaches.  ``u_step`` asks the table
+for a step's images as one batch, since the keys a step needs are exactly
+the terms of the element it is applied to; the table computes the keys it
+cannot load deepest first, so the expansion of A, and each t-power the
+batch shares, is expanded once, to what the deepest key needs.
 """
 
 from __future__ import annotations
@@ -230,10 +231,10 @@ class UImageTable:
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
     one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed, largest ``_precision`` first, and stored.  The basis
-    workspace and the expansion of A thus grow once per batch, to what its
-    deepest key needs.  An image does not depend on the workspace size, only
-    on its own precision being covered.
+    are computed, largest ``_precision`` first, and stored.  The expansion
+    of A and the t-powers the batch shares are thus expanded once, to what
+    its deepest key needs.  Each image reads its monomials only to its own
+    ``_precision``, so it does not depend on what else was computed first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -315,8 +316,7 @@ class UImageTable:
         return self.ell * (v1 * m + self.SLACK) + v1 * (abs(j) + i + 2) + n_k + 2 * self.SLACK
 
     def images(self, keys) -> list:
-        """The images of every (i, j, k) in keys, in order; the workspace
-        grows at most once for the whole batch."""
+        """The images of every (i, j, k) in keys, in order."""
         missing = []
         for key in keys:
             if key in self._mem:
@@ -326,8 +326,9 @@ class UImageTable:
                 missing.append(key)
             else:
                 self._mem[key] = me
-        # largest precision first: the basis workspace and the expansion of A
-        # then grow once for the whole batch, to what its deepest key needs
+        # largest precision first: the expansion of A and the shared t-powers
+        # are then expanded once for the whole batch, to what its deepest key
+        # needs, not once more for every deeper key
         missing.sort(key=lambda key: self._precision(*key), reverse=True)
         for key in missing:
             me = self._compute(*key)
@@ -346,7 +347,9 @@ class UImageTable:
         f = b.monomial(j, k, prec)
         if i:
             f = f.mul(self._a_expansion(prec))
-        prod = u_ell(f, self.ell).mul(b.monomial(m, 0, prec))
+        u = u_ell(f, self.ell)
+        # a longer t**m would not lengthen the product: it is known as far as u
+        prod = u.mul(b.monomial(m, 0, max(1, u.trunc - u.val)))
         if prod.trunc < 1 + self.SLACK:
             raise ContractError(
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "

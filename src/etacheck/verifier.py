@@ -86,12 +86,20 @@ class CongruenceFamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CongruenceFamilySpec":
+        """The spec a ``to_json`` dict describes.  Every number must be a JSON
+        integer: 2.5, true or "4" is refused, never truncated; only the
+        divisor keys of "r", strings in JSON, are parsed."""
+        def whole(x):
+            if type(x) is not int:
+                raise TypeError(f"{x!r} is not an integer")
+            return x
+
         try:
-            gen = FamilyGenerator(int(data["M"]),
-                                  {int(d): int(e) for d, e in data["r"].items()},
-                                  int(data["ell"]))
-            return cls(str(data.get("name", "custom")), gen, int(data["c"]),
-                       str(data["pattern"]), int(data.get("B", 5)))
+            gen = FamilyGenerator(whole(data["M"]),
+                                  {int(d): whole(e) for d, e in data["r"].items()},
+                                  whole(data["ell"]))
+            return cls(str(data.get("name", "custom")), gen, whole(data["c"]),
+                       str(data["pattern"]), whole(data.get("B", 5)))
         except KeyError as exc:
             raise SpecError(f"family spec is missing field {exc}") from exc
         except (ValueError, TypeError, AttributeError) as exc:

@@ -230,6 +230,17 @@ def test_criterion_7_extended_full_depth(as_image_table):
     verdict(7, "extended: 12n==1 family verified to a=5 (B=5)")
 
 
+def test_criterion_7_deep_full_depth(as_image_table):
+    # B=7, 7 steps: the Andrews-Sellers counterpart of criterion 6's deep run
+    t0 = time.monotonic()
+    report = iterate(andrews_sellers(B=7), as_image_table)
+    assert report.V == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert report.ok
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600, f"B=7 run took {elapsed:.1f}s"
+    verdict(7, "deep: 12n==1 mod 5^a family verified to a=7 (B=7, 7 steps)")
+
+
 def test_criterion_8_oracle_cross_checks(rr_spec, as_spec):
     t0 = time.monotonic()
     assert direct_oracle(rr_spec.gen, 25, 24, 5, 1, 100).ok

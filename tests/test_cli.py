@@ -59,10 +59,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     assert code == 2 and out == "" and "--mod" in err
     good = {"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24,
             "pattern": "even-alpha", "B": 2}
-    for bad in ({**good, "r": [[1, -3]]}, {**good, "M": "x"}, [good]):
+    # a fractional or boolean number is refused, not truncated to an integer
+    for bad in ({**good, "r": [[1, -3]]}, {**good, "M": "x"}, [good],
+                {**good, "c": 24.9, "B": 2.5}, {**good, "B": True}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
-        code, out, err = run(capsys, "verify", str(path))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
         assert code == 2 and out == "" and "malformed family spec" in err
 
 

@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from etacheck.basis import AlgebraBasis, ModuleElement, load_basis_n20, module_element_series
+from etacheck import series, ujump
+from etacheck.basis import (
+    AlgebraBasis,
+    ModuleElement,
+    load_basis_n20,
+    module_element_series,
+    mw_reduce,
+)
 from etacheck.errors import SpecError
 from etacheck.eta import eta_expand
 from etacheck.modcurve import newman_check
-from etacheck.series import QSeries, ZZ
+from etacheck.series import QSeries, ZZ, convolve_ints
 from etacheck.ujump import (
     FamilyGenerator,
     UImageTable,
@@ -257,7 +264,6 @@ def test_image_matches_series_identity(rr_table, b20):
 
 def test_reduce_tamed_first_image_is_integral(b20):
     # t^2 * U(A) lies in the module with integer coefficients
-    from etacheck.basis import mw_reduce
     a_ser = eta_expand(build_A(RR), 320)
     f = u_ell(a_ser, 5).mul(b20.monomial(2, 0, 320))
     res = mw_reduce(f, b20)
@@ -296,61 +302,67 @@ def test_tables_differ_between_families(b20, rr_table, tmp_path):
     assert as_table.image(0, 1, 0) == rr_table.image(0, 1, 0)  # no A involved
 
 
-# -- workspace planning: one growth per U-step, not one per image ------------
+# -- precision: each monomial expanded to what its use reads ----------------
 
 def fresh_basis():
-    """A level-20 basis with an empty workspace, and the list of precisions
-    its workspace gets built at (one entry per _grown call that raises it)."""
+    """A level-20 basis with an empty monomial store."""
     b20 = load_basis_n20()
-    b = AlgebraBasis(b20.level, b20.t, b20.gs)
-    builds = []
-    grown = b._grown
-
-    def counted(prec):
-        if b._cache.get("prec", 0) < prec:
-            builds.append(prec)
-        return grown(prec)
-
-    b._grown = counted
-    return b, builds
+    return AlgebraBasis(b20.level, b20.t, b20.gs)
 
 
 @pytest.fixture(scope="module")
 def rr_cold_run(tmp_path_factory):
-    """A cold RR B=5 iterate on a fresh basis and an empty disk cache."""
+    """A cold RR B=5 iterate on a fresh basis and an empty disk cache, with
+    (window, n_out) for every convolution made inside a reduction, where the
+    window is f.trunc - f.val of the series being reduced."""
     cache = tmp_path_factory.mktemp("images-rr-cold")
-    b, builds = fresh_basis()
-    table = UImageTable(b, build_A(RR), 5, cache_dir=cache)
-    report = iterate(rogers_ramanujan(B=5), table)
-    return table, builds, report
+    table = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=cache)
+    windows, seen = [], []
+
+    def reduce(f, b):
+        windows.append(f.trunc - f.val)
+        try:
+            return mw_reduce(f, b)
+        finally:
+            windows.pop()
+
+    def convolve(a, b, n_out):
+        if windows:
+            seen.append((windows[-1], n_out))
+        return convolve_ints(a, b, n_out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ujump, "mw_reduce", reduce)
+        mp.setattr(series, "convolve_ints", convolve)
+        report = iterate(rogers_ramanujan(B=5), table)
+    return table, report, seen
 
 
-def test_cold_iterate_builds_workspace_once_per_deeper_step(rr_cold_run):
-    # step 1 needs only (1, 0, 0); step 2 reaches j = -2 and step 3 j = -4,
-    # after which every later step's keys fit the 853-coefficient workspace
-    table, builds, report = rr_cold_run
+def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
+    # a reduction builds the monomials it needs only as far as its remainder
+    # reaches, never to the precision of the deepest image (853 here)
+    _, report, seen = rr_cold_run
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
-    assert len(builds) <= 3
-    assert builds == sorted(builds) and builds[-1] == 853
-    assert table.basis._cache["prec"] == 853
+    assert seen
+    assert all(n_out <= window for window, n_out in seen)
 
 
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0)])
 def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
-    # (1, -4, 4) sets the batch's workspace size; (1, -1, 0) was computed in
-    # the same batch, far above the 307 coefficients it needs on its own
+    # (1, -4, 4) is the deepest key of its batch; (1, -1, 0) was computed in
+    # the same batch, after the store held t**-1 far past the 307
+    # coefficients it needs on its own
     table, _, _ = rr_cold_run
-    b, builds = fresh_basis()
+    b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
     assert alone.image(*key) == table.image(*key)
-    assert builds == [alone._precision(*key)]
+    assert max(s.trunc - s.val for s in b._monomials.values()) == alone._precision(*key)
 
 
 def test_images_from_disk_never_build_the_workspace(rr_cold_run):
-    table, _, report = rr_cold_run
-    b, builds = fresh_basis()
+    table, report, _ = rr_cold_run
+    b = fresh_basis()
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
-    assert builds == [] and "prec" not in b._cache
+    assert b._monomials == {}
     assert warm._mem == table._mem
-
