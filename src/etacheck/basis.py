@@ -24,14 +24,11 @@ from dataclasses import dataclass, field
 
 from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
-from .modcurve import (
-    cusp_representatives,
-    eta_order_at_cusp,
-    infinity_class,
-    newman_check,
-)
+from .modcurve import eta_order_at_cusp, finite_cusps, infinity_class, newman_check
 from .search import search_modular_quotients
 from .series import CoeffRing, QSeries, ZZ, zmod
+
+EXPONENT_BOUND = 16  # |w_d| bound of the search for the basis functions g_k
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,11 @@ def verify_basis(b: AlgebraBasis) -> bool:
                 return False
         except ContractError:  # the expansion does not start at ord_inf
             return False
-    inf = infinity_class(b.level)
     t_eq = b.t_quotient()
-    if eta_order_at_cusp(t_eq, inf) != b.t.ord_inf:
+    if eta_order_at_cusp(t_eq, infinity_class(b.level)) != b.t.ord_inf:
         return False
-    for x in cusp_representatives(b.level):
-        if x != inf and eta_order_at_cusp(t_eq, x) < 0:
+    for x in finite_cusps(b.level):
+        if eta_order_at_cusp(t_eq, x) < 0:
             return False
     return True
 
@@ -377,7 +373,7 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
 
 # -- basis construction from a generator -------------------------------------
 
-def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBasis:
+def construct_basis(t_eq: EtaQuotient, N: int) -> AlgebraBasis:
     """Build a basis for the given generator from searched eta quotients.
 
     Searches eta quotients with a pole only at infinity for each pole order
@@ -388,12 +384,12 @@ def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBa
         raise SpecError("generator level mismatch")
     if not newman_check(t_eq)[0]:
         raise SpecError("generator fails the modularity conditions")
-    inf = infinity_class(N)
-    ord_t = eta_order_at_cusp(t_eq, inf)
+    ord_t = eta_order_at_cusp(t_eq, infinity_class(N))
     if ord_t.denominator != 1 or ord_t >= 0:
         raise SpecError("generator must have a pole at infinity")
-    for x in cusp_representatives(N):
-        if x != inf and eta_order_at_cusp(t_eq, x) < 0:
+    finite = finite_cusps(N)
+    for x in finite:
+        if eta_order_at_cusp(t_eq, x) < 0:
             raise SpecError(f"generator has a pole at the finite cusp {x}")
     v1 = -int(ord_t)
     v = v1 - 1
@@ -401,15 +397,13 @@ def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBa
     if v == 0:
         return AlgebraBasis(N, t, ())
 
-    finite = [x for x in cusp_representatives(N) if x != inf]
-
     needed = set(range(1, v1))
     hits = {}  # residue -> (pole_order, construction tuple)
     for n0 in range(1, 2 * v1 + 3):
         rho = n0 % v1
         if rho not in needed or rho in hits:
             continue
-        found = search_modular_quotients(N, n0, exp_bound, nonneg=finite)
+        found = search_modular_quotients(N, n0, EXPONENT_BOUND, nonneg=finite)
         if found:
             hits[rho] = (n0, ((1, (found[0],)),))
         if len(hits) == len(needed):
@@ -430,7 +424,7 @@ def construct_basis(t_eq: EtaQuotient, N: int, exp_bound: int = 16) -> AlgebraBa
     if len(hits) < len(needed):
         raise SearchExhaustedError(
             f"could not cover residues {sorted(needed - set(hits))} mod {v1} "
-            f"within exponent bound {exp_bound}")
+            f"within exponent bound {EXPONENT_BOUND}")
     gs = tuple(
         BasisFunction(f"g{i}", construction, -order)
         for i, (order, construction) in enumerate(sorted(hits.values()), start=1))

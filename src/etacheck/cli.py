@@ -79,14 +79,14 @@ def default_cache_dir():
     return Path.home() / ".cache" / "etacheck"
 
 
-def resolve_basis(spec: CongruenceFamilySpec, bound: int = 12) -> AlgebraBasis:
+def resolve_basis(spec: CongruenceFamilySpec) -> AlgebraBasis:
     """The algebra basis backing a verification run.
 
     The generator search is deterministic, so when it lands on the curated
     level-20 generator the curated basis is used; anything else goes through
     the generic construction.
     """
-    t = find_t(spec.gen, bound=bound)
+    t = find_t(spec.gen)
     fixture = load_basis_n20()
     if spec.level == 20 and t == fixture.t_quotient():
         return fixture
@@ -123,7 +123,7 @@ def cmd_newman(args) -> int:
 
 def cmd_find_t(args) -> int:
     spec = load_family_spec(args.spec)
-    t = find_t(spec.gen, bound=args.bound, n0_max=args.n0_max)
+    t = find_t(spec.gen)
     divs = sorted(d for d, _ in t.exponents) or [1]
     print(f"generator at level {t.level}: "
           + ",".join(f"{d}^{t.exponent(d)}" for d in divs))
@@ -134,7 +134,7 @@ def cmd_find_t(args) -> int:
 
 def cmd_basis(args) -> int:
     spec = load_family_spec(args.spec)
-    b = resolve_basis(spec, bound=args.bound)
+    b = resolve_basis(spec)
     print(f"algebra basis at level {b.level} (v = {b.v})")
     print(f"  {b.t.describe()}   [ord_inf {b.t.ord_inf}]")
     for g in b.gs:
@@ -281,13 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("find-t", help="search for the taming generator")
     q.add_argument("spec")
-    q.add_argument("--bound", type=int, default=12)
-    q.add_argument("--n0-max", type=int, default=12)
     q.set_defaults(fn=cmd_find_t)
 
     q = sub.add_parser("basis", help="print the algebra basis for a family")
     q.add_argument("spec")
-    q.add_argument("--bound", type=int, default=12)
     q.set_defaults(fn=cmd_basis)
 
     q = sub.add_parser("u-image", help="one fundamental operator image")

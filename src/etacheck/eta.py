@@ -145,10 +145,12 @@ def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
 
     Every Euler product is monic, so negative powers invert in any ring and
     the expansion in Z/ell**e is the exact expansion reduced mod ell**e.
+    (q**d; q**d)_infinity ** r is a series in q**d: it is expanded as
+    (q; q)_infinity ** r to ceil(trunc/d) coefficients, then q -> q**d.
     """
     out = QSeries.one(ring, trunc)
     for d, r in exponents:
-        out = out.mul(euler_product(d, trunc, ring).pow(r))
+        out = out.mul(euler_product(1, -(-trunc // d), ring).pow(r).substitute_power(d))
     return out
 
 

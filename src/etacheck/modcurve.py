@@ -6,8 +6,16 @@ the same class exactly when integers m, n exist with gcd(m, N) = 1 and
 
     m*a1 == a + n*c  (mod N),      c1 == m*c  (mod N).
 
-The class of infinity is represented by 1/N.  Orders of eta quotients at
-cusps come from the classical formula
+In closed form: with d = gcd(c, N), that holds exactly when
+
+    gcd(c1, N) == d      and      a1*(c1/d) == a*(c/d)  (mod gcd(d, N/d)),
+
+so the pair (d, a*(c/d) mod gcd(d, N/d)) names the class, and each divisor
+d of N carries one class per unit modulo gcd(d, N/d).  Classes are looked
+up by that key; the witness search ``cusp_equivalent`` stays as an
+independent check of it.  The class of infinity (1/0) is that of 1/N.
+
+Orders of eta quotients at cusps come from the classical formula
 
     ord_{a/c}(f) = N / (24*gcd(c^2, N)) * sum_d r_d * gcd(c, d)^2 / d,
 
@@ -94,39 +102,52 @@ def cusp_count(N: int) -> int:
     return sum(_euler_phi(gcd(c, N // c)) for c in divisors(N))
 
 
-@lru_cache(maxsize=None)
-def cusp_representatives(N: int) -> tuple:
-    """One canonical representative per cusp class, sorted by (c, a).
+def _class_key(x: Cusp, N: int) -> tuple:
+    """The closed-form name of x's class over Gamma0(N) (module docstring)."""
+    d = gcd(x.c, N)
+    return d, x.a * (x.c // d) % gcd(d, N // d)
 
-    For each divisor c of N the classes are indexed by units modulo
-    gcd(c, N/c); each unit is lifted to a numerator coprime to c.  The
-    representatives are pairwise inequivalent and every rational is
-    equivalent to exactly one of them.
+
+@lru_cache(maxsize=None)
+def _classes(N: int) -> dict:
+    """Class key -> canonical representative, in (c, a) order.
+
+    For each divisor c of N the classes are indexed by units u modulo
+    g = gcd(c, N/c); the representative is u lifted to the least a == u
+    (mod g) that is coprime to c, whose key is (c, u).
     """
     if N < 1:
         raise SpecError("level must be positive")
     reps = []
     for c in divisors(N):
         g = gcd(c, N // c)
-        seen = set()
-        for a0 in range(1, g + 1):
-            if gcd(a0, g) != 1:
-                continue
-            a = a0
-            while gcd(a, c) != 1:
-                a += g
-            x = Cusp(a, c)
-            # paranoia: distinct units must give inequivalent cusps
-            if any(cusp_equivalent(x, y, N) for y in seen):
-                continue
-            seen.add(x)
-        reps.extend(sorted(seen))
-    return tuple(reps)
+        for u in range(1, g + 1):
+            if gcd(u, g) == 1:
+                a = u
+                while gcd(a, c) != 1:
+                    a += g
+                reps.append(Cusp(a, c))
+    return {_class_key(x, N): x for x in sorted(reps)}
+
+
+@lru_cache(maxsize=None)
+def cusp_representatives(N: int) -> tuple:
+    """One canonical representative per cusp class, sorted by (c, a).
+
+    Every rational is equivalent to exactly one of them.
+    """
+    return tuple(_classes(N).values())
+
+
+def finite_cusps(N: int) -> tuple:
+    """The representatives of every class but infinity's.  1/N sorts last,
+    since N is the largest denominator and the only class it carries."""
+    return cusp_representatives(N)[:-1]
 
 
 def infinity_class(N: int) -> Cusp:
-    """Canonical representative of the class of infinity (that of 1/N)."""
-    return canonical_cusp(Cusp(1, N), N)
+    """Canonical representative of the class of infinity: 1/N."""
+    return Cusp(1, N)
 
 
 def cusp_equivalent(x: Cusp, y: Cusp, N: int):
@@ -154,23 +175,9 @@ def cusp_equivalent(x: Cusp, y: Cusp, N: int):
     return None
 
 
-@lru_cache(maxsize=None)
-def _rep_lookup(N: int):
-    reps = cusp_representatives(N)
-    by_gcd = {}
-    for r in reps:
-        by_gcd.setdefault(gcd(r.c, N), []).append(r)
-    return by_gcd
-
-
 def canonical_cusp(x: Cusp, N: int) -> Cusp:
-    """The canonical representative of x's class (gcd(c, N) narrows the search)."""
-    if x.is_infinity():
-        x = Cusp(1, N)
-    for r in _rep_lookup(N).get(gcd(x.c, N), ()):
-        if r == x or cusp_equivalent(x, r, N) is not None:
-            return r
-    raise SpecError(f"no representative found for {x} at level {N}")
+    """The canonical representative of x's class."""
+    return _classes(N)[_class_key(x, N)]
 
 
 def cusp_image_under_scaling(x: Cusp, r: int, ell: int, targetN: int) -> Cusp:

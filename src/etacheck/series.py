@@ -10,7 +10,7 @@ integer power of q instead of rounding it.
 Truncation bookkeeping is pessimistic: every operation reports only the
 coefficients its inputs actually determine (``min`` of the operand windows,
 shifted by valuations for products and inverses).  Values are immutable and
-all operations are pure, so series can be shared freely across threads.
+all operations are pure.
 
 Multiplication packs each operand's coefficients, whatever their signs, into
 one signed big integer (Kronecker substitution) and makes one product, so that

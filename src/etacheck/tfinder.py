@@ -26,13 +26,17 @@ from .errors import SearchExhaustedError, SpecError
 from .eta import EtaQuotient, divisors
 from .modcurve import (
     cusp_image_under_scaling,
-    cusp_representatives,
     eta_order_at_cusp,
+    finite_cusps,
     infinity_class,
     newman_check,
     order_vector,
 )
 from .search import search_modular_quotients
+from .ujump import FamilyGenerator, build_A
+
+EXPONENT_BOUND = 12  # |w_d| bound of the generator search
+N0_MAX = 12          # largest pole order at infinity the generator search tries
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,7 @@ class PoleSets:
     p1_prime: frozenset
 
     def covers(self, N: int) -> bool:
-        finite = set(cusp_representatives(N)) - {infinity_class(N)}
-        return finite <= (self.p_A | self.p_g | self.p0_prime | self.p1_prime)
+        return set(finite_cusps(N)) <= (self.p_A | self.p_g | self.p0_prime | self.p1_prime)
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
         raise SpecError("A fails the modularity conditions")
 
     inf_N = infinity_class(N)
-    finite = [x for x in cusp_representatives(N) if x != inf_N]
+    finite = finite_cusps(N)
 
     a_poles = frozenset(order_vector(A).poles())
     images_fine = {x: {cusp_image_under_scaling(x, r, ell, ell * N) for r in range(ell)}
@@ -99,7 +102,7 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     return PoleSets(frozenset(p_a), frozenset(p_g), frozenset(p0), frozenset(p1))
 
 
-def solve_W(N: int, pole_sets: PoleSets, n0: int, bound: int = 12):
+def solve_W(N: int, pole_sets: PoleSets, n0: int, bound: int = EXPONENT_BOUND):
     """Lexicographically smallest exponent vector solving W(n0), or None.
 
     The witnesses: x1 = n0 = -order at infinity, x2 balances the inverse
@@ -140,20 +143,17 @@ def verify_W(sol: WSolution, pole_sets: PoleSets) -> bool:
     return True
 
 
-def find_t(family, bound: int = 12, n0_max: int = 12) -> EtaQuotient:
+def find_t(gen: FamilyGenerator) -> EtaQuotient:
     """Generator t for a congruence family: the first n0 >= 1 whose W(n0)
     admits a solution wins, so -ord(t) at infinity is minimal within bounds.
     """
-    gen = getattr(family, "gen", family)
-    from .ujump import build_A  # local import keeps the module graph acyclic
-
     A = build_A(gen)
     N = gen.ell * gen.M
     pole_sets = compute_pole_sets(A, gen.ell, N)
-    for n0 in range(1, n0_max + 1):
-        sol = solve_W(N, pole_sets, n0, bound)
+    for n0 in range(1, N0_MAX + 1):
+        sol = solve_W(N, pole_sets, n0)
         if sol is not None:
             return sol.quotient()
     raise SearchExhaustedError(
-        f"no generator with -ord(infinity) <= {n0_max} and exponents within "
-        f"{bound}; enlarge the bounds or the level")
+        f"no generator with -ord(infinity) <= {N0_MAX} and exponents within "
+        f"{EXPONENT_BOUND}")

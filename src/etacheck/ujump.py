@@ -42,7 +42,7 @@ from pathlib import Path
 from .basis import AlgebraBasis, BasisFunction, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
-from .modcurve import cusp_representatives, eta_order_at_cusp, infinity_class, newman_check
+from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
 from .series import CoeffRing, QSeries, ZZ, _is_prime
 
 
@@ -124,16 +124,9 @@ def u_ell(f: QSeries, ell: int) -> QSeries:
     A coefficient of the output at e is known exactly when ell*e was in
     view, so the truncation becomes ceil(trunc/ell).
     """
-    trunc = -(-f.trunc // ell)
-    if f.is_zero():
-        return QSeries(f.ring, (), trunc, trunc)
-    terms = {}
     start = f.val + (-f.val) % ell
-    for e in range(start, f.trunc, ell):
-        c = f.coeffs[e - f.val]
-        if c:
-            terms[e // ell] = c
-    return QSeries.from_terms(f.ring, terms, trunc)
+    return QSeries._canonical(f.ring, f.coeffs[start - f.val::ell], start // ell,
+                              -(-f.trunc // ell))
 
 
 @dataclass(frozen=True)
@@ -159,43 +152,45 @@ class StabilityExponents:
         return i * self.m_A + mk
 
 
-def _scaled_t_orders(b: AlgebraBasis, ell: int) -> dict:
-    """Orders of t(ell*tau) over Gamma0(ell*level) at every cusp but infinity."""
-    N = ell * b.level
+def taming_powers(b: AlgebraBasis, ell: int, quotients) -> dict:
+    """Least m >= 0 with m*ord(t(ell*tau)) + ord(eq) >= 0 at every cusp of
+    Gamma0(ell * level) but infinity, for each (eq, what) in quotients; what
+    names eq in errors.  Returns {eq: m}.
+
+    t(ell*tau)'s orders are computed once for the whole call.
+    """
+    level = ell * b.level
+    cusps = finite_cusps(level)
     t_scaled = b.t_quotient().scale_tau(ell)
-    orders = {x: eta_order_at_cusp(t_scaled, x)
-              for x in cusp_representatives(N) if x != infinity_class(N)}
-    if any(o.denominator != 1 for o in orders.values()):
+    ord_t = [eta_order_at_cusp(t_scaled, x) for x in cusps]
+    if any(o.denominator != 1 for o in ord_t):
         raise ContractError("non-integral order for a modular quotient")
-    return orders
-
-
-def _taming_power(ord_t_scaled: dict, eq: EtaQuotient, level: int, what: str) -> int:
-    """Least m >= 0 with m*ord(t(ell*tau)) + ord(eq) >= 0 at every listed cusp,
-    orders of eq taken over Gamma0(level)."""
-    fine = eq.at_level(level)
-    f_orders = {x: eta_order_at_cusp(fine, x) for x in ord_t_scaled}
-    m = 0
-    for x, of in f_orders.items():
-        ot = ord_t_scaled[x]
-        if of >= 0:
+    powers = {}
+    for eq, what in quotients:
+        if eq in powers:
             continue
-        if ot <= 0:
-            raise ContractError(
-                f"{what} has a pole at {x} where t(ell*tau) has order {ot}; "
-                "no power of t can cancel it (bad generator)")
-        need = -(-(-of) // ot)  # ceil(-of / ot)
-        m = max(m, need)
-    for x, of in f_orders.items():
-        if m * ord_t_scaled[x] + of < 0:
-            raise ContractError(f"{what}: no taming power works at {x}")
-    return m
+        fine = eq.at_level(level)
+        rows = [(x, ot, eta_order_at_cusp(fine, x)) for x, ot in zip(cusps, ord_t)]
+        m = 0
+        for x, ot, of in rows:
+            if of >= 0:
+                continue
+            if ot <= 0:
+                raise ContractError(
+                    f"{what} has a pole at {x} where t(ell*tau) has order {ot}; "
+                    "no power of t can cancel it (bad generator)")
+            m = max(m, -(of // ot))  # ceil(-of / ot)
+        for x, ot, of in rows:
+            if m * ot + of < 0:
+                raise ContractError(f"{what}: no taming power works at {x}")
+        powers[eq] = m
+    return powers
 
 
 def quotient_taming_power(b: AlgebraBasis, eq: EtaQuotient, ell: int) -> int:
     """Minimal m with t(ell*tau)**m * eq free of poles away from infinity,
     orders taken over Gamma0(ell * level)."""
-    return _taming_power(_scaled_t_orders(b, ell), eq, ell * b.level, repr(eq))
+    return taming_powers(b, ell, [(eq, repr(eq))])[eq]
 
 
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:
@@ -208,21 +203,14 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
     level = ell * b.level
     if A.level != level:
         raise SpecError(f"A must live at level {level}")
-    ord_t_scaled = _scaled_t_orders(b, ell)
-    memo = {}
-
-    def quotient_m(eq: EtaQuotient, what: str) -> int:
-        if eq not in memo:
-            memo[eq] = _taming_power(ord_t_scaled, eq, level, what)
-        return memo[eq]
+    t_eq = b.t_quotient()
+    m = taming_powers(b, ell, [(A, "A"), (t_eq, "t"), (t_eq.inverse(), "1/t")]
+                      + [(f, g.name) for g in b.gs for f in g.constituent_quotients()])
 
     def function_m(fn: BasisFunction) -> int:
-        return max((sum(quotient_m(f, fn.name) for f in factors)
-                    for _, factors in fn.construction), default=0)
+        return max((sum(m[f] for f in factors) for _, factors in fn.construction), default=0)
 
-    t_eq = b.t_quotient()
-    return StabilityExponents(quotient_m(A, "A"), quotient_m(t_eq, "t"),
-                              quotient_m(t_eq.inverse(), "1/t"),
+    return StabilityExponents(m[A], m[t_eq], m[t_eq.inverse()],
                               tuple(function_m(g) for g in b.gs))
 
 

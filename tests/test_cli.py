@@ -50,6 +50,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     code, _, _ = run(capsys, "verify", "no-such-family")
     assert code == 2
     assert main(["no-such-subcommand"]) == 2
+    # the generator and basis searches have fixed bounds, not options
+    for command in ("find-t", "basis"):
+        code, out, err = run(capsys, command, "rogers-ramanujan", "--bound", "12")
+        assert code == 2 and out == "" and "unrecognized arguments: --bound" in err
     # malformed numbers in a cusp, a --mod or a spec file: exit 2, no traceback
     for cusp in ("abc", "1/x", "1/"):
         code, out, err = run(capsys, "order", "20:1^2,4^2,10^8,5^-2,20^-10", cusp)

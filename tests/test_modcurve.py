@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from etacheck import modcurve
 from etacheck.eta import EtaQuotient, divisors, eta_expand
 from etacheck.modcurve import (
     Cusp,
@@ -21,6 +22,7 @@ from etacheck.modcurve import (
     order_vector,
     parse_cusp,
 )
+from etacheck.tfinder import PoleSets, compute_pole_sets
 
 T20 = EtaQuotient(20, {1: 2, 4: 2, 10: 8, 5: -2, 20: -10})
 H20 = EtaQuotient(20, {4: 1, 5: 5, 1: -1, 20: -5})
@@ -66,7 +68,7 @@ def test_representatives_pairwise_inequivalent():
 def test_every_fraction_hits_exactly_one_class():
     rng = random.Random(99)
     for _ in range(200):
-        N = rng.randint(1, 30)
+        N = rng.choice((*range(1, 31), 36, 50, 100, 196))
         c = rng.randint(0, N * N)
         a = rng.randint(1, N * N + 1)
         if c and gcd(a, c) != 1:
@@ -91,6 +93,31 @@ def test_infinity_is_one_over_n():
     assert infinity_class(20) == Cusp(1, 20)
     assert canonical_cusp(Cusp(1, 0), 20) == Cusp(1, 20)
     assert canonical_cusp(parse_cusp("oo"), 12) == canonical_cusp(Cusp(1, 12), 12)
+
+
+def test_classes_need_no_witness_search(monkeypatch):
+    # the classes come from the closed-form key alone: on fresh caches and
+    # with the witness search disabled, every cusp question still answers
+    def boom(*args):
+        raise AssertionError("cusp_equivalent called")
+
+    monkeypatch.setattr(modcurve, "cusp_equivalent", boom)
+    for fn in vars(modcurve).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    assert cusp_representatives(20) == tuple(sorted(C20))
+    assert cusp_representatives(100) == tuple(sorted(C100))
+    for N in (20, 100):
+        assert infinity_class(N) == Cusp(1, N)
+        assert canonical_cusp(Cusp(1, 0), N) == Cusp(1, N)
+    assert canonical_cusp(Cusp(3, 10), 20) == Cusp(1, 10)
+    assert canonical_cusp(Cusp(-7, 40), 20) == Cusp(1, 20)
+    assert canonical_cusp(Cusp(31, 50), 100) == Cusp(1, 50)
+    assert canonical_cusp(Cusp(13, 20), 100) == Cusp(3, 20)
+    assert canonical_cusp(Cusp(11, 30), 100) == Cusp(3, 10)
+    assert compute_pole_sets(A100, 5, 20) == PoleSets(
+        frozenset({Cusp(1, 10), Cusp(1, 1), Cusp(1, 4), Cusp(1, 2)}),
+        frozenset({Cusp(1, 4)}), frozenset({Cusp(1, 5)}), frozenset())
 
 
 def test_newman_conditions():
@@ -204,6 +231,7 @@ def run_order_class_invariance(cases=200, seed=77):
         x = rng.choice(cusp_representatives(N))
         y = random_gamma0_translate(rng, x, N)
         assert cusp_equivalent(x, y, N) is not None
+        assert canonical_cusp(y, N) == canonical_cusp(x, N)
         assert eta_order_at_cusp(eq, x) == eta_order_at_cusp(eq, y)
         done += 1
     return done
