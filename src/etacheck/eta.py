@@ -9,7 +9,9 @@ integer, so nothing fractional is ever rounded.
 
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
-independent reference.
+independent reference.  ``eta_expand`` keeps the longest expansion made of
+each quotient and serves shorter requests by truncation, so a quotient that
+several basis functions share is expanded once per length it outgrows.
 """
 
 from __future__ import annotations
@@ -148,10 +150,16 @@ def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     (q**d; q**d)_infinity ** r is a series in q**d: it is expanded as
     (q; q)_infinity ** r to ceil(trunc/d) coefficients, then q -> q**d.
     """
-    out = QSeries.one(ring, trunc)
+    out = None
     for d, r in exponents:
-        out = out.mul(euler_product(1, -(-trunc // d), ring).pow(r).substitute_power(d))
-    return out
+        factor = euler_product(1, -(-trunc // d), ring).pow(r).substitute_power(d)
+        out = factor.truncate(trunc) if out is None else out.mul(factor)
+    return QSeries.one(ring, trunc) if out is None else out
+
+
+# quotient -> its longest expansion so far; every value is exact and
+# immutable, so one store serves every caller in the process
+_EXPANSIONS: dict = {}
 
 
 def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
@@ -161,10 +169,17 @@ def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
     exponents [sum(d*r_d)/24, sum(d*r_d)/24 + trunc).  Raises SpecError when
     24 does not divide sum(d*r_d): the expansion would need fractional
     exponents.
+
+    Each quotient is expanded once per length it outgrows: the longest
+    expansion made so far is kept, a shorter request is its truncation, and
+    a longer one replaces it.
     """
     if trunc < 1:
         raise SpecError("eta expansion needs truncation >= 1")
     shift, frac = divmod(eq.sum_dr(), 24)
     if frac:
         raise SpecError(f"{eq!r} has the fractional prefactor q^({eq.sum_dr()}/24)")
-    return euler_quotient(eq.exponents, trunc).shift(shift)
+    s = _EXPANSIONS.get(eq)
+    if s is None or s.trunc < shift + trunc:
+        s = _EXPANSIONS[eq] = euler_quotient(eq.exponents, trunc).shift(shift)
+    return s.truncate(shift + trunc)

@@ -15,7 +15,12 @@ all operations are pure.
 Multiplication packs each operand's coefficients, whatever their signs, into
 one signed big integer (Kronecker substitution) and makes one product, so that
 CPython's subquadratic integer multiplication does the convolution; this is
-the single hot spot of the whole package.
+the single hot spot of the whole package.  ``convolve_ints`` can also return
+only the coefficients at o + ell*n of a product, the part U_ell keeps: it
+packs the ell residue classes of each operand, multiplies just the ell class
+pairs that reach those exponents, and adds the products, so it makes ell
+products of 1/ell the length and reads back 1/ell of the limbs.  The plain
+product is its ell = 1 case.
 """
 
 from __future__ import annotations
@@ -119,18 +124,26 @@ def _pack(vals, limb_bytes):
     return packed if neg is None else packed - int.from_bytes(neg, "little")
 
 
-def convolve_ints(a, b, n_out):
-    """First n_out coefficients of the product of integer coefficient lists.
+def convolve_ints(a, b, n_out, ell=1, o=0):
+    """Coefficients o, o + ell, ..., o + ell*(n_out - 1) of the product of
+    integer coefficient lists, for 0 <= o < ell; ell = 1 gives the first
+    n_out coefficients.
 
-    One product of the signed packed operands.  Every wanted coefficient d has
-    |d| < bound < half = 2**(k-1) for the limb width k, so adding half to each
-    of the low n_out limbs turns them into digits in [0, 2**k) with no borrow
-    across limbs; the mask drops the limbs past n_out.
+    Each operand is split into its ell residue classes of index, and each
+    class is packed once, at one common limb width k.  Class r of a meets
+    only class s = (o - r) mod ell of b: since r + s is o or o + ell, the
+    product of the two packed classes holds the wanted coefficients from
+    limb 0 or limb 1 on, so it is shifted up by that many limbs and added.
+    Every wanted coefficient d of the sum has |d| < bound < half = 2**(k-1),
+    so adding half to each of the low n_out limbs turns them into digits in
+    [0, 2**k) with no borrow across limbs; the mask drops the limbs past
+    n_out.
     """
     if n_out <= 0 or not a or not b:
         return []
-    a = a[:n_out]
-    b = b[:n_out]
+    n_in = o + ell * (n_out - 1) + 1  # the last wanted index, plus one
+    a = a[:n_in]
+    b = b[:n_in]
     max_a = max(max(a), -min(a))
     max_b = max(max(b), -min(b))
     if max_a == 0 or max_b == 0:
@@ -138,9 +151,14 @@ def convolve_ints(a, b, n_out):
     bound = max_a * max_b * min(len(a), len(b)) + 1
     limb_bytes = (bound.bit_length() + 8) // 8  # bit_length + 1 bits, whole bytes
     need = limb_bytes * n_out
-    bias = int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n_out, "little")
-    raw = ((_pack(a, limb_bytes) * _pack(b, limb_bytes) + bias)
-           & ((1 << 8 * need) - 1)).to_bytes(need, "little")
+    total = int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n_out, "little")  # the bias
+    packed_b = [_pack(b[s::ell], limb_bytes) for s in range(min(ell, len(b)))]
+    for r in range(min(ell, len(a))):
+        s = (o - r) % ell
+        if s < len(packed_b):
+            prod = _pack(a[r::ell], limb_bytes) * packed_b[s]
+            total += prod << 8 * limb_bytes if r + s > o else prod
+    raw = (total & ((1 << 8 * need) - 1)).to_bytes(need, "little")
     half = 1 << (8 * limb_bytes - 1)
     return [int.from_bytes(raw[i:i + limb_bytes], "little") - half
             for i in range(0, need, limb_bytes)]
@@ -348,8 +366,8 @@ class QSeries:
             g = self._conv(g, ag, m)
         return QSeries._canonical(self.ring, g, -self.val, self.trunc - 2 * self.val)
 
-    def _conv(self, a, b, n_out):
-        out = convolve_ints(a, b, n_out)
+    def _conv(self, a, b, n_out, ell=1, o=0):
+        out = convolve_ints(a, b, n_out, ell, o)
         if self.ring.kind == "Zmod":
             m = self.ring.modulus
             out = [c % m for c in out]

@@ -21,14 +21,18 @@ auxiliary quotient A and ell.
 
 Computing an image needs expansions of basis monomials t**e * g_k, and the
 basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
-An image asks for t**j * g_k at the precision its key needs, given in closed
-form by ``UImageTable._precision``, for t**m only as far as U_ell of that
-reaches (about a factor ell less), and the reduction asks for each of its
-monomials only as far as its remainder reaches.  ``u_step`` asks the table
+An image is U_ell(t**j * y), with y = g_k for i = 0 and y = A * g_k for
+i = 1, taken as one ell-dissected product (``u_ell`` with ``times``): only
+the coefficients at multiples of ell are computed, and neither t**j * g_k
+nor its product with A is formed.  The table keeps A * g_k per k.  An image
+asks for t**j and y at the precision its key needs, given in closed form by
+``UImageTable._precision``, for t**m only as far as U_ell of that reaches
+(about a factor ell less), and the reduction asks for each of its monomials
+only as far as its remainder reaches.  ``u_step`` asks the table
 for a step's images as one batch, since the keys a step needs are exactly
 the terms of the element it is applied to; the table computes the keys it
-cannot load deepest first, so the expansion of A, and each t-power the
-batch shares, is expanded once, to what the deepest key needs.
+cannot load deepest first, so each A * g_k, and each t-power the batch
+shares, is expanded once, to what the deepest key needs.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ class FamilyGenerator:
         return euler_quotient(self.r, trunc, ring)
 
     def coefficients(self, count: int, ring: CoeffRing = ZZ) -> list:
+        """a(0), ..., a(count - 1), the coefficients of G(q) in ``ring``."""
         f = self.series(count, ring)
-        return [f.coeff(n) for n in range(count)]
+        return [0] * f.val + list(f.coeffs)
 
     def first_progression(self) -> tuple:
         """(ell, lambda): a(ell*n + lambda) is the subsequence the first
@@ -118,15 +123,28 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
     return A
 
 
-def u_ell(f: QSeries, ell: int) -> QSeries:
-    """Keep exponents divisible by ell and divide them by ell.
+def u_ell(f: QSeries, ell: int, times: QSeries | None = None) -> QSeries:
+    """Keep exponents divisible by ell and divide them by ell; with
+    ``times``, of the product f * times, which is never formed: only its
+    coefficients at multiples of ell are computed (``convolve_ints`` with
+    this ell), so the result is exactly ``u_ell(f.mul(times), ell)``.
 
     A coefficient of the output at e is known exactly when ell*e was in
     view, so the truncation becomes ceil(trunc/ell).
     """
-    start = f.val + (-f.val) % ell
-    return QSeries._canonical(f.ring, f.coeffs[start - f.val::ell], start // ell,
-                              -(-f.trunc // ell))
+    if times is None:
+        start = f.val + (-f.val) % ell
+        return QSeries._canonical(f.ring, f.coeffs[start - f.val::ell], start // ell,
+                                  -(-f.trunc // ell))
+    f._check_ring(times)
+    val = f.val + times.val
+    trunc = -(-min(f.trunc + times.val, times.trunc + f.val) // ell)
+    start = val + (-val) % ell
+    n_out = trunc - start // ell  # <= 0 when f or times is zero
+    if n_out <= 0:
+        return QSeries.zero(f.ring, trunc)
+    out = f._conv(f.coeffs, times.coeffs, n_out, ell, start - val)
+    return QSeries._canonical(f.ring, out, start // ell, trunc)
 
 
 @dataclass(frozen=True)
@@ -219,10 +237,11 @@ class UImageTable:
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
     one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed, largest ``_precision`` first, and stored.  The expansion
-    of A and the t-powers the batch shares are thus expanded once, to what
-    its deepest key needs.  Each image reads its monomials only to its own
-    ``_precision``, so it does not depend on what else was computed first.
+    are computed, largest ``_precision`` first, and stored.  Each A * g_k
+    (held per k, A * g_0 = A) and the t-powers the batch shares are thus
+    expanded once, to what its deepest key needs.  Each image reads them
+    only to its own ``_precision``, so it does not depend on what else was
+    computed first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -240,7 +259,7 @@ class UImageTable:
         self.se = compute_m_constants(b, A, ell)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._mem = {}
-        self._a_series = None
+        self._a_times_g = {}  # k -> A * g_k (g_0 = 1), at its own relative precision
 
     def fingerprint(self) -> str:
         blob = repr((self.basis.fingerprint(), self.A.level, self.A.exponents, self.ell))
@@ -288,10 +307,16 @@ class UImageTable:
 
     # -- computation ---------------------------------------------------------
 
-    def _a_expansion(self, prec: int) -> QSeries:
-        if self._a_series is None or self._a_series.trunc - self._a_series.val < prec:
-            self._a_series = eta_expand(self.A, prec)
-        return self._a_series
+    def _a_times(self, k: int, prec: int) -> QSeries:
+        """A * g_k to relative precision prec, kept per k and rebuilt only
+        when a longer one is asked for, like a basis monomial."""
+        s = self._a_times_g.get(k)
+        if s is None or s.trunc - s.val < prec:
+            s = eta_expand(self.A, prec)
+            if k:
+                s = s.mul(self.basis.monomial(0, k, prec))
+            self._a_times_g[k] = s
+        return s.truncate(s.val + prec)
 
     def _precision(self, i: int, j: int, k: int) -> int:
         """Relative precision of the expansions the image of A**i t**j g_k is
@@ -332,10 +357,8 @@ class UImageTable:
         b = self.basis
         m = self.se.exponent(i, j, k)
         prec = self._precision(i, j, k)
-        f = b.monomial(j, k, prec)
-        if i:
-            f = f.mul(self._a_expansion(prec))
-        u = u_ell(f, self.ell)
+        y = self._a_times(k, prec) if i else b.monomial(0, k, prec)
+        u = u_ell(b.monomial(j, 0, prec), self.ell, y)
         # a longer t**m would not lengthen the product: it is known as far as u
         prod = u.mul(b.monomial(m, 0, max(1, u.trunc - u.val)))
         if prod.trunc < 1 + self.SLACK:

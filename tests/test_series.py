@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from etacheck import eta
+from etacheck.basis import _G20, _H20
 from etacheck.errors import SpecError
 from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
 from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
@@ -64,14 +66,20 @@ def test_convolution_matches_schoolbook():
     # +-(2**s - 1) and +-2**s for every s, s = 8j included: constant operands
     # reach the extreme coefficients +-(bound - 1), with the bound on either
     # side of each byte boundary
+    boundary = []
     for s in range(1, 42):
         for c in ((1 << s) - 1, 1 << s):
             for a in ([c], [-c], [c] * 3, [-c] * 3, [c, -c, c]):
-                cases += [(a, b, n) for b in ([c] * 3, [-c] * 3, [1], [-c])
-                          for n in (1, 3, 7)]
-    for a, b, n in cases:
+                boundary += [(a, b, n) for b in ([c] * 3, [-c] * 3, [1], [-c])
+                             for n in (1, 3, 7)]
+    for a, b, n in cases + boundary:
         expected = schoolbook(a, b, n) if a and b else []
         assert convolve_ints(a, b, n) == expected, (a, b, n)
+    # the extremes again through the 5-dissected mode, at every offset
+    for a, b, n in boundary:
+        full = schoolbook(a, b, 5 * n)
+        for o in range(5):
+            assert convolve_ints(a, b, n, 5, o) == full[o::5], (a, b, n, o)
     assert convolve_ints([], [1, -2], 3) == [] and convolve_ints([5], [], 3) == []
     assert convolve_ints([10**40, -1], [0, 0], 3) == [0, 0, 0]
 
@@ -87,6 +95,8 @@ def test_euler_product_small_cases():
     # (q;q)_inf to order 13: pentagonal exponents 0,1,2,5,7,12
     f = euler_product(1, 13)
     assert f.terms() == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
+    # a lone factor in q**4 is expanded to 12 but reported to 10
+    assert euler_quotient(((4, 1),), 10) == euler_product(4, 10)
     # no factor of (q^4;q^4) contributes below order 4
     assert euler_product(4, 4).terms() == {0: 1}
     assert euler_product(2, 5).terms() == {0: 1, 2: -1, 4: -1}
@@ -282,6 +292,27 @@ def test_eta_expand_rejects_fractional_prefactor():
         with pytest.raises(SpecError, match="fractional prefactor"):
             eta_expand(eq, 5)
     assert eta_expand(EtaQuotient(1, {1: 24}), 3).leading() == (1, 1)
+
+
+def test_eta_expand_keeps_one_expansion_per_quotient(monkeypatch):
+    # a shorter request is served from the longest expansion so far, a longer
+    # one replaces it, and two quotients at one length keep their own entries
+    monkeypatch.setattr(eta, "_EXPANSIONS", {})
+    made = []
+    monkeypatch.setattr(eta, "euler_quotient",
+                        lambda exps, n: made.append(n) or euler_quotient(exps, n))
+
+    def fresh(eq, n):
+        return euler_quotient(eq.exponents, n).shift(eq.sum_dr() // 24)
+
+    for n in (60, 25, 90):
+        assert eta_expand(_G20, n) == fresh(_G20, n)
+    assert made == [60, 90]
+    assert eta_expand(_H20, 90) == fresh(_H20, 90)
+    assert eta_expand(_G20, 90) == fresh(_G20, 90)
+    assert eta_expand(_H20, 40) == fresh(_H20, 40)
+    assert made == [60, 90, 90]
+    assert eta._EXPANSIONS == {_G20: fresh(_G20, 90), _H20: fresh(_H20, 90)}
 
 
 def run_eta_multiplicativity(cases=200, seed=13):

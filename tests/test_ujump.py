@@ -15,7 +15,7 @@ from etacheck.basis import (
 from etacheck.errors import SpecError
 from etacheck.eta import eta_expand
 from etacheck.modcurve import newman_check
-from etacheck.series import QSeries, ZZ, convolve_ints
+from etacheck.series import QSeries, ZZ, convolve_ints, zmod
 from etacheck.ujump import (
     FamilyGenerator,
     UImageTable,
@@ -115,6 +115,32 @@ def run_u_root_of_unity_identity(cases=200, seed=27):
 
 def test_u_root_of_unity_filter():
     run_u_root_of_unity_identity()
+
+
+def run_u_of_product(cases=600, seed=41):
+    # u_ell(f, ell, g) never forms f*g, yet must equal u_ell(f.mul(g), ell) in
+    # value, valuation and truncation: over Z and Z/5^e, negative valuations,
+    # zero and length-1 operands, 1- to 300-bit coefficients
+    rng = random.Random(seed)
+    rings = [ZZ, zmod(5, 1), zmod(5, 3), zmod(5, 40)]
+
+    def operand(ring):
+        n = rng.choice([0, 1, 1, 2, rng.randint(3, 60)])
+        bits = rng.randint(1, 300)
+        coeffs = [rng.choice([0, rng.randint(-(1 << bits), 1 << bits)]) for _ in range(n)]
+        val = rng.randint(-40, 12)
+        return QSeries(ring, coeffs, val, val + n + rng.randint(0, 4))
+
+    for _ in range(cases):
+        ring = rng.choice(rings)
+        ell = rng.choice([2, 3, 5, 7, 11])
+        f, g = operand(ring), operand(ring)
+        assert u_ell(f, ell, g) == u_ell(f.mul(g), ell), (f, g, ell)
+    return cases
+
+
+def test_u_of_product_matches_u_of_mul():
+    run_u_of_product()
 
 
 def test_build_a_rogers_ramanujan():
@@ -326,10 +352,10 @@ def rr_cold_run(tmp_path_factory):
         finally:
             windows.pop()
 
-    def convolve(a, b, n_out):
+    def convolve(a, b, n_out, ell=1, o=0):
         if windows:
             seen.append((windows[-1], n_out))
-        return convolve_ints(a, b, n_out)
+        return convolve_ints(a, b, n_out, ell, o)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ujump, "mw_reduce", reduce)
@@ -347,11 +373,13 @@ def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
     assert all(n_out <= window for window, n_out in seen)
 
 
-@pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0)])
+@pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
 def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
     # (1, -4, 4) is the deepest key of its batch; (1, -1, 0) was computed in
     # the same batch, after the store held t**-1 far past the 307
-    # coefficients it needs on its own
+    # coefficients it needs on its own; (0, -3, 4) multiplies t**-3 by g_4
+    # inside U_ell, and (1, -2, 3) reads the table's A * g_3 after a deeper
+    # key of its batch had grown it
     table, _, _ = rr_cold_run
     b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
