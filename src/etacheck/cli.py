@@ -10,6 +10,9 @@ Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
 or a path to a JSON file with fields
     {"M": int, "r": {"divisor": exponent, ...}, "ell": int,
      "c": int, "pattern": "even-alpha" | "every-alpha", "B": int}.
+The spec alone sets a verify run's length (2B steps for even-alpha, B for
+every-alpha); ``verify --B`` replaces the B of a built-in or a spec file.
+
 Eta quotients on the command line are written N:d1^e1,d2^e2,... as in
 20:1^2,4^2,10^8,5^-2,20^-10.
 """
@@ -17,6 +20,7 @@ Eta quotients on the command line are written N:d1^e1,d2^e2,... as in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +39,7 @@ from .modcurve import (
     parse_cusp,
 )
 from .tfinder import find_t
-from .ujump import UImageTable, build_A, compute_m_constants, quotient_taming_power
+from .ujump import UImageTable, build_A, compute_m_constants, taming_powers
 from .verifier import CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
 
 _BUILTIN_NAMES = ("rogers-ramanujan", "andrews-sellers")
@@ -59,17 +63,19 @@ def parse_eta_spec(text: str) -> EtaQuotient:
 
 
 def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
+    """The built-in family or spec file named by source, at B if one is given."""
     if source in _BUILTIN_NAMES:
-        return builtin_spec(source, B)
-    path = Path(source)
-    if not path.exists():
-        raise SpecError(f"{source!r} is neither a built-in family nor a file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{source}: invalid JSON ({exc})") from exc
-    spec = CongruenceFamilySpec.from_json(data)
-    return spec if B is None else CongruenceFamilySpec(spec.name, spec.gen, spec.c, spec.pattern, B)
+        spec = builtin_spec(source)
+    else:
+        path = Path(source)
+        if not path.exists():
+            raise SpecError(f"{source!r} is neither a built-in family nor a file")
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{source}: invalid JSON ({exc})") from exc
+        spec = CongruenceFamilySpec.from_json(data)
+    return spec if B is None else dataclasses.replace(spec, B=B)
 
 
 def default_cache_dir():
@@ -160,11 +166,9 @@ def cmd_u_image(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_family_spec(args.spec, args.B)
-    if args.iterations is not None and args.iterations < 1:
-        raise SpecError(f"--iterations must be >= 1, got {args.iterations}")
     b = resolve_basis(spec)
     table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
-    report = iterate(spec, table, args.iterations)
+    report = iterate(spec, table)
     print(report.text())
     payload = {"spec": spec.to_json(), "report": report.to_json()}
     if args.output:
@@ -235,8 +239,8 @@ def cmd_tables(args) -> int:
 
     se = compute_m_constants(b, A, ell)
     t_scaled = b.t_quotient().scale_tau(ell)
-    m1 = quotient_taming_power(b, _G20, ell)
-    m_h = quotient_taming_power(b, _H20, ell)
+    tamed = taming_powers(b, ell, [(_G20, "g"), (_H20, "h")])
+    m1, m_h = tamed[_G20], tamed[_H20]
     taming = [
         (f"t(5tau)^{se.m_A} * A", A.at_level(100), se.m_A),
         (f"t(5tau)^{se.m_t} * t", b.t_quotient().at_level(100), se.m_t),
@@ -298,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="run the ell-adic verification")
     q.add_argument("spec")
     q.add_argument("--B", type=int, default=None)
-    q.add_argument("--iterations", type=int, default=None)
     q.add_argument("--json", action="store_true", help="print the JSON report")
     q.add_argument("-o", "--output", help="write the JSON report to a file")
     q.set_defaults(fn=cmd_verify)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SpecError
-from .series import CoeffRing, QSeries, ZZ
+from .series import CoeffRing, QSeries, ZZ, _whole
 
 
 def divisors(n: int) -> list[int]:
@@ -40,12 +40,14 @@ class EtaQuotient:
 
     Exponents are stored sparsely as a sorted tuple of (divisor, exponent)
     pairs with zero entries dropped; every divisor key must divide the level.
+    A float level, divisor or exponent is refused, never truncated.
     """
 
     level: int
     exponents: tuple
 
     def __init__(self, level: int, exponents):
+        level = _whole(level, "level")
         if level < 1:
             raise SpecError("level must be a positive integer")
         if isinstance(exponents, dict):
@@ -54,8 +56,8 @@ class EtaQuotient:
             items = exponents
         acc = {}
         for d, r in items:
-            d = int(d)
-            r = int(r)
+            d = _whole(d, "divisor")
+            r = _whole(r, "exponent")
             if d < 1 or level % d:
                 raise SpecError(f"divisor {d} does not divide level {level}")
             acc[d] = acc.get(d, 0) + r

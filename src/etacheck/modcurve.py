@@ -67,10 +67,6 @@ class Cusp:
         return f"{self.a}/{self.c}"
 
 
-def cusp(a: int, c: int = 1) -> Cusp:
-    return Cusp(a, c)
-
-
 def parse_cusp(text: str) -> Cusp:
     text = text.strip()
     if text in ("oo", "inf", "infinity"):

@@ -47,6 +47,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _whole(x, what: str) -> int:
+    """x through operator.index: a float such as 2.5 or 4.0 raises SpecError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise SpecError(f"{what} {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class CoeffRing:
     """Coefficient ring tag: exact integers ('Z') or integers modulo
@@ -107,21 +115,17 @@ def zmod(ell: int, power: int) -> CoeffRing:
 # ---------------------------------------------------------------------------
 # Kronecker-substitution convolution.
 
+def _bias(limb_bytes, n):
+    """sum of half * 2**(8*limb_bytes*i) for i < n, half = 2**(8*limb_bytes - 1)."""
+    return int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n, "little")
+
+
 def _pack(vals, limb_bytes):
-    """The signed integer sum of vals[i] * 2**(8*limb_bytes*i); every |vals[i]|
-    must fit in limb_bytes bytes.  The buffer for negative coefficients is
-    allocated at the first one, so a nonnegative operand builds one."""
-    pos = bytearray(limb_bytes * len(vals))
-    neg = None
-    for i, v in enumerate(vals):
-        if v > 0:
-            pos[i * limb_bytes:(i + 1) * limb_bytes] = v.to_bytes(limb_bytes, "little")
-        elif v:
-            if neg is None:
-                neg = bytearray(len(pos))
-            neg[i * limb_bytes:(i + 1) * limb_bytes] = (-v).to_bytes(limb_bytes, "little")
-    packed = int.from_bytes(pos, "little")
-    return packed if neg is None else packed - int.from_bytes(neg, "little")
+    """The signed integer sum of vals[i] * 2**(8*limb_bytes*i), written as
+    limbs v + half, half = 2**(8*limb_bytes - 1) > |v|, minus their bias."""
+    half = 1 << (8 * limb_bytes - 1)
+    packed = b"".join([(v + half).to_bytes(limb_bytes, "little") for v in vals])
+    return int.from_bytes(packed, "little") - _bias(limb_bytes, len(vals))
 
 
 def convolve_ints(a, b, n_out, ell=1, o=0):
@@ -134,10 +138,11 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     only class s = (o - r) mod ell of b: since r + s is o or o + ell, the
     product of the two packed classes holds the wanted coefficients from
     limb 0 or limb 1 on, so it is shifted up by that many limbs and added.
-    Every wanted coefficient d of the sum has |d| < bound < half = 2**(k-1),
-    so adding half to each of the low n_out limbs turns them into digits in
-    [0, 2**k) with no borrow across limbs; the mask drops the limbs past
-    n_out.
+    Every operand coefficient, and every wanted coefficient d of the sum, has
+    absolute value below bound < half = 2**(k-1).  So ``_pack`` can bias each
+    operand limb by half, and adding half to each of the low n_out limbs of
+    the sum turns them into digits in [0, 2**k) with no borrow across limbs;
+    the mask drops the limbs past n_out.
     """
     if n_out <= 0 or not a or not b:
         return []
@@ -151,7 +156,7 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     bound = max_a * max_b * min(len(a), len(b)) + 1
     limb_bytes = (bound.bit_length() + 8) // 8  # bit_length + 1 bits, whole bytes
     need = limb_bytes * n_out
-    total = int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n_out, "little")  # the bias
+    total = _bias(limb_bytes, n_out)
     packed_b = [_pack(b[s::ell], limb_bytes) for s in range(min(ell, len(b)))]
     for r in range(min(ell, len(a))):
         s = (o - r) % ell

@@ -47,7 +47,7 @@ from .basis import AlgebraBasis, BasisFunction, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
-from .series import CoeffRing, QSeries, ZZ, _is_prime
+from .series import CoeffRing, QSeries, ZZ, _is_prime, _whole
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FamilyGenerator:
 
     The standing smallness assumption 0 <= -sum(d*r_d) <= 24/(ell+1) keeps
     the auxiliary quotient A holomorphic at infinity with an integral
-    exponent shift.
+    exponent shift.  A float M, ell, divisor or exponent is refused.
     """
 
     M: int
@@ -66,18 +66,18 @@ class FamilyGenerator:
     ell: int
 
     def __init__(self, M: int, r, ell: int):
+        M = _whole(M, "M")
+        ell = _whole(ell, "ell")
         if M < 1:
             raise SpecError("M must be a positive integer")
         if not _is_prime(ell) or ell <= 3:
             raise SpecError(f"ell must be a prime greater than 3, got {ell}")
-        if isinstance(r, dict):
-            items = sorted(r.items())
-        else:
-            items = sorted(r)
+        items = sorted((_whole(d, "divisor"), _whole(e, "exponent"))
+                       for d, e in (r.items() if isinstance(r, dict) else r))
         for d, _ in items:
             if d < 1 or M % d:
                 raise SpecError(f"divisor {d} does not divide M={M}")
-        packed = tuple((int(d), int(e)) for d, e in items if e)
+        packed = tuple((d, e) for d, e in items if e)
         wsum = sum(d * e for d, e in packed)
         if not (0 <= -wsum * (ell + 1) <= 24):
             raise SpecError(
@@ -203,12 +203,6 @@ def taming_powers(b: AlgebraBasis, ell: int, quotients) -> dict:
                 raise ContractError(f"{what}: no taming power works at {x}")
         powers[eq] = m
     return powers
-
-
-def quotient_taming_power(b: AlgebraBasis, eq: EtaQuotient, ell: int) -> int:
-    """Minimal m with t(ell*tau)**m * eq free of poles away from infinity,
-    orders taken over Gamma0(ell * level)."""
-    return taming_powers(b, ell, [(eq, repr(eq))])[eq]
 
 
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:

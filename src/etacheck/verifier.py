@@ -7,9 +7,9 @@ dividing all coefficients.  A conjectured congruence family translates into
 a required minimum for those valuations; the report carries the whole
 valuation sequence either way.
 
-Each input of a run has one source: the spec gives B and the pattern, the
-image table the images, their basis and their disk cache.  A table built for
-another family than the spec's is refused.
+Each input of a run has one source: the spec gives B, the pattern and so
+the run's length, the image table the images, their basis and their disk
+cache.  A table built for another family than the spec's is refused.
 
 The direct oracle expands the generating function far enough to test the
 claimed divisibilities coefficient by coefficient, which is exactly the
@@ -28,7 +28,7 @@ from math import gcd
 
 from .basis import ModuleElement, module_element_series
 from .errors import ContractError, SpecError
-from .series import CoeffRing, QSeries, ZZ, zmod
+from .series import CoeffRing, QSeries, ZZ, _whole, zmod
 from .ujump import FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
@@ -54,9 +54,9 @@ class CongruenceFamilySpec:
     def __post_init__(self):
         if self.pattern not in PATTERN_KINDS:
             raise SpecError(f"unknown pattern kind {self.pattern!r}")
-        if self.B < 1:
+        if _whole(self.B, "B") < 1:
             raise SpecError("B must be >= 1")
-        if gcd(self.c, self.gen.ell) != 1:
+        if gcd(_whole(self.c, "c"), self.gen.ell) != 1:
             raise SpecError("the progression constant must be coprime to ell")
 
     @property
@@ -125,11 +125,12 @@ def andrews_sellers(B: int = 5) -> CongruenceFamilySpec:
 _BUILTINS = {"rogers-ramanujan": rogers_ramanujan, "andrews-sellers": andrews_sellers}
 
 
-def builtin_spec(name: str, B: int | None = None) -> CongruenceFamilySpec:
+def builtin_spec(name: str) -> CongruenceFamilySpec:
+    """The named built-in family; ``dataclasses.replace(spec, B=...)`` sets B."""
     if name not in _BUILTINS:
         raise SpecError(f"unknown built-in family {name!r}; "
                         f"choices: {', '.join(sorted(_BUILTINS))}")
-    return _BUILTINS[name](B) if B is not None else _BUILTINS[name]()
+    return _BUILTINS[name]()
 
 
 @dataclass
@@ -189,23 +190,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def iterate(spec: CongruenceFamilySpec, table: UImageTable,
-            iterations: int | None = None) -> VerificationReport:
-    """Run the iteration for the given number of steps (by default those the
-    spec's pattern needs to reach spec.B) and collect valuations.
+def iterate(spec: CongruenceFamilySpec, table: UImageTable) -> VerificationReport:
+    """Run the steps the spec's pattern needs to reach spec.B, and no more (a
+    step mod ell**B shows at most valuation B), and collect valuations.
 
     Even steps apply U_ell(A * -), odd steps plain U_ell; coefficients live in
     Z/ell**spec.B throughout.  Images come from the (possibly disk-backed)
     table; a j-support escape beyond +-J_CEILING aborts loudly rather than
     truncate.
     """
-    iterations = spec.default_iterations if iterations is None else iterations
-    if iterations < 0:
-        raise SpecError(f"iteration count must be >= 0, got {iterations}")
     ell = spec.gen.ell
-    report = VerificationReport(spec.name, ell, spec.B, iterations)
+    report = VerificationReport(spec.name, ell, spec.B, spec.default_iterations)
     t0 = time.monotonic()
-    for alpha, me in enumerate(_iterates(spec, table, iterations)):
+    for alpha, me in enumerate(_iterates(spec, table, spec.default_iterations)):
         j_lo, j_hi = me.j_range()
         if j_lo < -J_CEILING or j_hi > J_CEILING:
             raise ContractError(

@@ -14,7 +14,7 @@ from etacheck.modcurve import (
     order_vector,
 )
 from etacheck.tfinder import compute_pole_sets, solve_W, verify_W
-from etacheck.ujump import build_A, compute_m_constants, quotient_taming_power
+from etacheck.ujump import build_A, compute_m_constants, taming_powers
 from etacheck.verifier import (
     andrews_sellers,
     consistency_check,
@@ -153,8 +153,7 @@ def test_criterion_3_stability_constants(basis20, rr_spec):
     assert se.m_A == 2
     assert se.m_t == 5 and se.m_negt == 5
     assert se.m_g == (2, 3, 4, 6)
-    assert quotient_taming_power(basis20, G20, 5) == 2
-    assert quotient_taming_power(basis20, H20, 5) == 3
+    assert taming_powers(basis20, 5, [(G20, "g"), (H20, "h")]) == {G20: 2, H20: 3}
     assert time.monotonic() - t0 < 10
     verdict(3, "stability constants m_A=2, m_t=5, m_k=(2,3,4,6)")
 
@@ -186,7 +185,7 @@ def test_criterion_5_mod5_sequence(rr_image_table):
 
 def test_criterion_6_rogers_ramanujan(rr_spec, rr_image_table):
     t0 = time.monotonic()
-    report = iterate(rr_spec, rr_image_table, 10)
+    report = iterate(rr_spec, rr_image_table)
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     for a in range(6):
         assert report.V[2 * a] == a
@@ -199,7 +198,7 @@ def test_criterion_6_rogers_ramanujan(rr_spec, rr_image_table):
 def test_criterion_6_deep_full_depth(rr_image_table):
     # B=7 reaches j = -5, deeper than any image a B=5 run needs
     t0 = time.monotonic()
-    report = iterate(rogers_ramanujan(B=7), rr_image_table, 14)
+    report = iterate(rogers_ramanujan(B=7), rr_image_table)
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7]
     assert report.ok
     assert min(s["j_min"] for s in report.support) == -5
@@ -211,7 +210,7 @@ def test_criterion_6_deep_full_depth(rr_image_table):
 def test_criterion_7_andrews_sellers(as_image_table):
     t0 = time.monotonic()
     spec = andrews_sellers(B=3)
-    report = iterate(spec, as_image_table, 3)
+    report = iterate(spec, as_image_table)
     assert report.V == [0, 1, 2, 3]
     assert report.ok
     elapsed = time.monotonic() - t0
@@ -223,7 +222,7 @@ def test_criterion_7_extended_full_depth(as_image_table):
     # the full-depth run; optional in spirit but cheap enough to keep gating
     t0 = time.monotonic()
     spec = andrews_sellers(B=5)
-    report = iterate(spec, as_image_table, 5)
+    report = iterate(spec, as_image_table)
     assert report.V == [0, 1, 2, 3, 4, 5]
     elapsed = time.monotonic() - t0
     assert elapsed < 14400, f"B=5 run took {elapsed:.1f}s"

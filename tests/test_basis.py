@@ -123,8 +123,8 @@ def random_module_series(rng, b, prec=40):
     return out, picks
 
 
-def run_reduce_reconstruction(cases=200, seed=17):
-    b = load_basis_n20()
+def run_reduce_reconstruction(cases=200, seed=17, b=None):
+    b = load_basis_n20() if b is None else b
     rng = random.Random(seed)
     for _ in range(cases):
         f, picks = random_module_series(rng, b)
@@ -173,6 +173,19 @@ def test_construct_basis_degenerate_order_one():
     # reduction over a pure polynomial module
     f = b.monomial(2, 0, 20).add(b.monomial(1, 0, 20).scale(3)).add(QSeries.one(ZZ, 12))
     assert mw_reduce(f, b) == ModuleElement(ZZ, {(2, 0): 1, (1, 0): 3, (0, 0): 1})
+
+
+def test_construct_basis_product_closure():
+    # at level 34 the search finds no quotient with a pole of order 2, 6 or
+    # 10 at infinity alone, so residue 2 mod 4 is covered by g1 * g1
+    t = EtaQuotient(34, {1: -2, 2: 4, 17: 2, 34: -4})
+    b = construct_basis(t, 34)
+    assert verify_basis(b)
+    assert b.v == 3
+    assert [g.ord_inf for g in b.gs] == [-7, -9, -14]
+    (_, (q1,)), = b.gs[0].construction
+    assert b.gs[2].construction == ((1, (q1, q1)),)
+    run_reduce_reconstruction(cases=60, seed=34, b=b)
 
 
 def test_construct_basis_rejects_bad_generator():

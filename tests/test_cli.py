@@ -90,30 +90,34 @@ def test_malformed_cache_file_exits_3(capsys, tmp_path):
 
 
 def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
-    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", "rogers-ramanujan", "--iterations", "-3")
-    assert code == 2 and "VERIFIED" not in out
+    # the spec alone sets a run's length: a count is a usage error, never a
+    # run past the steps mod 5^B can show (which would fail a true family)
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
-                         "verify", "rogers-ramanujan", "--iterations", "0")
-    assert code == 2 and "VERIFIED" not in out and "--iterations" in err
-    # one step of an even-alpha family carries no requirement: nothing is checked
-    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
-                         "verify", "rogers-ramanujan", "--iterations", "1")
-    assert code == 2 and "VERIFIED" not in out and "NOTHING CHECKED" in out
-    assert "required valuation" in err
-    # the JSON report says so too, not only "ok"
-    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", "rogers-ramanujan", "--iterations", "1", "--json")
-    report = json.loads(out[out.index("\n{"):])["report"]
-    assert code == 2 and report["ok"] and report["checked"] is False
-    # an explicit --B 0 is rejected for a spec file too, not replaced by its B
+                         "verify", "rogers-ramanujan", "--B", "2", "--iterations", "6")
+    assert code == 2 and out == "" and "--iterations" in err
+    # --B 0 is rejected for a built-in and for a spec file, not replaced by its B
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
                                 "c": 24, "pattern": "even-alpha", "B": 2}))
-    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", str(path), "--B", "0", "--iterations", "1")
-    assert code == 2 and "VERIFIED" not in out
+    for source in ("rogers-ramanujan", str(path)):
+        code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                             "verify", source, "--B", "0")
+        assert code == 2 and "VERIFIED" not in out and "B must be >= 1" in err
     assert main(["--threads", "2", "cusps", "20"]) == 2
+
+
+def test_verify_nothing_checked_exits_2(capsys, monkeypatch, unconstrained_spec,
+                                        image_cache_dir):
+    from etacheck import cli
+
+    monkeypatch.setattr(cli, "load_family_spec", lambda source, B=None: unconstrained_spec)
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "verify", "rogers-ramanujan", "--json")
+    assert code == 2 and "VERIFIED" not in out and "NOTHING CHECKED" in out
+    assert "required valuation" in err
+    # the JSON report says so too, not only "ok"
+    report = json.loads(out[out.index("\n{"):])["report"]
+    assert report["ok"] and report["checked"] is False
 
 
 def test_contract_violations_exit_3(capsys, monkeypatch):
@@ -190,8 +194,7 @@ def test_tables_bytes_stable(capsys):
 def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", "rogers-ramanujan", "--B", "2",
-                       "--iterations", "4", "-o", str(out_file))
+                       "verify", "rogers-ramanujan", "--B", "2", "-o", str(out_file))
     assert code == 0
     assert "VERIFIED" in out
     payload = json.loads(out_file.read_text())
@@ -215,6 +218,9 @@ def test_custom_spec_file(capsys, tmp_path, image_cache_dir):
             "ell": 5, "c": 24, "pattern": "even-alpha", "B": 2}
     path = tmp_path / "family.json"
     path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir), "verify", str(path))
+    assert code == 0 and "custom-rr: ell=5 B=2 iterations=4" in out
+    # --B replaces the file's B, as it does a built-in's
     code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", str(path), "--iterations", "4")
-    assert code == 0 and "custom-rr" in out
+                       "verify", str(path), "--B", "1")
+    assert code == 0 and "custom-rr: ell=5 B=1 iterations=2" in out

@@ -337,6 +337,11 @@ def test_eta_expand_multiplicative():
 def test_eta_quotient_validation():
     with pytest.raises(SpecError):
         EtaQuotient(20, {3: 1})
+    # a float divisor or exponent is refused, never truncated or rounded
+    with pytest.raises(SpecError, match="exponent 2.5"):
+        EtaQuotient(20, {1: 2.5, 4: 2})
+    with pytest.raises(SpecError, match="divisor 4.0"):
+        EtaQuotient(20, {1: 2, 4.0: 2})
     eq = EtaQuotient(20, {1: 1, 2: 0, 20: -1})
     assert eq.exponents == ((1, 1), (20, -1))
     assert eq.scale_tau(5).level == 100

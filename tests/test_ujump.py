@@ -179,6 +179,15 @@ def test_family_generator_validation():
         FamilyGenerator(4, {1: -5}, 5)                   # weighted sum out of range
     with pytest.raises(SpecError):
         FamilyGenerator(4, {3: 1}, 5)                    # 3 does not divide 4
+    # a float is refused, never truncated (r_1 = -3.7 would become -3)
+    with pytest.raises(SpecError, match="exponent -3.7"):
+        FamilyGenerator(4, {1: -3.7, 2: 5, 4: -2}, 5)
+    with pytest.raises(SpecError, match="divisor 2.0"):
+        FamilyGenerator(4, {1: -3, 2.0: 5, 4: -2}, 5)
+    with pytest.raises(SpecError, match="M 4.0"):
+        FamilyGenerator(4.0, {1: -3, 2: 5, 4: -2}, 5)
+    with pytest.raises(SpecError, match="ell 5.0"):
+        FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5.0)
 
 
 def test_first_progression():

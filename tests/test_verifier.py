@@ -1,5 +1,7 @@
 """The iteration driver, pattern checks, and brute-force cross-checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from etacheck import verifier
@@ -39,11 +41,27 @@ def test_builtin_specs():
     rr = builtin_spec("rogers-ramanujan")
     assert (rr.c, rr.pattern, rr.level) == (24, "even-alpha", 20)
     assert rr.default_iterations == 2 * rr.B
-    asp = builtin_spec("andrews-sellers", B=3)
+    asp = replace(builtin_spec("andrews-sellers"), B=3)
     assert (asp.c, asp.pattern, asp.B) == (12, "every-alpha", 3)
     assert asp.default_iterations == 3
     with pytest.raises(SpecError):
         builtin_spec("nope")
+    with pytest.raises(SpecError):
+        replace(rr, B=0)  # a replaced B is validated again
+    with pytest.raises(SpecError, match="B 2.5"):
+        replace(rr, B=2.5)
+
+
+@pytest.mark.parametrize("pattern", ["even-alpha", "every-alpha"])
+def test_no_requirement_exceeds_B(pattern):
+    # a step computed mod ell**B shows at most valuation B, so a run must
+    # never ask for more; its last step asks for exactly B
+    gen = rogers_ramanujan().gen
+    for B in range(1, 31):
+        spec = CongruenceFamilySpec("f", gen, 24, pattern, B)
+        reqs = [spec.required_valuation(a) for a in range(spec.default_iterations + 1)]
+        assert all(r is None or r <= B for r in reqs)
+        assert reqs[-1] == B
 
 
 def test_spec_json_roundtrip():
@@ -71,7 +89,8 @@ def test_direct_oracle_andrews_sellers():
 
 def test_iterate_small_run(rr_image_table):
     spec = rogers_ramanujan(B=2)
-    rep = iterate(spec, rr_image_table, 4)
+    rep = iterate(spec, rr_image_table)
+    assert rep.iterations == spec.default_iterations == 4
     assert rep.V == [0, 0, 1, 1, 2]
     assert rep.ok
     assert all(0 <= v <= 2 for v in rep.V)
@@ -85,13 +104,14 @@ def test_iterate_default_lengths(as_image_table):
     assert rep.saturated[1]  # everything vanishes mod 5^1 after one step
 
 
-def test_iterate_zero_iterations(rr_image_table):
-    rep = iterate(rogers_ramanujan(B=1), rr_image_table, 0)
-    assert rep.V == [0]
+def test_iterate_nothing_checked(unconstrained_spec, rr_image_table):
+    # a run in which no step carries a requirement passes vacuously, and
+    # says so instead of VERIFIED
+    rep = iterate(unconstrained_spec, rr_image_table)
+    assert rep.V == [0, 0, 1]
     assert rep.ok and not rep.checked
     assert "NOTHING CHECKED" in rep.text() and "VERIFIED" not in rep.text()
-    with pytest.raises(SpecError):
-        iterate(rogers_ramanujan(B=1), rr_image_table, -3)
+    assert rep.to_json()["checked"] is False
 
 
 def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_dir):
@@ -99,9 +119,9 @@ def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_di
     spec_lo = andrews_sellers(B=2)
     spec_hi = andrews_sellers(B=4)
     lo = iterate(spec_lo, UImageTable(basis20, build_A(spec_lo.gen), 5,
-                                      cache_dir=image_cache_dir), 4)
+                                      cache_dir=image_cache_dir))
     hi = iterate(spec_hi, UImageTable(basis20, build_A(spec_hi.gen), 5,
-                                      cache_dir=image_cache_dir), 4)
+                                      cache_dir=image_cache_dir))
     for v_lo, v_hi in zip(lo.V, hi.V):
         if v_lo < 2:
             assert v_lo == v_hi
@@ -111,29 +131,29 @@ def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_di
 
 def test_iterate_determinism(rr_image_table):
     spec = rogers_ramanujan(B=3)
-    a = iterate(spec, rr_image_table, 6)
-    b = iterate(spec, rr_image_table, 6)
+    a = iterate(spec, rr_image_table)
+    b = iterate(spec, rr_image_table)
     assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
 
 
 def test_valuations_nondecreasing_on_passing_runs(rr_image_table, as_image_table):
-    for spec, table, n in ((rogers_ramanujan(B=3), rr_image_table, 6),
-                           (andrews_sellers(B=3), as_image_table, 3)):
-        rep = iterate(spec, table, n)
+    for spec, table in ((rogers_ramanujan(B=3), rr_image_table),
+                        (andrews_sellers(B=3), as_image_table)):
+        rep = iterate(spec, table)
         assert rep.ok
         assert all(a <= b for a, b in zip(rep.V, rep.V[1:]))
 
 
 def test_check_pattern_stricter_requirement_fails(as_image_table):
     spec = andrews_sellers(B=3)
-    rep = iterate(spec, as_image_table, 3)
+    rep = iterate(spec, as_image_table)
 
     class Stricter(CongruenceFamilySpec):
         def required_valuation(self, alpha):
             return alpha + 1
 
     stricter = iterate(Stricter(spec.name, spec.gen, spec.c, spec.pattern, spec.B),
-                       as_image_table, 3)
+                       as_image_table)
     assert rep.ok
     assert not stricter.ok
     # and among the genuine steps the first failure is alpha=1 (v1=1 < 2)
@@ -167,9 +187,9 @@ def test_fault_injection_fails_at_first_affected_step(as_image_table):
     spec = andrews_sellers(B=3)
     # poison an image first consumed at step 2 (plain operator, j=-1, k=0)
     bad = _CorruptedTable(as_image_table, (0, -1, 0))
-    rep = iterate(spec, bad, 3)
+    rep = iterate(spec, bad)
     assert not rep.ok
-    clean = iterate(spec, as_image_table, 3)
+    clean = iterate(spec, as_image_table)
     assert clean.V[1] == rep.V[1] == 1  # step 1 untouched
     assert rep.passed.index(False) == 2
 
@@ -178,12 +198,12 @@ def test_runaway_support_guard(rr_image_table, monkeypatch):
     spec = rogers_ramanujan(B=2)
     monkeypatch.setattr(verifier, "J_CEILING", 1)
     with pytest.raises(ContractError):
-        iterate(spec, rr_image_table, 4)
+        iterate(spec, rr_image_table)
 
 
 def test_table_of_another_family_is_refused(rr_image_table, as_image_table):
     with pytest.raises(SpecError, match="another family"):
-        iterate(andrews_sellers(B=2), rr_image_table, 2)
+        iterate(andrews_sellers(B=2), rr_image_table)
     with pytest.raises(SpecError, match="another family"):
         consistency_check(rogers_ramanujan(B=2), as_image_table, 1, 10)
 
@@ -206,7 +226,7 @@ def test_consistency_alpha_1_and_2(rr_image_table, as_image_table):
 
 
 def test_report_text_shape(rr_image_table):
-    rep = iterate(rogers_ramanujan(B=2), rr_image_table, 4)
+    rep = iterate(rogers_ramanujan(B=2), rr_image_table)
     text = rep.text()
     assert "VERIFIED" in text and "alpha= 4" in text
     data = rep.to_json()
