@@ -14,6 +14,11 @@ coefficient 1 (``verify_basis`` checks it), hence so does every monomial
 t**e * g_k, and each greedy step divides exactly; a step that does not is a
 broken basis or a non-integral input, and raises rather than let a fractional
 answer poison everything built on top.
+
+A module element keeps its coefficients in its ring: the ``ModuleElement``
+constructor reduces them and drops zeros, so sums are formed over Z and
+handed to it, and ``module_element_series`` sums over Z and hands the result
+to the ``QSeries`` constructor of the element's ring.
 """
 
 from __future__ import annotations
@@ -231,10 +236,10 @@ class ModuleElement:
 
     def __init__(self, ring: CoeffRing, terms: dict):
         clean = {}
-        for (j, k), c in terms.items():
+        for key, c in terms.items():
             c = ring.coerce(c)
             if c != 0:
-                clean[(int(j), int(k))] = c
+                clean[key] = c
         self.ring = ring
         self.terms = clean
 
@@ -246,19 +251,14 @@ class ModuleElement:
         return not self.terms
 
     def reduce_mod(self, ell: int, power: int) -> "ModuleElement":
-        if self.ring.kind != "Z":
+        if self.ring != ZZ:
             raise SpecError("only exact-integer elements reduce")
         return ModuleElement(zmod(ell, power), self.terms)
 
-    def scaled_into(self, c, acc: dict, modulus: int | None):
+    def scaled_into(self, c, acc: dict):
+        """Add c times this element into the dict acc, over Z."""
         for key, v in self.terms.items():
-            val = acc.get(key, 0) + c * v
-            if modulus is not None:
-                val %= modulus
-            if val:
-                acc[key] = val
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + c * v
 
     def j_range(self) -> tuple:
         if not self.terms:
@@ -307,10 +307,8 @@ def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSe
     for (j, k), c in sorted(me.terms.items()):
         prec = trunc + v1 * j + (-b.gs[k - 1].ord_inf if k else 0)  # trunc - val(t^j g_k)
         if prec > 0:
-            out = out.add(b.monomial(j, k, prec).scale(int(c)))
-    if me.ring.kind == "Zmod":
-        return out.reduce_mod(me.ring.ell, me.ring.power)
-    return out
+            out = out.add(b.monomial(j, k, prec).scale(c))
+    return QSeries(me.ring, out.coeffs, out.val, out.trunc)
 
 
 # -- membership reduction ----------------------------------------------------

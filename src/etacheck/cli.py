@@ -40,9 +40,7 @@ from .modcurve import (
 )
 from .tfinder import find_t
 from .ujump import UImageTable, build_A, compute_m_constants, taming_powers
-from .verifier import CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
-
-_BUILTIN_NAMES = ("rogers-ramanujan", "andrews-sellers")
+from .verifier import _BUILTINS, CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
 
 
 def parse_eta_spec(text: str) -> EtaQuotient:
@@ -64,7 +62,7 @@ def parse_eta_spec(text: str) -> EtaQuotient:
 
 def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
     """The built-in family or spec file named by source, at B if one is given."""
-    if source in _BUILTIN_NAMES:
+    if source in _BUILTINS:
         spec = builtin_spec(source)
     else:
         path = Path(source)

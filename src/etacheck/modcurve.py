@@ -250,9 +250,6 @@ class CuspOrderVector:
     def total(self) -> Fraction:
         return sum((o for _, o in self.entries), Fraction(0))
 
-    def as_dict(self) -> dict:
-        return {cu: o for cu, o in self.entries}
-
 
 def order_vector(eq: EtaQuotient) -> CuspOrderVector:
     reps = cusp_representatives(eq.level)

@@ -20,7 +20,13 @@ only the coefficients at o + ell*n of a product, the part U_ell keeps: it
 packs the ell residue classes of each operand, multiplies just the ell class
 pairs that reach those exponents, and adds the products, so it makes ell
 products of 1/ell the length and reads back 1/ell of the limbs.  The plain
-product is its ell = 1 case.
+product is its ell = 1 case.  ``QSeries.mul(other, ell)`` is the one owner of
+the window of either: ell = 1 is the product, and ell > 1 is U_ell of the
+product, which is never formed.
+
+Outside this module nothing reduces coefficients into a ring by hand: sums
+are formed over Z and handed to the ``QSeries`` constructor (or to
+``basis.ModuleElement``'s), which reduces them.
 """
 
 from __future__ import annotations
@@ -48,8 +54,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _whole(x, what: str) -> int:
-    """x through operator.index: a float such as 2.5 or 4.0 raises SpecError."""
+    """x through operator.index, the package's one integer check: a bool, a
+    string or a float such as 2.5 or 4.0 raises SpecError."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return operator.index(x)
     except TypeError:
         raise SpecError(f"{what} {x!r} is not an integer") from None
@@ -67,6 +76,8 @@ class CoeffRing:
     def __post_init__(self):
         if self.kind not in ("Z", "Zmod"):
             raise SpecError(f"unknown coefficient ring kind {self.kind!r}")
+        _whole(self.ell, "modulus base")
+        _whole(self.power, "modulus exponent")
         if self.kind == "Zmod":
             if not _is_prime(self.ell):
                 raise SpecError(f"modulus base {self.ell} is not prime")
@@ -336,17 +347,20 @@ class QSeries:
             return QSeries.zero(self.ring, self.trunc)
         return QSeries(self.ring, [c * x for x in self.coeffs], self.val, self.trunc)
 
-    def mul(self, other: "QSeries") -> "QSeries":
+    def mul(self, other: "QSeries", ell: int = 1) -> "QSeries":
+        """The product self*other; for ell > 1, U_ell of it (the coefficients
+        at exponents ell*e, moved to e), of which only those coefficients are
+        computed.  A coefficient at e is known exactly when ell*e is inside
+        the product's window, so the truncation becomes ceil(trunc/ell)."""
         self._check_ring(other)
-        trunc = min(self.trunc + other.val, other.trunc + self.val)
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(self.ring, trunc)
         val = self.val + other.val
-        n_out = trunc - val
+        trunc = -(-min(self.trunc + other.val, other.trunc + self.val) // ell)
+        start = -(-val // ell)
+        n_out = trunc - start  # <= 0 when self or other is zero
         if n_out <= 0:
             return QSeries.zero(self.ring, trunc)
-        out = self._conv(self.coeffs, other.coeffs, n_out)
-        return QSeries._canonical(self.ring, out, val, trunc)
+        out = self._conv(self.coeffs, other.coeffs, n_out, ell, ell * start - val)
+        return QSeries._canonical(self.ring, out, start, trunc)
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration on the unit part.
@@ -419,10 +433,3 @@ class QSeries:
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
         return QSeries._canonical(self.ring, self.coeffs, self.val + k, self.trunc + k)
-
-    # operator sugar
-    __add__ = add
-    __sub__ = sub
-    __neg__ = neg
-    __mul__ = mul
-    __pow__ = pow

@@ -22,17 +22,19 @@ auxiliary quotient A and ell.
 Computing an image needs expansions of basis monomials t**e * g_k, and the
 basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
 An image is U_ell(t**j * y), with y = g_k for i = 0 and y = A * g_k for
-i = 1, taken as one ell-dissected product (``u_ell`` with ``times``): only
-the coefficients at multiples of ell are computed, and neither t**j * g_k
-nor its product with A is formed.  The table keeps A * g_k per k.  An image
-asks for t**j and y at the precision its key needs, given in closed form by
-``UImageTable._precision``, for t**m only as far as U_ell of that reaches
-(about a factor ell less), and the reduction asks for each of its monomials
-only as far as its remainder reaches.  ``u_step`` asks the table
-for a step's images as one batch, since the keys a step needs are exactly
-the terms of the element it is applied to; the table computes the keys it
-cannot load deepest first, so each A * g_k, and each t-power the batch
-shares, is expanded once, to what the deepest key needs.
+i = 1, taken as one ell-dissected product (``u_ell`` with ``times``, which
+is ``QSeries.mul(times, ell)``): only the coefficients at multiples of ell
+are computed, and neither t**j * g_k nor its product with A is formed.  The
+table keeps A * g_k per k.  An image asks for t**j and y at the precision its
+key needs, given in closed form by ``UImageTable._precision``, for t**m only
+as far as U_ell of that reaches (about a factor ell less), and the reduction
+asks for each of its monomials only as far as its remainder reaches.
+``u_step`` asks the table for a step's images as one batch, since the keys
+a step needs are exactly the terms of the element it is applied to; the
+table computes the keys it cannot load deepest first, so each A * g_k, and
+each t-power the batch shares, is expanded once, to what the deepest key
+needs.  The step adds the scaled images over Z; ``ModuleElement`` reduces
+the sum into the ring.
 """
 
 from __future__ import annotations
@@ -72,12 +74,7 @@ class FamilyGenerator:
             raise SpecError("M must be a positive integer")
         if not _is_prime(ell) or ell <= 3:
             raise SpecError(f"ell must be a prime greater than 3, got {ell}")
-        items = sorted((_whole(d, "divisor"), _whole(e, "exponent"))
-                       for d, e in (r.items() if isinstance(r, dict) else r))
-        for d, _ in items:
-            if d < 1 or M % d:
-                raise SpecError(f"divisor {d} does not divide M={M}")
-        packed = tuple((d, e) for d, e in items if e)
+        packed = EtaQuotient(M, r).exponents
         wsum = sum(d * e for d, e in packed)
         if not (0 <= -wsum * (ell + 1) <= 24):
             raise SpecError(
@@ -125,26 +122,17 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
 
 def u_ell(f: QSeries, ell: int, times: QSeries | None = None) -> QSeries:
     """Keep exponents divisible by ell and divide them by ell; with
-    ``times``, of the product f * times, which is never formed: only its
-    coefficients at multiples of ell are computed (``convolve_ints`` with
-    this ell), so the result is exactly ``u_ell(f.mul(times), ell)``.
+    ``times``, of the product f * times, which is never formed:
+    ``f.mul(times, ell)`` computes only its coefficients at multiples of
+    ell, so the result is exactly ``u_ell(f.mul(times), ell)``.
 
     A coefficient of the output at e is known exactly when ell*e was in
     view, so the truncation becomes ceil(trunc/ell).
     """
-    if times is None:
-        start = f.val + (-f.val) % ell
-        return QSeries._canonical(f.ring, f.coeffs[start - f.val::ell], start // ell,
-                                  -(-f.trunc // ell))
-    f._check_ring(times)
-    val = f.val + times.val
-    trunc = -(-min(f.trunc + times.val, times.trunc + f.val) // ell)
-    start = val + (-val) % ell
-    n_out = trunc - start // ell  # <= 0 when f or times is zero
-    if n_out <= 0:
-        return QSeries.zero(f.ring, trunc)
-    out = f._conv(f.coeffs, times.coeffs, n_out, ell, start - val)
-    return QSeries._canonical(f.ring, out, start // ell, trunc)
+    if times is not None:
+        return f.mul(times, ell)
+    start = f.val + (-f.val) % ell
+    return QSeries(f.ring, f.coeffs[start - f.val::ell], start // ell, -(-f.trunc // ell))
 
 
 @dataclass(frozen=True)
@@ -364,13 +352,13 @@ class UImageTable:
 
 
 def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement:
-    """One operator application by linearity over the cached images,
-    staying in the element's coefficient ring.  The images are fetched as
-    one batch, because the keys a step needs are exactly the terms of me."""
-    modulus = me.ring.modulus if me.ring.kind == "Zmod" else None
+    """One operator application by linearity over the cached images: the
+    sum is formed over Z and ``ModuleElement`` reduces it into the element's
+    coefficient ring.  The images are fetched as one batch, because the keys
+    a step needs are exactly the terms of me."""
     i = 1 if with_A else 0
     keys = sorted(me.terms)
     acc: dict = {}
     for (j, k), image in zip(keys, table.images([(i, j, k) for j, k in keys])):
-        image.scaled_into(int(me.terms[(j, k)]), acc, modulus)
+        image.scaled_into(me.terms[(j, k)], acc)
     return ModuleElement(me.ring, acc)

@@ -87,22 +87,17 @@ class CongruenceFamilySpec:
     @classmethod
     def from_json(cls, data: dict) -> "CongruenceFamilySpec":
         """The spec a ``to_json`` dict describes.  Every number must be a JSON
-        integer: 2.5, true or "4" is refused, never truncated; only the
-        divisor keys of "r", strings in JSON, are parsed."""
-        def whole(x):
-            if type(x) is not int:
-                raise TypeError(f"{x!r} is not an integer")
-            return x
-
+        integer: 2.5, true or "4" is refused by the checks of
+        ``FamilyGenerator`` and of the spec, never truncated; only the divisor
+        keys of "r", strings in JSON, are parsed."""
         try:
-            gen = FamilyGenerator(whole(data["M"]),
-                                  {int(d): whole(e) for d, e in data["r"].items()},
-                                  whole(data["ell"]))
-            return cls(str(data.get("name", "custom")), gen, whole(data["c"]),
-                       str(data["pattern"]), whole(data.get("B", 5)))
+            gen = FamilyGenerator(data["M"], {int(d): e for d, e in data["r"].items()},
+                                  data["ell"])
+            return cls(str(data.get("name", "custom")), gen, data["c"],
+                       str(data["pattern"]), data.get("B", 5))
         except KeyError as exc:
             raise SpecError(f"family spec is missing field {exc}") from exc
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (SpecError, ValueError, TypeError, AttributeError) as exc:
             raise SpecError(f"malformed family spec: {exc}") from exc
 
 
@@ -155,8 +150,8 @@ class VerificationReport:
         """Did some step alpha >= 1 carry a required valuation?"""
         return any(req is not None for req in self.required[1:])
 
-    def to_json(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "family": self.spec_name,
             "ell": self.ell,
             "B": self.B,
@@ -168,10 +163,8 @@ class VerificationReport:
             "support": list(self.support),
             "ok": self.ok,
             "checked": self.checked,
+            "seconds": [round(s, 3) for s in self.seconds],
         }
-        if include_timings:
-            out["seconds"] = [round(s, 3) for s in self.seconds]
-        return out
 
     def text(self) -> str:
         lines = [f"family {self.spec_name}: ell={self.ell} B={self.B} "

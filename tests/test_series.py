@@ -1,7 +1,9 @@
 """Series ring laws, Euler product expansion, and eta-quotient expansion."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,11 @@ def test_integer_rings_reject_non_integers():
                 QSeries(ring, [bad], 0, 1)
             with pytest.raises(TypeError):
                 QSeries.from_terms(ring, {2: 1, 5: bad}, 8)
+    # so is a ring Z/ell^power with a fractional ell or power
+    with pytest.raises(SpecError, match="modulus exponent 2.0"):
+        zmod(5, 2.0)
+    with pytest.raises(SpecError, match="modulus base 5.0"):
+        zmod(5.0, 2)
 
 
 def test_from_terms_coerces_only_the_given_terms(monkeypatch):
@@ -342,8 +349,31 @@ def test_eta_quotient_validation():
         EtaQuotient(20, {1: 2.5, 4: 2})
     with pytest.raises(SpecError, match="divisor 4.0"):
         EtaQuotient(20, {1: 2, 4.0: 2})
+    with pytest.raises(SpecError, match="exponent True"):
+        EtaQuotient(20, {1: True})  # a bool is not the exponent 1
     eq = EtaQuotient(20, {1: 1, 2: 0, 20: -1})
     assert eq.exponents == ((1, 1), (20, -1))
     assert eq.scale_tau(5).level == 100
     assert eq.scale_tau(5).exponent(100) == -1
     assert eq.at_level(100).level == 100
+
+
+SERIES_INTERNALS = {"_canonical", "_conv", "_check_ring", "_fill"}
+
+
+def test_series_internals_stay_in_series():
+    # the window of a product, the ring check and the canonical form have one
+    # owner, QSeries: no other module of the package reaches into them
+    for path in sorted(Path(eta.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            assert name not in SERIES_INTERNALS, f"{path.name}:{node.lineno} reads {name}"

@@ -117,10 +117,25 @@ def test_u_root_of_unity_filter():
     run_u_root_of_unity_identity()
 
 
+def schoolbook_mul(f, g):
+    """f*g by the definition: every pair of terms, the window the operands
+    determine, reduced into the ring by the QSeries constructor."""
+    val = f.val + g.val
+    trunc = min(f.trunc + g.val, g.trunc + f.val)
+    out = [0] * max(trunc - val, 0)
+    for i, x in enumerate(f.coeffs):
+        for j, y in enumerate(g.coeffs):
+            if i + j < len(out):
+                out[i + j] += x * y
+    return QSeries(f.ring, out, min(val, trunc), trunc)
+
+
 def run_u_of_product(cases=600, seed=41):
     # u_ell(f, ell, g) never forms f*g, yet must equal u_ell(f.mul(g), ell) in
     # value, valuation and truncation: over Z and Z/5^e, negative valuations,
-    # zero and length-1 operands, 1- to 300-bit coefficients
+    # zero and length-1 operands, 1- to 300-bit coefficients.  Both sides go
+    # through the window code of QSeries.mul, so f.mul(g) itself is checked
+    # against the schoolbook product too
     rng = random.Random(seed)
     rings = [ZZ, zmod(5, 1), zmod(5, 3), zmod(5, 40)]
 
@@ -135,6 +150,7 @@ def run_u_of_product(cases=600, seed=41):
         ring = rng.choice(rings)
         ell = rng.choice([2, 3, 5, 7, 11])
         f, g = operand(ring), operand(ring)
+        assert f.mul(g) == schoolbook_mul(f, g), (f, g)
         assert u_ell(f, ell, g) == u_ell(f.mul(g), ell), (f, g, ell)
     return cases
 
