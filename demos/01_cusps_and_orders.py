@@ -39,10 +39,11 @@ print(f"  modular on Gamma0(20): {ok} (square witness {k0})")
 
 print()
 print("Orders at every cusp come from the exponent vector (no expansion):")
-for cusp, order in order_vector(t).entries:
+orders = order_vector(t)
+for cusp, order in orders.items():
     print(f"  ord of t at {cusp}: {order}")
 print("  the orders of a modular function sum to zero:",
-      order_vector(t).total() == 0)
+      sum(orders.values()) == 0)
 
 print()
 print("The operator analysis needs to know which cusps the maps")

@@ -8,14 +8,14 @@ integer order vectors that meet all of them at once, maps each back to an
 exponent vector, and keeps the smallest-pole generator.
 """
 
-from etacheck import build_A, compute_pole_sets, find_t, order_vector, solve_W
-from etacheck.tfinder import verify_W
+from etacheck import build_A, compute_pole_sets, find_t, order_vector, solve_W, verify_W
+from etacheck.tfinder import EXPONENT_BOUND
 from etacheck.verifier import rogers_ramanujan
 
 spec = rogers_ramanujan()
 A = build_A(spec.gen)
 print(f"auxiliary quotient A at level {A.level}: {A}")
-print("poles of A:", ", ".join(map(str, order_vector(A).poles())))
+print("poles of A:", ", ".join(str(x) for x, o in order_vector(A).items() if o < 0))
 
 ps = compute_pole_sets(A, 5, 20)
 print()
@@ -27,17 +27,17 @@ print("  exactly zero:     ", sorted(map(str, ps.p1_prime)))
 print()
 print("climbing the pole order at infinity until the system is feasible:")
 for n0 in range(1, 7):
-    sol = solve_W(20, ps, n0, bound=12)
+    sol = solve_W(20, ps, n0)
     if sol is None:
-        print(f"  order {n0}: no exponent vector within bound 12")
+        print(f"  order {n0}: no exponent vector within bound {EXPONENT_BOUND}")
     else:
-        print(f"  order {n0}: found {dict(sol.w)}")
-        print(f"  re-verified against the order formulas: {verify_W(sol, ps)}")
+        print(f"  order {n0}: found {sol}")
+        print(f"  re-verified against the order formulas: {verify_W(sol, n0, ps)}")
         break
 
 t = find_t(spec.gen)
 print()
 print("the generator (smallest pole, lexicographically first):")
 print(" ", t)
-for cusp, order in order_vector(t).entries:
+for cusp, order in order_vector(t).items():
     print(f"  ord at {cusp}: {order}")

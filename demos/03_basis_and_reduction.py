@@ -32,7 +32,7 @@ print()
 print("reduce f = 3*t*g1 - 7*g3 + 5 (built from its expansion alone):")
 f = (b.monomial(1, 1, 60).scale(3)
      .add(b.monomial(0, 3, 60).scale(-7))
-     .add(QSeries.const(ZZ, 5, 35)))
+     .add(QSeries.one(ZZ, 35).scale(5)))
 me = mw_reduce(f, b)
 print(f"  {me}")
 print("  reconstruction matches the input:",

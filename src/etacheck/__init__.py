@@ -13,7 +13,6 @@ from .series import CoeffRing, QSeries, ZZ, zmod
 from .eta import EtaQuotient, divisors, eta_expand, euler_product, euler_quotient
 from .modcurve import (
     Cusp,
-    CuspOrderVector,
     canonical_cusp,
     cusp_count,
     cusp_equivalent,
@@ -24,7 +23,7 @@ from .modcurve import (
     newman_check,
     order_vector,
 )
-from .tfinder import PoleSets, WSolution, compute_pole_sets, find_t, solve_W, verify_W
+from .tfinder import PoleSets, compute_pole_sets, find_t, solve_W, verify_W
 from .basis import (
     AlgebraBasis,
     BasisFunction,

@@ -23,6 +23,7 @@ to the ``QSeries`` constructor of the element's ring.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 from dataclasses import dataclass, field
@@ -209,22 +210,18 @@ _T20 = EtaQuotient(20, {1: 2, 4: 2, 10: 8, 5: -2, 20: -10})
 _H20 = EtaQuotient(20, {1: -1, 4: 1, 5: 5, 20: -5})
 _G20 = EtaQuotient(20, {2: -2, 4: 4, 10: 2, 20: -4})
 
-_BASIS_N20 = None
 
-
+@functools.cache
 def load_basis_n20() -> AlgebraBasis:
     """The standard level-20 basis: generator of order -5 and g_1..g_4 of
     orders (-2, -3, -4, -6) built from the two auxiliary quotients g (order
     -2) and h (order -3): g_1 = g, g_2 = h - g, g_3 = g^2, g_4 = (h - g)^2."""
-    global _BASIS_N20
-    if _BASIS_N20 is None:
-        t = BasisFunction.from_quotient("t", _T20, -5)
-        g1 = BasisFunction.from_quotient("g1", _G20, -2)
-        g2 = BasisFunction("g2", ((1, (_H20,)), (-1, (_G20,))), -3)
-        g3 = BasisFunction("g3", ((1, (_G20, _G20)),), -4)
-        g4 = BasisFunction("g4", ((1, (_H20, _H20)), (-2, (_H20, _G20)), (1, (_G20, _G20))), -6)
-        _BASIS_N20 = AlgebraBasis(20, t, (g1, g2, g3, g4))
-    return _BASIS_N20
+    t = BasisFunction.from_quotient("t", _T20, -5)
+    g1 = BasisFunction.from_quotient("g1", _G20, -2)
+    g2 = BasisFunction("g2", ((1, (_H20,)), (-1, (_G20,))), -3)
+    g3 = BasisFunction("g3", ((1, (_G20, _G20)),), -4)
+    g4 = BasisFunction("g4", ((1, (_H20, _H20)), (-2, (_H20, _G20)), (1, (_G20, _G20))), -6)
+    return AlgebraBasis(20, t, (g1, g2, g3, g4))
 
 
 # -- module elements ---------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage, a bad
-family spec, or a verify run in which no step carried a required valuation
-(NOTHING CHECKED), 3 an internal contract was violated (a reduction step
-that does not divide exactly, a reduction stall or nonzero residual,
-runaway support, a malformed cache file).
+family spec, a path that cannot be read or written (spec file, cache
+directory, report file), or a verify run in which no step carried a
+required valuation (NOTHING CHECKED), 3 an internal contract was violated
+(a reduction step that does not divide exactly, a reduction stall or
+nonzero residual, runaway support, a malformed cache file).
 
 Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
 or a path to a JSON file with fields
@@ -70,7 +71,7 @@ def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
             raise SpecError(f"{source!r} is neither a built-in family nor a file")
         try:
             data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSON or UTF-8 decoding
             raise SpecError(f"{source}: invalid JSON ({exc})") from exc
         spec = CongruenceFamilySpec.from_json(data)
     return spec if B is None else dataclasses.replace(spec, B=B)
@@ -131,7 +132,7 @@ def cmd_find_t(args) -> int:
     divs = sorted(d for d, _ in t.exponents) or [1]
     print(f"generator at level {t.level}: "
           + ",".join(f"{d}^{t.exponent(d)}" for d in divs))
-    for x, o in order_vector(t).entries:
+    for x, o in order_vector(t).items():
         print(f"  ord at {x}: {o}")
     return 0
 
@@ -224,14 +225,12 @@ def cmd_tables(args) -> int:
         lambda x, r: cusp_image_under_scaling(x, r, ell, 20)))
     print()
 
-    ov_a = order_vector(A)
     print("orders of A at the cusps of Gamma0(100):")
-    for x, o in ov_a.entries:
+    for x, o in order_vector(A).items():
         print(f"  {x}: {o}")
     print()
-    ov_t = order_vector(b.t_quotient())
     print("orders of t at the cusps of Gamma0(20):")
-    for x, o in ov_t.entries:
+    for x, o in order_vector(b.t_quotient()).items():
         print(f"  {x}: {o}")
     print()
 
@@ -328,7 +327,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3
-    except EtacheckError as exc:
+    except (EtacheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

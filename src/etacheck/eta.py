@@ -71,12 +71,6 @@ class EtaQuotient:
                 return r
         return 0
 
-    def as_dict(self) -> dict:
-        return dict(self.exponents)
-
-    def is_trivial(self) -> bool:
-        return not self.exponents
-
     # weighted sums that the modularity conditions and order formulas use
     def sum_r(self) -> int:
         return sum(r for _, r in self.exponents)
@@ -86,11 +80,6 @@ class EtaQuotient:
 
     def sum_ndr(self) -> int:
         return sum((self.level // d) * r for d, r in self.exponents)
-
-    def mul(self, other: "EtaQuotient") -> "EtaQuotient":
-        if self.level != other.level:
-            raise SpecError("eta quotients live at different levels")
-        return EtaQuotient(self.level, list(self.exponents) + list(other.exponents))
 
     def pow(self, n: int) -> "EtaQuotient":
         return EtaQuotient(self.level, [(d, n * r) for d, r in self.exponents])

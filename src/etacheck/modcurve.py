@@ -230,27 +230,7 @@ def eta_order_at_cusp(eq: EtaQuotient, x: Cusp) -> Fraction:
     return Fraction(N, 24 * gcd(c * c, N)) * total
 
 
-@dataclass(frozen=True)
-class CuspOrderVector:
-    """Orders of one eta quotient at every cusp representative of its level."""
-
-    level: int
-    entries: tuple  # ((Cusp, Fraction), ...) in representative order
-
-    def order(self, x: Cusp) -> Fraction:
-        target = canonical_cusp(x, self.level)
-        for cu, o in self.entries:
-            if cu == target:
-                return o
-        raise SpecError(f"{x} is not a cusp of level {self.level}")
-
-    def poles(self) -> tuple:
-        return tuple(cu for cu, o in self.entries if o < 0)
-
-    def total(self) -> Fraction:
-        return sum((o for _, o in self.entries), Fraction(0))
-
-
-def order_vector(eq: EtaQuotient) -> CuspOrderVector:
-    reps = cusp_representatives(eq.level)
-    return CuspOrderVector(eq.level, tuple((x, eta_order_at_cusp(eq, x)) for x in reps))
+def order_vector(eq: EtaQuotient) -> dict:
+    """{representative: order} over every cusp class of the quotient's level,
+    in representative order."""
+    return {x: eta_order_at_cusp(eq, x) for x in cusp_representatives(eq.level)}

@@ -244,12 +244,8 @@ class QSeries:
         return cls._canonical(ring, coeffs, lo, trunc)
 
     @classmethod
-    def const(cls, ring: CoeffRing, c, trunc: int) -> "QSeries":
-        return cls.from_terms(ring, {0: c}, trunc)
-
-    @classmethod
     def one(cls, ring: CoeffRing, trunc: int) -> "QSeries":
-        return cls.const(ring, 1, trunc)
+        return cls.from_terms(ring, {0: 1}, trunc)
 
     # -- inspection ---------------------------------------------------------
 
@@ -333,12 +329,6 @@ class QSeries:
                     break
                 out[e - lo] = out[e - lo] + c
         return QSeries(self.ring, out, lo, trunc)
-
-    def neg(self) -> "QSeries":
-        return QSeries(self.ring, [-c for c in self.coeffs], self.val, self.trunc)
-
-    def sub(self, other: "QSeries") -> "QSeries":
-        return self.add(other.neg())
 
     def scale(self, c) -> "QSeries":
         """Scalar multiple c*f."""

@@ -13,9 +13,10 @@ split into four camps that dictate sign constraints on the order of t:
 * p1_prime -- the rest, pinned to order exactly zero (a blunt but complete
               choice).
 
-The system W(n0) then asks for a modular exponent vector with order -n0 at
+The system W(n0) then asks for a modular eta quotient with order -n0 at
 infinity, positive order on p_A and p_g, and the p0'/p1' signs; n0 climbs
-from 1 until the search over cusp-order vectors finds a solution.
+from 1 until the search over cusp-order vectors finds a solution, and that
+quotient is the generator t.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SearchExhaustedError, SpecError
-from .eta import EtaQuotient, divisors
+from .eta import EtaQuotient
 from .modcurve import (
     cusp_image_under_scaling,
     eta_order_at_cusp,
@@ -46,21 +47,6 @@ class PoleSets:
     p0_prime: frozenset
     p1_prime: frozenset
 
-    def covers(self, N: int) -> bool:
-        return set(finite_cusps(N)) <= (self.p_A | self.p_g | self.p0_prime | self.p1_prime)
-
-
-@dataclass(frozen=True)
-class WSolution:
-    level: int
-    w: tuple  # ((divisor, exponent), ...) including zero entries
-    x1: int
-    x2: int
-    x3: int
-
-    def quotient(self) -> EtaQuotient:
-        return EtaQuotient(self.level, dict(self.w))
-
 
 def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     """Classify the finite cusps of Gamma0(N) as described in the module docstring.
@@ -76,7 +62,7 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     inf_N = infinity_class(N)
     finite = finite_cusps(N)
 
-    a_poles = frozenset(order_vector(A).poles())
+    a_poles = frozenset(x for x, o in order_vector(A).items() if o < 0)
     images_fine = {x: {cusp_image_under_scaling(x, r, ell, ell * N) for r in range(ell)}
                    for x in finite}
     images_coarse = {x: {cusp_image_under_scaling(x, r, ell, N) for r in range(ell)}
@@ -102,34 +88,21 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     return PoleSets(frozenset(p_a), frozenset(p_g), frozenset(p0), frozenset(p1))
 
 
-def solve_W(N: int, pole_sets: PoleSets, n0: int, bound: int = EXPONENT_BOUND):
-    """Lexicographically smallest exponent vector solving W(n0), or None.
-
-    The witnesses: x1 = n0 = -order at infinity, x2 balances the inverse
-    weighted sum against 24, x3 is the integer square root of prod d**|w_d|.
-    """
-    hits = search_modular_quotients(N, n0, bound,
+def solve_W(N: int, pole_sets: PoleSets, n0: int):
+    """The lexicographically smallest eta quotient at level N solving W(n0),
+    with exponents within EXPONENT_BOUND, or None."""
+    hits = search_modular_quotients(N, n0, EXPONENT_BOUND,
                                     positive=pole_sets.p_A | pole_sets.p_g,
                                     nonneg=pole_sets.p0_prime,
                                     zero=pole_sets.p1_prime)
-    if not hits:
-        return None
-    eq = hits[0]
-    divs = divisors(N)
-    w = tuple((d, eq.exponent(d)) for d in divs)
-    x2 = -eq.sum_ndr() // 24
-    return WSolution(N, w, n0, x2, newman_check(eq)[1])
+    return hits[0] if hits else None
 
 
-def verify_W(sol: WSolution, pole_sets: PoleSets) -> bool:
-    """Re-check every condition of W(x1) through the order formulas."""
-    eq = sol.quotient()
-    ok, k0 = newman_check(eq)
-    if not ok:
+def verify_W(eq: EtaQuotient, n0: int, pole_sets: PoleSets) -> bool:
+    """Re-check every condition of W(n0) through the order formulas."""
+    if not newman_check(eq)[0]:
         return False
-    if eta_order_at_cusp(eq, infinity_class(sol.level)) != -sol.x1:
-        return False
-    if eq.sum_ndr() + 24 * sol.x2 != 0 or sol.x3 != k0:
+    if eta_order_at_cusp(eq, infinity_class(eq.level)) != -n0:
         return False
     for x in pole_sets.p_A | pole_sets.p_g:
         if eta_order_at_cusp(eq, x) <= 0:
@@ -151,9 +124,9 @@ def find_t(gen: FamilyGenerator) -> EtaQuotient:
     N = gen.ell * gen.M
     pole_sets = compute_pole_sets(A, gen.ell, N)
     for n0 in range(1, N0_MAX + 1):
-        sol = solve_W(N, pole_sets, n0)
-        if sol is not None:
-            return sol.quotient()
+        t = solve_W(N, pole_sets, n0)
+        if t is not None:
+            return t
     raise SearchExhaustedError(
         f"no generator with -ord(infinity) <= {N0_MAX} and exponents within "
         f"{EXPONENT_BOUND}")

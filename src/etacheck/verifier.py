@@ -52,6 +52,8 @@ class CongruenceFamilySpec:
     B: int = 5
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SpecError(f"family name {self.name!r} is not a string")
         if self.pattern not in PATTERN_KINDS:
             raise SpecError(f"unknown pattern kind {self.pattern!r}")
         if _whole(self.B, "B") < 1:
@@ -88,17 +90,25 @@ class CongruenceFamilySpec:
     def from_json(cls, data: dict) -> "CongruenceFamilySpec":
         """The spec a ``to_json`` dict describes.  Every number must be a JSON
         integer: 2.5, true or "4" is refused by the checks of
-        ``FamilyGenerator`` and of the spec, never truncated; only the divisor
-        keys of "r", strings in JSON, are parsed."""
+        ``FamilyGenerator`` and of the spec, never truncated.  The divisor
+        keys of "r", strings in JSON, must be written as ``to_json`` writes
+        them ("2", not "02", " 2", "+2" or "2.0"); a key that is not a string
+        is checked as a number."""
         try:
-            gen = FamilyGenerator(data["M"], {int(d): e for d, e in data["r"].items()},
-                                  data["ell"])
-            return cls(str(data.get("name", "custom")), gen, data["c"],
-                       str(data["pattern"]), data.get("B", 5))
+            r = [(_divisor_key(d), e) for d, e in data["r"].items()]
+            gen = FamilyGenerator(data["M"], r, data["ell"])
+            return cls(data.get("name", "custom"), gen, data["c"],
+                       data["pattern"], data.get("B", 5))
         except KeyError as exc:
             raise SpecError(f"family spec is missing field {exc}") from exc
         except (SpecError, ValueError, TypeError, AttributeError) as exc:
             raise SpecError(f"malformed family spec: {exc}") from exc
+
+
+def _divisor_key(d):
+    if isinstance(d, str) and d != str(int(d)):
+        raise SpecError(f"divisor key {d!r} is not a plain decimal integer")
+    return int(d) if isinstance(d, str) else d
 
 
 def rogers_ramanujan(B: int = 5) -> CongruenceFamilySpec:

@@ -18,8 +18,8 @@ def run(capsys, *argv):
 def test_parse_eta_spec():
     eq = parse_eta_spec("20:1^2,4^2,10^8,5^-2,20^-10")
     assert eq.level == 20
-    assert eq.as_dict() == {1: 2, 4: 2, 10: 8, 5: -2, 20: -10}
-    assert parse_eta_spec("12:").is_trivial()
+    assert dict(eq.exponents) == {1: 2, 4: 2, 10: 8, 5: -2, 20: -10}
+    assert parse_eta_spec("12:").exponents == ()
     with pytest.raises(SpecError):
         parse_eta_spec("20")
     with pytest.raises(SpecError):
@@ -63,13 +63,37 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     assert code == 2 and out == "" and "--mod" in err
     good = {"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24,
             "pattern": "even-alpha", "B": 2}
-    # a fractional or boolean number is refused, not truncated to an integer
+    # a fractional or boolean number is refused, not truncated to an integer;
+    # a divisor key must be written as to_json writes it, the name a string
     for bad in ({**good, "r": [[1, -3]]}, {**good, "M": "x"}, [good],
-                {**good, "c": 24.9, "B": 2.5}, {**good, "B": True}):
+                {**good, "c": 24.9, "B": 2.5}, {**good, "B": True},
+                *({**good, "r": {"1": -3, key: 5, "4": -2}}
+                  for key in ("0_2", " 2", "+2", "\u0662")),
+                {**good, "name": ["x"]}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
         assert code == 2 and out == "" and "malformed family spec" in err
+    # a key that is not a string (only a dict built in Python has one) is
+    # checked as a number, not truncated
+    with pytest.raises(SpecError, match="divisor 1.9"):
+        CongruenceFamilySpec.from_json({**good, "r": {1.9: -3, 2: 5, 4: -2}})
+
+
+def test_unusable_paths_exit_2(capsys, tmp_path, image_cache_dir):
+    # a path that cannot be read or written is bad usage, never the exit 1
+    # of a failed conjecture and never a traceback
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    undecodable = tmp_path / "binary.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for argv in (("--cache-dir", str(not_a_dir), "verify", "rogers-ramanujan", "--B", "1"),
+                 ("--cache-dir", str(image_cache_dir), "verify", str(tmp_path)),
+                 ("--cache-dir", str(image_cache_dir), "verify", str(undecodable)),
+                 ("--cache-dir", str(image_cache_dir), "verify", "rogers-ramanujan",
+                  "--B", "1", "-o", str(tmp_path / "no" / "such" / "dir" / "r.json"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
 
 
 def test_malformed_cache_file_exits_3(capsys, tmp_path):

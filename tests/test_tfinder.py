@@ -4,7 +4,13 @@ import pytest
 
 from etacheck.errors import SpecError
 from etacheck.eta import EtaQuotient
-from etacheck.modcurve import Cusp, canonical_cusp, eta_order_at_cusp, infinity_class
+from etacheck.modcurve import (
+    Cusp,
+    canonical_cusp,
+    eta_order_at_cusp,
+    finite_cusps,
+    infinity_class,
+)
 from etacheck.tfinder import PoleSets, compute_pole_sets, find_t, solve_W, verify_W
 from etacheck.ujump import FamilyGenerator, build_A
 
@@ -25,8 +31,7 @@ def test_pole_sets_level_20(rr_pole_sets):
     assert ps.p_g == frozenset({Cusp(1, 4)})
     assert ps.p0_prime == frozenset({Cusp(1, 5)})
     assert ps.p1_prime == frozenset()
-    assert ps.covers(20)
-    assert infinity_class(20) not in ps.p_A | ps.p_g | ps.p0_prime | ps.p1_prime
+    assert ps.p_A | ps.p_g | ps.p0_prime | ps.p1_prime == set(finite_cusps(20))
 
 
 def test_pole_sets_trivial_quotient():
@@ -43,10 +48,22 @@ def test_pole_sets_same_for_both_families(rr_pole_sets):
 
 
 def test_solve_w5_finds_a_valid_solution(rr_pole_sets):
-    sol = solve_W(20, rr_pole_sets, 5, bound=12)
-    assert sol is not None
-    assert sol.x1 == 5
-    assert verify_W(sol, rr_pole_sets)
+    t = solve_W(20, rr_pole_sets, 5)
+    assert t is not None
+    assert verify_W(t, 5, rr_pole_sets)
+
+
+def test_verify_w_rejects_each_broken_condition(rr_pole_sets):
+    t = EtaQuotient(20, S_VECTOR)  # order 1 at 1/10, 0 at 1/5
+    assert verify_W(t, 5, rr_pole_sets)
+    assert not verify_W(t, 4, rr_pole_sets)  # wrong n0
+    # weight 1/2, so not modular, though every order condition of W(5) holds
+    assert not verify_W(EtaQuotient(20, {1: 2, 4: 2, 10: 7, 20: -10}), 5, rr_pole_sets)
+    empty = frozenset()
+    at_1_5 = frozenset({Cusp(1, 5)})
+    assert not verify_W(t, 5, PoleSets(at_1_5, empty, empty, empty))  # order 0 on p_A
+    at_1_10 = frozenset({Cusp(1, 10)})
+    assert not verify_W(t, 5, PoleSets(empty, empty, empty, at_1_10))  # nonzero on p1'
 
 
 def test_known_vector_satisfies_w5(rr_pole_sets):
@@ -62,19 +79,17 @@ def test_known_vector_satisfies_w5(rr_pole_sets):
 
 @pytest.mark.parametrize("n0", [1, 2, 3, 4])
 def test_no_solution_below_order_five(rr_pole_sets, n0):
-    assert solve_W(20, rr_pole_sets, n0, bound=12) is None
+    assert solve_W(20, rr_pole_sets, n0) is None
 
 
 def test_empty_pole_sets_zero_vector():
-    from etacheck.tfinder import WSolution
     ps = PoleSets(frozenset(), frozenset(), frozenset(), frozenset())
-    # the all-zero vector satisfies W(0) outright
-    zero = WSolution(20, tuple((d, 0) for d in (1, 2, 4, 5, 10, 20)), 0, 0, 1)
-    assert verify_W(zero, ps)
+    # the constant quotient satisfies W(0) outright
+    assert verify_W(EtaQuotient(20, {}), 0, ps)
     # and the search returns some valid solution deterministically
-    sol = solve_W(20, ps, 0, bound=3)
-    assert sol is not None and verify_W(sol, ps)
-    assert sol == solve_W(20, ps, 0, bound=3)
+    t = solve_W(20, ps, 0)
+    assert t is not None and verify_W(t, 0, ps)
+    assert t == solve_W(20, ps, 0)
 
 
 def test_find_t_trivial_family():

@@ -27,6 +27,7 @@ def test_residue_for_case():
     assert residue_for_case(24, 5, 2) == 24
     assert residue_for_case(1, 5, 3) == 1
     assert residue_for_case(12, 5, 1) == 3
+    assert residue_for_case(24, 5, 1) == 4
     with pytest.raises(SpecError):
         residue_for_case(10, 5, 2)
 
