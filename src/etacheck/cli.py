@@ -168,11 +168,11 @@ def cmd_verify(args) -> int:
     b = resolve_basis(spec)
     table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
     report = iterate(spec, table)
-    print(report.text())
     payload = {"spec": spec.to_json(), "report": report.to_json()}
-    if args.output:
+    if args.output:  # first, so a write that fails (exit 2) never follows a printed VERIFIED
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    elif args.json:
+    print(report.text())
+    if args.json and not args.output:
         print(json.dumps(payload, indent=2))
     if not report.ok:
         return 1

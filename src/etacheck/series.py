@@ -13,16 +13,36 @@ shifted by valuations for products and inverses).  Values are immutable and
 all operations are pure.
 
 Multiplication packs each operand's coefficients, whatever their signs, into
-one signed big integer (Kronecker substitution) and makes one product, so that
-CPython's subquadratic integer multiplication does the convolution; this is
-the single hot spot of the whole package.  ``convolve_ints`` can also return
-only the coefficients at o + ell*n of a product, the part U_ell keeps: it
-packs the ell residue classes of each operand, multiplies just the ell class
-pairs that reach those exponents, and adds the products, so it makes ell
-products of 1/ell the length and reads back 1/ell of the limbs.  The plain
-product is its ell = 1 case.  ``QSeries.mul(other, ell)`` is the one owner of
-the window of either: ell = 1 is the product, and ell > 1 is U_ell of the
-product, which is never formed.
+one signed big number (Kronecker substitution) and makes one product, so that
+a C multiply does the convolution; this is the single hot spot of the whole
+package.  ``convolve_ints`` can also return only the coefficients at
+o + ell*n of a product, the part U_ell keeps: it packs the ell residue
+classes of each operand, multiplies just the ell class pairs that reach those
+exponents, and adds the products, so it makes ell products of 1/ell the length
+and reads back 1/ell of the limbs.  The plain product is its ell = 1 case.
+``QSeries.mul(other, ell)`` is the one owner of the window of either: ell = 1
+is the product, and ell > 1 is U_ell of the product, which is never formed.
+
+``convolve_ints`` picks its limb encoding from the operand sizes alone:
+
+- a class product of at least ``_DECIMAL_DIGITS`` decimal digits (limb
+  digits times the two class lengths) is packed in base 10**w and made by
+  libmpdec, the C ``decimal`` module, whose number-theoretic transform beats
+  CPython's Karatsuba on huge operands;
+- any other product is packed in base 2**(8k) and made by CPython's int
+  multiply.  Limbs of k <= 8 bytes, the narrow coefficients of the Z/ell^e
+  oracle, are packed and unpacked by ``array`` and ``bytes`` operations in C;
+  wider limbs, where the multiply dominates, by a ``to_bytes`` loop.
+
+The threshold was measured by timing both encodings on each of the 993 real
+products of at least 5 000 digits made by cold RR (B = 14) and AS (B = 10)
+runs, the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
+``consistency_check`` at alpha = 5 (2-core x86-64, CPython 3.11, libmpdec
+2.5.1).  Their total time is least at about 105 000 digits: 23.2 s, against
+82.0 s for int alone and 24.1 s for libmpdec alone.  Near the threshold
+narrow limbs (up to 12 digits) favour int up to about 130 000 digits, and
+wide ones libmpdec from about 100 000; above 10^6 digits libmpdec is 2 to 5
+times faster.
 
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
@@ -32,6 +52,8 @@ are formed over Z and handed to the ``QSeries`` constructor (or to
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,17 +148,108 @@ def zmod(ell: int, power: int) -> CoeffRing:
 # ---------------------------------------------------------------------------
 # Kronecker-substitution convolution.
 
+try:
+    import _decimal  # libmpdec; the pure-Python _pydecimal is slower than int
+except ImportError:  # pragma: no cover - CPython builds ship _decimal
+    _decimal = None
+
+# A class product of at least this many decimal digits (limb digits times the
+# two class lengths) is made by libmpdec, below it by CPython's int multiply.
+# Measured once on the (class length, bits) grid of the convolutions of deep
+# image runs and of the oracle; see the module docstring.
+_DECIMAL_DIGITS = 105_000
+
+_FLIP = bytes(x ^ 0x80 for x in range(256))  # flips a byte's top bit
+_SIGN = bytes(0xFF if x & 0x80 else 0 for x in range(256))  # its sign extension
+# Signed array item codes of 1, 2, 4 and 8 bytes, when the items have those
+# sizes and are stored little-endian, as the limbs of a packed integer are.
+_WORDS = dict(zip((1, 2, 4, 8), "bhiq"))
+if sys.byteorder != "little" or any(array(c).itemsize != w for w, c in _WORDS.items()):
+    _WORDS = {}
+
+
 def _bias(limb_bytes, n):
     """sum of half * 2**(8*limb_bytes*i) for i < n, half = 2**(8*limb_bytes - 1)."""
     return int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n, "little")
 
 
+def _word(limb_bytes):
+    """The array item width that holds a limb of limb_bytes, or None."""
+    w = 1 << (limb_bytes - 1).bit_length()
+    return w if w in _WORDS else None
+
+
 def _pack(vals, limb_bytes):
     """The signed integer sum of vals[i] * 2**(8*limb_bytes*i), written as
-    limbs v + half, half = 2**(8*limb_bytes - 1) > |v|, minus their bias."""
-    half = 1 << (8 * limb_bytes - 1)
-    packed = b"".join([(v + half).to_bytes(limb_bytes, "little") for v in vals])
-    return int.from_bytes(packed, "little") - _bias(limb_bytes, len(vals))
+    limbs v + half, half = 2**(8*limb_bytes - 1) > |v|, minus their bias.
+
+    v + half is v's two's complement at limb_bytes bytes with its top bit
+    flipped.  A limb of at most 8 bytes is written by C: the array of vals at
+    the next item width w, then, for limb_bytes < w, the low limb_bytes bytes
+    of each item copied by strided slices, then the top byte of each limb
+    flipped through a translate table."""
+    k = limb_bytes
+    w = _word(k)
+    if w is None:
+        half = 1 << (8 * k - 1)
+        packed = b"".join([(v + half).to_bytes(k, "little") for v in vals])
+    else:
+        words = array(_WORDS[w], vals).tobytes()
+        if k == w:
+            packed = bytearray(words)
+        else:
+            packed = bytearray(k * len(vals))
+            for p in range(k):
+                packed[p::k] = words[p::w]
+        packed[k - 1::k] = packed[k - 1::k].translate(_FLIP)
+    return int.from_bytes(packed, "little") - _bias(k, len(vals))
+
+
+def _unpack(raw, limb_bytes):
+    """The values d of the limbs d + half of raw, inverse to ``_pack``'s
+    encoding: for limbs of at most 8 bytes, the top byte flipped back, each
+    limb sign-extended to the next item width through a second translate
+    table, and the items read by a memoryview cast."""
+    k = limb_bytes
+    w = _word(k)
+    if w is None:
+        half = 1 << (8 * k - 1)
+        return [int.from_bytes(raw[i:i + k], "little") - half
+                for i in range(0, len(raw), k)]
+    top = raw[k - 1::k].translate(_FLIP)
+    if k == w:
+        words = bytearray(raw)
+    else:
+        words = bytearray(len(raw) // k * w)
+        for p in range(k - 1):
+            words[p::w] = raw[p::k]
+        sign = top.translate(_SIGN)
+        for p in range(k, w):
+            words[p::w] = sign
+    words[k - 1::w] = top
+    return memoryview(words).cast(_WORDS[w]).tolist()
+
+
+def _pack_decimal(vals, digits):
+    """The Decimal sum of vals[i] * 10**(digits*i), written as limbs v + half,
+    half = 5 * 10**(digits-1), minus their bias, in the caller's exact
+    context.  |v| < 10**(digits-1), so every limb has exactly ``digits``
+    digits."""
+    half = 5 * 10 ** (digits - 1)
+    packed = "".join([str(v + half) for v in reversed(vals)])
+    return _decimal.Decimal(packed) - _decimal.Decimal(str(half) * len(vals))
+
+
+def _class_products(a, b, ell, o, pack, shift, total):
+    """total plus, over the class pairs (r, s) with r + s = o mod ell, the
+    products pack(a[r::ell]) * pack(b[s::ell]), shifted up one limb by
+    ``shift`` when r + s = o + ell."""
+    for r in range(min(ell, len(a))):
+        s = (o - r) % ell
+        if s < len(b):
+            prod = pack(a[r::ell]) * pack(b[s::ell])
+            total = total + (shift(prod) if r + s > o else prod)
+    return total
 
 
 def convolve_ints(a, b, n_out, ell=1, o=0):
@@ -145,15 +258,28 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     n_out coefficients.
 
     Each operand is split into its ell residue classes of index, and each
-    class is packed once, at one common limb width k.  Class r of a meets
-    only class s = (o - r) mod ell of b: since r + s is o or o + ell, the
-    product of the two packed classes holds the wanted coefficients from
-    limb 0 or limb 1 on, so it is shifted up by that many limbs and added.
-    Every operand coefficient, and every wanted coefficient d of the sum, has
-    absolute value below bound < half = 2**(k-1).  So ``_pack`` can bias each
-    operand limb by half, and adding half to each of the low n_out limbs of
-    the sum turns them into digits in [0, 2**k) with no borrow across limbs;
-    the mask drops the limbs past n_out.
+    class is packed once.  Class r of a meets only class s = (o - r) mod ell
+    of b: since r + s is o or o + ell, the product of the two packed classes
+    holds the wanted coefficients from limb 0 or limb 1 on, so it is shifted
+    up by that many limbs and added.  Every operand coefficient, and every
+    wanted coefficient d of the sum, has absolute value below bound < half,
+    half a limb's range.  So each operand limb can be biased by half, and
+    adding half to each of the low n_out limbs of the sum turns them into
+    limb digits with no borrow across limbs.
+
+    The limb encoding follows from the operand sizes alone (see the module
+    docstring).  A class product of at least ``_DECIMAL_DIGITS`` digits is
+    made in base 10**w by libmpdec when the C ``decimal`` module is present
+    and int() may parse a w-digit limb; a power of ten above both the sum of
+    the products and the n_out limbs keeps the total positive, and the limbs
+    are read from its digit string one w-digit slice at a time, never by one
+    int() of the whole string and never by ``Context.remainder`` (a full
+    division).  Every other product is made in base 2**(8k) by CPython, with
+    k = bit_length(bound) + 1 bits rounded up to whole bytes; a limb of at
+    most 8 bytes is packed and unpacked by ``array`` in C (see ``_pack``), a
+    wider one by a ``to_bytes`` loop.  Limbs stay k bytes wide: rounding k
+    up to the item width made the multiply 1.6 to 6 times slower (3 or 5
+    bytes to 4 or 8, 850 to 6 350 limbs).
     """
     if n_out <= 0 or not a or not b:
         return []
@@ -165,19 +291,29 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     if max_a == 0 or max_b == 0:
         return [0] * n_out
     bound = max_a * max_b * min(len(a), len(b)) + 1
+    digits = bound.bit_length() * 30103 // 100000 + 2  # 10**(digits-1) > bound
+    size = -(-len(a) // ell) + -(-len(b) // ell)  # limbs of one class product
+    str_digits = sys.get_int_max_str_digits()
+    if (_decimal is not None and digits * size >= _DECIMAL_DIGITS
+            and (str_digits == 0 or digits <= str_digits)):
+        half = 5 * 10 ** (digits - 1)
+        # 10**top exceeds the sum of at most ell products shifted up one
+        # limb, and lies above the n_out limbs
+        top = max(digits * n_out, digits * (size + 1) + len(str(ell)))
+        ctx = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX,
+                               Emin=_decimal.MIN_EMIN)
+        with _decimal.localcontext(ctx):
+            start = _decimal.Decimal("1" + "0" * (top - digits * n_out) + str(half) * n_out)
+            total = str(_class_products(a, b, ell, o, lambda v: _pack_decimal(v, digits),
+                                        lambda x: x.scaleb(digits), start))
+        end = len(total)
+        return [int(total[i - digits:i]) - half
+                for i in range(end, end - digits * n_out, -digits)]
     limb_bytes = (bound.bit_length() + 8) // 8  # bit_length + 1 bits, whole bytes
     need = limb_bytes * n_out
-    total = _bias(limb_bytes, n_out)
-    packed_b = [_pack(b[s::ell], limb_bytes) for s in range(min(ell, len(b)))]
-    for r in range(min(ell, len(a))):
-        s = (o - r) % ell
-        if s < len(packed_b):
-            prod = _pack(a[r::ell], limb_bytes) * packed_b[s]
-            total += prod << 8 * limb_bytes if r + s > o else prod
-    raw = (total & ((1 << 8 * need) - 1)).to_bytes(need, "little")
-    half = 1 << (8 * limb_bytes - 1)
-    return [int.from_bytes(raw[i:i + limb_bytes], "little") - half
-            for i in range(0, need, limb_bytes)]
+    total = _class_products(a, b, ell, o, lambda v: _pack(v, limb_bytes),
+                            lambda x: x << 8 * limb_bytes, _bias(limb_bytes, n_out))
+    return _unpack((total & ((1 << 8 * need) - 1)).to_bytes(need, "little"), limb_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -259,9 +259,10 @@ def test_criterion_8_oracle_cross_checks(rr_spec, as_spec):
     assert direct_oracle(as_spec.gen, 625, 573, 5, 4, 20).ok
     assert direct_oracle(as_spec.gen, 3125, 1823, 5, 5, 8).ok
     assert time.monotonic() - t0 < 60
-    # 24n == 1 mod 5^6 (RR, step 6 gains 5^3)
+    # 24n == 1 mod 5^6 (RR, step 6 gains 5^3) and 12n == 1 mod 5^6 (AS)
     t0 = time.monotonic()
     assert direct_oracle(rr_spec.gen, 15625, 14974, 5, 3, 2).ok
+    assert direct_oracle(as_spec.gen, 15625, 14323, 5, 6, 8).ok
     assert time.monotonic() - t0 < 60
     verdict(8, "brute-force congruence checks (two families, up to 5^6, witness found)")
 
@@ -281,4 +282,9 @@ def test_criterion_10_consistency_oracle(rr_spec, as_spec, rr_image_table, as_im
     for alpha in range(1, 5):
         assert consistency_check(rr_spec, rr_image_table, alpha, 40)
         assert consistency_check(as_spec, as_image_table, alpha, 40)
+    # alpha = 5 slices the generating functions to about 131 k coefficients
+    for spec, table in ((rr_spec, rr_image_table), (as_spec, as_image_table)):
+        t0 = time.monotonic()
+        assert consistency_check(spec, table, 5, 40)
+        assert time.monotonic() - t0 < 60
     verdict(10, "basis-side expansions match direct progression slices mod 5^B")

@@ -92,8 +92,8 @@ def test_unusable_paths_exit_2(capsys, tmp_path, image_cache_dir):
                  ("--cache-dir", str(image_cache_dir), "verify", str(undecodable)),
                  ("--cache-dir", str(image_cache_dir), "verify", "rogers-ramanujan",
                   "--B", "1", "-o", str(tmp_path / "no" / "such" / "dir" / "r.json"))):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and err.startswith("error: "), argv
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "VERIFIED" not in out, argv
 
 
 def test_malformed_cache_file_exits_3(capsys, tmp_path):

@@ -2,12 +2,13 @@
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from etacheck import eta
+from etacheck import eta, series
 from etacheck.basis import _G20, _H20
 from etacheck.errors import SpecError
 from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
@@ -53,7 +54,7 @@ def random_series(rng, ring, max_len=12):
 RINGS = [ZZ, zmod(5, 2), zmod(7, 1)]
 
 
-def test_convolution_matches_schoolbook():
+def test_convolution_matches_schoolbook(monkeypatch):
     rng = random.Random(7)
     cases = [([rng.randint(-50, 50) for _ in range(rng.randint(0, 20))],
               [rng.randint(-50, 50) for _ in range(rng.randint(0, 20))],
@@ -67,23 +68,52 @@ def test_convolution_matches_schoolbook():
               for n in (1, 4, len(a) + len(b) - 1, len(a) + len(b) + 5)]
     # +-(2**s - 1) and +-2**s for every s, s = 8j included: constant operands
     # reach the extreme coefficients +-(bound - 1), with the bound on either
-    # side of each byte boundary
+    # side of each byte boundary, so every limb width from 1 to 11 bytes
     boundary = []
     for s in range(1, 42):
         for c in ((1 << s) - 1, 1 << s):
             for a in ([c], [-c], [c] * 3, [-c] * 3, [c, -c, c]):
                 boundary += [(a, b, n) for b in ([c] * 3, [-c] * 3, [1], [-c])
                              for n in (1, 3, 7)]
-    for a, b, n in cases + boundary:
-        expected = schoolbook(a, b, n) if a and b else []
-        assert convolve_ints(a, b, n) == expected, (a, b, n)
-    # the extremes again through the 5-dissected mode, at every offset
-    for a, b, n in boundary:
-        full = schoolbook(a, b, 5 * n)
-        for o in range(5):
-            assert convolve_ints(a, b, n, 5, o) == full[o::5], (a, b, n, o)
-    assert convolve_ints([], [1, -2], 3) == [] and convolve_ints([5], [], 3) == []
-    assert convolve_ints([10**40, -1], [0, 0], 3) == [0, 0, 0]
+    # the limb width of each int-path operand; the decimal path packs none
+    widths = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda vals, k: widths.append(k) or pack(vals, k))
+
+    def check_all():
+        widths.clear()
+        for a, b, n in cases + boundary:
+            expected = schoolbook(a, b, n) if a and b else []
+            assert convolve_ints(a, b, n) == expected, (a, b, n)
+        # all again through the 5-dissected mode, at every offset; operands
+        # longer than 5 reach the class pairs with r + s = o + 5
+        for a, b, n in cases + boundary:
+            full = schoolbook(a, b, 5 * n) if a and b else []
+            for o in range(5):
+                assert convolve_ints(a, b, n, 5, o) == full[o::5], (a, b, n, o)
+        assert convolve_ints([], [1, -2], 3) == [] and convolve_ints([5], [], 3) == []
+        assert convolve_ints([10**40, -1], [0, 0], 3) == [0, 0, 0]
+        return set(widths)
+
+    # bytes: 1..8-byte limbs go through array (3, 5, 6 and 7 by strided
+    # copies), 9..11-byte limbs through to_bytes
+    assert check_all() == set(range(1, 12))
+    # every product through libmpdec
+    monkeypatch.setattr(series, "_DECIMAL_DIGITS", 0)
+    assert check_all() == set()
+    # limbs of more digits than int() may parse fall back to the int multiply
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        widths.clear()
+        a = [rng.randint(-10**400, 10**400) for _ in range(4)]
+        b = [rng.randint(-10**400, 10**400) for _ in range(5)]
+        assert convolve_ints(a, b, 12) == schoolbook(a, b, 12) and widths
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # and so does every product without the C decimal module
+    monkeypatch.setattr(series, "_decimal", None)
+    assert check_all() == set(range(1, 12))
 
 
 def test_convolution_huge_coefficients():
