@@ -26,26 +26,23 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
-from dataclasses import dataclass, field
 
 from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
 from .modcurve import eta_order_at_cusp, finite_cusps, infinity_class, newman_check
 from .search import search_modular_quotients
-from .series import CoeffRing, QSeries, ZZ, zmod
+from .series import CoeffRing, Frozen, QSeries, ZZ, zmod
 
 EXPONENT_BOUND = 16  # |w_d| bound of the search for the basis functions g_k
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(Frozen):
     """A named integer-linear combination of products of eta quotients,
     together with its pole order at infinity (ord_inf < 0 for true poles,
-    0 only for the constant)."""
+    0 only for the constant).  The construction is a tuple
+    ((coefficient, (EtaQuotient, ...)), ...)."""
 
-    name: str
-    construction: tuple  # ((coefficient, (EtaQuotient, ...)), ...)
-    ord_inf: int
+    __slots__ = ("name", "construction", "ord_inf")
 
     @classmethod
     def from_quotient(cls, name: str, eq: EtaQuotient, ord_inf: int) -> "BasisFunction":
@@ -96,16 +93,15 @@ class BasisFunction:
         return f"{self.name} = " + " + ".join(parts)
 
 
-@dataclass
 class AlgebraBasis:
     """Generator t plus g_1..g_v; immutable once built.  The monomial store
     only grows and is shared by every reduction at this level."""
 
-    level: int
-    t: BasisFunction
-    gs: tuple
-
-    _monomials: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, level: int, t: BasisFunction, gs: tuple):
+        self.level = level
+        self.t = t
+        self.gs = gs
+        self._monomials = {}
 
     @property
     def v(self) -> int:

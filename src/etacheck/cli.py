@@ -21,7 +21,6 @@ Eta quotients on the command line are written N:d1^e1,d2^e2,... as in
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -74,7 +73,7 @@ def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
         except ValueError as exc:  # JSON or UTF-8 decoding
             raise SpecError(f"{source}: invalid JSON ({exc})") from exc
         spec = CongruenceFamilySpec.from_json(data)
-    return spec if B is None else dataclasses.replace(spec, B=B)
+    return spec if B is None else spec.with_B(B)
 
 
 def default_cache_dir():
@@ -250,12 +249,9 @@ def cmd_tables(args) -> int:
     print(_format_table(
         "orders over Gamma0(100) of the tamed products",
         c100, [label for label, _, _ in taming],
-        lambda x, ci: se_order(t_scaled, taming[ci][1], taming[ci][2], x)))
+        lambda x, ci: (taming[ci][2] * eta_order_at_cusp(t_scaled, x)
+                       + eta_order_at_cusp(taming[ci][1], x))))
     return 0
-
-
-def se_order(t_scaled, eq, m, x):
-    return m * eta_order_at_cusp(t_scaled, x) + eta_order_at_cusp(eq, x)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,10 +16,8 @@ several basis functions share is expanded once per length it outgrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SpecError
-from .series import CoeffRing, QSeries, ZZ, _whole
+from .series import CoeffRing, Frozen, QSeries, ZZ, _whole
 
 
 def divisors(n: int) -> list[int]:
@@ -34,8 +32,7 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(Frozen):
     """Level N and exponent vector r indexed by divisors of N.
 
     Exponents are stored sparsely as a sorted tuple of (divisor, exponent)
@@ -43,8 +40,7 @@ class EtaQuotient:
     A float level, divisor or exponent is refused, never truncated.
     """
 
-    level: int
-    exponents: tuple
+    __slots__ = ("level", "exponents")
 
     def __init__(self, level: int, exponents):
         level = _whole(level, "level")
@@ -62,8 +58,7 @@ class EtaQuotient:
                 raise SpecError(f"divisor {d} does not divide level {level}")
             acc[d] = acc.get(d, 0) + r
         packed = tuple(sorted((d, r) for d, r in acc.items() if r != 0))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "exponents", packed)
+        self._set(level=level, exponents=packed)
 
     def exponent(self, d: int) -> int:
         for dd, r in self.exponents:

@@ -25,22 +25,20 @@ to zero over a full set of representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import SpecError
 from .eta import EtaQuotient, divisors
+from .series import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
+class Cusp(Frozen):
     """Reduced fraction a/c; infinity itself is written 1/0 and is always
-    equivalent to the class of 1/N."""
+    equivalent to the class of 1/N.  Cusps sort by (c, a)."""
 
-    c: int
-    a: int
+    __slots__ = ("c", "a")
 
     def __init__(self, a: int, c: int):
         if c < 0:
@@ -53,8 +51,12 @@ class Cusp:
             g = gcd(a, c)
             a //= g
             c //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        self._set(c=c, a=a)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.c, self.a) < (other.c, other.a)
 
     def is_infinity(self) -> bool:
         return self.c == 0
@@ -79,18 +81,7 @@ def parse_cusp(text: str) -> Cusp:
 
 
 def _euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return sum(gcd(u, n) == 1 for u in range(n))
 
 
 def cusp_count(N: int) -> int:
@@ -198,11 +189,7 @@ def newman_check(eq: EtaQuotient):
     Conditions: sum r_d = 0; sum d*r_d == 0 (mod 24); sum (N/d)*r_d == 0
     (mod 24); prod d**|r_d| a perfect square (witness k0).
     """
-    if eq.sum_r() != 0:
-        return False, None
-    if eq.sum_dr() % 24:
-        return False, None
-    if eq.sum_ndr() % 24:
+    if eq.sum_r() != 0 or eq.sum_dr() % 24 or eq.sum_ndr() % 24:
         return False, None
     prod = 1
     for d, r in eq.exponents:

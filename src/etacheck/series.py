@@ -54,25 +54,13 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from math import isqrt
 
 from .errors import SpecError
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _whole(x, what: str) -> int:
@@ -86,39 +74,77 @@ def _whole(x, what: str) -> int:
         raise SpecError(f"{what} {x!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class Frozen:
+    """An immutable value over ``__slots__``, a frozen dataclass without the
+    code generated at import.  Its fields are the slots not named "_..."
+    (those hold what the fields determine), and give eq (within one class
+    only), hash and repr.  A validating ``__init__`` sets slots by ``_set``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        slots = [f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ())]
+        cls._fields = tuple(f for f in slots if f[0] != "_")
+
+    def __init__(self, *values):  # the fields, in order
+        self._set(**dict(zip(self._fields, values, strict=True)))
+
+    def _set(self, **slots):
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class CoeffRing(Frozen):
     """Coefficient ring tag: exact integers ('Z') or integers modulo
     ell**power ('Zmod') with canonical representatives in [0, ell**power)."""
 
-    kind: str
-    ell: int = 0
-    power: int = 0
+    __slots__ = ("kind", "ell", "power", "_modulus")
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zmod"):
-            raise SpecError(f"unknown coefficient ring kind {self.kind!r}")
-        _whole(self.ell, "modulus base")
-        _whole(self.power, "modulus exponent")
-        if self.kind == "Zmod":
-            if not _is_prime(self.ell):
-                raise SpecError(f"modulus base {self.ell} is not prime")
-            if self.power < 1:
+    def __init__(self, kind: str, ell: int = 0, power: int = 0):
+        if kind not in ("Z", "Zmod"):
+            raise SpecError(f"unknown coefficient ring kind {kind!r}")
+        _whole(ell, "modulus base")
+        _whole(power, "modulus exponent")
+        if kind == "Zmod":
+            if not _is_prime(ell):
+                raise SpecError(f"modulus base {ell} is not prime")
+            if power < 1:
                 raise SpecError("modulus exponent must be >= 1")
+        self._set(kind=kind, ell=ell, power=power, _modulus=ell ** power if kind == "Zmod" else None)
 
-    @cached_property
+    @property
     def modulus(self) -> int:
-        """ell**power, computed once per ring (the dataclass is frozen, but
-        the cache lives in the instance dict and never enters eq or hash)."""
+        """ell**power, computed once at construction; the Z ring has none."""
         if self.kind != "Zmod":
             raise SpecError("only Zmod rings have a modulus")
-        return self.ell ** self.power
+        return self._modulus
 
     def coerce(self, c):
         """Bring an integer into canonical form; a non-integer raises
         TypeError instead of being truncated."""
         c = operator.index(c)
-        return c if self.kind == "Z" else c % self.modulus
+        return c if self.kind == "Z" else c % self._modulus
 
     def is_unit(self, c) -> bool:
         if self.kind == "Z":
@@ -130,7 +156,7 @@ class CoeffRing:
             raise SpecError(f"{c} is not a unit in {self}")
         if self.kind == "Z":
             return c
-        return pow(c, -1, self.modulus)
+        return pow(c, -1, self._modulus)
 
     def __str__(self):
         if self.kind == "Z":

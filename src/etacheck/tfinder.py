@@ -21,8 +21,6 @@ quotient is the generator t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SearchExhaustedError, SpecError
 from .eta import EtaQuotient
 from .modcurve import (
@@ -34,18 +32,17 @@ from .modcurve import (
     order_vector,
 )
 from .search import search_modular_quotients
+from .series import Frozen
 from .ujump import FamilyGenerator, build_A
 
 EXPONENT_BOUND = 12  # |w_d| bound of the generator search
 N0_MAX = 12          # largest pole order at infinity the generator search tries
 
 
-@dataclass(frozen=True)
-class PoleSets:
-    p_A: frozenset
-    p_g: frozenset
-    p0_prime: frozenset
-    p1_prime: frozenset
+class PoleSets(Frozen):
+    """The four camps of finite cusps, each a frozenset."""
+
+    __slots__ = ("p_A", "p_g", "p0_prime", "p1_prime")
 
 
 def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:

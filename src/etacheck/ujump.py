@@ -17,7 +17,10 @@ Each stability exponent m_f is the least m with
 
 at every cusp of the finer level except infinity; images are memoized in
 memory and optionally on disk, keyed by a fingerprint of the basis, the
-auxiliary quotient A and ell.
+auxiliary quotient A and ell.  A table computes its stability exponents
+(``UImageTable.se``) when it computes its first image, so a run that finds
+every image it needs on disk never computes them: those images were stored
+under the same fingerprint by a run that did.
 
 Computing an image needs expansions of basis monomials t**e * g_k, and the
 basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
@@ -42,18 +45,17 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .basis import AlgebraBasis, BasisFunction, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
-from .series import CoeffRing, QSeries, ZZ, _is_prime, _whole
+from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
 
 
-@dataclass(frozen=True)
-class FamilyGenerator:
+class FamilyGenerator(Frozen):
     """The data defining one congruence family's generating function:
     G(q) = prod over divisors d of M of (q**d; q**d)_inf ** r_d, studied
     ell-adically for a prime ell > 3.
@@ -63,9 +65,7 @@ class FamilyGenerator:
     exponent shift.  A float M, ell, divisor or exponent is refused.
     """
 
-    M: int
-    r: tuple
-    ell: int
+    __slots__ = ("M", "r", "ell")
 
     def __init__(self, M: int, r, ell: int):
         M = _whole(M, "M")
@@ -81,9 +81,7 @@ class FamilyGenerator:
                 f"sum d*r_d = {wsum} violates 0 <= {-wsum} <= 24/(ell+1)")
         if (1 - ell * ell) * wsum % 24:
             raise SpecError("the exponent shift (1-ell^2)*sum(d*r_d)/24 is not integral")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "r", packed)
-        object.__setattr__(self, "ell", ell)
+        self._set(M=M, r=packed, ell=ell)
 
     def series(self, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
         """The generating function G(q) with coefficients in ``ring``."""
@@ -127,21 +125,22 @@ def u_ell(f: QSeries, ell: int, times: QSeries | None = None) -> QSeries:
     return QSeries(f.ring, f.coeffs[start - f.val::ell], start // ell, -(-f.trunc // ell))
 
 
-@dataclass(frozen=True)
-class StabilityExponents:
+def _check_index(i: int, k: int, v: int):
+    """Refuse an A-power other than 0 and 1, or a basis index outside 0..v."""
+    if i not in (0, 1):
+        raise SpecError("only A-powers 0 and 1 are supported")
+    if not 0 <= k <= v:
+        raise SpecError(f"basis index {k} out of range")
+
+
+class StabilityExponents(Frozen):
     """Minimal t-powers taming each fundamental image; m_g[k-1] is the
     exponent for g_k, and the constant g_0 needs none."""
 
-    m_A: int
-    m_t: int
-    m_negt: int
-    m_g: tuple
+    __slots__ = ("m_A", "m_t", "m_negt", "m_g")
 
     def exponent(self, i: int, j: int, k: int) -> int:
-        if i not in (0, 1):
-            raise SpecError("only A-powers 0 and 1 are supported")
-        if not 0 <= k <= len(self.m_g):
-            raise SpecError(f"basis index {k} out of range")
+        _check_index(i, k, len(self.m_g))
         mk = 0 if k == 0 else self.m_g[k - 1]
         if j > 0:
             return i * self.m_A + j * self.m_t + mk
@@ -230,11 +229,15 @@ class UImageTable:
         self.basis = b
         self.A = A
         self.ell = ell
-        self.se = compute_m_constants(b, A, ell)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._key_dir = self.cache_dir / self.fingerprint() if cache_dir else None
         self._mem = {}
         self._a_times_g = {}  # k -> A * g_k (g_0 = 1), at its own relative precision
+
+    @cached_property
+    def se(self) -> StabilityExponents:
+        """The stability exponents, computed with the first image computed."""
+        return compute_m_constants(self.basis, self.A, self.ell)
 
     def fingerprint(self) -> str:
         blob = repr((self.basis.fingerprint(), self.A.level, self.A.exponents, self.ell))
@@ -247,9 +250,10 @@ class UImageTable:
 
     def _load(self, i, j, k):
         p = self._path(i, j, k)
-        if not p.exists():
+        try:
+            lines = p.read_text().splitlines()
+        except FileNotFoundError:  # never stored, or removed by another process
             return None
-        lines = p.read_text().splitlines()
         try:
             head = tuple(int(x) for x in lines[0].split())
             terms = {}
@@ -309,6 +313,7 @@ class UImageTable:
         for key in keys:
             if key in self._mem:
                 continue
+            _check_index(key[0], key[2], self.basis.v)
             me = self._load(*key) if self.cache_dir else None
             if me is None:
                 missing.append(key)

@@ -23,20 +23,18 @@ of the basis machinery.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import gcd
 
 from .basis import ModuleElement, module_element_series
 from .errors import ContractError, SpecError
-from .series import CoeffRing, QSeries, ZZ, _whole, zmod
+from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, zmod
 from .ujump import FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
 J_CEILING = 64  # the largest |j| a run's t-support may reach
 
 
-@dataclass(frozen=True)
-class CongruenceFamilySpec:
+class CongruenceFamilySpec(Frozen):
     """A congruence family to check: the generating data, the cap exponent B,
     the progression constant c (the residues are the inverses of c mod
     ell**alpha), and which valuation pattern is claimed:
@@ -45,21 +43,22 @@ class CongruenceFamilySpec:
     * "every-alpha": v_a   >= a
     """
 
-    name: str
-    gen: FamilyGenerator
-    c: int
-    pattern: str
-    B: int = 5
+    __slots__ = ("name", "gen", "c", "pattern", "B")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise SpecError(f"family name {self.name!r} is not a string")
-        if self.pattern not in PATTERN_KINDS:
-            raise SpecError(f"unknown pattern kind {self.pattern!r}")
-        if _whole(self.B, "B") < 1:
+    def __init__(self, name: str, gen: FamilyGenerator, c: int, pattern: str, B: int = 5):
+        if not isinstance(name, str):
+            raise SpecError(f"family name {name!r} is not a string")
+        if pattern not in PATTERN_KINDS:
+            raise SpecError(f"unknown pattern kind {pattern!r}")
+        if _whole(B, "B") < 1:
             raise SpecError("B must be >= 1")
-        if gcd(_whole(self.c, "c"), self.gen.ell) != 1:
+        if gcd(_whole(c, "c"), gen.ell) != 1:
             raise SpecError("the progression constant must be coprime to ell")
+        self._set(name=name, gen=gen, c=c, pattern=pattern, B=B)
+
+    def with_B(self, B: int) -> "CongruenceFamilySpec":
+        """The same family at cap exponent B, validated like any spec."""
+        return CongruenceFamilySpec(self.name, self.gen, self.c, self.pattern, B)
 
     @property
     def level(self) -> int:
@@ -131,25 +130,24 @@ _BUILTINS = {"rogers-ramanujan": rogers_ramanujan, "andrews-sellers": andrews_se
 
 
 def builtin_spec(name: str) -> CongruenceFamilySpec:
-    """The named built-in family; ``dataclasses.replace(spec, B=...)`` sets B."""
+    """The named built-in family; ``spec.with_B(B)`` sets B."""
     if name not in _BUILTINS:
         raise SpecError(f"unknown built-in family {name!r}; "
                         f"choices: {', '.join(sorted(_BUILTINS))}")
     return _BUILTINS[name]()
 
 
-@dataclass
 class VerificationReport:
-    spec_name: str
-    ell: int
-    B: int
-    iterations: int
-    V: list = field(default_factory=list)
-    saturated: list = field(default_factory=list)
-    required: list = field(default_factory=list)
-    passed: list = field(default_factory=list)
-    support: list = field(default_factory=list)   # per alpha: {terms, j_min, j_max}
-    seconds: list = field(default_factory=list)
+    """A run's valuation sequence, one entry per step alpha in each list."""
+
+    def __init__(self, spec_name: str, ell: int, B: int, iterations: int):
+        self.spec_name = spec_name
+        self.ell = ell
+        self.B = B
+        self.iterations = iterations
+        # support holds {terms, j_min, j_max}
+        self.V, self.saturated, self.required = [], [], []
+        self.passed, self.support, self.seconds = [], [], []
 
     @property
     def ok(self) -> bool:
@@ -249,10 +247,10 @@ def residue_for_case(c: int, ell: int, alpha: int) -> int:
     return pow(c, -1, modulus) if modulus > 1 else 0
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    ok: bool
-    counterexample: int | None = None  # smallest failing n
+class OracleResult(Frozen):
+    """Did the oracle confirm the claim, and if not, the smallest failing n."""
+
+    __slots__ = ("ok", "counterexample")
 
     def __bool__(self):
         return self.ok
@@ -270,7 +268,7 @@ def direct_oracle(gen: FamilyGenerator, m: int, j: int, ell: int, e: int,
     for n in range(n_max + 1):
         if coeffs[m * n + j]:
             return OracleResult(False, n)
-    return OracleResult(True)
+    return OracleResult(True, None)
 
 
 # -- translating module elements back into combinatorial claims --------------

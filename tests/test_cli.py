@@ -1,6 +1,10 @@
 """Exit codes, golden output stability, and spec-file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", "5^x")
     assert code == 2 and out == "" and "--mod" in err
+    # an image index outside the basis is bad usage, refused before any work
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "u-image", "rogers-ramanujan", "0", "0", "9")
+    assert code == 2 and out == "" and "basis index 9 out of range" in err
     good = {"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24,
             "pattern": "even-alpha", "B": 2}
     # a fractional or boolean number is refused, not truncated to an integer;
@@ -248,3 +256,18 @@ def test_custom_spec_file(capsys, tmp_path, image_cache_dir):
     code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
                        "verify", str(path), "--B", "1")
     assert code == 0 and "custom-rr: ell=5 B=1 iterations=2" in out
+
+
+def test_import_needs_neither_dataclasses_nor_inspect():
+    # every short run pays for the package's imports, and dataclasses, with
+    # the inspect, ast and dis it pulls in, costs more than the rest of a
+    # warm verify
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = ("import sys; before = set(sys.modules); import etacheck.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -9,10 +9,14 @@ from pathlib import Path
 import pytest
 
 from etacheck import eta, series
-from etacheck.basis import _G20, _H20
+from etacheck.basis import _G20, _H20, BasisFunction
 from etacheck.errors import SpecError
 from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
 from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
+from etacheck.modcurve import Cusp
+from etacheck.tfinder import PoleSets
+from etacheck.ujump import FamilyGenerator, StabilityExponents
+from etacheck.verifier import CongruenceFamilySpec, OracleResult
 
 
 def finite_euler_oracle(d, trunc):
@@ -225,6 +229,56 @@ def test_integer_rings_reject_non_integers():
         zmod(5, 2.0)
     with pytest.raises(SpecError, match="modulus base 5.0"):
         zmod(5.0, 2)
+
+
+RR_GEN = FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5)
+
+# (class, constructor arguments, field names in the order a frozen dataclass
+# of the same fields would hash them)
+VALUE_CLASSES = [
+    (EtaQuotient, (20, {4: -2, 1: 2}), ("level", "exponents")),
+    (Cusp, (3, 20), ("c", "a")),
+    (CoeffRing, ("Zmod", 5, 3), ("kind", "ell", "power")),
+    (PoleSets, (frozenset({Cusp(1, 4)}), frozenset(), frozenset({Cusp(1, 5)}), frozenset()),
+     ("p_A", "p_g", "p0_prime", "p1_prime")),
+    (FamilyGenerator, (4, {1: -3, 2: 5, 4: -2}, 5), ("M", "r", "ell")),
+    (StabilityExponents, (2, 5, 5, (2, 3, 4, 6)), ("m_A", "m_t", "m_negt", "m_g")),
+    (BasisFunction, ("g2", ((1, (_H20,)), (-1, (_G20,))), -3), ("name", "construction", "ord_inf")),
+    (CongruenceFamilySpec, ("rr", RR_GEN, 24, "even-alpha", 5), ("name", "gen", "c", "pattern", "B")),
+    (OracleResult, (False, 3), ("ok", "counterexample")),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields", VALUE_CLASSES, ids=lambda x: getattr(x, "__name__", ""))
+def test_value_classes_compare_hash_and_freeze_like_frozen_dataclasses(cls, args, fields):
+    a, b = cls(*args), cls(*args)
+    values = tuple(getattr(a, f) for f in fields)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(values)
+    # equality holds only between instances of one class
+    subclass = type("Sub" + cls.__name__, (cls,), {"__slots__": ()})
+    assert a != subclass(*args) and subclass(*args) != a
+    assert a != values
+    assert all(a != other(*other_args) for other, other_args, _ in VALUE_CLASSES if other is not cls)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == b and tuple(getattr(a, f) for f in fields) == values
+
+
+def test_value_class_orders_and_reprs():
+    cusps = [Cusp(3, 20), Cusp(1, 0), Cusp(1, 4), Cusp(2, 5), Cusp(1, 20), Cusp(1, 5), Cusp(0, 1)]
+    assert sorted(cusps) == sorted(cusps, key=lambda x: (x.c, x.a))
+    assert [repr(x) for x in sorted(cusps)] == ["oo", "0", "1/4", "1/5", "2/5", "1/20", "3/20"]
+    assert repr(EtaQuotient(20, {4: -2, 1: 2})) == "EtaQuotient(20: 1^2,4^-2)"
+    assert repr(EtaQuotient(12, {})) == "EtaQuotient(12: 1)"
+    assert (str(ZZ), str(zmod(5, 3))) == ("Z", "Z/5^3")
+    assert repr(zmod(5, 3)) == "CoeffRing(kind='Zmod', ell=5, power=3)"
+    assert repr(OracleResult(True, None)) == "OracleResult(ok=True, counterexample=None)"
+    assert zmod(5, 3).modulus == 125
+    with pytest.raises(SpecError, match="only Zmod rings have a modulus"):
+        ZZ.modulus
 
 
 def test_from_terms_coerces_only_the_given_terms(monkeypatch):

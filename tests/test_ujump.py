@@ -1,6 +1,7 @@
 """U_ell behaviour, the auxiliary quotient A, stability exponents, images."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -413,4 +414,43 @@ def test_images_from_disk_never_build_the_workspace(rr_cold_run):
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
     assert b._monomials == {}
+    assert warm._mem == table._mem
+
+
+def test_warm_run_never_computes_stability_exponents(rr_cold_run, monkeypatch):
+    # every image a warm run needs is on disk, stored under a fingerprint
+    # whose stability exponents were computed when the images were
+    table, report, _ = rr_cold_run
+    calls = []
+    monkeypatch.setattr(ujump, "compute_m_constants",
+                        lambda *args: calls.append(args) or compute_m_constants(*args))
+    warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
+    assert iterate(rogers_ramanujan(B=5), warm).V == report.V
+    assert calls == []
+    # the first image computed computes them, once
+    cold = UImageTable(fresh_basis(), build_A(RR), 5)
+    cold.images([(0, 0, 0), (0, 1, 0)])
+    assert len(calls) == 1 and cold.se == table.se
+
+
+def test_image_file_vanishing_before_its_read_is_a_miss(rr_cold_run, monkeypatch):
+    # another process may delete a cache file at any moment: a read that
+    # finds it gone computes the image (and stores it again)
+    table, report, _ = rr_cold_run
+    warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
+    gone, read_text, vanished = warm._path(1, -1, 0), Path.read_text, []
+
+    def read_once_missing(path, *args, **kwargs):
+        if path == gone and not vanished:
+            vanished.append(path)
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+        return read_text(path, *args, **kwargs)
+
+    computed = []
+    compute = UImageTable._compute
+    monkeypatch.setattr(Path, "read_text", read_once_missing)
+    monkeypatch.setattr(UImageTable, "_compute",
+                        lambda self, *key: computed.append(key) or compute(self, *key))
+    assert iterate(rogers_ramanujan(B=5), warm).V == report.V
+    assert vanished == [gone] and computed == [(1, -1, 0)]
     assert warm._mem == table._mem

@@ -1,7 +1,5 @@
 """The iteration driver, pattern checks, and brute-force cross-checks."""
 
-from dataclasses import replace
-
 import pytest
 
 from etacheck import verifier
@@ -42,15 +40,15 @@ def test_builtin_specs():
     rr = builtin_spec("rogers-ramanujan")
     assert (rr.c, rr.pattern, rr.level) == (24, "even-alpha", 20)
     assert rr.default_iterations == 2 * rr.B
-    asp = replace(builtin_spec("andrews-sellers"), B=3)
+    asp = builtin_spec("andrews-sellers").with_B(3)
     assert (asp.c, asp.pattern, asp.B) == (12, "every-alpha", 3)
     assert asp.default_iterations == 3
     with pytest.raises(SpecError):
         builtin_spec("nope")
     with pytest.raises(SpecError):
-        replace(rr, B=0)  # a replaced B is validated again
+        rr.with_B(0)  # a replaced B is validated again
     with pytest.raises(SpecError, match="B 2.5"):
-        replace(rr, B=2.5)
+        rr.with_B(2.5)
     with pytest.raises(SpecError, match="B True"):
         rogers_ramanujan(B=True)  # a bool is not the integer 1
 
