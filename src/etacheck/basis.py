@@ -18,7 +18,8 @@ answer poison everything built on top.
 A module element keeps its coefficients in its ring: the ``ModuleElement``
 constructor reduces them and drops zeros, so sums are formed over Z and
 handed to it, and ``module_element_series`` sums over Z and hands the result
-to the ``QSeries`` constructor of the element's ring.
+to the ``QSeries`` constructor of the element's ring.  Like every value type
+it is a ``series.Frozen``: an image a table hands out cannot be reassigned.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def load_basis_n20() -> AlgebraBasis:
 
 # -- module elements ---------------------------------------------------------
 
-class ModuleElement:
-    """Finite sum of c[j,k] * t**j * g_k with nonzero coefficients only."""
+class ModuleElement(Frozen):
+    """Finite sum of c[j,k] * t**j * g_k with nonzero coefficients only; a
+    ``Frozen`` value, unhashable because its terms are a dict."""
 
     __slots__ = ("ring", "terms")
 
@@ -233,8 +235,7 @@ class ModuleElement:
             c = ring.coerce(c)
             if c != 0:
                 clean[key] = c
-        self.ring = ring
-        self.terms = clean
+        self._set(ring=ring, terms=clean)
 
     @classmethod
     def one(cls, ring: CoeffRing) -> "ModuleElement":
@@ -272,10 +273,6 @@ class ModuleElement:
             if best == 0:
                 break
         return best
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleElement)
-                and self.ring == other.ring and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:

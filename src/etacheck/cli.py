@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage, a bad
-family spec, a path that cannot be read or written (spec file, cache
-directory, report file), or a verify run in which no step carried a
-required valuation (NOTHING CHECKED), 3 an internal contract was violated
-(a reduction step that does not divide exactly, a reduction stall or
-nonzero residual, runaway support, a malformed cache file).
+Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage (a
+u-image j beyond +-64 too), a bad family spec, a path that cannot be read
+or written (spec file, cache directory, report file), or a verify run in
+which no step carried a required valuation (NOTHING CHECKED), 3 an internal
+contract was violated (a reduction step that does not divide exactly, a
+reduction stall or nonzero residual, runaway support, a malformed cache
+file) or an unexpected error such as MemoryError (traceback on stderr).
 
 Family specs are either a built-in name (rogers-ramanujan, andrews-sellers)
-or a path to a JSON file with fields
-    {"M": int, "r": {"divisor": exponent, ...}, "ell": int,
+or a path to a JSON file with these seven fields, name and B optional:
+    {"name": str, "M": int, "r": {"divisor": exponent, ...}, "ell": int,
      "c": int, "pattern": "even-alpha" | "every-alpha", "B": int}.
 The spec alone sets a verify run's length (2B steps for even-alpha, B for
 every-alpha); ``verify --B`` replaces the B of a built-in or a spec file.
@@ -326,6 +327,11 @@ def main(argv=None) -> int:
     except (EtacheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # never the exit 1 of a failed conjecture
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

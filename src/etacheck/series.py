@@ -9,8 +9,8 @@ integer power of q instead of rounding it.
 
 Truncation bookkeeping is pessimistic: every operation reports only the
 coefficients its inputs actually determine (``min`` of the operand windows,
-shifted by valuations for products and inverses).  Values are immutable and
-all operations are pure.
+shifted by valuations for products and inverses).  All operations are pure;
+a series, like every value type of the package, is an immutable ``Frozen``.
 
 Multiplication packs each operand's coefficients, whatever their signs, into
 one signed big number (Kronecker substitution) and makes one product, so that
@@ -75,10 +75,11 @@ def _whole(x, what: str) -> int:
 
 
 class Frozen:
-    """An immutable value over ``__slots__``, a frozen dataclass without the
-    code generated at import.  Its fields are the slots not named "_..."
-    (those hold what the fields determine), and give eq (within one class
-    only), hash and repr.  A validating ``__init__`` sets slots by ``_set``."""
+    """The one immutable base of every value type, ``QSeries`` and
+    ``basis.ModuleElement`` included: a frozen dataclass over ``__slots__``
+    without code generated at import.  Its fields, at least two, are the slots
+    not named "_..." (those hold what the fields determine) and give eq (within
+    one class only), hash and repr.  A validating ``__init__`` uses ``_set``."""
 
     __slots__ = ()
     _fields = ()
@@ -86,6 +87,7 @@ class Frozen:
     def __init_subclass__(cls):
         slots = [f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ())]
         cls._fields = tuple(f for f in slots if f[0] != "_")
+        cls._values = operator.attrgetter(*cls._fields)  # the tuple of fields
 
     def __init__(self, *values):  # the fields, in order
         self._set(**dict(zip(self._fields, values, strict=True)))
@@ -94,16 +96,13 @@ class Frozen:
         for name, value in slots.items():
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -345,7 +344,7 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
 # ---------------------------------------------------------------------------
 
 
-class QSeries:
+class QSeries(Frozen):
     """Truncated Laurent series: sum of coeffs[i]*q**(val+i) for
     val <= val+i < trunc.
 
@@ -353,7 +352,7 @@ class QSeries:
     val == trunc with an empty coefficient tuple.
     """
 
-    __slots__ = ("ring", "val", "coeffs", "trunc")
+    __slots__ = ("ring", "val", "trunc", "coeffs")  # hashed in this order
 
     def __init__(self, ring: CoeffRing, coeffs, val: int, trunc: int):
         self._fill(ring, [ring.coerce(c) for c in coeffs], val, trunc)
@@ -380,13 +379,7 @@ class QSeries:
         val += lead
         if not coeffs:
             val = trunc
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QSeries is immutable")
+        self._set(ring=ring, val=val, trunc=trunc, coeffs=tuple(coeffs))
 
     # -- constructors -------------------------------------------------------
 
@@ -436,15 +429,6 @@ class QSeries:
         t = min(self.trunc, other.trunc)
         lo = min(self.val, other.val)
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, t))
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (self.ring == other.ring and self.val == other.val
-                and self.trunc == other.trunc and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ring, self.val, self.trunc, self.coeffs))
 
     def __repr__(self):
         parts = []

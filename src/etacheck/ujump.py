@@ -54,6 +54,8 @@ from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
 from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
 
+J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
+
 
 class FamilyGenerator(Frozen):
     """The data defining one congruence family's generating function:
@@ -125,10 +127,13 @@ def u_ell(f: QSeries, ell: int, times: QSeries | None = None) -> QSeries:
     return QSeries(f.ring, f.coeffs[start - f.val::ell], start // ell, -(-f.trunc // ell))
 
 
-def _check_index(i: int, k: int, v: int):
-    """Refuse an A-power other than 0 and 1, or a basis index outside 0..v."""
+def _check_index(i: int, j: int, k: int, v: int):
+    """Refuse an A-power other than 0 and 1, a t-power beyond +-J_CEILING,
+    or a basis index outside 0..v."""
     if i not in (0, 1):
         raise SpecError("only A-powers 0 and 1 are supported")
+    if abs(j) > J_CEILING:
+        raise SpecError(f"t-power {j} lies beyond the +-{J_CEILING} ceiling")
     if not 0 <= k <= v:
         raise SpecError(f"basis index {k} out of range")
 
@@ -140,7 +145,7 @@ class StabilityExponents(Frozen):
     __slots__ = ("m_A", "m_t", "m_negt", "m_g")
 
     def exponent(self, i: int, j: int, k: int) -> int:
-        _check_index(i, k, len(self.m_g))
+        _check_index(i, j, k, len(self.m_g))
         mk = 0 if k == 0 else self.m_g[k - 1]
         if j > 0:
             return i * self.m_A + j * self.m_t + mk
@@ -313,7 +318,7 @@ class UImageTable:
         for key in keys:
             if key in self._mem:
                 continue
-            _check_index(key[0], key[2], self.basis.v)
+            _check_index(*key, self.basis.v)
             me = self._load(*key) if self.cache_dir else None
             if me is None:
                 missing.append(key)

@@ -28,10 +28,9 @@ from math import gcd
 from .basis import ModuleElement, module_element_series
 from .errors import ContractError, SpecError
 from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, zmod
-from .ujump import FamilyGenerator, UImageTable, build_A, u_step
+from .ujump import J_CEILING, FamilyGenerator, UImageTable, build_A, u_step
 
 PATTERN_KINDS = ("even-alpha", "every-alpha")
-J_CEILING = 64  # the largest |j| a run's t-support may reach
 
 
 class CongruenceFamilySpec(Frozen):
@@ -87,17 +86,22 @@ class CongruenceFamilySpec(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "CongruenceFamilySpec":
-        """The spec a ``to_json`` dict describes.  Every number must be a JSON
-        integer: 2.5, true or "4" is refused by the checks of
-        ``FamilyGenerator`` and of the spec, never truncated.  The divisor
-        keys of "r", strings in JSON, must be written as ``to_json`` writes
-        them ("2", not "02", " 2", "+2" or "2.0"); a key that is not a string
-        is checked as a number."""
+        """The spec a ``to_json`` dict describes; a field ``to_json`` does
+        not write is refused.  Every number must be a JSON integer: 2.5,
+        true or "4" is refused by the checks of ``FamilyGenerator`` and of
+        the spec, never truncated.  The divisor keys of "r", strings in
+        JSON, must be written as ``to_json`` writes them ("2", not "02",
+        " 2", "+2" or "2.0"); a key that is not a string is checked as a
+        number."""
         try:
             r = [(_divisor_key(d), e) for d, e in data["r"].items()]
             gen = FamilyGenerator(data["M"], r, data["ell"])
-            return cls(data.get("name", "custom"), gen, data["c"],
+            spec = cls(data.get("name", "custom"), gen, data["c"],
                        data["pattern"], data.get("B", 5))
+            unknown = sorted(set(data) - spec.to_json().keys())
+            if unknown:  # a typo such as "b" never runs at the default B
+                raise SpecError(f"unknown fields {unknown}")
+            return spec
         except KeyError as exc:
             raise SpecError(f"family spec is missing field {exc}") from exc
         except (SpecError, ValueError, TypeError, AttributeError) as exc:

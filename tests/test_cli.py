@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from etacheck import cli
 from etacheck.cli import main, parse_eta_spec
 from etacheck.errors import SpecError
+from etacheck.ujump import UImageTable
 from etacheck.verifier import CongruenceFamilySpec
 
 
@@ -48,7 +50,7 @@ def test_order_and_newman_commands(capsys):
     assert code == 1
 
 
-def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
+def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, _, _ = run(capsys, "order", "20-bad", "1/2")
     assert code == 2
     code, _, _ = run(capsys, "verify", "no-such-family")
@@ -69,6 +71,15 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "0", "9")
     assert code == 2 and out == "" and "basis index 9 out of range" in err
+    # so is a t-power beyond the +-64 a run may reach, whatever the cache holds
+    def compute(*key):
+        raise AssertionError(f"image {key} computed")
+
+    monkeypatch.setattr(UImageTable, "_compute", compute)
+    for j in ("5000", "-5000", "65"):
+        code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                             "u-image", "rogers-ramanujan", "0", j, "0")
+        assert code == 2 and out == "" and f"t-power {j} lies beyond" in err
     good = {"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24,
             "pattern": "even-alpha", "B": 2}
     # a fractional or boolean number is refused, not truncated to an integer;
@@ -77,7 +88,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
                 {**good, "c": 24.9, "B": 2.5}, {**good, "B": True},
                 *({**good, "r": {"1": -3, key: 5, "4": -2}}
                   for key in ("0_2", " 2", "+2", "\u0662")),
-                {**good, "name": ["x"]}):
+                {**good, "name": ["x"]}, {**good, "b": 7}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
@@ -86,6 +97,19 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir):
     # checked as a number, not truncated
     with pytest.raises(SpecError, match="divisor 1.9"):
         CongruenceFamilySpec.from_json({**good, "r": {1.9: -3, 2: 5, 4: -2}})
+    # a misspelt field is refused, never run at the default B
+    with pytest.raises(SpecError, match=r"malformed family spec: unknown fields \['b'\]"):
+        CongruenceFamilySpec.from_json({**good, "b": 7})
+
+
+def test_unexpected_error_exits_3(capsys, monkeypatch):
+    # an error main does not map is never the exit 1 of a failed conjecture
+    def oracle(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "direct_oracle", oracle)
+    code, out, err = run(capsys, "direct-check", "rogers-ramanujan", "25", "24", "1", "100")
+    assert code == 3 and out == "" and "MemoryError" in err
 
 
 def test_unusable_paths_exit_2(capsys, tmp_path, image_cache_dir):

@@ -249,6 +249,17 @@ def test_image_of_one(rr_table):
     assert rr_table.image(0, 0, 0) == ModuleElement(ZZ, {(0, 0): 1})
 
 
+def test_cached_images_and_series_cannot_be_changed(rr_table, b20):
+    # every later step reads the table's image, and the basis's monomials
+    me = rr_table.image(0, -1, 0)
+    with pytest.raises(AttributeError):
+        me.terms = {}
+    f = b20.monomial(1, 0, 10)
+    with pytest.raises(AttributeError):
+        del f.val
+    assert rr_table.image(0, -1, 0) is me and me.terms and f.val == -5
+
+
 def test_image_of_reciprocal_t_mod_5(rr_table):
     # the inverse-generator image reduced mod 5: 4/t + 2 g1/t + g2/t + g3/t
     me = rr_table.image(0, -1, 0).reduce_mod(5, 1)
