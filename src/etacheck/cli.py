@@ -184,12 +184,12 @@ def cmd_verify(args) -> int:
 
 def cmd_direct_check(args) -> int:
     spec = load_family_spec(args.spec)
-    res = direct_oracle(spec.gen, args.m, args.j, spec.gen.ell, args.e, args.n_max)
-    if res.ok:
+    n = direct_oracle(spec.gen, args.m, args.j, spec.gen.ell, args.e, args.n_max)
+    if n is None:
         print(f"confirmed: {spec.gen.ell}^{args.e} divides a({args.m}*n+{args.j}) "
               f"for all n <= {args.n_max}")
         return 0
-    print(f"FAILS at n = {res.counterexample}: a({args.m * res.counterexample + args.j}) "
+    print(f"FAILS at n = {n}: a({args.m * n + args.j}) "
           f"is not divisible by {spec.gen.ell}^{args.e}")
     return 1
 

@@ -89,10 +89,12 @@ class FamilyGenerator(Frozen):
         """The generating function G(q) with coefficients in ``ring``."""
         return euler_quotient(self.r, trunc, ring)
 
-    def coefficients(self, count: int, ring: CoeffRing = ZZ) -> list:
-        """a(0), ..., a(count - 1), the coefficients of G(q) in ``ring``."""
-        f = self.series(count, ring)
-        return [0] * f.val + list(f.coeffs)
+    def progression(self, m: int, j: int, count: int, ring: CoeffRing = ZZ) -> list:
+        """a(m*n + j) for 0 <= n < count, the coefficients of G(q) in ``ring``
+        along one progression, read from one expansion that ends at the last
+        of them.  G has leading term 1, so its coefficient tuple starts at
+        a(0) and holds every a(n) below the truncation."""
+        return list(self.series(m * (count - 1) + j + 1, ring).coeffs[j::m])
 
 
 def build_A(gen: FamilyGenerator) -> EtaQuotient:
@@ -264,8 +266,10 @@ class UImageTable:
             terms = {}
             for line in lines[1:]:
                 if line.strip():
-                    jj, kk, c = line.split()
-                    terms[(int(jj), int(kk))] = int(c)
+                    jj, kk, c = (int(x) for x in line.split())
+                    if abs(jj) > J_CEILING or not 0 <= kk <= self.basis.v:
+                        raise ValueError(f"term {line!r} lies outside the module")
+                    terms[(jj, kk)] = c
         except (ValueError, IndexError) as exc:
             raise ContractError(f"cache file {p} is malformed: {exc}") from exc
         if head != (self.basis.level, self.ell, i, j, k, self.basis.v):

@@ -17,7 +17,10 @@ computation the iteration exists to avoid, and therefore exactly the right
 independent check at small scale.  It expands G(q) in Z/ell**e rather than
 over Z (every Euler product is monic, so the Newton inversions run in the
 quotient ring), and it uses only Euler products and ring arithmetic, nothing
-of the basis machinery.
+of the basis machinery.  Every brute-force check reads its coefficients from
+one progression (``FamilyGenerator.progression``), one expansion of G that
+ends at the last coefficient the check reads; the oracle answers with its
+witness, the least failing n, or None.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .errors import ContractError, SpecError
 from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, zmod
 from .ujump import J_CEILING, FamilyGenerator, UImageTable, build_A, u_step
 
-PATTERN_KINDS = ("even-alpha", "every-alpha")
+# pattern -> s: a full power of ell arrives every s steps, v_{s*a} >= a
+PATTERN_STEPS = {"even-alpha": 2, "every-alpha": 1}
 
 
 class CongruenceFamilySpec(Frozen):
@@ -47,7 +51,7 @@ class CongruenceFamilySpec(Frozen):
     def __init__(self, name: str, gen: FamilyGenerator, c: int, pattern: str, B: int = 5):
         if not isinstance(name, str):
             raise SpecError(f"family name {name!r} is not a string")
-        if pattern not in PATTERN_KINDS:
+        if pattern not in PATTERN_STEPS:
             raise SpecError(f"unknown pattern kind {pattern!r}")
         if _whole(B, "B") < 1:
             raise SpecError("B must be >= 1")
@@ -65,13 +69,12 @@ class CongruenceFamilySpec(Frozen):
 
     @property
     def default_iterations(self) -> int:
-        return 2 * self.B if self.pattern == "even-alpha" else self.B
+        return PATTERN_STEPS[self.pattern] * self.B
 
     def required_valuation(self, alpha: int):
         """Minimum v_alpha the pattern demands, or None if unconstrained."""
-        if self.pattern == "every-alpha":
-            return alpha
-        return alpha // 2 if alpha % 2 == 0 else None
+        s = PATTERN_STEPS[self.pattern]
+        return None if alpha % s else alpha // s
 
     def to_json(self) -> dict:
         return {
@@ -251,61 +254,38 @@ def residue_for_case(c: int, ell: int, alpha: int) -> int:
     return pow(c, -1, modulus) if modulus > 1 else 0
 
 
-class OracleResult(Frozen):
-    """Did the oracle confirm the claim, and if not, the smallest failing n."""
-
-    __slots__ = ("ok", "counterexample")
-
-    def __bool__(self):
-        return self.ok
-
-
 def direct_oracle(gen: FamilyGenerator, m: int, j: int, ell: int, e: int,
-                  n_max: int) -> OracleResult:
-    """Test ell**e | a(m*n + j) for 0 <= n <= n_max by raw expansion of G(q)
-    in Z/ell**e.  Raises SpecError unless m >= 1, j >= 0, e >= 1 and
-    n_max >= 0."""
+                  n_max: int) -> int | None:
+    """Test ell**e | a(m*n + j) for 0 <= n <= n_max on one progression of
+    G(q) expanded in Z/ell**e, and answer with the witness: the least n that
+    fails, or None when every n passes.  Raises SpecError unless m >= 1,
+    j >= 0, e >= 1 and n_max >= 0."""
     if m < 1 or j < 0 or e < 1 or n_max < 0:
         raise SpecError(f"direct check needs m >= 1, j >= 0, e >= 1 and n_max >= 0, "
                         f"got m={m} j={j} e={e} n_max={n_max}")
-    coeffs = gen.coefficients(m * n_max + j + 1, zmod(ell, e))
-    for n in range(n_max + 1):
-        if coeffs[m * n + j]:
-            return OracleResult(False, n)
-    return OracleResult(True, None)
+    values = gen.progression(m, j, n_max + 1, zmod(ell, e))
+    return next((n for n, a in enumerate(values) if a), None)
 
 
 # -- translating module elements back into combinatorial claims --------------
 
-def congruence_subseries(gen: FamilyGenerator, alpha: int, c: int, count: int,
-                         ring: CoeffRing = ZZ) -> QSeries:
-    """sum of a(n) q**floor(n / ell**alpha) over n with c*n == 1 mod ell**alpha,
-    the raw progression slice of the generating function, in ``ring``."""
-    if alpha == 0:
-        return gen.series(count, ring)
-    mod = gen.ell ** alpha
-    lam = residue_for_case(c, gen.ell, alpha)
-    coeffs = gen.coefficients(mod * count + lam + 1, ring)
-    terms = {s: coeffs[mod * s + lam] for s in range(count)}
-    return QSeries.from_terms(ring, terms, count)
-
-
 def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int,
                              ring: CoeffRing = ZZ) -> QSeries:
     """The step-alpha function as an honest q-series in ``ring``: the
-    progression slice times the bookkeeping prefactor (q / G(q**ell) on odd
-    steps, q / G(q) on even steps)."""
+    progression slice sum of a(ell**alpha n + lam) q**n times the
+    bookkeeping prefactor (q / G(q**ell) on odd steps, q / G(q) on even
+    steps).  One expansion of G serves both: the slice reads it to its last
+    coefficient, and the prefactor its first ``count``."""
     gen = spec.gen
     if alpha == 0:
         return QSeries.one(ring, count)
-    sub = congruence_subseries(gen, alpha, spec.c, count + 2, ring)
-    inner = count + 2
+    mod = gen.ell ** alpha
+    lam = residue_for_case(spec.c, gen.ell, alpha)
+    a = gen.progression(1, 0, mod * (count - 1) + lam + 1, ring)
+    g = QSeries(ring, a[:count], 0, count)
     if alpha % 2:
-        phi = gen.series(inner, ring).substitute_power(gen.ell).inv().shift(1)
-    else:
-        phi = gen.series(inner, ring).inv().shift(1)
-    out = phi.mul(sub)
-    return out.truncate(min(out.trunc, count))
+        g = g.substitute_power(gen.ell)
+    return g.inv().shift(1).mul(QSeries(ring, a[lam::mod], 0, count)).truncate(count)
 
 
 def consistency_check(spec: CongruenceFamilySpec, table: UImageTable, alpha: int,

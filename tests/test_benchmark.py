@@ -2,7 +2,8 @@
 
 A traced smoke run installs every span and counter of perfbench/layers.py
 over the package, so a refactor that breaks a wrapped entry point fails
-here, not first in a benchmark run.  About 1 s.
+here, not first in a benchmark run; a traced cross-check run does the same
+for the oracle's hook.  About 1 s and 1.6 s.
 """
 
 import json
@@ -10,13 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_smoke_run_is_correct():
+# cross-check runs the tracer's direct_oracle hook, which smoke never reaches
+@pytest.mark.parametrize("workload", ["smoke", "cross-check"])
+def test_traced_smoke_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "smoke", "--seconds", "0", "--trace", "1"],
+         "--workload", workload, "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])

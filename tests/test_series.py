@@ -16,7 +16,7 @@ from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
 from etacheck.modcurve import Cusp
 from etacheck.tfinder import PoleSets
 from etacheck.ujump import FamilyGenerator, StabilityExponents
-from etacheck.verifier import CongruenceFamilySpec, OracleResult
+from etacheck.verifier import CongruenceFamilySpec
 
 
 def finite_euler_oracle(d, trunc):
@@ -245,7 +245,6 @@ VALUE_CLASSES = [
     (StabilityExponents, (2, 5, 5, (2, 3, 4, 6)), ("m_A", "m_t", "m_negt", "m_g")),
     (BasisFunction, ("g2", ((1, (_H20,)), (-1, (_G20,))), -3), ("name", "construction", "ord_inf")),
     (CongruenceFamilySpec, ("rr", RR_GEN, 24, "even-alpha", 5), ("name", "gen", "c", "pattern", "B")),
-    (OracleResult, (False, 3), ("ok", "counterexample")),
     (QSeries, (zmod(5, 2), [26, 5], -1, 3), ("ring", "val", "trunc", "coeffs")),
     (ModuleElement, (zmod(5, 2), {(0, 0): 26, (-1, 2): 25}), ("ring", "terms")),
 ]
@@ -282,7 +281,6 @@ def test_value_class_orders_and_reprs():
     assert repr(EtaQuotient(12, {})) == "EtaQuotient(12: 1)"
     assert (str(ZZ), str(zmod(5, 3))) == ("Z", "Z/5^3")
     assert repr(zmod(5, 3)) == "CoeffRing(kind='Zmod', ell=5, power=3)"
-    assert repr(OracleResult(True, None)) == "OracleResult(ok=True, counterexample=None)"
     assert zmod(5, 3).modulus == 125
     with pytest.raises(SpecError, match="only Zmod rings have a modulus"):
         ZZ.modulus

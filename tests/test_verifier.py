@@ -5,18 +5,18 @@ import pytest
 from etacheck import verifier
 from etacheck.basis import ModuleElement
 from etacheck.errors import ContractError, SpecError
-from etacheck.series import ZZ
-from etacheck.ujump import UImageTable, build_A
+from etacheck.series import ZZ, zmod
+from etacheck.ujump import FamilyGenerator, UImageTable, build_A
 from etacheck.verifier import (
     CongruenceFamilySpec,
     andrews_sellers,
     builtin_spec,
-    congruence_subseries,
     consistency_check,
     direct_oracle,
     iterate,
     residue_for_case,
     rogers_ramanujan,
+    scaled_congruence_series,
 )
 
 
@@ -73,19 +73,18 @@ def test_spec_json_roundtrip():
 
 def test_direct_oracle_rogers_ramanujan():
     gen = rogers_ramanujan().gen
-    assert direct_oracle(gen, 25, 24, 5, 1, 100).ok
-    assert direct_oracle(gen, 125, 99, 5, 1, 50).ok
-    res = direct_oracle(gen, 125, 99, 5, 2, 50)
-    assert not res.ok and res.counterexample is not None
+    assert direct_oracle(gen, 25, 24, 5, 1, 100) is None
+    assert direct_oracle(gen, 125, 99, 5, 1, 50) is None
+    n = direct_oracle(gen, 125, 99, 5, 2, 50)
+    assert n is not None
     # the witness is genuine: recompute that single coefficient
-    n = res.counterexample
-    coeff = gen.coefficients(125 * n + 100)[125 * n + 99]
+    coeff = gen.series(125 * n + 100).coeff(125 * n + 99)
     assert coeff % 5 == 0 and coeff % 25 != 0
 
 
 def test_direct_oracle_andrews_sellers():
     gen = andrews_sellers().gen
-    assert direct_oracle(gen, 5, 3, 5, 1, 200).ok
+    assert direct_oracle(gen, 5, 3, 5, 1, 200) is None
 
 
 def test_iterate_small_run(rr_image_table):
@@ -214,9 +213,23 @@ def test_table_of_another_family_is_refused(rr_image_table, as_image_table):
 def test_progression_subseries_values():
     # 24n == 1 mod 5 means n = 5m+4; the slice must be a(5m+4) on the nose
     gen = rogers_ramanujan().gen
-    coeffs = gen.coefficients(60)
-    sub = congruence_subseries(gen, 1, 24, 10)
-    assert [sub.coeff(s) for s in range(10)] == [coeffs[5 * m + 4] for m in range(10)]
+    g = gen.series(60)
+    assert gen.progression(5, 4, 10) == [g.coeff(5 * m + 4) for m in range(10)]
+    assert gen.progression(1, 0, 60, zmod(5, 2)) == [g.coeff(n) % 25 for n in range(60)]
+
+
+def test_each_brute_force_check_expands_G_once(monkeypatch):
+    # one expansion per check, ending at the last coefficient it reads
+    truncs = []
+    series = FamilyGenerator.series
+    monkeypatch.setattr(FamilyGenerator, "series",
+                        lambda self, trunc, ring=ZZ: truncs.append(trunc) or series(self, trunc, ring))
+    rr = rogers_ramanujan()
+    assert direct_oracle(rr.gen, 125, 99, 5, 1, 50) is None
+    assert truncs == [125 * 50 + 99 + 1] == [6350]
+    truncs.clear()
+    scaled_congruence_series(rr, 3, 10, zmod(5, 5))
+    assert truncs == [125 * 9 + residue_for_case(24, 5, 3) + 1]
 
 
 def test_consistency_alpha_1_and_2(rr_image_table, as_image_table):
