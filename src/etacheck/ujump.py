@@ -2,25 +2,22 @@
 
 U_ell keeps the coefficients whose exponent is divisible by ell and divides
 the exponents by ell.  Applied to A**i * t**j * g_k it can leave the
-single-pole module, but multiplying by t**m(i,j,k) first, with
-
-    m(i,j,k) = i*m_A + |j| * (m_t if j > 0 else m_{1/t}) + m_k,
-
+single-pole module, but multiplying by t**m first, with m(i,j,k) the least
+m >= 0 with m * ord(t(ell*tau)) + ord(A**i * t**j * term) >= 0 at every
+cusp of the finer level except infinity, for each construction term of g_k,
 pushes the image back inside, where the greedy reduction expresses it over
 the basis with exact integer coefficients.  Shifting the result by t**(-m)
 gives the image as a Laurent module element, the fundamental table every
-verification run is linear algebra over.
+verification run is linear algebra over.  That element is unique, so m
+decides only how far the expansions an image is computed from must reach:
+ell*(v+1) coefficients per unit of m.
 
-Each stability exponent m_f is the least m with
-
-    m * ord(t(ell*tau)) + ord(f) >= 0
-
-at every cusp of the finer level except infinity; images are memoized in
-memory and optionally on disk, keyed by a fingerprint of the basis, the
-auxiliary quotient A and ell.  A table computes its stability exponents
-(``UImageTable.se``) when it computes its first image, so a run that finds
-every image it needs on disk never computes them: those images were stored
-under the same fingerprint by a run that did.
+Images are memoized in memory and optionally on disk, keyed by a
+fingerprint of the basis, the auxiliary quotient A and ell.  A table
+computes its stability exponents' order vectors (``UImageTable.se``) when
+it computes its first image, so a run that finds every image it needs on
+disk never computes them: those images were stored under the same
+fingerprint by a run that did.
 
 Computing an image needs expansions of basis monomials t**e * g_k, and the
 basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
@@ -48,7 +45,7 @@ import tempfile
 from functools import cached_property
 from pathlib import Path
 
-from .basis import AlgebraBasis, BasisFunction, ModuleElement, mw_reduce
+from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
@@ -141,75 +138,91 @@ def _check_index(i: int, j: int, k: int, v: int):
 
 
 class StabilityExponents(Frozen):
-    """Minimal t-powers taming each fundamental image; m_g[k-1] is the
-    exponent for g_k, and the constant g_0 needs none."""
+    """The least t-power taming each fundamental image: exponent(i, j, k) is
+    the least m >= 0 with
 
-    __slots__ = ("m_A", "m_t", "m_negt", "m_g")
+        m*ord t(ell*tau) + i*ord A + j*ord t + ord(term) >= 0
+
+    at every cusp of ``cusps``, for every construction term of g_k; each
+    unit of m costs ell*(v+1) coefficients in every expansion its image is
+    computed from.  The fields are those integer order vectors; ``terms[k]``
+    holds g_k's, and the constant g_0 has one term of order 0."""
+
+    __slots__ = ("cusps", "ord_scaled_t", "ord_A", "ord_t", "terms", "_memo")
+
+    def __init__(self, cusps, ord_scaled_t, ord_A, ord_t, terms):
+        self._set(cusps=cusps, ord_scaled_t=ord_scaled_t, ord_A=ord_A, ord_t=ord_t,
+                  terms=terms, _memo={})
 
     def exponent(self, i: int, j: int, k: int) -> int:
-        _check_index(i, j, k, len(self.m_g))
-        mk = 0 if k == 0 else self.m_g[k - 1]
-        if j > 0:
-            return i * self.m_A + j * self.m_t + mk
-        if j < 0:
-            return i * self.m_A + (-j) * self.m_negt + mk
-        return i * self.m_A + mk
+        m = self._memo.get((i, j, k))
+        if m is None:
+            _check_index(i, j, k, len(self.terms) - 1)
+            base = [i * a + j * t for a, t in zip(self.ord_A, self.ord_t)]
+            m = self._memo[(i, j, k)] = max(
+                _least_power(self.cusps, self.ord_scaled_t, [b + o for b, o in zip(base, term)],
+                             f"A^{i} t^{j} g_{k}") for term in self.terms[k])
+        return m
+
+    m_A = property(lambda self: self.exponent(1, 0, 0))
+    m_t = property(lambda self: self.exponent(0, 1, 0))
+    m_negt = property(lambda self: self.exponent(0, -1, 0))
+    m_g = property(lambda self: tuple(self.exponent(0, 0, k) for k in range(1, len(self.terms))))
+
+
+def _orders(eq: EtaQuotient, cusps) -> tuple:
+    """eq's orders at cusps of its level, integers as for any modular quotient."""
+    ords = [eta_order_at_cusp(eq, x) for x in cusps]
+    if any(o.denominator != 1 for o in ords):
+        raise ContractError("non-integral order for a modular quotient")
+    return tuple(int(o) for o in ords)
+
+
+def _least_power(cusps, ord_scaled_t, ords, what: str) -> int:
+    """Least m >= 0 with m*ord_scaled_t + ords >= 0 at every one of cusps;
+    what names the function of orders ords in errors."""
+    m = 0
+    for x, ot, of in zip(cusps, ord_scaled_t, ords):
+        if of >= 0:
+            continue
+        if ot <= 0:
+            raise ContractError(
+                f"{what} has a pole at {x} where t(ell*tau) has order {ot}; "
+                "no power of t can cancel it (bad generator)")
+        m = max(m, -(of // ot))  # ceil(-of / ot)
+    for x, ot, of in zip(cusps, ord_scaled_t, ords):
+        if m * ot + of < 0:
+            raise ContractError(f"{what}: no taming power works at {x}")
+    return m
 
 
 def taming_powers(b: AlgebraBasis, ell: int, quotients) -> dict:
     """Least m >= 0 with m*ord(t(ell*tau)) + ord(eq) >= 0 at every cusp of
     Gamma0(ell * level) but infinity, for each (eq, what) in quotients; what
-    names eq in errors.  Returns {eq: m}.
-
-    t(ell*tau)'s orders are computed once for the whole call.
-    """
+    names eq in errors.  Returns {eq: m}."""
     level = ell * b.level
     cusps = finite_cusps(level)
-    t_scaled = b.t_quotient().scale_tau(ell)
-    ord_t = [eta_order_at_cusp(t_scaled, x) for x in cusps]
-    if any(o.denominator != 1 for o in ord_t):
-        raise ContractError("non-integral order for a modular quotient")
-    powers = {}
-    for eq, what in quotients:
-        if eq in powers:
-            continue
-        fine = eq.at_level(level)
-        rows = [(x, ot, eta_order_at_cusp(fine, x)) for x, ot in zip(cusps, ord_t)]
-        m = 0
-        for x, ot, of in rows:
-            if of >= 0:
-                continue
-            if ot <= 0:
-                raise ContractError(
-                    f"{what} has a pole at {x} where t(ell*tau) has order {ot}; "
-                    "no power of t can cancel it (bad generator)")
-            m = max(m, -(of // ot))  # ceil(-of / ot)
-        for x, ot, of in rows:
-            if m * ot + of < 0:
-                raise ContractError(f"{what}: no taming power works at {x}")
-        powers[eq] = m
-    return powers
+    ord_scaled_t = _orders(b.t_quotient().scale_tau(ell), cusps)
+    return {eq: _least_power(cusps, ord_scaled_t, _orders(eq.at_level(level), cusps), what)
+            for eq, what in quotients}
 
 
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:
-    """Stability exponents for A, t, 1/t and each basis function.
-
-    Orders are taken over Gamma0(ell*N) at every cusp except infinity.
-    A compound basis function needs the max over its terms of the summed
-    exponents of the factors (products add, sums take the worst case).
-    """
+    """The order vectors of t(ell*tau), A, t and each construction term of
+    each g_k at every cusp of Gamma0(ell*N) but infinity.  A term's vector
+    is the sum of its factors' vectors."""
     level = ell * b.level
     if A.level != level:
         raise SpecError(f"A must live at level {level}")
+    cusps = finite_cusps(level)
+    zero = (0,) * len(cusps)
+    vec = {f: _orders(f.at_level(level), cusps)
+           for f in dict.fromkeys(f for g in b.gs for f in g.constituent_quotients())}
+    terms = tuple(tuple(tuple(map(sum, zip(zero, *(vec[f] for f in fs)))) for _, fs in g.construction)
+                  for g in b.gs)
     t_eq = b.t_quotient()
-    m = taming_powers(b, ell, [(A, "A"), (t_eq, "t"), (t_eq.inverse(), "1/t")]
-                      + [(f, g.name) for g in b.gs for f in g.constituent_quotients()])
-
-    def function_m(fn: BasisFunction) -> int:
-        return max((sum(m[f] for f in factors) for _, factors in fn.construction), default=0)
-
-    return StabilityExponents(m[A], m[t_eq], m[t_eq.inverse()],
-                              tuple(function_m(g) for g in b.gs))
+    return StabilityExponents(cusps, _orders(t_eq.scale_tau(ell), cusps), _orders(A, cusps),
+                              _orders(t_eq.at_level(level), cusps), ((zero,),) + terms)
 
 
 class UImageTable:

@@ -242,7 +242,8 @@ VALUE_CLASSES = [
     (PoleSets, (frozenset({Cusp(1, 4)}), frozenset(), frozenset({Cusp(1, 5)}), frozenset()),
      ("p_A", "p_g", "p0_prime", "p1_prime")),
     (FamilyGenerator, (4, {1: -3, 2: 5, 4: -2}, 5), ("M", "r", "ell")),
-    (StabilityExponents, (2, 5, 5, (2, 3, 4, 6)), ("m_A", "m_t", "m_negt", "m_g")),
+    (StabilityExponents, ((Cusp(1, 4), Cusp(1, 5)), (1, 2), (-3, 0), (5, -5), (((0, 0),),)),
+     ("cusps", "ord_scaled_t", "ord_A", "ord_t", "terms")),
     (BasisFunction, ("g2", ((1, (_H20,)), (-1, (_G20,))), -3), ("name", "construction", "ord_inf")),
     (CongruenceFamilySpec, ("rr", RR_GEN, 24, "even-alpha", 5), ("name", "gen", "c", "pattern", "B")),
     (QSeries, (zmod(5, 2), [26, 5], -1, 3), ("ring", "val", "trunc", "coeffs")),

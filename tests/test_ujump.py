@@ -1,5 +1,6 @@
 """U_ell behaviour, the auxiliary quotient A, stability exponents, images."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -13,15 +14,16 @@ from etacheck.basis import (
     module_element_series,
     mw_reduce,
 )
-from etacheck.errors import SpecError
-from etacheck.eta import eta_expand
-from etacheck.modcurve import newman_check
+from etacheck.errors import ContractError, SpecError
+from etacheck.eta import EtaQuotient, eta_expand
+from etacheck.modcurve import eta_order_at_cusp, finite_cusps, newman_check
 from etacheck.series import QSeries, ZZ, convolve_ints, zmod
 from etacheck.ujump import (
     FamilyGenerator,
     UImageTable,
     build_A,
     compute_m_constants,
+    taming_powers,
     u_ell,
 )
 from etacheck.verifier import iterate, rogers_ramanujan
@@ -239,10 +241,77 @@ def test_m_constants_minimality(b20):
 
 def test_stability_exponent_values(b20):
     se = compute_m_constants(b20, build_A(RR), 5)
-    assert se.exponent(1, 1, 1) == 2 + 5 + 2 == 9
+    assert se.exponent(1, 1, 1) == 7
     assert se.exponent(0, 0, 0) == 0
     assert se.exponent(0, -1, 0) == 5
-    assert se.exponent(1, -2, 4) == 2 + 10 + 6
+    assert se.exponent(1, -2, 4) == 12
+
+
+def summed_bound(b, A, i, j, k):
+    """The per-factor bound i*m_A + |j|*m_(+-t) + m_k, with each factor's own
+    taming power and m_k the largest sum of them over a construction term of
+    g_k: an upper bound on the least exponent, which it overshoots."""
+    t_eq = b.t_quotient()
+    factors = [A, t_eq if j > 0 else t_eq.inverse()]
+    construction = b.gs[k - 1].construction if k else ((1, ()),)
+    powers = taming_powers(b, 5, [(f, "f") for f in factors]
+                           + [(f, "f") for _, fs in construction for f in fs])
+    m_k = max(sum(powers[f] for f in fs) for _, fs in construction)
+    return i * powers[A] + abs(j) * powers[factors[1]] + m_k
+
+
+@pytest.mark.parametrize("gen", [RR, AS], ids=["rr", "as"])
+def test_each_exponent_is_the_least_one(b20, gen):
+    # recomputed from Fraction orders of each term's product, one eta
+    # quotient per term, at every finite cusp of Gamma0(100)
+    A = build_A(gen)
+    se = compute_m_constants(b20, A, 5)
+    cusps = finite_cusps(100)
+    t_eq = b20.t_quotient()
+    ord_scaled_t = [eta_order_at_cusp(t_eq.scale_tau(5), x) for x in cusps]
+    below = 0
+    for i, j, k in itertools.product((0, 1), range(-8, 4), range(5)):
+        terms = b20.gs[k - 1].construction if k else ((1, ()),)
+        products = [EtaQuotient(100, list(A.pow(i).exponents) + list(t_eq.pow(j).exponents)
+                                + [p for f in fs for p in f.exponents]) for _, fs in terms]
+        ords = [[eta_order_at_cusp(eq, x) for x in cusps] for eq in products]
+
+        def holds(m):
+            return all(m * ot + o >= 0 for row in ords for ot, o in zip(ord_scaled_t, row))
+
+        m = se.exponent(i, j, k)
+        assert holds(m) and (m == 0 or not holds(m - 1)), (i, j, k)
+        bound = summed_bound(b20, A, i, j, k)
+        assert m <= bound
+        below += -4 <= j <= 0 and m < bound
+    assert below == 36
+
+
+def test_least_exponent_gives_the_same_images(b20, monkeypatch):
+    # the Laurent-module image is unique: the summed bound only makes every
+    # expansion reach further.  These keys lie beyond every benchmark run.
+    keys = [(RR, (1, 3, 4)), (RR, (0, -6, 2)), (AS, (1, -5, 4))]
+    least = [UImageTable(b20, build_A(gen), 5).image(*key) for gen, key in keys]
+    assert all(compute_m_constants(b20, build_A(gen), 5).exponent(*key)
+               < summed_bound(b20, build_A(gen), *key) for gen, key in keys)
+    summed = []
+    for gen, key in keys:
+        A = build_A(gen)
+        monkeypatch.setattr(ujump.StabilityExponents, "exponent",
+                            lambda se, i, j, k: summed_bound(b20, A, i, j, k))
+        summed.append(UImageTable(b20, A, 5).image(*key))
+    assert [me.terms for me in summed] == [me.terms for me in least]
+
+
+def test_a_pole_no_power_of_t_cancels_is_refused(b20):
+    # 1/A has a pole at 1/25, where t(5*tau) has order 0
+    inv_A = build_A(RR).inverse()
+    with pytest.raises(ContractError, match="no power of t can cancel it"):
+        taming_powers(b20, 5, [(inv_A, "1/A")])
+    se = compute_m_constants(b20, inv_A, 5)
+    assert (se.m_t, se.m_negt, se.m_g) == (5, 5, (2, 3, 4, 6))
+    with pytest.raises(ContractError, match="pole at 1/25 .* no power of t can cancel it"):
+        se.exponent(1, 0, 0)
 
 
 def test_image_of_one(rr_table):
