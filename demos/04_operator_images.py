@@ -12,6 +12,7 @@ vanish 5-adically on their own.
 """
 
 from etacheck import (
+    ModuleElement,
     UImageTable,
     build_A,
     eta_expand,
@@ -19,6 +20,7 @@ from etacheck import (
     module_element_series,
     u_ell,
     u_step,
+    zmod,
 )
 from etacheck.verifier import rogers_ramanujan
 
@@ -28,8 +30,9 @@ table = UImageTable(b, build_A(spec.gen), 5)
 
 se = table.se
 print("stability exponents (least t-powers canceling all finite-cusp poles):")
-print(f"  m_A = {se.m_A}, m_t = {se.m_t}, m_1/t = {se.m_negt}, "
-      f"m_k = {list(se.m_g)}")
+print(f"  m_A = {se.exponent(1, 0, 0)}, m_t = {se.exponent(0, 1, 0)}, "
+      f"m_1/t = {se.exponent(0, -1, 0)}, "
+      f"m_k = {[se.exponent(0, 0, k) for k in range(1, b.v + 1)]}")
 print(f"  so e.g. U(A * t^-2 * g3) needs t^{se.exponent(1, -2, 3)}")
 
 print()
@@ -43,7 +46,7 @@ print("  matches U applied to the raw expansion:",
 
 print()
 print("images of the reciprocal generator, reduced mod 5:")
-seq = {1: table.image(0, -1, 0).reduce_mod(5, 1)}
+seq = {1: ModuleElement(zmod(5, 1), table.image(0, -1, 0).terms)}
 for a in range(2, 15):
     seq[a] = u_step(table, seq[a - 1], with_A=(a % 2 == 0))
 for a in range(1, 15):

@@ -17,9 +17,15 @@ answer poison everything built on top.
 
 A module element keeps its coefficients in its ring: the ``ModuleElement``
 constructor reduces them and drops zeros, so sums are formed over Z and
-handed to it, and ``module_element_series`` sums over Z and hands the result
-to the ``QSeries`` constructor of the element's ring.  Like every value type
-it is a ``series.Frozen``: an image a table hands out cannot be reassigned.
+handed to it (an element enters another ring the same way, as
+``ModuleElement(ring, me.terms)``), and ``module_element_series`` sums over
+Z and hands the result to the ``QSeries`` constructor of the element's
+ring.  Like every value type it is a ``series.Frozen``: an image a table
+hands out cannot be reassigned.
+
+The basis keeps each monomial t**e * g_k it expands at its own relative
+precision, rebuilt only when asked for more, by the rule every expansion
+store shares (``series.stored``).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
 from .modcurve import eta_order_at_cusp, finite_cusps, infinity_class, newman_check
 from .search import search_modular_quotients
-from .series import CoeffRing, Frozen, QSeries, ZZ, zmod
+from .series import CoeffRing, Frozen, QSeries, ZZ, stored
 
 EXPONENT_BOUND = 16  # |w_d| bound of the search for the basis functions g_k
 
@@ -133,12 +139,12 @@ class AlgebraBasis:
     # -- the monomial store ----------------------------------------------------
     #
     # (e, k) -> t**e * g_k, each entry at its own relative precision (number
-    # of coefficients past the leading term).  Products and inverses preserve
-    # relative precision, so an entry asked for at a larger precision than it
-    # holds is rebuilt alone from its factors, each cut to that precision;
-    # every other entry stays as it is.  Callers ask for what they read: an
-    # image for the window its key needs, a reduction step for the window
-    # its remainder still has.
+    # of coefficients past the leading term) under ``series.stored``'s rule.
+    # Products and inverses preserve relative precision, so an entry asked
+    # for at a larger precision than it holds is rebuilt alone from its
+    # factors, each cut to that precision; every other entry stays as it is.
+    # Callers ask for what they read: an image for the window its key needs,
+    # a reduction step for the window its remainder still has.
 
     def monomial(self, e: int, k: int, prec: int) -> QSeries:
         """Expansion of t**e * g_k (g_0 = 1) to relative precision prec.
@@ -147,23 +153,21 @@ class AlgebraBasis:
         function is t**e * g_k, and 1/t is the inverse of t; each factor is
         taken from the store at prec and the result is kept.
         """
-        s = self._monomials.get((e, k))
-        if s is None or s.trunc - s.val < prec:
+        def build(n):
             if k and e:
-                s = self.monomial(e, 0, prec).mul(self.monomial(0, k, prec))
-            elif k:
-                s = self.gs[k - 1].series(prec)
-            elif e == 0:
-                s = QSeries.one(ZZ, prec)
-            elif e == 1:
-                s = self.t.series(prec)
-            elif e == -1:
-                s = self.monomial(1, 0, prec).inv()
-            else:
-                step = 1 if e > 0 else -1
-                s = self.monomial(e - step, 0, prec).mul(self.monomial(step, 0, prec))
-            self._monomials[(e, k)] = s
-        return s.truncate(s.val + prec)
+                return self.monomial(e, 0, n).mul(self.monomial(0, k, n))
+            if k:
+                return self.gs[k - 1].series(n)
+            if e == 0:
+                return QSeries.one(ZZ, n)
+            if e == 1:
+                return self.t.series(n)
+            if e == -1:
+                return self.monomial(1, 0, n).inv()
+            step = 1 if e > 0 else -1
+            return self.monomial(e - step, 0, n).mul(self.monomial(step, 0, n))
+
+        return stored(self._monomials, (e, k), prec, build)
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
@@ -237,22 +241,8 @@ class ModuleElement(Frozen):
                 clean[key] = c
         self._set(ring=ring, terms=clean)
 
-    @classmethod
-    def one(cls, ring: CoeffRing) -> "ModuleElement":
-        return cls(ring, {(0, 0): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def reduce_mod(self, ell: int, power: int) -> "ModuleElement":
-        if self.ring != ZZ:
-            raise SpecError("only exact-integer elements reduce")
-        return ModuleElement(zmod(ell, power), self.terms)
-
-    def scaled_into(self, c, acc: dict):
-        """Add c times this element into the dict acc, over Z."""
-        for key, v in self.terms.items():
-            acc[key] = acc.get(key, 0) + c * v
 
     def j_range(self) -> tuple:
         if not self.terms:

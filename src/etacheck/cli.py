@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .basis import _G20, _H20, construct_basis, load_basis_n20, AlgebraBasis
+from .basis import _G20, _H20, construct_basis, load_basis_n20, AlgebraBasis, ModuleElement
 from .errors import ContractError, EtacheckError, SpecError
 from .eta import EtaQuotient
 from .modcurve import (
@@ -39,8 +39,9 @@ from .modcurve import (
     order_vector,
     parse_cusp,
 )
+from .series import zmod
 from .tfinder import find_t
-from .ujump import UImageTable, build_A, compute_m_constants, taming_powers
+from .ujump import UImageTable, build_A, compute_m_constants
 from .verifier import _BUILTINS, CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
 
 
@@ -129,9 +130,8 @@ def cmd_newman(args) -> int:
 def cmd_find_t(args) -> int:
     spec = load_family_spec(args.spec)
     t = find_t(spec.gen)
-    divs = sorted(d for d, _ in t.exponents) or [1]
     print(f"generator at level {t.level}: "
-          + ",".join(f"{d}^{t.exponent(d)}" for d in divs))
+          + ",".join(f"{d}^{r}" for d, r in t.exponents or ((1, 0),)))
     for x, o in order_vector(t).items():
         print(f"  ord at {x}: {o}")
     return 0
@@ -159,7 +159,7 @@ def cmd_u_image(args) -> int:
     b = resolve_basis(spec)
     table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
     me = table.image(args.i, args.j, args.k)
-    print(me if mod is None else me.reduce_mod(*mod))
+    print(me if mod is None else ModuleElement(zmod(*mod), me.terms))
     return 0
 
 
@@ -235,21 +235,15 @@ def cmd_tables(args) -> int:
     print()
 
     se = compute_m_constants(b, A, ell)
-    t_scaled = b.t_quotient().scale_tau(ell)
-    tamed = taming_powers(b, ell, [(_G20, "g"), (_H20, "h")])
-    m1, m_h = tamed[_G20], tamed[_H20]
-    taming = [
-        (f"t(5tau)^{se.m_A} * A", A.at_level(100), se.m_A),
-        (f"t(5tau)^{se.m_t} * t", b.t_quotient().at_level(100), se.m_t),
-        (f"t(5tau)^{se.m_negt} * 1/t", b.t_quotient().inverse().at_level(100), se.m_negt),
-        (f"t(5tau)^{m1} * g", _G20.at_level(100), m1),
-        (f"t(5tau)^{m_h} * h", _H20.at_level(100), m_h),
-    ]
-    print(f"stability exponents: m_A={se.m_A} m_t={se.m_t} m_1/t={se.m_negt} "
-          f"m_k={list(se.m_g)}")
+    t = b.t_quotient()
+    t_scaled = t.scale_tau(ell)
+    taming = [(name, eq.at_level(100), se.taming_power(eq))
+              for name, eq in (("A", A), ("t", t), ("1/t", t.inverse()), ("g", _G20), ("h", _H20))]
+    print(f"stability exponents: m_A={se.exponent(1, 0, 0)} m_t={se.exponent(0, 1, 0)} "
+          f"m_1/t={se.exponent(0, -1, 0)} m_k={[se.exponent(0, 0, k) for k in range(1, b.v + 1)]}")
     print(_format_table(
         "orders over Gamma0(100) of the tamed products",
-        c100, [label for label, _, _ in taming],
+        c100, [f"t(5tau)^{m} * {name}" for name, _, m in taming],
         lambda x, ci: (taming[ci][2] * eta_order_at_cusp(t_scaled, x)
                        + eta_order_at_cusp(taming[ci][1], x))))
     return 0

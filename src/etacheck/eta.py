@@ -10,14 +10,15 @@ integer, so nothing fractional is ever rounded.
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
 independent reference.  ``eta_expand`` keeps the longest expansion made of
-each quotient and serves shorter requests by truncation, so a quotient that
-several basis functions share is expanded once per length it outgrows.
+each quotient under ``series.stored``'s rule and serves shorter requests by
+truncation, so a quotient that several basis functions share is expanded
+once per length it outgrows.
 """
 
 from __future__ import annotations
 
 from .errors import SpecError
-from .series import CoeffRing, Frozen, QSeries, ZZ, _whole
+from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, stored
 
 
 def divisors(n: int) -> list[int]:
@@ -59,12 +60,6 @@ class EtaQuotient(Frozen):
             acc[d] = acc.get(d, 0) + r
         packed = tuple(sorted((d, r) for d, r in acc.items() if r != 0))
         self._set(level=level, exponents=packed)
-
-    def exponent(self, d: int) -> int:
-        for dd, r in self.exponents:
-            if dd == d:
-                return r
-        return 0
 
     # weighted sums that the modularity conditions and order formulas use
     def sum_r(self) -> int:
@@ -156,16 +151,13 @@ def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
     24 does not divide sum(d*r_d): the expansion would need fractional
     exponents.
 
-    Each quotient is expanded once per length it outgrows: the longest
-    expansion made so far is kept, a shorter request is its truncation, and
-    a longer one replaces it.
+    Each quotient is expanded once per length it outgrows (``stored``): the
+    longest expansion made so far is kept, a shorter request is its
+    truncation, and a longer one replaces it.
     """
     if trunc < 1:
         raise SpecError("eta expansion needs truncation >= 1")
     shift, frac = divmod(eq.sum_dr(), 24)
     if frac:
         raise SpecError(f"{eq!r} has the fractional prefactor q^({eq.sum_dr()}/24)")
-    s = _EXPANSIONS.get(eq)
-    if s is None or s.trunc < shift + trunc:
-        s = _EXPANSIONS[eq] = euler_quotient(eq.exponents, trunc).shift(shift)
-    return s.truncate(shift + trunc)
+    return stored(_EXPANSIONS, eq, trunc, lambda n: euler_quotient(eq.exponents, n).shift(shift))

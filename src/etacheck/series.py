@@ -47,6 +47,11 @@ times faster.
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
 ``basis.ModuleElement``'s), which reduces them.
+
+Every store of expansions (``eta_expand``'s, the basis monomials, an image
+table's A * g_k) keeps its entries through ``stored``: an entry is rebuilt
+only when asked for more coefficients past its leading term than it holds,
+and is handed out cut to what was asked.
 """
 
 from __future__ import annotations
@@ -145,17 +150,14 @@ class CoeffRing(Frozen):
         c = operator.index(c)
         return c if self.kind == "Z" else c % self._modulus
 
-    def is_unit(self, c) -> bool:
-        if self.kind == "Z":
-            return c in (1, -1)
-        return c % self.ell != 0
-
-    def invert_unit(self, c):
-        if not self.is_unit(c):
-            raise SpecError(f"{c} is not a unit in {self}")
-        if self.kind == "Z":
+    def unit_inverse(self, c):
+        """The inverse of c; SpecError unless c is a unit (+-1 in Z, prime to
+        ell in Z/ell^e)."""
+        if self.kind == "Z" and c in (1, -1):
             return c
-        return pow(c, -1, self._modulus)
+        if self.kind == "Zmod" and c % self.ell:
+            return pow(c, -1, self._modulus)
+        raise SpecError(f"{c} is not a unit in {self}")
 
     def __str__(self):
         if self.kind == "Z":
@@ -444,15 +446,6 @@ class QSeries(Frozen):
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(q^{self.trunc}) over {self.ring}>"
 
-    # -- ring changes -------------------------------------------------------
-
-    def reduce_mod(self, ell: int, power: int) -> "QSeries":
-        """Map an exact-integer series into Z/ell**power, least positive residues."""
-        if self.ring.kind != "Z":
-            raise SpecError("reduce_mod expects an exact-integer series")
-        ring = zmod(ell, power)
-        return QSeries(ring, self.coeffs, self.val, self.trunc)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "QSeries"):
@@ -505,13 +498,9 @@ class QSeries(Frozen):
         """
         if self.is_zero():
             raise SpecError("zero series has no inverse")
-        lead = self.coeffs[0]
-        if not self.ring.is_unit(lead):
-            raise SpecError(f"leading coefficient {lead} is not a unit in {self.ring}")
+        g = [self.ring.unit_inverse(self.coeffs[0])]
         n = self.trunc - self.val
         a = list(self.coeffs)
-        inv0 = self.ring.invert_unit(lead)
-        g = [inv0]
         while len(g) < n:
             m = min(2 * len(g), n)
             # g <- g*(2 - a*g) to m terms; 2 - a*g goes in unreduced, since
@@ -569,3 +558,13 @@ class QSeries(Frozen):
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
         return QSeries._canonical(self.ring, self.coeffs, self.val + k, self.trunc + k)
+
+
+def stored(store: dict, key, prec: int, build) -> QSeries:
+    """store[key] to relative precision prec (coefficients past its leading
+    term), the one rule of every expansion store: the stored series when it
+    holds that many, else build(prec), which replaces it."""
+    s = store.get(key)
+    if s is None or s.trunc - s.val < prec:
+        s = store[key] = build(prec)
+    return s.truncate(s.val + prec)

@@ -19,16 +19,18 @@ it computes its first image, so a run that finds every image it needs on
 disk never computes them: those images were stored under the same
 fingerprint by a run that did.
 
-Computing an image needs expansions of basis monomials t**e * g_k, and the
-basis keeps each one at its own relative precision (``AlgebraBasis.monomial``).
-An image is U_ell(t**j * y), with y = g_k for i = 0 and y = A * g_k for
-i = 1, taken as one ell-dissected product (``u_ell`` with ``times``, which
-is ``QSeries.mul(times, ell)``): only the coefficients at multiples of ell
-are computed, and neither t**j * g_k nor its product with A is formed.  The
-table keeps A * g_k per k.  An image asks for t**j and y at the precision its
-key needs, given in closed form by ``UImageTable._precision``, for t**m only
-as far as U_ell of that reaches (about a factor ell less), and the reduction
-asks for each of its monomials only as far as its remainder reaches.
+Computing an image needs expansions of basis monomials t**e * g_k.  The
+basis keeps each at its own relative precision (``AlgebraBasis.monomial``),
+and the table keeps A * g_k per k, both by the rebuild rule every expansion
+store shares (``series.stored``).  An image is U_ell(t**j * y), with y = g_k
+for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected product
+(``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``): only the
+coefficients at multiples of ell are computed, and neither t**j * g_k nor
+its product with A is formed.  An image asks for t**j and y at the precision
+its key needs, given in closed form by ``UImageTable._precision``, for t**m
+only as far as U_ell of that reaches (about a factor ell less), and the
+reduction asks for each of its monomials only as far as its remainder
+reaches.
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to; the
 table computes the keys it cannot load deepest first, so each A * g_k, and
@@ -49,7 +51,7 @@ from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
-from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
+from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, stored
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
 
@@ -143,16 +145,17 @@ class StabilityExponents(Frozen):
 
         m*ord t(ell*tau) + i*ord A + j*ord t + ord(term) >= 0
 
-    at every cusp of ``cusps``, for every construction term of g_k; each
-    unit of m costs ell*(v+1) coefficients in every expansion its image is
-    computed from.  The fields are those integer order vectors; ``terms[k]``
-    holds g_k's, and the constant g_0 has one term of order 0."""
+    at every cusp of ``cusps``, the finite cusps of Gamma0(level), for every
+    construction term of g_k; each unit of m costs ell*(v+1) coefficients in
+    every expansion its image is computed from.  The other fields are those
+    integer order vectors; ``terms[k]`` holds g_k's, and the constant g_0
+    has one term of order 0."""
 
-    __slots__ = ("cusps", "ord_scaled_t", "ord_A", "ord_t", "terms", "_memo")
+    __slots__ = ("level", "cusps", "ord_scaled_t", "ord_A", "ord_t", "terms", "_memo")
 
-    def __init__(self, cusps, ord_scaled_t, ord_A, ord_t, terms):
-        self._set(cusps=cusps, ord_scaled_t=ord_scaled_t, ord_A=ord_A, ord_t=ord_t,
-                  terms=terms, _memo={})
+    def __init__(self, level, cusps, ord_scaled_t, ord_A, ord_t, terms):
+        self._set(level=level, cusps=cusps, ord_scaled_t=ord_scaled_t, ord_A=ord_A,
+                  ord_t=ord_t, terms=terms, _memo={})
 
     def exponent(self, i: int, j: int, k: int) -> int:
         m = self._memo.get((i, j, k))
@@ -164,10 +167,11 @@ class StabilityExponents(Frozen):
                              f"A^{i} t^{j} g_{k}") for term in self.terms[k])
         return m
 
-    m_A = property(lambda self: self.exponent(1, 0, 0))
-    m_t = property(lambda self: self.exponent(0, 1, 0))
-    m_negt = property(lambda self: self.exponent(0, -1, 0))
-    m_g = property(lambda self: tuple(self.exponent(0, 0, k) for k in range(1, len(self.terms))))
+    def taming_power(self, eq: EtaQuotient) -> int:
+        """Least m >= 0 with m*ord t(ell*tau) + ord(eq) >= 0 at every cusp of
+        ``cusps``, eq lifted to the level; taming_power(A) is exponent(1, 0, 0)."""
+        return _least_power(self.cusps, self.ord_scaled_t,
+                            _orders(eq.at_level(self.level), self.cusps), repr(eq))
 
 
 def _orders(eq: EtaQuotient, cusps) -> tuple:
@@ -196,17 +200,6 @@ def _least_power(cusps, ord_scaled_t, ords, what: str) -> int:
     return m
 
 
-def taming_powers(b: AlgebraBasis, ell: int, quotients) -> dict:
-    """Least m >= 0 with m*ord(t(ell*tau)) + ord(eq) >= 0 at every cusp of
-    Gamma0(ell * level) but infinity, for each (eq, what) in quotients; what
-    names eq in errors.  Returns {eq: m}."""
-    level = ell * b.level
-    cusps = finite_cusps(level)
-    ord_scaled_t = _orders(b.t_quotient().scale_tau(ell), cusps)
-    return {eq: _least_power(cusps, ord_scaled_t, _orders(eq.at_level(level), cusps), what)
-            for eq, what in quotients}
-
-
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:
     """The order vectors of t(ell*tau), A, t and each construction term of
     each g_k at every cusp of Gamma0(ell*N) but infinity.  A term's vector
@@ -221,8 +214,9 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
     terms = tuple(tuple(tuple(map(sum, zip(zero, *(vec[f] for f in fs)))) for _, fs in g.construction)
                   for g in b.gs)
     t_eq = b.t_quotient()
-    return StabilityExponents(cusps, _orders(t_eq.scale_tau(ell), cusps), _orders(A, cusps),
-                              _orders(t_eq.at_level(level), cusps), ((zero,),) + terms)
+    return StabilityExponents(level, cusps, _orders(t_eq.scale_tau(ell), cusps),
+                              _orders(A, cusps), _orders(t_eq.at_level(level), cusps),
+                              ((zero,),) + terms)
 
 
 class UImageTable:
@@ -309,15 +303,13 @@ class UImageTable:
     # -- computation ---------------------------------------------------------
 
     def _a_times(self, k: int, prec: int) -> QSeries:
-        """A * g_k to relative precision prec, kept per k and rebuilt only
-        when a longer one is asked for, like a basis monomial."""
-        s = self._a_times_g.get(k)
-        if s is None or s.trunc - s.val < prec:
-            s = eta_expand(self.A, prec)
-            if k:
-                s = s.mul(self.basis.monomial(0, k, prec))
-            self._a_times_g[k] = s
-        return s.truncate(s.val + prec)
+        """A * g_k to relative precision prec, kept per k like a basis
+        monomial (``stored``)."""
+        def build(n):
+            a = eta_expand(self.A, n)
+            return a.mul(self.basis.monomial(0, k, n)) if k else a
+
+        return stored(self._a_times_g, k, prec, build)
 
     def _precision(self, i: int, j: int, k: int) -> int:
         """Relative precision of the expansions the image of A**i t**j g_k is
@@ -380,5 +372,7 @@ def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement
     keys = sorted(me.terms)
     acc: dict = {}
     for (j, k), image in zip(keys, table.images([(i, j, k) for j, k in keys])):
-        image.scaled_into(me.terms[(j, k)], acc)
+        c = me.terms[(j, k)]
+        for key, v in image.terms.items():
+            acc[key] = acc.get(key, 0) + c * v
     return ModuleElement(me.ring, acc)

@@ -222,7 +222,7 @@ def iterate(spec: CongruenceFamilySpec, table: UImageTable) -> VerificationRepor
         report.saturated.append(me.is_zero())
         report.required.append(req)
         report.passed.append(None if req is None else v >= req)
-        report.support.append(_support_stats(me))
+        report.support.append({"terms": len(me.terms), "j_min": j_lo, "j_max": j_hi})
         now = time.monotonic()
         report.seconds.append(now - t0)
         t0 = now
@@ -234,16 +234,11 @@ def _iterates(spec: CongruenceFamilySpec, table: UImageTable, iterations: int):
     apply U_ell(A * -), odd steps plain U_ell."""
     if (table.A, table.ell) != (build_A(spec.gen), spec.gen.ell):
         raise SpecError(f"the image table was built for another family than {spec.name}")
-    current = ModuleElement.one(zmod(spec.gen.ell, spec.B))
+    current = ModuleElement(zmod(spec.gen.ell, spec.B), {(0, 0): 1})
     yield current
     for alpha in range(iterations):
         current = u_step(table, current, with_A=alpha % 2 == 0)
         yield current
-
-
-def _support_stats(me: ModuleElement) -> dict:
-    j_lo, j_hi = me.j_range()
-    return {"terms": len(me.terms), "j_min": j_lo, "j_max": j_hi}
 
 
 def residue_for_case(c: int, ell: int, alpha: int) -> int:

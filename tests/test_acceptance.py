@@ -14,7 +14,7 @@ from etacheck.modcurve import (
     order_vector,
 )
 from etacheck.tfinder import compute_pole_sets, solve_W, verify_W
-from etacheck.ujump import build_A, compute_m_constants, taming_powers
+from etacheck.ujump import build_A, compute_m_constants
 from etacheck.verifier import (
     andrews_sellers,
     consistency_check,
@@ -150,10 +150,10 @@ def test_criterion_2_t_search(rr_spec):
 def test_criterion_3_stability_constants(basis20, rr_spec):
     t0 = time.monotonic()
     se = compute_m_constants(basis20, build_A(rr_spec.gen), 5)
-    assert se.m_A == 2
-    assert se.m_t == 5 and se.m_negt == 5
-    assert se.m_g == (2, 3, 4, 6)
-    assert taming_powers(basis20, 5, [(G20, "g"), (H20, "h")]) == {G20: 2, H20: 3}
+    assert se.exponent(1, 0, 0) == 2
+    assert se.exponent(0, 1, 0) == 5 and se.exponent(0, -1, 0) == 5
+    assert tuple(se.exponent(0, 0, k) for k in range(1, 5)) == (2, 3, 4, 6)
+    assert {eq: se.taming_power(eq) for eq in (G20, H20)} == {G20: 2, H20: 3}
     assert time.monotonic() - t0 < 10
     verdict(3, "stability constants m_A=2, m_t=5, m_k=(2,3,4,6)")
 

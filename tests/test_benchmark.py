@@ -8,6 +8,8 @@ image table on an empty cache, so a change to any computed image fails here
 against the golden digest.  About 1 s, 1.6 s and 1.6 s.
 """
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -16,6 +18,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_traced_span_names_a_package_attribute():
+    # the tracer skips a name it cannot find, so a renamed entry point would
+    # drop its layer from every traced run without an error; SPANS is read
+    # from the source, so nothing under perfbench/ is run or written
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    spans, = (ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and node.targets[0].id == "SPANS")
+    missing = []
+    for name, mod_name, attr, cls_name in spans:
+        mod = importlib.import_module("etacheck." + mod_name)
+        if attr not in vars(getattr(mod, cls_name) if cls_name else mod):
+            missing.append(name)
+    assert spans and missing == []
 
 
 # cross-check runs the tracer's direct_oracle hook, which smoke never

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from etacheck import cli
+from etacheck.basis import load_basis_n20
 from etacheck.cli import main, parse_eta_spec
 from etacheck.errors import SpecError
-from etacheck.ujump import UImageTable
-from etacheck.verifier import CongruenceFamilySpec
+from etacheck.ujump import UImageTable, build_A
+from etacheck.verifier import CongruenceFamilySpec, rogers_ramanujan
 
 
 def run(capsys, *argv):
@@ -147,6 +149,28 @@ def test_malformed_cache_file_exits_3(capsys, tmp_path):
         assert code == 3 and "VERIFIED" not in out and "malformed" in err
 
 
+def test_cache_file_under_another_key_exits_3(capsys, tmp_path):
+    # a well-formed image stored under the wrong key is corruption: it is
+    # refused, never printed as the image of the key it is filed under
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path),
+                     "u-image", "rogers-ramanujan", "0", "-1", "0")
+    assert code == 0
+    stored, = tmp_path.glob("*/i0_j-1_k0.txt")
+    shutil.copy(stored, stored.with_name("i0_j-2_k0.txt"))
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path),
+                         "u-image", "rogers-ramanujan", "0", "-2", "0")
+    assert code == 3 and out == "" and "does not match its key" in err
+
+
+def test_cache_dir_defaults_to_etacheck_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ETACHECK_CACHE", str(tmp_path))
+    code, _, _ = run(capsys, "u-image", "rogers-ramanujan", "0", "-1", "0")
+    assert code == 0
+    fingerprint = UImageTable(load_basis_n20(), build_A(rogers_ramanujan().gen), 5).fingerprint()
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")] \
+        == [f"{fingerprint}/i0_j-1_k0.txt"]
+
+
 def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
     # the spec alone sets a run's length: a count is a usage error, never a
     # run past the steps mod 5^B can show (which would fail a true family)
@@ -247,6 +271,21 @@ def test_tables_bytes_stable(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "stability exponents: m_A=2 m_t=5 m_1/t=5 m_k=[2, 3, 4, 6]" in out1
+
+
+def test_failing_conjecture_exits_1(capsys, tmp_path, image_cache_dir):
+    # the Rogers-Ramanujan data claimed at every step: v_1 = 0 and v_2 = 1
+    # fall short of 1 and 2
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
+                                "c": 24, "pattern": "every-alpha", "B": 2}))
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                       "verify", str(path), "-o", str(out_file))
+    assert code == 1
+    assert out.rstrip().endswith("CONJECTURE FAILS") and "VERIFIED" not in out
+    report = json.loads(out_file.read_text())["report"]
+    assert report["ok"] is False and report["passed"] == [True, False, False]
 
 
 def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):

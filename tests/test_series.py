@@ -155,7 +155,7 @@ def test_euler_quotient_mod_prime_power_is_reduced_exact(exponents):
     # expansion reduced mod 5^e
     exact = euler_quotient(exponents, 2000)
     for e in (1, 2, 5):
-        assert euler_quotient(exponents, 2000, zmod(5, e)) == exact.reduce_mod(5, e)
+        assert euler_quotient(exponents, 2000, zmod(5, e)) == into(exact, 5, e)
 
 
 def test_zmod_results_are_reduced_once(monkeypatch):
@@ -181,7 +181,7 @@ def run_ring_laws(cases=200, seed=2024):
         assert f.mul(g).agrees_with(g.mul(f))
         assert f.mul(g).mul(h).agrees_with(f.mul(g.mul(h)))
         assert f.mul(g.add(h)).agrees_with(f.mul(g).add(f.mul(h)))
-        if not f.is_zero() and ring.is_unit(f.coeffs[0]):
+        if not f.is_zero() and (f.coeffs[0] in (1, -1) if ring == ZZ else f.coeffs[0] % ring.ell):
             one = f.mul(f.inv())
             assert one.agrees_with(QSeries.one(ring, one.trunc))
     return cases
@@ -242,8 +242,8 @@ VALUE_CLASSES = [
     (PoleSets, (frozenset({Cusp(1, 4)}), frozenset(), frozenset({Cusp(1, 5)}), frozenset()),
      ("p_A", "p_g", "p0_prime", "p1_prime")),
     (FamilyGenerator, (4, {1: -3, 2: 5, 4: -2}, 5), ("M", "r", "ell")),
-    (StabilityExponents, ((Cusp(1, 4), Cusp(1, 5)), (1, 2), (-3, 0), (5, -5), (((0, 0),),)),
-     ("cusps", "ord_scaled_t", "ord_A", "ord_t", "terms")),
+    (StabilityExponents, (100, (Cusp(1, 4), Cusp(1, 5)), (1, 2), (-3, 0), (5, -5), (((0, 0),),)),
+     ("level", "cusps", "ord_scaled_t", "ord_A", "ord_t", "terms")),
     (BasisFunction, ("g2", ((1, (_H20,)), (-1, (_G20,))), -3), ("name", "construction", "ord_inf")),
     (CongruenceFamilySpec, ("rr", RR_GEN, 24, "even-alpha", 5), ("name", "gen", "c", "pattern", "B")),
     (QSeries, (zmod(5, 2), [26, 5], -1, 3), ("ring", "val", "trunc", "coeffs")),
@@ -333,11 +333,16 @@ def test_substitution_is_multiplicative():
     run_substitution_homomorphism()
 
 
+def into(f, ell, b):
+    """f's coefficients handed to the constructor of Z/ell^b."""
+    return QSeries(zmod(ell, b), f.coeffs, f.val, f.trunc)
+
+
 def test_reduce_mod_examples():
     f = QSeries(ZZ, [7, 26], 0, 2)
-    assert f.reduce_mod(5, 2).terms() == {0: 7, 1: 1}
-    assert QSeries(ZZ, [-1], 0, 1).reduce_mod(5, 1).terms() == {0: 4}
-    assert QSeries(ZZ, [625], 3, 4).reduce_mod(5, 2).is_zero()
+    assert into(f, 5, 2).terms() == {0: 7, 1: 1}
+    assert into(QSeries(ZZ, [-1], 0, 1), 5, 1).terms() == {0: 4}
+    assert into(QSeries(ZZ, [625], 3, 4), 5, 2).is_zero()
 
 
 def run_reduce_mod_homomorphism(cases=200, seed=31):
@@ -346,10 +351,8 @@ def run_reduce_mod_homomorphism(cases=200, seed=31):
         f = random_series(rng, ZZ)
         g = random_series(rng, ZZ)
         ell, b = rng.choice([(5, 1), (5, 3), (7, 2)])
-        assert f.add(g).reduce_mod(ell, b).agrees_with(
-            f.reduce_mod(ell, b).add(g.reduce_mod(ell, b)))
-        assert f.mul(g).reduce_mod(ell, b).agrees_with(
-            f.reduce_mod(ell, b).mul(g.reduce_mod(ell, b)))
+        assert into(f.add(g), ell, b).agrees_with(into(f, ell, b).add(into(g, ell, b)))
+        assert into(f.mul(g), ell, b).agrees_with(into(f, ell, b).mul(into(g, ell, b)))
     return cases
 
 
@@ -444,7 +447,7 @@ def test_eta_quotient_validation():
     eq = EtaQuotient(20, {1: 1, 2: 0, 20: -1})
     assert eq.exponents == ((1, 1), (20, -1))
     assert eq.scale_tau(5).level == 100
-    assert eq.scale_tau(5).exponent(100) == -1
+    assert dict(eq.scale_tau(5).exponents)[100] == -1
     assert eq.at_level(100).level == 100
 
 

@@ -23,7 +23,6 @@ from etacheck.ujump import (
     UImageTable,
     build_A,
     compute_m_constants,
-    taming_powers,
     u_ell,
 )
 from etacheck.verifier import iterate, rogers_ramanujan
@@ -219,9 +218,9 @@ def test_generating_function_substitution():
 
 def test_m_constants(b20):
     se = compute_m_constants(b20, build_A(RR), 5)
-    assert se.m_A == 2
-    assert se.m_t == 5 and se.m_negt == 5
-    assert se.m_g == (2, 3, 4, 6)
+    assert se.exponent(1, 0, 0) == 2
+    assert se.exponent(0, 1, 0) == 5 and se.exponent(0, -1, 0) == 5
+    assert tuple(se.exponent(0, 0, k) for k in range(1, 5)) == (2, 3, 4, 6)
 
 
 def test_m_constants_minimality(b20):
@@ -230,9 +229,9 @@ def test_m_constants_minimality(b20):
     se = compute_m_constants(b20, build_A(RR), 5)
     t_scaled = b20.t_quotient().scale_tau(5)
     cusps = [x for x in cusp_representatives(100) if x != infinity_class(100)]
-    for eq, m in ((build_A(RR), se.m_A),
-                  (b20.t_quotient().at_level(100), se.m_t),
-                  (b20.t_quotient().inverse().at_level(100), se.m_negt)):
+    for eq, m in ((build_A(RR), se.exponent(1, 0, 0)),
+                  (b20.t_quotient().at_level(100), se.exponent(0, 1, 0)),
+                  (b20.t_quotient().inverse().at_level(100), se.exponent(0, -1, 0))):
         assert all((m * eta_order_at_cusp(t_scaled, x)
                     + eta_order_at_cusp(eq, x)) >= 0 for x in cusps)
         assert any((m - 1) * eta_order_at_cusp(t_scaled, x)
@@ -254,8 +253,8 @@ def summed_bound(b, A, i, j, k):
     t_eq = b.t_quotient()
     factors = [A, t_eq if j > 0 else t_eq.inverse()]
     construction = b.gs[k - 1].construction if k else ((1, ()),)
-    powers = taming_powers(b, 5, [(f, "f") for f in factors]
-                           + [(f, "f") for _, fs in construction for f in fs])
+    se = compute_m_constants(b, A, 5)
+    powers = {f: se.taming_power(f) for f in factors + [f for _, fs in construction for f in fs]}
     m_k = max(sum(powers[f] for f in fs) for _, fs in construction)
     return i * powers[A] + abs(j) * powers[factors[1]] + m_k
 
@@ -306,10 +305,11 @@ def test_least_exponent_gives_the_same_images(b20, monkeypatch):
 def test_a_pole_no_power_of_t_cancels_is_refused(b20):
     # 1/A has a pole at 1/25, where t(5*tau) has order 0
     inv_A = build_A(RR).inverse()
-    with pytest.raises(ContractError, match="no power of t can cancel it"):
-        taming_powers(b20, 5, [(inv_A, "1/A")])
     se = compute_m_constants(b20, inv_A, 5)
-    assert (se.m_t, se.m_negt, se.m_g) == (5, 5, (2, 3, 4, 6))
+    with pytest.raises(ContractError, match="no power of t can cancel it"):
+        se.taming_power(inv_A)
+    assert se.exponent(0, 1, 0) == 5 and se.exponent(0, -1, 0) == 5
+    assert tuple(se.exponent(0, 0, k) for k in range(1, 5)) == (2, 3, 4, 6)
     with pytest.raises(ContractError, match="pole at 1/25 .* no power of t can cancel it"):
         se.exponent(1, 0, 0)
 
@@ -331,7 +331,7 @@ def test_cached_images_and_series_cannot_be_changed(rr_table, b20):
 
 def test_image_of_reciprocal_t_mod_5(rr_table):
     # the inverse-generator image reduced mod 5: 4/t + 2 g1/t + g2/t + g3/t
-    me = rr_table.image(0, -1, 0).reduce_mod(5, 1)
+    me = ModuleElement(zmod(5, 1), rr_table.image(0, -1, 0).terms)
     assert me.terms == {(-1, 0): 4, (-1, 1): 2, (-1, 2): 1, (-1, 3): 1}
 
 
@@ -356,7 +356,7 @@ T_SEQUENCE_MOD5 = {
 
 def t_sequence(table, count):
     from etacheck.ujump import u_step
-    seq = {1: table.image(0, -1, 0).reduce_mod(5, 1)}
+    seq = {1: ModuleElement(zmod(5, 1), table.image(0, -1, 0).terms)}
     for a in range(2, count + 1):
         seq[a] = u_step(table, seq[a - 1], with_A=(a % 2 == 0))
     return seq
@@ -420,6 +420,19 @@ def test_image_store_ignores_leftover_temporary(b20, tmp_path):
     assert UImageTable(b20, build_A(RR), 5, cache_dir=tmp_path).image(0, 0, 0) == me
     assert sorted(p.name for p in path.parent.iterdir()) == [path.with_suffix(".tmp").name,
                                                              path.name]
+
+
+def test_failed_store_leaves_no_file(b20, tmp_path, monkeypatch):
+    # a store whose os.replace fails raises, and removes its temporary file:
+    # the key directory holds neither it nor the image
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(ujump.os, "replace", fail)
+    table = UImageTable(b20, build_A(RR), 5, cache_dir=tmp_path)
+    with pytest.raises(OSError, match="replace failed"):
+        table.image(0, 0, 0)
+    assert list(table._path(0, 0, 0).parent.iterdir()) == []
 
 
 def test_tables_differ_between_families(b20, rr_table, tmp_path):
