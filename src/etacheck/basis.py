@@ -244,26 +244,6 @@ class ModuleElement(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def j_range(self) -> tuple:
-        if not self.terms:
-            return (0, 0)
-        js = [j for j, _ in self.terms]
-        return (min(js), max(js))
-
-    def min_ell_valuation(self, ell: int, cap: int) -> int:
-        """Largest v <= cap with ell**v dividing every nonzero coefficient
-        (cap if there are none)."""
-        best = cap
-        for c in self.terms.values():
-            v = 0
-            while v < best and c % ell == 0:
-                c //= ell
-                v += 1
-            best = min(best, v)
-            if best == 0:
-                break
-        return best
-
     def __repr__(self):
         if not self.terms:
             return "<0>"

@@ -26,11 +26,11 @@ store shares (``series.stored``).  An image is U_ell(t**j * y), with y = g_k
 for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected product
 (``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``): only the
 coefficients at multiples of ell are computed, and neither t**j * g_k nor
-its product with A is formed.  An image asks for t**j and y at the precision
-its key needs, given in closed form by ``UImageTable._precision``, for t**m
-only as far as U_ell of that reaches (about a factor ell less), and the
-reduction asks for each of its monomials only as far as its remainder
-reaches.
+its product with A is formed.  An image asks for t**j and y at the least
+precision its key needs (``UImageTable._precision``, derived from the
+valuation of t**j * y and m), for t**m only as far as U_ell of that reaches
+(about a factor ell less), and the reduction asks for each of its monomials
+only as far as its remainder reaches.
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to; the
 table computes the keys it cannot load deepest first, so each A * g_k, and
@@ -312,14 +312,22 @@ class UImageTable:
         return stored(self._a_times_g, k, prec, build)
 
     def _precision(self, i: int, j: int, k: int) -> int:
-        """Relative precision of the expansions the image of A**i t**j g_k is
-        computed from: enough that t**m * U_ell(A**i t**j g_k) is known through
-        its constant term plus SLACK check coefficients."""
+        """The least relative precision of the expansions the image of
+        A**i t**j g_k is computed from that shows t**m * U_ell(A**i t**j g_k)
+        through its constant term plus SLACK check coefficients.
+
+        t**j * y, y = A**i * g_k, starts at val = -(v+1)*j - n_k + i*val(A),
+        where val(A) is eta_expand's shift sum(d*r_d)/24, so at relative
+        precision p its ell-dissection is known below ceil((val + p)/ell), and
+        t**m lowers that by (v+1)*m.  The least p with
+        ceil((val + p)/ell) - (v+1)*m >= 1 + SLACK is
+        ell*((v+1)*m + SLACK) + 1 - val: ``_compute``'s guard then holds with
+        equality."""
         b = self.basis
         v1 = b.v + 1
         n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
-        m = self.se.exponent(i, j, k)
-        return self.ell * (v1 * m + self.SLACK) + v1 * (abs(j) + i + 2) + n_k + 2 * self.SLACK
+        val = -v1 * j - n_k + i * (self.A.sum_dr() // 24)
+        return self.ell * (v1 * self.se.exponent(i, j, k) + self.SLACK) + 1 - val
 
     def images(self, keys) -> list:
         """The images of every (i, j, k) in keys, in order."""

@@ -2,7 +2,7 @@ import pytest
 
 from etacheck.basis import load_basis_n20
 from etacheck.ujump import UImageTable, build_A
-from etacheck.verifier import CongruenceFamilySpec, andrews_sellers, rogers_ramanujan
+from etacheck.verifier import andrews_sellers, rogers_ramanujan
 
 
 @pytest.fixture(scope="session")
@@ -34,17 +34,3 @@ def rr_image_table(basis20, rr_spec, image_cache_dir):
 def as_image_table(basis20, as_spec, image_cache_dir):
     return UImageTable(basis20, build_A(as_spec.gen), 5, cache_dir=image_cache_dir)
 
-
-class _Unconstrained(CongruenceFamilySpec):
-    """A family whose pattern requires nothing at any step."""
-
-    def required_valuation(self, alpha):
-        return None
-
-
-@pytest.fixture(scope="session")
-def unconstrained_spec():
-    """Rogers-Ramanujan data at B = 1 with no step carrying a requirement:
-    a run of it checks nothing."""
-    rr = rogers_ramanujan(B=1)
-    return _Unconstrained("unconstrained", rr.gen, rr.c, rr.pattern, rr.B)

@@ -1,0 +1,110 @@
+"""The mutant catalogue: small breakages of the verdict path that tier-1
+must notice.
+
+Each entry is (file, old, new, reason).  For each, the script copies the
+repository to a temporary directory, replaces the one occurrence of old by
+new in file, runs tier-1 there with ``-x -q`` and prints killed, with the
+first test that failed, or survived.  An entry with a reason is an
+equivalent mutant: the reason says why it cannot change a result, and it is
+expected to survive.  The script exits 1 when a mutant without a reason survives, or when an old
+text no longer occurs exactly once.  It uses only the standard library;
+pytest does not collect it.
+
+    python3 tests/mutants.py            # the whole catalogue, about 8 min
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = (
+    # a conjecture that fails only at its last step
+    ("src/etacheck/verifier.py",
+     "return all(p for p in self.passed if p is not None)",
+     "return all(p for p in self.passed[:-1] if p is not None)", None),
+    # a unit that is 1 mod ell**B for every B <= 9
+    ("src/etacheck/ujump.py",
+     "acc[key] = acc.get(key, 0) + c * v",
+     "acc[key] = acc.get(key, 0) + c * v * (1 + table.ell ** 9)", None),
+    # the alpha = 0 side of the consistency check
+    ("src/etacheck/verifier.py",
+     "return QSeries.one(ring, count)",
+     "return QSeries.zero(ring, count)", None),
+    ("src/etacheck/basis.py", "if any(rem):", "if any(rem[:-1]):", None),
+    ("src/etacheck/ujump.py",
+     "if prod.trunc < 1 + self.SLACK:", "if prod.trunc < 1:", None),
+    # a precision one more than the least, and one less
+    ("src/etacheck/ujump.py",
+     "+ self.SLACK) + 1 - val", "+ self.SLACK) + 2 - val", None),
+    ("src/etacheck/ujump.py",
+     "+ self.SLACK) + 1 - val", "+ self.SLACK) - val", None),
+    ("src/etacheck/ujump.py",
+     """    for x, ot, of in zip(cusps, ord_scaled_t, ords):
+        if m * ot + of < 0:
+            raise ContractError(f"{what}: no taming power works at {x}")
+""", "", None),
+    ("src/etacheck/verifier.py",
+     'if gcd(_whole(c, "c"), gen.ell) != 1:',
+     'if gcd(_whole(c, "c"), gen.ell) != 1 and False:', None),
+    ("src/etacheck/ujump.py", "if i not in (0, 1):", "if i not in (0, 1, 2):", None),
+    ("src/etacheck/basis.py",
+     "if prev_m is not None and m >= prev_m:",
+     "if prev_m is not None and m > prev_m:",
+     "pos only moves forward, so the pole order m never repeats: >= and > "
+     "refuse the same inputs"),
+    ("src/etacheck/ujump.py",
+     "if head != (self.basis.level, self.ell, i, j, k, self.basis.v):",
+     "if head[:5] != (self.basis.level, self.ell, i, j, k):",
+     "the fingerprint directory pins the basis, so every file stored there "
+     "carries its v, and the terms are range-checked against the table's own"),
+    ("src/etacheck/ujump.py",
+     "if (1 - ell * ell) * wsum % 24:", "if False:",
+     "ell**2 == 1 mod 24 for every prime ell >= 5, the only ell a "
+     "FamilyGenerator accepts, so the shift is always integral"),
+)
+
+
+def _run(file: str, old: str, new: str) -> tuple:
+    with tempfile.TemporaryDirectory(prefix="etacheck-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench_*"))
+        path = copy / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return "stale", ""
+        path.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+               "ETACHECK_CACHE": str(Path(tmp) / "cache")}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=1200)
+        except subprocess.TimeoutExpired:
+            return "killed", "timeout"
+        if done.returncode == 0:
+            return "survived", ""
+        failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+        return "killed", failed[0] if failed else done.stdout[-200:]
+
+
+def main() -> int:
+    bad = 0
+    for file, old, new, reason in MUTANTS:
+        status, detail = _run(file, old, new)
+        print(f"{status:8s}  {file}: {' '.join(old.split())[:70]!r} -> {new.strip()[:60]!r}", flush=True)
+        if detail or reason:
+            print(f"          {detail or 'equivalent: ' + reason}", flush=True)
+        bad += status == "stale" or (status == "survived" and not reason)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -99,6 +99,10 @@ def test_reduce_detects_corruption(b20):
     broken = f.add(QSeries.from_terms(ZZ, {3: 1}, f.trunc))
     with pytest.raises(ContractError):
         mw_reduce(broken, b20)
+    # the last coefficient in view is checked too
+    broken = f.add(QSeries.from_terms(ZZ, {f.trunc - 1: 1}, f.trunc))
+    with pytest.raises(ContractError, match="nonzero residual"):
+        mw_reduce(broken, b20)
 
 
 def test_reduce_requires_constant_in_view(b20):

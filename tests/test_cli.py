@@ -73,6 +73,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "0", "9")
     assert code == 2 and out == "" and "basis index 9 out of range" in err
+    # as is an A-power other than 0 and 1
+    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
+                         "u-image", "rogers-ramanujan", "2", "0", "0")
+    assert code == 2 and out == "" and "only A-powers 0 and 1" in err
     # so is a t-power beyond the +-64 a run may reach, whatever the cache holds
     def compute(*key):
         raise AssertionError(f"image {key} computed")
@@ -95,6 +99,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
         assert code == 2 and out == "" and "malformed family spec" in err
+    # a progression constant sharing the factor ell is refused at load
+    path.write_text(json.dumps({**good, "c": 25}))
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
+    assert code == 2 and out == "" and "coprime" in err
     # a key that is not a string (only a dict built in Python has one) is
     # checked as a number, not truncated
     with pytest.raises(SpecError, match="divisor 1.9"):
@@ -188,20 +196,6 @@ def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
     assert main(["--threads", "2", "cusps", "20"]) == 2
 
 
-def test_verify_nothing_checked_exits_2(capsys, monkeypatch, unconstrained_spec,
-                                        image_cache_dir):
-    from etacheck import cli
-
-    monkeypatch.setattr(cli, "load_family_spec", lambda source, B=None: unconstrained_spec)
-    code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
-                         "verify", "rogers-ramanujan", "--json")
-    assert code == 2 and "VERIFIED" not in out and "NOTHING CHECKED" in out
-    assert "required valuation" in err
-    # the JSON report says so too, not only "ok"
-    report = json.loads(out[out.index("\n{"):])["report"]
-    assert report["ok"] and report["checked"] is False
-
-
 def test_contract_violations_exit_3(capsys, monkeypatch):
     from etacheck import cli
     from etacheck.errors import ContractError
@@ -275,17 +269,19 @@ def test_tables_bytes_stable(capsys):
 
 def test_failing_conjecture_exits_1(capsys, tmp_path, image_cache_dir):
     # the Rogers-Ramanujan data claimed at every step: v_1 = 0 and v_2 = 1
-    # fall short of 1 and 2
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
-                                "c": 24, "pattern": "every-alpha", "B": 2}))
-    out_file = tmp_path / "report.json"
-    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "verify", str(path), "-o", str(out_file))
-    assert code == 1
-    assert out.rstrip().endswith("CONJECTURE FAILS") and "VERIFIED" not in out
-    report = json.loads(out_file.read_text())["report"]
-    assert report["ok"] is False and report["passed"] == [True, False, False]
+    # fall short of 1 and 2; at B = 1 the one failing step is the last
+    for B, passed in ((2, [True, False, False]), (1, [True, False])):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5,
+                                    "c": 24, "pattern": "every-alpha", "B": B}))
+        out_file = tmp_path / "report.json"
+        code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                           "verify", str(path), "-o", str(out_file))
+        assert code == 1
+        assert out.rstrip().endswith("CONJECTURE FAILS") and "VERIFIED" not in out
+        assert "  alpha= 1  v=0 need>=1  FAIL\n" in out
+        report = json.loads(out_file.read_text())["report"]
+        assert report["ok"] is False and report["passed"] == passed
 
 
 def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
@@ -296,7 +292,6 @@ def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
     assert "VERIFIED" in out
     payload = json.loads(out_file.read_text())
     assert payload["report"]["V"] == [0, 0, 1, 1, 2]
-    assert payload["report"]["checked"] is True
     # spec echo round-trips
     again = CongruenceFamilySpec.from_json(payload["spec"])
     assert again.to_json() == payload["spec"]

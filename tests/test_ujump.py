@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,25 @@ def test_a_pole_no_power_of_t_cancels_is_refused(b20):
         se.exponent(1, 0, 0)
 
 
+def test_least_power_refuses_when_no_power_fits():
+    # m = 3 cancels the pole at 0, and leaves one at 1/2 where t(ell*tau)
+    # itself has a pole
+    with pytest.raises(ContractError, match="no taming power works at 1/2"):
+        ujump._least_power((Fraction(0), Fraction(1, 2)), (1, -1), (-3, 1), "f")
+
+
+@pytest.mark.parametrize("key", [(0, -1, 0), (1, -4, 4), (1, 0, 0)])
+def test_precision_is_the_least_sufficient(rr_table, b20, key, monkeypatch):
+    # one coefficient less leaves the reduction short of its check
+    # coefficients, and the guard refuses it
+    assert UImageTable(b20, build_A(RR), 5).image(*key) == rr_table.image(*key)
+    precision = UImageTable._precision
+    monkeypatch.setattr(UImageTable, "_precision",
+                        lambda self, *index: precision(self, *index) - 1)
+    with pytest.raises(ContractError, match="short of the constant term"):
+        UImageTable(b20, build_A(RR), 5).image(*key)
+
+
 def test_image_of_one(rr_table):
     assert rr_table.image(0, 0, 0) == ModuleElement(ZZ, {(0, 0): 1})
 
@@ -480,7 +500,7 @@ def rr_cold_run(tmp_path_factory):
 
 def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
     # a reduction builds the monomials it needs only as far as its remainder
-    # reaches, never to the precision of the deepest image (853 here)
+    # reaches, never to the precision of the deepest image (616 here)
     _, report, seen = rr_cold_run
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     assert seen
@@ -490,7 +510,7 @@ def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
 def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
     # (1, -4, 4) is the deepest key of its batch; (1, -1, 0) was computed in
-    # the same batch, after the store held t**-1 far past the 307
+    # the same batch, after the store held t**-1 far past the 250
     # coefficients it needs on its own; (0, -3, 4) multiplies t**-3 by g_4
     # inside U_ell, and (1, -2, 3) reads the table's A * g_3 after a deeper
     # key of its batch had grown it

@@ -104,14 +104,11 @@ def test_iterate_default_lengths(as_image_table):
     assert rep.saturated[1]  # everything vanishes mod 5^1 after one step
 
 
-def test_iterate_nothing_checked(unconstrained_spec, rr_image_table):
-    # a run in which no step carries a requirement passes vacuously, and
-    # says so instead of VERIFIED
-    rep = iterate(unconstrained_spec, rr_image_table)
-    assert rep.V == [0, 0, 1]
-    assert rep.ok and not rep.checked
-    assert "NOTHING CHECKED" in rep.text() and "VERIFIED" not in rep.text()
-    assert rep.to_json()["checked"] is False
+def test_iterate_rogers_ramanujan_B1(rr_image_table):
+    # the shortest run: two steps, the last one checked
+    rep = iterate(rogers_ramanujan(B=1), rr_image_table)
+    assert rep.V == [0, 0, 1] and rep.required == [0, None, 1]
+    assert rep.ok and rep.text().endswith("VERIFIED")
 
 
 def test_reduction_soundness_across_caps(basis20, as_image_table, image_cache_dir):
@@ -239,6 +236,16 @@ def test_consistency_alpha_1_and_2(rr_image_table, as_image_table):
     asp = andrews_sellers(B=5)
     assert consistency_check(asp, as_image_table, 1, 40)
     assert consistency_check(asp, as_image_table, 2, 40)
+
+
+def test_deep_run_in_closed_form(rr_image_table):
+    # B = 10 is the first cap at which a unit 1 + 5**9 slipped into every
+    # step is visible: V stays the same, the alpha = 1 series does not
+    spec = rogers_ramanujan(B=10)
+    rep = iterate(spec, rr_image_table)
+    assert rep.V == [alpha // 2 for alpha in range(21)] and rep.ok
+    for alpha in (0, 1, 2):
+        assert consistency_check(spec, rr_image_table, alpha, 40), alpha
 
 
 def test_report_text_shape(rr_image_table):
