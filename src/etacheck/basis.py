@@ -143,14 +143,18 @@ class AlgebraBasis:
     # Products and inverses preserve relative precision, so an entry asked
     # for at a larger precision than it holds is rebuilt alone from its
     # factors, each cut to that precision; every other entry stays as it is.
-    # Callers ask for what they read: an image for the window its key needs,
-    # a reduction step for the window its remainder still has.
+    # A t-power is made from two halves, so t**e asks only for the powers
+    # on its halving chain, and t**-1 is the expansion of t's inverse eta
+    # quotient, so t is never expanded to invert it.  Callers ask for what
+    # they read: an image for the window its key needs, a reduction step
+    # for the window its remainder still has.
 
     def monomial(self, e: int, k: int, prec: int) -> QSeries:
         """Expansion of t**e * g_k (g_0 = 1) to relative precision prec.
 
-        A t-power is t**(e-1) * t (or t**(e+1) * t**-1), a product with a basis
-        function is t**e * g_k, and 1/t is the inverse of t; each factor is
+        A t-power is t**(e//2) * t**(e - e//2), one factor squared for even
+        e; a product with a basis function is t**e * g_k; t and 1/t are the
+        expansions of t's eta quotient and of its inverse.  Each factor is
         taken from the store at prec and the result is kept.
         """
         def build(n):
@@ -163,9 +167,9 @@ class AlgebraBasis:
             if e == 1:
                 return self.t.series(n)
             if e == -1:
-                return self.monomial(1, 0, n).inv()
-            step = 1 if e > 0 else -1
-            return self.monomial(e - step, 0, n).mul(self.monomial(step, 0, n))
+                return eta_expand(self.t_quotient().inverse(), n)
+            half = self.monomial(e // 2, 0, n)
+            return half.mul(half if e % 2 == 0 else self.monomial(e - e // 2, 0, n))
 
         return stored(self._monomials, (e, k), prec, build)
 

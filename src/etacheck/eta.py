@@ -9,13 +9,22 @@ integer, so nothing fractional is ever rounded.
 
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
-independent reference.  ``eta_expand`` keeps the longest expansion made of
+independent reference.  ``euler_quotient`` expands a product of their powers
+as a numerator over a denominator, each a product of positive powers made as
+a series in q**(its own gcd), after dividing the gcd g of all the d's out and
+working at ceil(trunc/g) coefficients.  Only the denominator is inverted,
+once, so the wide coefficients of an inverse meet one final product.  The
+result is exact over Z and in Z/ell**e alike; expanding each factor on its
+own and multiplying them in at full length is kept in the test suite as the
+reference.  ``eta_expand`` keeps the longest expansion made of
 each quotient under ``series.stored``'s rule and serves shorter requests by
 truncation, so a quotient that several basis functions share is expanded
 once per length it outgrows.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import SpecError
 from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, stored
@@ -126,16 +135,44 @@ def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     ``trunc`` with coefficients in ``ring``: a unit series with leading term
     1.  The exponents need not satisfy any modularity condition.
 
-    Every Euler product is monic, so negative powers invert in any ring and
-    the expansion in Z/ell**e is the exact expansion reduced mod ell**e.
-    (q**d; q**d)_infinity ** r is a series in q**d: it is expanded as
-    (q; q)_infinity ** r to ceil(trunc/d) coefficients, then q -> q**d.
+    The product is a series in q**g, g the gcd of the d's, so it is made in
+    q -> q**(1/g) at ceil(trunc/g) coefficients and spread back by g.  There
+    it is a numerator over a denominator, each a product of positive powers
+    of Euler products with small coefficients (``_power_product``); the
+    denominator is inverted once and one product joins the two.  Every Euler
+    product is monic, so the inversion works in any ring and the expansion
+    in Z/ell**e is the exact expansion reduced mod ell**e.
     """
+    pairs = tuple(exponents)
+    g = gcd(*(d for d, _ in pairs)) or 1
+    n = -(-trunc // g)
     out = None
-    for d, r in exponents:
-        factor = euler_product(1, -(-trunc // d), ring).pow(r).substitute_power(d)
-        out = factor.truncate(trunc) if out is None else out.mul(factor)
-    return QSeries.one(ring, trunc) if out is None else out
+    for part, invert in (([(d // g, r) for d, r in pairs if r > 0], False),
+                         ([(d // g, -r) for d, r in pairs if r < 0], True)):
+        if part:
+            f = _power_product(part, n, ring, invert)
+            out = f if out is None else out.mul(f)
+    if out is None:
+        return QSeries.one(ring, trunc)
+    return out.substitute_power(g).truncate(trunc)
+
+
+def _power_product(pairs, n: int, ring: CoeffRing, invert: bool) -> QSeries:
+    """prod of (q**d; q**d)_infinity ** r over pairs of positive r, or its
+    inverse, to n coefficients.  It is a series in q**g, g the gcd of the
+    d's: it is made in q -> q**(1/g) at ceil(n/g) coefficients, each factor
+    as (q; q)_infinity ** r at the length its own d leaves, then q -> q**d,
+    and spread back by g after the one inversion."""
+    g = gcd(*(d for d, _ in pairs))
+    m = -(-n // g)
+    out = None
+    for d, r in pairs:
+        d //= g
+        f = euler_product(1, -(-m // d), ring).pow(r).substitute_power(d).truncate(m)
+        out = f if out is None else out.mul(f)
+    if invert:
+        out = out.inv()
+    return out.substitute_power(g).truncate(n)
 
 
 # quotient -> its longest expansion so far; every value is exact and

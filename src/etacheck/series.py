@@ -22,6 +22,10 @@ exponents, and adds the products, so it makes ell products of 1/ell the length
 and reads back 1/ell of the limbs.  The plain product is its ell = 1 case.
 ``QSeries.mul(other, ell)`` is the one owner of the window of either: ell = 1
 is the product, and ell > 1 is U_ell of the product, which is never formed.
+A square (one operand object, as ``pow`` makes) packs each class once and
+squares it.  ``QSeries.inv`` is Newton's method in which each step computes
+only the new half of the inverse: the error a*g - 1, then its product with
+g at the length of that half.
 
 ``convolve_ints`` picks its limb encoding from the operand sizes alone:
 
@@ -270,11 +274,19 @@ def _pack_decimal(vals, digits):
 def _class_products(a, b, ell, o, pack, shift, total):
     """total plus, over the class pairs (r, s) with r + s = o mod ell, the
     products pack(a[r::ell]) * pack(b[s::ell]), shifted up one limb by
-    ``shift`` when r + s = o + ell."""
+    ``shift`` when r + s = o + ell.  When a is b, the pair r = s is packed
+    once and squared, x * x, which CPython and libmpdec both make about 1.4
+    times faster than a product of two operands of its size (200 000-bit
+    ints, 300 000-digit Decimals)."""
+    square = a is b
     for r in range(min(ell, len(a))):
         s = (o - r) % ell
         if s < len(b):
-            prod = pack(a[r::ell]) * pack(b[s::ell])
+            if square and r == s:
+                x = pack(a[r::ell])
+                prod = x * x
+            else:
+                prod = pack(a[r::ell]) * pack(b[s::ell])
             total = total + (shift(prod) if r + s > o else prod)
     return total
 
@@ -311,8 +323,9 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     if n_out <= 0 or not a or not b:
         return []
     n_in = o + ell * (n_out - 1) + 1  # the last wanted index, plus one
+    square = a is b  # kept one object, so _class_products squares it
     a = a[:n_in]
-    b = b[:n_in]
+    b = a if square else b[:n_in]
     max_a = max(max(a), -min(a))
     max_b = max(max(b), -min(b))
     if max_a == 0 or max_b == 0:
@@ -494,20 +507,23 @@ class QSeries(Frozen):
     def inv(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration on the unit part.
 
-        The leading coefficient must be a unit of the ring.
+        The leading coefficient must be a unit of the ring.  The lengths
+        run through n, ceil(n/2), ceil(n/4), ... up from 1, so each step
+        takes the k known terms of g to m <= 2k: a*g = 1 + q**k * e to m
+        terms, so the inverse to m terms is g - q**k * (g*e), and only its
+        new half, the first m - k terms of g*e, is computed and appended.
         """
         if self.is_zero():
             raise SpecError("zero series has no inverse")
         g = [self.ring.unit_inverse(self.coeffs[0])]
-        n = self.trunc - self.val
-        a = list(self.coeffs)
-        while len(g) < n:
-            m = min(2 * len(g), n)
-            # g <- g*(2 - a*g) to m terms; 2 - a*g goes in unreduced, since
-            # the product reduces its output
-            ag = [-c for c in self._conv(a[:m], g, m)]
-            ag[0] += 2
-            g = self._conv(g, ag, m)
+        lengths = [self.trunc - self.val]
+        while lengths[-1] > 1:
+            lengths.append(-(-lengths[-1] // 2))
+        for m in reversed(lengths[:-1]):
+            k = len(g)
+            # -e goes in unreduced, since the product reduces its output
+            e = self._conv(self.coeffs, g, m)[k:]
+            g += self._conv(g, [-c for c in e], m - k)
         return QSeries._canonical(self.ring, g, -self.val, self.trunc - 2 * self.val)
 
     def _conv(self, a, b, n_out, ell=1, o=0):

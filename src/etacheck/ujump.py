@@ -276,6 +276,8 @@ class UImageTable:
                     jj, kk, c = (int(x) for x in line.split())
                     if abs(jj) > J_CEILING or not 0 <= kk <= self.basis.v:
                         raise ValueError(f"term {line!r} lies outside the module")
+                    if (jj, kk) in terms:  # _store writes each key once
+                        raise ValueError(f"term {line!r} repeats t^{jj}*g{kk}")
                     terms[(jj, kk)] = c
         except (ValueError, IndexError) as exc:
             raise ContractError(f"cache file {p} is malformed: {exc}") from exc

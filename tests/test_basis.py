@@ -63,6 +63,29 @@ def test_series_leading_coefficients(b20):
         assert s.leading() == (fn.ord_inf, 1)
 
 
+@pytest.mark.parametrize("n", [5, 130, 616])
+def test_inverse_of_t_is_its_inverse_quotient(b20, n):
+    fresh = AlgebraBasis(20, b20.t, b20.gs)
+    assert fresh.monomial(-1, 0, n) == fresh.monomial(1, 0, n).inv()
+
+
+def test_t_powers_match_the_one_factor_chain(b20):
+    # t**e from its two halves is t**(e-1) * t, or t**(e+1) * t**-1, one
+    # factor at a time; asked short first, then long, so entries are rebuilt
+    n = 130
+    t = b20.t.series(n)
+    chain = {0: QSeries.one(ZZ, n), 1: t, -1: t.inv()}
+    for e in range(2, 9):
+        chain[e] = chain[e - 1].mul(t)
+    for e in range(-2, -7, -1):
+        chain[e] = chain[e + 1].mul(chain[-1])
+    fresh = AlgebraBasis(20, b20.t, b20.gs)
+    for prec in (40, n):
+        for e in range(-6, 9):
+            s = chain[e]
+            assert fresh.monomial(e, 0, prec) == s.truncate(s.val + prec), (e, prec)
+
+
 def test_reduce_constant(b20):
     one = QSeries.one(ZZ, 10)
     assert mw_reduce(one, b20) == ModuleElement(ZZ, {(0, 0): 1})

@@ -148,9 +148,10 @@ def test_malformed_cache_file_exits_3(capsys, tmp_path):
     path = table._path(1, 0, 0)  # the one image the first step needs
     path.parent.mkdir(parents=True)
     header = "20 5 1 0 0 4\n"
-    # a term outside the module (k beyond v, |j| beyond the ceiling) is
-    # corruption, not bad usage
-    for body in (header + "-1 0\n", "", header + "0 9 1\n", header + "-99 0 1\n"):
+    # a term outside the module (k beyond v, |j| beyond the ceiling), or one
+    # listed twice, is corruption, not bad usage
+    for body in (header + "-1 0\n", "", header + "0 9 1\n", header + "-99 0 1\n",
+                 header + "-2 0 1\n-2 0 1\n"):
         path.write_text(body)
         code, out, err = run(capsys, "--cache-dir", str(tmp_path),
                              "verify", "rogers-ramanujan", "--B", "1")

@@ -15,8 +15,8 @@ from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
 from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
 from etacheck.modcurve import Cusp
 from etacheck.tfinder import PoleSets
-from etacheck.ujump import FamilyGenerator, StabilityExponents
-from etacheck.verifier import CongruenceFamilySpec
+from etacheck.ujump import FamilyGenerator, StabilityExponents, build_A
+from etacheck.verifier import CongruenceFamilySpec, andrews_sellers, rogers_ramanujan
 
 
 def finite_euler_oracle(d, trunc):
@@ -32,6 +32,26 @@ def finite_euler_oracle(d, trunc):
         out = nxt
         m += 1
     return out[:trunc]
+
+
+def per_factor_quotient(exponents, trunc, ring=ZZ):
+    """Reference: each (q**d; q**d)_inf ** r expanded, inverted and powered
+    on its own as (q; q)_inf ** r in q**d, and multiplied in at full length."""
+    out = None
+    for d, r in exponents:
+        factor = euler_product(1, -(-trunc // d), ring).pow(r).substitute_power(d)
+        out = factor.truncate(trunc) if out is None else out.mul(factor)
+    return QSeries.one(ring, trunc) if out is None else out
+
+
+def schoolbook_inverse(coeffs, n, ring):
+    """Reference: the first n coefficients of 1/a, one at a time."""
+    g0 = ring.unit_inverse(coeffs[0])
+    g = []
+    for i in range(n):
+        acc = sum(coeffs[j] * g[i - j] for j in range(1, min(i, len(coeffs) - 1) + 1))
+        g.append(ring.coerce(g0 * ((i == 0) - acc)))
+    return g
 
 
 def schoolbook(a, b, n_out):
@@ -120,6 +140,44 @@ def test_convolution_matches_schoolbook(monkeypatch):
     assert check_all() == set(range(1, 12))
 
 
+def test_square_matches_schoolbook(monkeypatch):
+    # a is b: the operand is packed once per class and squared, on the int
+    # path and through libmpdec, for the plain product and at every offset
+    # of the 5-dissected one
+    rng = random.Random(19)
+    cases = [[rng.randint(-50, 50) for _ in range(n)] for n in (1, 2, 7, 30)]
+    cases += [[rng.randint(-10**30, 10**30) for _ in range(12)], [0, 0, 3], [5] * 9, [-7] * 4]
+    packs = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda vals, k: packs.append(k) or pack(vals, k))
+    for digits in (series._DECIMAL_DIGITS, 0):
+        monkeypatch.setattr(series, "_DECIMAL_DIGITS", digits)
+        for a in cases:
+            for n in (1, 5, 2 * len(a) - 1, 2 * len(a) + 3):
+                packs.clear()
+                assert convolve_ints(a, a, n) == schoolbook(a, a, n), (a, n)
+                assert len(packs) == (1 if digits and any(a[:n]) else 0)
+                full = schoolbook(a, a, 5 * n)
+                for o in range(5):
+                    assert convolve_ints(a, a, n, 5, o) == full[o::5], (a, n, o)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_inverse_matches_schoolbook(ring):
+    # every length from 1 to 40 and each side of the powers of two, so the
+    # Newton steps meet both halving remainders
+    rng = random.Random(23)
+    lengths = list(range(1, 41)) + [n for k in range(3, 9) for n in (2 ** k - 1, 2 ** k + 1)]
+    for n in lengths:
+        for lead in ((1, -1) if ring == ZZ else (1, 3, ring.modulus - 1)):
+            coeffs = [lead] + [ring.coerce(rng.randint(-20, 20)) for _ in range(n - 1)]
+            val = rng.randint(-3, 3)
+            f = QSeries(ring, coeffs, val, val + n)
+            inv = f.inv()
+            assert (inv.val, inv.trunc) == (-val, n - val)
+            assert list(inv.coeffs) == schoolbook_inverse(coeffs, n, ring), (ring, n, lead)
+
+
 def test_convolution_huge_coefficients():
     rng = random.Random(11)
     a = [rng.randint(-10**40, 10**40) for _ in range(30)]
@@ -156,6 +214,37 @@ def test_euler_quotient_mod_prime_power_is_reduced_exact(exponents):
     exact = euler_quotient(exponents, 2000)
     for e in (1, 2, 5):
         assert euler_quotient(exponents, 2000, zmod(5, e)) == into(exact, 5, e)
+
+
+QUOTIENT_EXPONENTS = [
+    (),                                   # empty
+    ((1, 3), (2, 1), (5, 2)),             # all positive
+    ((1, -2), (3, -1), (7, -3)),          # all negative
+    ((1, -3), (2, 5), (4, -2)),           # mixed: Rogers-Ramanujan
+    ((2, -4), (4, 5), (8, -2)),           # every d even
+    ((4, 2), (12, -3), (20, 1)),          # every d a multiple of 4
+    ((5, -1), (25, 3), (50, -2)),         # every d a multiple of 5
+    ((10, -2), (20, 4)),                  # every d a multiple of 10
+]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("exponents", QUOTIENT_EXPONENTS, ids=str)
+def test_euler_quotient_matches_per_factor_product(exponents, ring):
+    # one inversion of the denominator, in q**gcd, against every factor
+    # expanded alone; truncations the gcd does not divide included
+    ref = per_factor_quotient(exponents, 300, ring)
+    for trunc in range(1, 301):
+        assert euler_quotient(exponents, trunc, ring) == ref.truncate(trunc), (exponents, trunc)
+
+
+def test_euler_quotient_of_the_built_in_quotients():
+    # A, t, 1/t, g and h of both built-ins at the deepest RR B = 5 length
+    t = EtaQuotient(20, T_EXPONENTS)
+    quotients = [build_A(rogers_ramanujan().gen), build_A(andrews_sellers().gen),
+                 t, t.inverse(), _G20, _H20]
+    for eq in quotients:
+        assert euler_quotient(eq.exponents, 616) == per_factor_quotient(eq.exponents, 616), eq
 
 
 def test_zmod_results_are_reduced_once(monkeypatch):
