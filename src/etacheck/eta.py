@@ -9,13 +9,18 @@ integer, so nothing fractional is ever rounded.
 
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
-independent reference.  ``euler_quotient`` expands a product of their powers
-as a numerator over a denominator, each a product of positive powers made as
-a series in q**(its own gcd), after dividing the gcd g of all the d's out and
-working at ceil(trunc/g) coefficients.  Only the denominator is inverted,
-once, so the wide coefficients of an inverse meet one final product.  The
+independent reference.  A power (q; q)_infinity ** r is J**(r//3) *
+P**(r % 3), with P the pentagonal series and J = (q; q)_infinity ** 3 the
+equally sparse series of Jacobi's identity, so r = 3 takes no product.
+``euler_quotient`` expands a product of their powers as a numerator over a
+denominator, each a product of positive powers made as a series in q**(its
+own gcd), after dividing the gcd g of all the d's out and working at
+n = ceil(trunc/g) coefficients.  One division step joins them: the
+denominator is inverted once, only to ceil(n/2) coefficients, so its inverse,
+nearly twice as wide as the quotient, never runs at the full length.  The
 result is exact over Z and in Z/ell**e alike; expanding each factor on its
-own and multiplying them in at full length is kept in the test suite as the
+own, raising the pentagonal series to r, inverting at full length and
+multiplying them in at full length is kept in the test suite as the
 reference.  ``eta_expand`` keeps the longest expansion made of
 each quotient under ``series.stored``'s rule and serves shorter requests by
 truncation, so a quotient that several basis functions share is expanded
@@ -130,49 +135,70 @@ def euler_product(d: int, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     return QSeries.from_terms(ring, terms, trunc)
 
 
+def _jacobi_cube(trunc: int, ring: CoeffRing) -> QSeries:
+    """(q; q)_infinity ** 3 to order ``trunc``, by Jacobi's identity: the sum
+    over n >= 0 of (-1)**n * (2n + 1) * q**(n(n+1)/2)."""
+    terms = {}
+    k = 0
+    while k * (k + 1) // 2 < trunc:
+        terms[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return QSeries.from_terms(ring, terms, trunc)
+
+
 def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     """prod of (q**d; q**d)_infinity ** r over the (d, r) pairs, to order
     ``trunc`` with coefficients in ``ring``: a unit series with leading term
     1.  The exponents need not satisfy any modularity condition.
 
     The product is a series in q**g, g the gcd of the d's, so it is made in
-    q -> q**(1/g) at ceil(trunc/g) coefficients and spread back by g.  There
-    it is a numerator over a denominator, each a product of positive powers
-    of Euler products with small coefficients (``_power_product``); the
-    denominator is inverted once and one product joins the two.  Every Euler
-    product is monic, so the inversion works in any ring and the expansion
-    in Z/ell**e is the exact expansion reduced mod ell**e.
+    q -> q**(1/g) at n = ceil(trunc/g) coefficients and spread back by g.
+    There it is a numerator over a denominator, each a product of positive
+    powers of Euler products with small coefficients (``_power_product``).
+    One division step (``QSeries.div``) joins the two: the denominator is
+    inverted only to ceil(n/2) coefficients, in q**(its own gcd), so the
+    inverse, whose coefficients are the widest of the expansion, never runs
+    at the full length.  Every Euler product is monic, so the inversion works
+    in any ring and the expansion in Z/ell**e is the exact expansion reduced
+    mod ell**e.
     """
     pairs = tuple(exponents)
     g = gcd(*(d for d, _ in pairs)) or 1
     n = -(-trunc // g)
-    out = None
-    for part, invert in (([(d // g, r) for d, r in pairs if r > 0], False),
-                         ([(d // g, -r) for d, r in pairs if r < 0], True)):
-        if part:
-            f = _power_product(part, n, ring, invert)
-            out = f if out is None else out.mul(f)
-    if out is None:
-        return QSeries.one(ring, trunc)
+    num, e = _power_product([(d // g, r) for d, r in pairs if r > 0], n, ring)
+    out = num.substitute_power(e).truncate(n)
+    den_pairs = [(d // g, -r) for d, r in pairs if r < 0]
+    if den_pairs:
+        den, e = _power_product(den_pairs, n, ring)
+        # the inverse to ceil(n/2), the length the division step reads
+        inverse = den.truncate(-(-n // (2 * e))).inv().substitute_power(e)
+        out = out.div(den.substitute_power(e).truncate(n), inverse)
     return out.substitute_power(g).truncate(trunc)
 
 
-def _power_product(pairs, n: int, ring: CoeffRing, invert: bool) -> QSeries:
-    """prod of (q**d; q**d)_infinity ** r over pairs of positive r, or its
-    inverse, to n coefficients.  It is a series in q**g, g the gcd of the
-    d's: it is made in q -> q**(1/g) at ceil(n/g) coefficients, each factor
-    as (q; q)_infinity ** r at the length its own d leaves, then q -> q**d,
-    and spread back by g after the one inversion."""
+def _power_product(pairs, n: int, ring: CoeffRing) -> tuple:
+    """(f, g): the product of (q**d; q**d)_infinity ** r over pairs of
+    positive r, to n coefficients, is f(q**g), g the gcd of the d's, and f
+    has ceil(n/g) coefficients.  Each factor is (q; q)_infinity ** r at the
+    length its own d leaves, then q -> q**d; (q; q)_infinity ** r is
+    J**(r//3) * P**(r % 3), J = (q; q)_infinity ** 3 by Jacobi's identity and
+    P the pentagonal series, so r = 3 takes no product and r = 4 one.  No
+    pairs give (1, 1)."""
+    if not pairs:
+        return QSeries.one(ring, n), 1
     g = gcd(*(d for d, _ in pairs))
     m = -(-n // g)
     out = None
     for d, r in pairs:
         d //= g
-        f = euler_product(1, -(-m // d), ring).pow(r).substitute_power(d).truncate(m)
+        k = -(-m // d)
+        f = _jacobi_cube(k, ring).pow(r // 3) if r >= 3 else None
+        if r % 3:
+            p = euler_product(1, k, ring).pow(r % 3)
+            f = p if f is None else f.mul(p)
+        f = f.substitute_power(d).truncate(m)
         out = f if out is None else out.mul(f)
-    if invert:
-        out = out.inv()
-    return out.substitute_power(g).truncate(n)
+    return out, g
 
 
 # quotient -> its longest expansion so far; every value is exact and

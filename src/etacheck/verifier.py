@@ -264,7 +264,8 @@ def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int,
     progression slice sum of a(ell**alpha n + lam) q**n times the
     bookkeeping prefactor (q / G(q**ell) on odd steps, q / G(q) on even
     steps).  One expansion of G serves both: the slice reads it to its last
-    coefficient, and the prefactor its first ``count``."""
+    coefficient, and the prefactor its first ``count``, by which the slice
+    is divided in one division step (``QSeries.div``)."""
     gen = spec.gen
     if alpha == 0:
         return QSeries.one(ring, count)
@@ -274,7 +275,7 @@ def scaled_congruence_series(spec: CongruenceFamilySpec, alpha: int, count: int,
     g = QSeries(ring, a[:count], 0, count)
     if alpha % 2:
         g = g.substitute_power(gen.ell)
-    return g.inv().shift(1).mul(QSeries(ring, a[lam::mod], 0, count)).truncate(count)
+    return QSeries(ring, a[lam::mod], 0, count).div(g).shift(1).truncate(count)
 
 
 def consistency_check(spec: CongruenceFamilySpec, table: UImageTable, alpha: int,

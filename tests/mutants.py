@@ -70,6 +70,20 @@ MUTANTS = (
      "return half.mul(half)", None),
     ("src/etacheck/ujump.py",
      "if (jj, kk) in terms:", "if False:", None),
+    # the limb width: block pairs allowed one block past the last wanted
+    # coefficient (exact, but wider limbs), and a bound that no longer holds
+    # the operands' own coefficients; the division step's residual read from
+    # h - 1; Jacobi's terms with the wrong sign
+    ("src/etacheck/series.py",
+     "last = (n_in - 1) // _BLOCK", "last = (n_in - 1) // _BLOCK + 1", None),
+    ("src/etacheck/series.py",
+     "bound = max(meet * min(len(a), len(b)), ma[-1], mb[-1]) + 1",
+     "bound = meet * min(len(a), len(b)) + 1", None),
+    ("src/etacheck/series.py",
+     "zip(self.coeffs[h:n], self._conv(den.coeffs, f, n)[h:])",
+     "zip(self.coeffs[h - 1:n], self._conv(den.coeffs, f, n)[h - 1:])", None),
+    ("src/etacheck/eta.py",
+     "-(2 * k + 1) if k % 2 else 2 * k + 1", "2 * k + 1 if k % 2 else -(2 * k + 1)", None),
     ("src/etacheck/basis.py",
      "if prev_m is not None and m >= prev_m:",
      "if prev_m is not None and m > prev_m:",

@@ -15,7 +15,7 @@ from etacheck.series import CoeffRing, QSeries, ZZ, zmod, convolve_ints
 from etacheck.eta import EtaQuotient, euler_product, euler_quotient, eta_expand
 from etacheck.modcurve import Cusp
 from etacheck.tfinder import PoleSets
-from etacheck.ujump import FamilyGenerator, StabilityExponents, build_A
+from etacheck.ujump import FamilyGenerator, StabilityExponents, UImageTable, build_A, u_ell
 from etacheck.verifier import CongruenceFamilySpec, andrews_sellers, rogers_ramanujan
 
 
@@ -162,6 +162,67 @@ def test_square_matches_schoolbook(monkeypatch):
                     assert convolve_ints(a, a, n, 5, o) == full[o::5], (a, n, o)
 
 
+def bound_profiles(rng):
+    """Operand pairs whose coefficients grow, decay or spike, for the limb
+    width taken from the blocks that can meet: lengths on each side of
+    multiples of the block size, and large coefficients placed where they
+    meet, or only just miss, those of the other operand."""
+    s = series._BLOCK
+    big = 10 ** 30
+    lengths = sorted({1, 2, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 3 * s + 7})
+    pairs = []
+    for n in lengths:
+        grow = [(-1) ** i * rng.randint(1, 2 ** (i + 1)) for i in range(n)]
+        decay = grow[::-1]
+        head = [big] + [rng.randint(-9, 9) for _ in range(n - 1)]
+        tail = [rng.randint(-9, 9) for _ in range(n - 1)] + [-big]
+        spikes = [big if i % s in (0, s - 1) else rng.randint(-3, 3) for i in range(n)]
+        pairs += [(grow, grow[:]), (grow, decay), (decay, grow), (head, tail), (tail, head),
+                  (spikes, grow), (spikes, spikes[::-1]), (tail, spikes)]
+    # a huge coefficient that meets only zeros of the other operand: the
+    # product needs narrow limbs, but the operand's own limb must hold it
+    for n in (s + 9, 2 * s + 3):
+        lone = [1] + [0] * (n - 2) + [big]
+        late = [0] * (s + 1) + [1]
+        pairs += [(lone, late), (late, lone), (lone, [0, 1]), ([5] * s + [-big], [0] * s + [1])]
+    return pairs
+
+
+def test_convolution_of_growing_and_spiked_operands(monkeypatch):
+    # every profile, plain and 5-dissected at every offset, on the int path
+    # and through libmpdec, at windows cut inside and past the operands
+    pairs = bound_profiles(random.Random(29))
+    for digits in (series._DECIMAL_DIGITS, 0):
+        monkeypatch.setattr(series, "_DECIMAL_DIGITS", digits)
+        for a, b in pairs:
+            for n in {1, len(a) // 2 + 1, len(a), len(a) + len(b) - 1}:
+                assert convolve_ints(a, b, n) == schoolbook(a, b, n), (a, b, n)
+                full = schoolbook(a, b, 5 * n)
+                for o in range(5):
+                    assert convolve_ints(a, b, n, 5, o) == full[o::5], (a, b, n, o)
+
+
+def test_limb_width_follows_the_coefficients_that_meet(monkeypatch, basis20):
+    # t**-1 squared at 616 coefficients needs 23 bytes and U_5 of A * g_4 *
+    # t**-4, the deepest RR B = 5 image, 34; the max * max bound packed them
+    # at 33 and 44 bytes
+    widths = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda vals, k: widths.append(k) or pack(vals, k))
+    inv_t = basis20.monomial(-1, 0, 616)
+    widths.clear()
+    inv_t.mul(inv_t)
+    assert widths and max(widths) <= 24
+    table = UImageTable(basis20, build_A(rogers_ramanujan().gen), 5)
+    prec = table._precision(1, -4, 4)
+    assert prec == 616
+    y = table._a_times(4, prec)
+    t4 = basis20.monomial(-4, 0, prec)
+    widths.clear()
+    u_ell(t4, 5, y)
+    assert widths and max(widths) <= 36
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_inverse_matches_schoolbook(ring):
     # every length from 1 to 40 and each side of the powers of two, so the
@@ -176,6 +237,51 @@ def test_inverse_matches_schoolbook(ring):
             inv = f.inv()
             assert (inv.val, inv.trunc) == (-val, n - val)
             assert list(inv.coeffs) == schoolbook_inverse(coeffs, n, ring), (ring, n, lead)
+
+
+DIVISION_LENGTHS = list(range(1, 65)) + [n for k in range(3, 9) for n in (2 ** k - 1, 2 ** k + 1)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, zmod(5, 3), zmod(7, 1)], ids=str)
+def test_division_matches_inverse_then_product(ring):
+    # one division step against the full inverse and a product, at every
+    # length to 64 and each side of the powers of two, with windows and
+    # valuations that differ between the operands; a denominator in q**d is
+    # divided with its inverse made in q, as euler_quotient does
+    rng = random.Random(37)
+    coeff = lambda: ring.coerce(rng.randint(-30, 30))
+    for n in DIVISION_LENGTHS:
+        for d in (1, 2, 5):
+            lead = rng.choice((1, -1) if ring == ZZ else (1, 2, ring.modulus - 1))
+            small = QSeries(ring, [lead] + [coeff() for _ in range(-(-n // d) - 1)], 0, -(-n // d))
+            den = small.substitute_power(d).truncate(n).shift(rng.randint(-3, 3))
+            extra = rng.randint(0, 3)
+            val = rng.randint(-3, 3)
+            num = QSeries(ring, [coeff() for _ in range(n + extra)], val, val + n + extra)
+            expected = num.mul(den.inv())
+            assert num.div(den) == expected, (ring, n, d)
+            inverse = small.truncate(-(-n // (2 * d))).inv().substitute_power(d).shift(-den.val)
+            assert num.div(den, inverse) == expected, (ring, n, d)
+    # a zero numerator keeps the product's window; a short inverse is refused
+    den = QSeries(ring, [1, 2, 3], 0, 3)
+    zero = QSeries.zero(ring, 4)
+    assert zero.div(den) == zero.mul(den.inv())
+    with pytest.raises(SpecError):
+        QSeries.one(ring, 9).div(QSeries.one(ring, 9), QSeries.one(ring, 4))
+    with pytest.raises(SpecError):
+        QSeries.one(ring, 9).div(QSeries.zero(ring, 9))
+
+
+@pytest.mark.parametrize("ring", RINGS + [zmod(5, 3)], ids=str)
+def test_euler_powers_from_jacobi_and_pentagonal_series(ring):
+    # (q;q)**r as J**(r//3) * P**(r%3), J from Jacobi's identity, against
+    # the pentagonal series raised to r, and each in q**d
+    for n in (1, 2, 7, 60, 201):
+        for r in range(1, 13):
+            ref = euler_product(1, n, ring).pow(r)
+            assert eta._power_product([(1, r)], n, ring) == (ref, 1), (n, r)
+            for d in (2, 5):
+                assert eta._power_product([(d, r)], n, ring) == (ref.truncate(-(-n // d)), d)
 
 
 def test_convolution_huge_coefficients():
