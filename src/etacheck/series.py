@@ -12,14 +12,16 @@ coefficients its inputs actually determine (``min`` of the operand windows,
 shifted by valuations for products and inverses).  All operations are pure;
 a series, like every value type of the package, is an immutable ``Frozen``.
 
-Multiplication packs each operand's coefficients, whatever their signs, into
-one signed big number (Kronecker substitution) and makes one product, so that
-a C multiply does the convolution; this is the single hot spot of the whole
-package.  ``convolve_ints`` can also return only the coefficients at
-o + ell*n of a product, the part U_ell keeps: it packs the ell residue
-classes of each operand, multiplies just the ell class pairs that reach those
-exponents, and adds the products, so it makes ell products of 1/ell the length
-and reads back 1/ell of the limbs.  The plain product is its ell = 1 case.
+Multiplication is Kronecker substitution: each operand is packed, whatever
+its signs, into signed big numbers, so that a C multiply does the
+convolution; this is the single hot spot of the whole package.  Int products
+are made at the two points x = +-2**h, h half a limb (D. Harvey, J. Symbolic
+Comput. 44, 2009): two products of half the length, which under Karatsuba
+cost about 2/3 of one.  ``convolve_ints`` can also return only the
+coefficients at o + ell*n of a product, the part U_ell keeps: it packs the
+ell residue classes of each operand, multiplies just the ell class pairs
+that reach those exponents, and adds the products, so it makes ell products
+of 1/ell the length and reads back 1/ell of the limbs.  The plain product is its ell = 1 case.
 ``QSeries.mul(other, ell)`` is the one owner of the window of either: ell = 1
 is the product, and ell > 1 is U_ell of the product, which is never formed.
 A square (one operand object, as ``pow`` makes) packs each class once and
@@ -49,20 +51,21 @@ tighter and cost more: 16 gives 1.29 MB.
   digits times the two class lengths) is packed in base 10**w and made by
   libmpdec, the C ``decimal`` module, whose number-theoretic transform beats
   CPython's Karatsuba on huge operands;
-- any other product is packed in base 2**(8k) and made by CPython's int
-  multiply.  Limbs of k <= 8 bytes, the narrow coefficients of the Z/ell^e
-  oracle, are packed and unpacked by ``array`` and ``bytes`` operations in C;
-  wider limbs, where the multiply dominates, by a ``to_bytes`` loop.
+- any other product is made by CPython's int multiply at x = +-2**(4k),
+  from the even-index and odd-index halves of each class packed in base
+  2**(8k) (see ``convolve_ints``).  Limbs of k <= 8 bytes, the narrow
+  coefficients of the Z/ell^e oracle, are packed and unpacked by ``array``
+  and ``bytes`` operations in C; wider limbs, where the multiply dominates,
+  by a ``to_bytes`` loop.
 
-The threshold was measured by timing both encodings on each of the 993 real
-products of at least 5 000 digits made by cold RR (B = 14) and AS (B = 10)
-runs, the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
-``consistency_check`` at alpha = 5 (2-core x86-64, CPython 3.11, libmpdec
-2.5.1).  Their total time is least at about 105 000 digits: 23.2 s, against
-82.0 s for int alone and 24.1 s for libmpdec alone.  Near the threshold
-narrow limbs (up to 12 digits) favour int up to about 130 000 digits, and
-wide ones libmpdec from about 100 000; above 10^6 digits libmpdec is 2 to 5
-times faster.
+The threshold is where both encodings, timed alternately on the 994
+products of at least 5 000 digits of cold RR (B = 14) and AS (B = 10) runs,
+the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
+``consistency_check`` at alpha = 5, take the least time in all (2-core
+x86-64, CPython 3.11, libmpdec 2.5.1): 8.08 s at 210 000 digits, against
+18.6 s for int alone and 9.2 s for libmpdec alone, and within 0.2% of that
+from 200 000 to 450 000.  The one-point int multiply met libmpdec near
+120 000 digits; above 10^6 libmpdec is about 3 times faster.
 
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
@@ -77,6 +80,7 @@ and is handed out cut to what was asked.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 from array import array
 from math import isqrt
@@ -202,9 +206,9 @@ except ImportError:  # pragma: no cover - CPython builds ship _decimal
 
 # A class product of at least this many decimal digits (limb digits times the
 # two class lengths) is made by libmpdec, below it by CPython's int multiply.
-# Measured once on the (class length, bits) grid of the convolutions of deep
-# image runs and of the oracle; see the module docstring.
-_DECIMAL_DIGITS = 105_000
+# Measured on the products of deep image runs and of the oracle; see the
+# module docstring.
+_DECIMAL_DIGITS = 210_000
 
 # Blocks of the limb-width bound (``convolve_ints``): an operand of at most
 # this many coefficients is one block, and its bound costs what max * max did.
@@ -260,13 +264,14 @@ def _unpack(raw, limb_bytes):
     """The values d of the limbs d + half of raw, inverse to ``_pack``'s
     encoding: for limbs of at most 8 bytes, the top byte flipped back, each
     limb sign-extended to the next item width through a second translate
-    table, and the items read by a memoryview cast."""
+    table, and the items read by a memoryview cast; wider limbs are cut by
+    ``struct.iter_unpack`` in C, about twice as fast as slicing."""
     k = limb_bytes
     w = _word(k)
     if w is None:
         half = 1 << (8 * k - 1)
-        return [int.from_bytes(raw[i:i + k], "little") - half
-                for i in range(0, len(raw), k)]
+        from_bytes = int.from_bytes
+        return [from_bytes(limb, "little") - half for (limb,) in struct.iter_unpack(f"{k}s", raw)]
     top = raw[k - 1::k].translate(_FLIP)
     if k == w:
         words = bytearray(raw)
@@ -301,24 +306,26 @@ def _running_maxima(vals):
     return out
 
 
-def _class_products(a, b, ell, o, pack, shift, total):
-    """total plus, over the class pairs (r, s) with r + s = o mod ell, the
-    products pack(a[r::ell]) * pack(b[s::ell]), shifted up one limb by
-    ``shift`` when r + s = o + ell.  When a is b, the pair r = s is packed
-    once and squared, x * x, which CPython and libmpdec both make about 1.4
-    times faster than a product of two operands of its size (200 000-bit
-    ints, 300 000-digit Decimals)."""
+def _class_products(a, b, ell, o, pack, shift):
+    """At each evaluation point, the sum over the class pairs (r, s) with
+    r + s = o mod ell of the products of the classes' values there: pack(c)
+    lists a class's values at the points, and shift multiplies such a list
+    by the points when r + s = o + ell.  When a is b, the pair r = s is
+    packed once and each value squared (one object times itself), which
+    CPython and libmpdec both make about 1.4 times faster than a product of
+    two operands of its size (200 000-bit ints, 300 000-digit Decimals)."""
     square = a is b
+    totals = None
     for r in range(min(ell, len(a))):
         s = (o - r) % ell
         if s < len(b):
-            if square and r == s:
-                x = pack(a[r::ell])
-                prod = x * x
-            else:
-                prod = pack(a[r::ell]) * pack(b[s::ell])
-            total = total + (shift(prod) if r + s > o else prod)
-    return total
+            xs = pack(a[r::ell])
+            ys = xs if square and r == s else pack(b[s::ell])
+            prods = [x * y for x, y in zip(xs, ys)]
+            if r + s > o:
+                prods = shift(prods)
+            totals = prods if totals is None else [t + p for t, p in zip(totals, prods)]
+    return totals
 
 
 def convolve_ints(a, b, n_out, ell=1, o=0):
@@ -327,14 +334,15 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     n_out coefficients.
 
     Each operand is split into its ell residue classes of index, and each
-    class is packed once.  Class r of a meets only class s = (o - r) mod ell
-    of b: since r + s is o or o + ell, the product of the two packed classes
-    holds the wanted coefficients from limb 0 or limb 1 on, so it is shifted
-    up by that many limbs and added.  Every operand coefficient, and every
-    wanted coefficient d of the sum, has absolute value below bound < half,
-    half a limb's range.  So each operand limb can be biased by half, and
-    adding half to each of the low n_out limbs of the sum turns them into
-    limb digits with no borrow across limbs.
+    class c is packed once, as its values at the encoding's points x (c(x) =
+    sum of c[i] * x**i).  Class r of a meets only class s = (o - r) mod ell
+    of b: since r + s is o or o + ell, their product holds the wanted
+    coefficients from index 0 or 1 on, so it is multiplied by x in the second
+    case and added into T(x), whose first n_out coefficients are wanted.
+    Every operand coefficient, and every wanted coefficient d of T, has
+    absolute value below bound < half, half a limb's range.  So each operand
+    limb can be biased by half, and adding half to each low limb of a packed
+    sum turns them into limb digits with no borrow across limbs.
 
     The bound comes from the coefficients that can meet.  Each operand, cut
     to the n_in indices below the last wanted one, is split into blocks of
@@ -353,12 +361,24 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     the products and the n_out limbs keeps the total positive, and the limbs
     are read from its digit string one w-digit slice at a time, never by one
     int() of the whole string and never by ``Context.remainder`` (a full
-    division).  Every other product is made in base 2**(8k) by CPython, with
-    k = bit_length(bound) + 1 bits rounded up to whole bytes; a limb of at
-    most 8 bytes is packed and unpacked by ``array`` in C (see ``_pack``), a
-    wider one by a ``to_bytes`` loop.  Limbs stay k bytes wide: rounding k
-    up to the item width made the multiply 1.6 to 6 times slower (3 or 5
-    bytes to 4 or 8, 850 to 6 350 limbs).
+    division); its one point is x = 10**w.
+
+    Every other product is made by CPython at x = 2**h and x = -2**h.  A
+    limb is k bytes, bit_length(bound) + 1 bits rounded up, and h = 4k bits
+    is half of it.  A class c(x) = E(x**2) + x * O(x**2) is packed as its
+    even-index half E and odd-index half O, each by ``_pack`` at k-byte
+    limbs, in base 2**(8k) = x**2; its values are E +- (O << h), each half
+    as wide as c packed whole.  Moving a product up one index shifts it by
+    h, negated at -2**h.  The sums S+- = T(+-2**h) give S+ + S- = 2 * Te and
+    S+ - S- = 2 * 2**h * To, with Te and To the even- and odd-index halves
+    of T at 2**(8k): the even outputs are read from (S+ + S-) >> 1 and the
+    odd ones from (S+ - S-) >> (h + 1), one bit for the 2 and h for the x in
+    front of To, both exact.  Each is biased and masked like a one-point
+    sum; the outputs are unpacked together and interleaved.  Limbs of at
+    most 8 bytes are packed and unpacked by ``array`` in C (see ``_pack``),
+    wider ones by ``to_bytes`` and ``struct.iter_unpack``.  Rounding k up to
+    the item width made the multiply 1.6 to 6 times slower (3 or 5 bytes to
+    4 or 8, 850 to 6 350 limbs).
     """
     if n_out <= 0 or not a or not b:
         return []
@@ -388,16 +408,30 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
                                Emin=_decimal.MIN_EMIN)
         with _decimal.localcontext(ctx):
             start = _decimal.Decimal("1" + "0" * (top - digits * n_out) + str(half) * n_out)
-            total = str(_class_products(a, b, ell, o, lambda v: _pack_decimal(v, digits),
-                                        lambda x: x.scaleb(digits), start))
+            (total,) = _class_products(a, b, ell, o, lambda v: [_pack_decimal(v, digits)],
+                                       lambda p: [p[0].scaleb(digits)]) or [0]
+            total = str(start + total)
         end = len(total)
         return [int(total[i - digits:i]) - half
                 for i in range(end, end - digits * n_out, -digits)]
-    limb_bytes = (bound.bit_length() + 8) // 8  # bit_length + 1 bits, whole bytes
-    need = limb_bytes * n_out
-    total = _class_products(a, b, ell, o, lambda v: _pack(v, limb_bytes),
-                            lambda x: x << 8 * limb_bytes, _bias(limb_bytes, n_out))
-    return _unpack((total & ((1 << 8 * need) - 1)).to_bytes(need, "little"), limb_bytes)
+    k = (bound.bit_length() + 8) // 8  # limb bytes: bit_length + 1 bits, whole bytes
+    h = 4 * k  # half a limb, in bits
+
+    def pack(v):  # the class at x = 2**h and x = -2**h
+        even, odd = _pack(v[0::2], k), _pack(v[1::2], k) << h
+        return [even + odd, even - odd]
+
+    plus, minus = _class_products(a, b, ell, o, pack,
+                                  lambda p: [p[0] << h, -(p[1] << h)]) or [0, 0]
+    # Te(2**(8k)) holds the outputs of even index, To(2**(8k)) the odd ones
+    even = (n_out + 1) // 2
+    raw = b""
+    for t, n in (((plus + minus) >> 1, even), ((plus - minus) >> h + 1, n_out - even)):
+        raw += ((t + _bias(k, n)) & ((1 << 8 * k * n) - 1)).to_bytes(k * n, "little")
+    vals = _unpack(raw, k)
+    out = [0] * n_out
+    out[0::2], out[1::2] = vals[:even], vals[even:]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ repository to a temporary directory, replaces the one occurrence of old by
 new in file, runs tier-1 there with ``-x -q`` and prints killed, with the
 first test that failed, or survived.  An entry with a reason is an
 equivalent mutant: the reason says why it cannot change a result, and it is
-expected to survive.  The script exits 1 when a mutant without a reason survives, or when an old
-text no longer occurs exactly once.  It uses only the standard library;
+expected to survive.  An optional argument runs only the entries whose
+file, old or new text contains it.  The script exits 1 when a mutant
+without a reason survives, when an old text no longer occurs exactly once,
+or when the argument matches no entry.  It uses only the standard library;
 pytest does not collect it.
 
     python3 tests/mutants.py            # the whole catalogue, about 10 min
+    python3 tests/mutants.py series.py  # only the entries whose file, old or
+                                        # new text contains "series.py"
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ MUTANTS = (
     ("src/etacheck/series.py",
      "g += self._conv(g, [-c for c in e], m - k)",
      "g += self._conv(g, [-c for c in e], m - k - 1)", None),
-    ("src/etacheck/series.py", "if square and r == s:", "if square:", None),
+    ("src/etacheck/series.py",
+     "ys = xs if square and r == s else", "ys = xs if square else", None),
     ("src/etacheck/eta.py",
      "return out.substitute_power(g).truncate(trunc)",
      "return out.substitute_power(g)", None),
@@ -84,6 +89,13 @@ MUTANTS = (
      "zip(self.coeffs[h - 1:n], self._conv(den.coeffs, f, n)[h - 1:])", None),
     ("src/etacheck/eta.py",
      "-(2 * k + 1) if k % 2 else 2 * k + 1", "2 * k + 1 if k % 2 else -(2 * k + 1)", None),
+    # the two-point read-back: the odd outputs one bit too high, the shifted
+    # product at x = -2**h added, the odd halves packed unshifted (the int
+    # path packs both operands through one pack, so both lose the shift)
+    ("src/etacheck/series.py", "(plus - minus) >> h + 1", "(plus - minus) >> h", None),
+    ("src/etacheck/series.py", "-(p[1] << h)]", "p[1] << h]", None),
+    ("src/etacheck/series.py",
+     "_pack(v[1::2], k) << h", "_pack(v[1::2], k)", None),
     ("src/etacheck/basis.py",
      "if prev_m is not None and m >= prev_m:",
      "if prev_m is not None and m > prev_m:",
@@ -125,16 +137,21 @@ def _run(file: str, old: str, new: str) -> tuple:
         return "killed", failed[0] if failed else done.stdout[-200:]
 
 
-def main() -> int:
-    bad = 0
+def main(argv: list) -> int:
+    bad = ran = 0
     for file, old, new, reason in MUTANTS:
+        if argv and not any(argv[0] in text for text in (file, old, new)):
+            continue
+        ran += 1
         status, detail = _run(file, old, new)
         print(f"{status:8s}  {file}: {' '.join(old.split())[:70]!r} -> {new.strip()[:60]!r}", flush=True)
         if detail or reason:
             print(f"          {detail or 'equivalent: ' + reason}", flush=True)
         bad += status == "stale" or (status == "survived" and not reason)
-    return 1 if bad else 0
+    if not ran:
+        print(f"no entry contains {argv[0]!r}")
+    return 1 if bad or not ran else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -156,10 +156,57 @@ def test_square_matches_schoolbook(monkeypatch):
             for n in (1, 5, 2 * len(a) - 1, 2 * len(a) + 3):
                 packs.clear()
                 assert convolve_ints(a, a, n) == schoolbook(a, a, n), (a, n)
-                assert len(packs) == (1 if digits and any(a[:n]) else 0)
+                assert len(packs) == (2 if digits and any(a[:n]) else 0)
                 full = schoolbook(a, a, 5 * n)
                 for o in range(5):
                     assert convolve_ints(a, a, n, 5, o) == full[o::5], (a, n, o)
+
+
+def test_two_point_products_match_schoolbook(monkeypatch):
+    # the int path evaluates each class at x = +-2**h from its even and odd
+    # halves and reads the even outputs from the sum of the two products and
+    # the odd ones from their difference: halves of opposite sign and very
+    # different size, an all-zero half, alternating signs, classes of 1 and 2
+    # coefficients, windows of odd and even length, ell = 1 and ell = 5 at
+    # every o, squares and distinct operands, limbs of at most 8 bytes
+    # (array) and wider (to_bytes)
+    rng = random.Random(41)
+    profiles = {
+        "opposite": lambda odd, big: -big if odd else big,
+        "zero even": lambda odd, big: rng.randint(-big, big) if odd else 0,
+        "zero odd": lambda odd, big: 0 if odd else rng.randint(-big, big),
+        "alternating": lambda odd, big: (-1) ** odd * rng.randint(1, big),
+        "small odd": lambda odd, big: rng.randint(-1, 1) if odd else big,
+    }
+    widths = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda vals, k: widths.append(k) or pack(vals, k))
+    for big in (100, 10**30):
+        for ell in (1, 5):
+            # the index within its class is i // ell, so "odd" is its parity
+            ops = [[f((i // ell) % 2, big) for i in range(n)]
+                   for f in profiles.values() for n in {1, 2, ell, ell + 1, 2 * ell, 2 * ell + 3, 33}]
+            for a in ops:
+                for b in (a, ops[rng.randrange(len(ops))]):
+                    full = schoolbook(a, b, ell * (len(a) + len(b) + 2))
+                    for n in {1, 2, 3, 4, len(a) + 1, len(a) + len(b) - 1, len(a) + len(b)}:
+                        for o in range(ell):
+                            got = convolve_ints(a, b, n, ell, o)
+                            assert got == full[o::ell][:n], (a, b, n, ell, o)
+    assert min(widths) <= 8 < max(widths)
+    # through QSeries.mul, plain and U_5, in each ring
+    for ring in RINGS:
+        for name, f in profiles.items():
+            x = [f(i % 2, 10**20) for i in range(41)]
+            fx, fy = QSeries(ring, x, -2, 39), QSeries(ring, x[::-1], 1, 42)
+            for g in (fx, fy):
+                val = fx.val + g.val
+                end = min(fx.trunc + g.val, g.trunc + fx.val)
+                prod = QSeries(ring, schoolbook(fx.coeffs, g.coeffs, end - val), val, end)
+                for ell in (1, 5):
+                    trunc = -(-prod.trunc // ell)
+                    terms = {e: prod.coeff(ell * e) for e in range(-(-val // ell), trunc)}
+                    assert fx.mul(g, ell) == QSeries.from_terms(ring, terms, trunc), (ring, name)
 
 
 def bound_profiles(rng):
