@@ -66,16 +66,13 @@ class BasisFunction(Frozen):
     def series(self, trunc: int) -> QSeries:
         """Exact-integer expansion covering trunc coefficients past ord_inf.
 
-        A product of quotients leads at the sum of their valuations, so it
-        reaches q**(ord_inf + trunc) from that many coefficients; each
-        constituent quotient is expanded once, to the most any term needs.
+        A product keeps the relative precision of its factors, so each
+        constituent quotient is expanded once, to trunc coefficients past its
+        own lead (one object, so a square is made as one); a term that leads
+        below ord_inf, whose lead would have to cancel, leaves too few and
+        raises SpecError instead.
         """
-        need = {}
-        for _, factors in self.construction:
-            lead = sum(f.sum_dr() // 24 for f in factors)
-            for f in factors:
-                need[f] = max(need.get(f, 1), self.ord_inf + trunc - lead)
-        expansions = {f: eta_expand(f, n) for f, n in need.items()}
+        expansions = {f: eta_expand(f, trunc) for f in self.constituent_quotients()}
         out = None
         for coef, factors in self.construction:
             term = None
@@ -85,12 +82,11 @@ class BasisFunction(Frozen):
                 term = QSeries.one(ZZ, trunc)
             term = term.scale(coef)
             out = term if out is None else out.add(term)
-        out = out.truncate(min(out.trunc, self.ord_inf + trunc))
         if out.is_zero() or out.val != self.ord_inf:
             raise ContractError(
                 f"{self.name}: expansion valuation {out.val if not out.is_zero() else None} "
                 f"does not match declared order {self.ord_inf}")
-        return out
+        return out.truncate(self.ord_inf + trunc)
 
     def describe(self) -> str:
         parts = []
@@ -294,21 +290,18 @@ def mw_reduce(f: QSeries, b: AlgebraBasis) -> ModuleElement:
         raise SpecError("insufficient truncation: need the constant term in view")
     v1 = b.v + 1
     orders = {k: -g.ord_inf for k, g in enumerate(b.gs, start=1)}
-    # each step fills a distinct (e, k): the pole order m strictly drops and
-    # determines both, so the step coefficient is the final coefficient
+    # each step leaves rem[pos] == 0, so pos advances and the pole order m
+    # strictly drops; m determines (e, k), so each step fills a distinct
+    # (e, k) and the step coefficient is the final coefficient
     terms = {}
     # the remainder is one list, rem[i] the coefficient of q**(lo + i), reduced
     # in place; each step's monomial leads at rem[pos] (BasisFunction.series
     # checks every declared order), so nothing below pos ever changes
     lo, rem, pos = f.val, list(f.coeffs), 0
-    prev_m = None
     while True:
         while pos < len(rem) and not rem[pos]:
             pos += 1
         m = max(0, -(lo + pos)) if pos < len(rem) else 0
-        if prev_m is not None and m >= prev_m:
-            raise ContractError("reduction failed to descend strictly")
-        prev_m = m
         if m == 0:
             terms[(0, 0)] = rem.pop(-lo) if lo <= 0 < lo + len(rem) else 0
             if any(rem):

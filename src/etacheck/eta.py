@@ -3,9 +3,9 @@
 An :class:`EtaQuotient` is the formal product of eta(d*tau)**r_d over divisors
 d of a level N.  Its q-expansion is the product of the Euler products
 (q**d; q**d)_infinity ** r_d times the prefactor q**(sum(d*r_d)/24).
-``eta_expand`` is the only place that prefactor is handled: it shifts the
-product by sum(d*r_d)/24 and refuses a quotient for which that is not an
-integer, so nothing fractional is ever rounded.
+``EtaQuotient.q_shift`` is the only place that prefactor is computed: it
+refuses a quotient for which sum(d*r_d)/24 is not an integer, so nothing
+fractional is ever rounded, and ``eta_expand`` shifts the product by it.
 
 Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
@@ -13,15 +13,14 @@ independent reference.  A power (q; q)_infinity ** r is J**(r//3) *
 P**(r % 3), with P the pentagonal series and J = (q; q)_infinity ** 3 the
 equally sparse series of Jacobi's identity, so r = 3 takes no product.
 ``euler_quotient`` expands a product of their powers as a numerator over a
-denominator, each a product of positive powers made as a series in q**(its
-own gcd), after dividing the gcd g of all the d's out and working at
-n = ceil(trunc/g) coefficients.  One division step joins them: the
-denominator is inverted once, only to ceil(n/2) coefficients, so its inverse,
-nearly twice as wide as the quotient, never runs at the full length.  The
-result is exact over Z and in Z/ell**e alike; expanding each factor on its
-own, raising the pentagonal series to r, inverting at full length and
-multiplying them in at full length is kept in the test suite as the
-reference.  ``eta_expand`` keeps the longest expansion made of
+denominator, each a product of positive powers, divided by ``QSeries.div``,
+which owns the q-strides: it works in q**(the gcd of the d's) and inverts
+the denominator only to half the length, in q**(its own gcd), so the
+inverse, nearly twice as wide as the quotient, never runs at the full
+length.  The result is exact over Z and in Z/ell**e alike; expanding each
+factor on its own, raising the pentagonal series to r, inverting at full
+length and multiplying them in at full length is kept in the test suite as
+the reference.  ``eta_expand`` keeps the longest expansion made of
 each quotient under ``series.stored``'s rule and serves shorter requests by
 truncation, so a quotient that several basis functions share is expanded
 once per length it outgrows.
@@ -84,6 +83,15 @@ class EtaQuotient(Frozen):
 
     def sum_ndr(self) -> int:
         return sum((self.level // d) * r for d, r in self.exponents)
+
+    def q_shift(self) -> int:
+        """sum(d*r_d)/24, the power of q in front of the expansion; SpecError
+        when it is not an integer, since the expansion would then need
+        fractional exponents."""
+        shift, frac = divmod(self.sum_dr(), 24)
+        if frac:
+            raise SpecError(f"{self!r} has the fractional prefactor q^({self.sum_dr()}/24)")
+        return shift
 
     def pow(self, n: int) -> "EtaQuotient":
         return EtaQuotient(self.level, [(d, n * r) for d, r in self.exponents])
@@ -151,41 +159,30 @@ def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     ``trunc`` with coefficients in ``ring``: a unit series with leading term
     1.  The exponents need not satisfy any modularity condition.
 
-    The product is a series in q**g, g the gcd of the d's, so it is made in
-    q -> q**(1/g) at n = ceil(trunc/g) coefficients and spread back by g.
-    There it is a numerator over a denominator, each a product of positive
-    powers of Euler products with small coefficients (``_power_product``).
-    One division step (``QSeries.div``) joins the two: the denominator is
-    inverted only to ceil(n/2) coefficients, in q**(its own gcd), so the
-    inverse, whose coefficients are the widest of the expansion, never runs
-    at the full length.  Every Euler product is monic, so the inversion works
+    The product is a numerator over a denominator, each a product of
+    positive powers of Euler products with small coefficients
+    (``_power_product``), joined by ``QSeries.div``, which works in q**(the
+    gcd of the d's) and inverts the denominator only to half the length, in
+    q**(its own gcd).  Every Euler product is monic, so the inversion works
     in any ring and the expansion in Z/ell**e is the exact expansion reduced
     mod ell**e.
     """
     pairs = tuple(exponents)
-    g = gcd(*(d for d, _ in pairs)) or 1
-    n = -(-trunc // g)
-    num, e = _power_product([(d // g, r) for d, r in pairs if r > 0], n, ring)
-    out = num.substitute_power(e).truncate(n)
-    den_pairs = [(d // g, -r) for d, r in pairs if r < 0]
-    if den_pairs:
-        den, e = _power_product(den_pairs, n, ring)
-        # the inverse to ceil(n/2), the length the division step reads
-        inverse = den.truncate(-(-n // (2 * e))).inv().substitute_power(e)
-        out = out.div(den.substitute_power(e).truncate(n), inverse)
-    return out.substitute_power(g).truncate(trunc)
+    out = _power_product([(d, r) for d, r in pairs if r > 0], trunc, ring)
+    den = [(d, -r) for d, r in pairs if r < 0]
+    return out.div(_power_product(den, trunc, ring)) if den else out
 
 
-def _power_product(pairs, n: int, ring: CoeffRing) -> tuple:
-    """(f, g): the product of (q**d; q**d)_infinity ** r over pairs of
-    positive r, to n coefficients, is f(q**g), g the gcd of the d's, and f
-    has ceil(n/g) coefficients.  Each factor is (q; q)_infinity ** r at the
-    length its own d leaves, then q -> q**d; (q; q)_infinity ** r is
-    J**(r//3) * P**(r % 3), J = (q; q)_infinity ** 3 by Jacobi's identity and
-    P the pentagonal series, so r = 3 takes no product and r = 4 one.  No
-    pairs give (1, 1)."""
+def _power_product(pairs, n: int, ring: CoeffRing) -> QSeries:
+    """The product of (q**d; q**d)_infinity ** r over pairs of positive r, to
+    n coefficients, made as a series in q**g, g the gcd of these d's (a
+    product takes its operands as they come), and spread back.  Each factor
+    is (q; q)_infinity ** r at the length its own d leaves, then
+    q -> q**(d/g); (q; q)_infinity ** r is J**(r//3) * P**(r % 3),
+    J = (q; q)_infinity ** 3 by Jacobi's identity and P the pentagonal
+    series, so r = 3 takes no product and r = 4 one.  No pairs give 1."""
     if not pairs:
-        return QSeries.one(ring, n), 1
+        return QSeries.one(ring, n)
     g = gcd(*(d for d, _ in pairs))
     m = -(-n // g)
     out = None
@@ -198,7 +195,7 @@ def _power_product(pairs, n: int, ring: CoeffRing) -> tuple:
             f = p if f is None else f.mul(p)
         f = f.substitute_power(d).truncate(m)
         out = f if out is None else out.mul(f)
-    return out, g
+    return out.substitute_power(g).truncate(n)
 
 
 # quotient -> its longest expansion so far; every value is exact and
@@ -220,7 +217,5 @@ def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
     """
     if trunc < 1:
         raise SpecError("eta expansion needs truncation >= 1")
-    shift, frac = divmod(eq.sum_dr(), 24)
-    if frac:
-        raise SpecError(f"{eq!r} has the fractional prefactor q^({eq.sum_dr()}/24)")
+    shift = eq.q_shift()
     return stored(_EXPANSIONS, eq, trunc, lambda n: euler_quotient(eq.exponents, n).shift(shift))

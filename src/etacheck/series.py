@@ -3,69 +3,27 @@
 A :class:`QSeries` is a finite window of a Laurent series in ``q``: integer
 exponents from ``val`` up to (but excluding) ``trunc``, coefficients in one of
 two rings (exact integers, integers mod a prime power).  Every series lives on
-integer exponents; the fractional eta prefactor q**(sum(d*r_d)/24) is folded
-in by ``eta.eta_expand``, which rejects a quotient whose prefactor is not an
-integer power of q instead of rounding it.
+integer exponents; the eta prefactor q**(sum(d*r_d)/24) is folded in by
+``eta.eta_expand``, and ``eta.EtaQuotient.q_shift`` rejects a quotient whose
+prefactor is not an integer power of q instead of rounding it.
 
 Truncation bookkeeping is pessimistic: every operation reports only the
 coefficients its inputs actually determine (``min`` of the operand windows,
 shifted by valuations for products and inverses).  All operations are pure;
 a series, like every value type of the package, is an immutable ``Frozen``.
 
-Multiplication is Kronecker substitution: each operand is packed, whatever
-its signs, into signed big numbers, so that a C multiply does the
-convolution; this is the single hot spot of the whole package.  Int products
-are made at the two points x = +-2**h, h half a limb (D. Harvey, J. Symbolic
-Comput. 44, 2009): two products of half the length, which under Karatsuba
-cost about 2/3 of one.  ``convolve_ints`` can also return only the
-coefficients at o + ell*n of a product, the part U_ell keeps: it packs the
-ell residue classes of each operand, multiplies just the ell class pairs
-that reach those exponents, and adds the products, so it makes ell products
-of 1/ell the length and reads back 1/ell of the limbs.  The plain product is its ell = 1 case.
-``QSeries.mul(other, ell)`` is the one owner of the window of either: ell = 1
-is the product, and ell > 1 is U_ell of the product, which is never formed.
-A square (one operand object, as ``pow`` makes) packs each class once and
-squares it.  ``QSeries.inv`` is Newton's method in which each step computes
-only the new half of the inverse: the error a*g - 1, then its product with
-g at the length of that half.  ``QSeries.div`` is one such step for a
-quotient (Karp and Markstein): the inverse is made only to half the length,
-where its coefficients are narrower, and the residual of the first half is
-divided by it for the second.
-
-Every product packs at the limb width its wanted coefficients need, bounded
-from the coefficients that can meet in them: blocks of 32 coefficients, with
-running maxima of |c|, paired only when their lowest indices add up below the
-last wanted one.  Coefficients grow along these series, and the last ones of
-two operands never meet in a truncated or U_ell window, so the widest pair
-that does meet is narrower than max|a| * max|b|: t**-1 squared at 616
-coefficients packs at 24-byte limbs (33 with max * max, 23 needed), and U_5
-of the deepest RR B = 5 image at 36 (44, 34 needed).  Over a cold RR B = 5
-run the packed operands shrink from 1.49 to 1.32 MB, and the bound costs
-about 2 ms more in all (38 against 25 us on a 616-coefficient operand; an
-operand of at most 32 coefficients pays what it did).  Smaller blocks are
-tighter and cost more: 16 gives 1.29 MB.
-
-``convolve_ints`` picks its limb encoding from the operand sizes alone:
-
-- a class product of at least ``_DECIMAL_DIGITS`` decimal digits (limb
-  digits times the two class lengths) is packed in base 10**w and made by
-  libmpdec, the C ``decimal`` module, whose number-theoretic transform beats
-  CPython's Karatsuba on huge operands;
-- any other product is made by CPython's int multiply at x = +-2**(4k),
-  from the even-index and odd-index halves of each class packed in base
-  2**(8k) (see ``convolve_ints``).  Limbs of k <= 8 bytes, the narrow
-  coefficients of the Z/ell^e oracle, are packed and unpacked by ``array``
-  and ``bytes`` operations in C; wider limbs, where the multiply dominates,
-  by a ``to_bytes`` loop.
-
-The threshold is where both encodings, timed alternately on the 994
-products of at least 5 000 digits of cold RR (B = 14) and AS (B = 10) runs,
-the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
-``consistency_check`` at alpha = 5, take the least time in all (2-core
-x86-64, CPython 3.11, libmpdec 2.5.1): 8.08 s at 210 000 digits, against
-18.6 s for int alone and 9.2 s for libmpdec alone, and within 0.2% of that
-from 200 000 to 450 000.  The one-point int multiply met libmpdec near
-120 000 digits; above 10^6 libmpdec is about 3 times faster.
+Multiplication is Kronecker substitution, the single hot spot of the whole
+package: ``convolve_ints`` packs each operand, whatever its signs, into
+signed big numbers, so that a C multiply does the convolution, and its
+docstring is where the encodings and the limb width are described.  It can
+also return only the coefficients at o + ell*n of a product, the part U_ell
+keeps.  ``QSeries.mul(other, ell)`` is the one owner of the window of
+either: ell = 1 is the product, and ell > 1 is U_ell of the product, which
+is never formed.  ``QSeries.div`` is the one owner of q-strides and of the
+Newton inverse: when both operands are series in q**s it divides in q**s,
+it inverts the denominator only to half the length, in q**(the
+denominator's own stride), and one division step (Karp and Markstein)
+finishes the quotient; ``inv`` is one divided by self.
 
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
@@ -83,7 +41,7 @@ import operator
 import struct
 import sys
 from array import array
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import SpecError
 
@@ -205,13 +163,18 @@ except ImportError:  # pragma: no cover - CPython builds ship _decimal
     _decimal = None
 
 # A class product of at least this many decimal digits (limb digits times the
-# two class lengths) is made by libmpdec, below it by CPython's int multiply.
-# Measured on the products of deep image runs and of the oracle; see the
-# module docstring.
+# two class lengths) is made by libmpdec, below it by CPython's int multiply
+# (see ``convolve_ints``).  Both encodings, timed alternately on the 994
+# products of at least 5 000 digits of cold RR (B = 14) and AS (B = 10) runs,
+# the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
+# ``consistency_check`` at alpha = 5, take the least time in all there (2-core
+# x86-64, CPython 3.11, libmpdec 2.5.1): 8.08 s, against 18.6 s for int alone
+# and 9.2 s for libmpdec alone, and within 0.2% of that from 200 000 to
+# 450 000.
 _DECIMAL_DIGITS = 210_000
 
 # Blocks of the limb-width bound (``convolve_ints``): an operand of at most
-# this many coefficients is one block, and its bound costs what max * max did.
+# this many coefficients is one block.
 _BLOCK = 32
 
 _FLIP = bytes(x ^ 0x80 for x in range(256))  # flips a byte's top bit
@@ -338,47 +301,62 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     sum of c[i] * x**i).  Class r of a meets only class s = (o - r) mod ell
     of b: since r + s is o or o + ell, their product holds the wanted
     coefficients from index 0 or 1 on, so it is multiplied by x in the second
-    case and added into T(x), whose first n_out coefficients are wanted.
-    Every operand coefficient, and every wanted coefficient d of T, has
-    absolute value below bound < half, half a limb's range.  So each operand
-    limb can be biased by half, and adding half to each low limb of a packed
-    sum turns them into limb digits with no borrow across limbs.
+    case and added into T(x), whose first n_out coefficients are wanted.  So
+    U_ell of a product takes ell products of 1/ell the length and reads back
+    1/ell of the limbs.  Every operand coefficient, and every wanted
+    coefficient d of T, has absolute value below bound < half, half a limb's
+    range.  So each operand limb can be biased by half, and adding half to
+    each low limb of a packed sum turns them into limb digits with no borrow
+    across limbs.
 
-    The bound comes from the coefficients that can meet.  Each operand, cut
-    to the n_in indices below the last wanted one, is split into blocks of
-    ``_BLOCK`` coefficients, with running maxima ma[i] and mb[j] of |c| over
-    them.  Blocks i and j meet in a wanted coefficient only if
+    The bound comes from the coefficients that can meet, not from
+    max|a| * max|b|: coefficients grow along these series, and the last ones
+    of two operands never meet in a truncated or U_ell window.  Each operand,
+    cut to the n_in indices below the last wanted one, is split into blocks
+    of ``_BLOCK`` coefficients, with running maxima ma[i] and mb[j] of |c|
+    over them.  Blocks i and j meet in a wanted coefficient only if
     (i + j) * _BLOCK <= n_in - 1, and such a coefficient is a sum of at most
     min(len(a), len(b)) products, so it is below that count times the largest
     ma[i] * mb[j] over those pairs.  The bound never drops below max|a| or
     max|b|, since every operand limb must hold its coefficient (a limb of at
-    most 8 bytes would be cut silently by ``_pack``'s strided copy).
+    most 8 bytes would be cut silently by ``_pack``'s strided copy).  So
+    t**-1 squared at 616 coefficients packs at 24-byte limbs, and U_5 of the
+    deepest RR B = 5 image at 36.  The bound costs about 2 ms over a cold RR
+    B = 5 run (38 us on a 616-coefficient operand, against 25 us for
+    max|a| * max|b|, and the same for an operand of one block); smaller
+    blocks are tighter and cost more.
 
-    The limb encoding follows from the operand sizes alone (see the module
-    docstring).  A class product of at least ``_DECIMAL_DIGITS`` digits is
-    made in base 10**w by libmpdec when the C ``decimal`` module is present
-    and int() may parse a w-digit limb; a power of ten above both the sum of
-    the products and the n_out limbs keeps the total positive, and the limbs
-    are read from its digit string one w-digit slice at a time, never by one
-    int() of the whole string and never by ``Context.remainder`` (a full
-    division); its one point is x = 10**w.
+    The limb encoding follows from the operand sizes alone.  A class product
+    of at least ``_DECIMAL_DIGITS`` decimal digits (limb digits times the two
+    class lengths) is made in base 10**w by libmpdec, the C ``decimal``
+    module, whose number-theoretic transform beats CPython's Karatsuba on
+    huge operands (about 3 times faster above 10**6 digits), when that module
+    is present and int() may parse a w-digit limb; a power of ten above both
+    the sum of the products and the n_out limbs keeps the total positive, and
+    the limbs are read from its digit string one w-digit slice at a time,
+    never by one int() of the whole string and never by
+    ``Context.remainder`` (a full division); its one point is x = 10**w.
 
-    Every other product is made by CPython at x = 2**h and x = -2**h.  A
-    limb is k bytes, bit_length(bound) + 1 bits rounded up, and h = 4k bits
-    is half of it.  A class c(x) = E(x**2) + x * O(x**2) is packed as its
-    even-index half E and odd-index half O, each by ``_pack`` at k-byte
-    limbs, in base 2**(8k) = x**2; its values are E +- (O << h), each half
-    as wide as c packed whole.  Moving a product up one index shifts it by
-    h, negated at -2**h.  The sums S+- = T(+-2**h) give S+ + S- = 2 * Te and
+    Every other product is made by CPython at the two points x = 2**h and
+    x = -2**h (D. Harvey, J. Symbolic Comput. 44, 2009): two products of
+    half the length, which under Karatsuba cost about 2/3 of one.  A limb is
+    k bytes, bit_length(bound) + 1 bits rounded up, and h = 4k bits is half
+    of it.  A class c(x) = E(x**2) + x * O(x**2) is packed as its even-index
+    half E and odd-index half O, each by ``_pack`` at k-byte limbs, in base
+    2**(8k) = x**2; its values are E +- (O << h), each half as wide as c
+    packed whole.  Moving a product up one index shifts it by h, negated at
+    -2**h.  The sums S+- = T(+-2**h) give S+ + S- = 2 * Te and
     S+ - S- = 2 * 2**h * To, with Te and To the even- and odd-index halves
     of T at 2**(8k): the even outputs are read from (S+ + S-) >> 1 and the
     odd ones from (S+ - S-) >> (h + 1), one bit for the 2 and h for the x in
     front of To, both exact.  Each is biased and masked like a one-point
     sum; the outputs are unpacked together and interleaved.  Limbs of at
-    most 8 bytes are packed and unpacked by ``array`` in C (see ``_pack``),
-    wider ones by ``to_bytes`` and ``struct.iter_unpack``.  Rounding k up to
-    the item width made the multiply 1.6 to 6 times slower (3 or 5 bytes to
-    4 or 8, 850 to 6 350 limbs).
+    most 8 bytes, the narrow coefficients of the Z/ell^e oracle, are packed
+    and unpacked by ``array`` and ``bytes`` operations in C (see ``_pack``);
+    wider ones, where the multiply dominates, by ``to_bytes`` and
+    ``struct.iter_unpack``.  Rounding k up to the item width made the
+    multiply 1.6 to 6 times slower (3 or 5 bytes to 4 or 8, 850 to 6 350
+    limbs).
     """
     if n_out <= 0 or not a or not b:
         return []
@@ -431,6 +409,25 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     vals = _unpack(raw, k)
     out = [0] * n_out
     out[0::2], out[1::2] = vals[:even], vals[even:]
+    return out
+
+
+def _stride(coeffs, n, s=0) -> int:
+    """The gcd of s and the offsets 0 < i < n of the nonzero coeffs[i]:
+    coeffs[:n] is a series in q**(the result), or a single term when it is
+    0.  The scan stops at gcd 1, so a dense series costs O(1)."""
+    for i in range(1, n):
+        if s == 1:
+            break
+        if coeffs[i]:
+            s = gcd(s, i)
+    return s
+
+
+def _spread(vals, s, n) -> list:
+    """The n coefficients of sum of vals[i] * q**(s*i), len(vals) = ceil(n/s)."""
+    out = [0] * n
+    out[::s] = vals
     return out
 
 
@@ -583,42 +580,36 @@ class QSeries(Frozen):
         return QSeries._canonical(self.ring, out, start, trunc)
 
     def inv(self) -> "QSeries":
-        """Multiplicative inverse, by Newton iteration on the unit part.
+        """1/self, as ``div`` makes it: one over self, to as many
+        coefficients as self holds (the zero series, which holds none, is
+        refused by ``div``).  The leading coefficient must be a unit of the
+        ring."""
+        one = QSeries._canonical(self.ring, [1], 0, max(1, self.trunc - self.val))
+        return one.div(self)
 
-        The leading coefficient must be a unit of the ring.  The lengths
-        run through n, ceil(n/2), ceil(n/4), ... up from 1, so each step
-        takes the k known terms of g to m <= 2k: a*g = 1 + q**k * e to m
-        terms, so the inverse to m terms is g - q**k * (g*e), and only its
-        new half, the first m - k terms of g*e, is computed and appended.
-        An inverse widens with its length (the denominator of A (RR) at 616
-        coefficients reaches 151 bits where A reaches 82), so a quotient is
-        made by ``div``, which inverts only to half the length.
-        """
-        if self.is_zero():
-            raise SpecError("zero series has no inverse")
-        g = [self.ring.unit_inverse(self.coeffs[0])]
-        lengths = [self.trunc - self.val]
-        while lengths[-1] > 1:
-            lengths.append(-(-lengths[-1] // 2))
-        for m in reversed(lengths[:-1]):
-            k = len(g)
-            # -e goes in unreduced, since the product reduces its output
-            e = self._conv(self.coeffs, g, m)[k:]
-            g += self._conv(g, [-c for c in e], m - k)
-        return QSeries._canonical(self.ring, g, -self.val, self.trunc - 2 * self.val)
+    def div(self, den: "QSeries") -> "QSeries":
+        """The quotient self/den, with the window of ``self.mul(den.inv())``:
+        the package's one Newton inverse and the one owner of q-strides.
 
-    def div(self, den: "QSeries", inverse: "QSeries | None" = None) -> "QSeries":
-        """The quotient self/den, by one division step (Karp and Markstein),
-        with the window of ``self.mul(den.inv())``.
+        For n coefficients, s is the stride of both operands, the gcd of the
+        offsets of their nonzero coefficients in the window (``_stride``),
+        and the quotient is made in q**s at m = ceil(n/s) coefficients.
+        There, by one division step (Karp and Markstein) with h = ceil(m/2):
+        den's inverse g to h, then f0 = self*g to h, the residual
+        self - den*f0 = q**h * r at h..m-1, and self/den = f0 + q**h * (g*r)
+        to m.  The inverse, whose coefficients outgrow the quotient's (the
+        denominator of A (RR) at 616 coefficients reaches 151 bits where A
+        reaches 82), is never made past h, and the residual's product meets
+        only den's narrow coefficients.
 
-        For n coefficients and h = ceil(n/2): den's inverse g to h, then
-        f0 = self*g to h, the residual self - den*f0 = q**h * e at h..n-1,
-        and self/den = f0 + q**h * (g*e) to n.  The inverse, whose
-        coefficients outgrow the quotient's, is never made past h, and the
-        residual's product meets only den's narrow coefficients.
-        ``inverse`` is den's inverse to at least h coefficients, for
-        a caller that makes it cheaper (den as a series in q**d, inverted in
-        q); without it den is inverted here.
+        g is made by Newton's method in q**e, e the stride of den's first h
+        coefficients, so a denominator in q**5 (G(q**5) in
+        ``verifier.scaled_congruence_series``) is inverted at ceil(h/5)
+        coefficients.  The lengths run through c = ceil(h/e), ceil(c/2),
+        ceil(c/4), ... up from 1, so each step takes the k known terms of g
+        to t <= 2k: den*g = 1 + q**k * r to t terms, so the inverse to t
+        terms is g - q**k * (g*r), and only its new half, the first t - k
+        terms of g*r, is computed and appended.
         """
         self._check_ring(den)
         if den.is_zero():
@@ -627,17 +618,27 @@ class QSeries(Frozen):
         n = min(self.trunc - self.val, den.trunc - den.val)
         if n <= 0:
             return QSeries.zero(self.ring, val + n)
-        h = -(-n // 2)
-        if inverse is None:
-            inverse = den.truncate(den.val + h).inv()
-        elif inverse.val != -den.val or inverse.trunc - inverse.val < h:
-            raise SpecError(f"{inverse!r} is not the inverse of a series to {h} coefficients")
-        g = inverse.coeffs[:h]
-        f = self._conv(self.coeffs, g, h)
-        # e goes in unreduced, since the product reduces its output
-        e = [x - y for x, y in zip(self.coeffs[h:n], self._conv(den.coeffs, f, n)[h:])]
-        f += self._conv(g, e, n - h)
-        return QSeries._canonical(self.ring, f, val, val + n)
+        s = _stride(den.coeffs, n, _stride(self.coeffs, n)) or n
+        a, b = self.coeffs[:n:s], den.coeffs[:n:s]
+        m = len(b)
+        h = -(-m // 2)
+        e = _stride(b, h) or h
+        c = b[:h:e]
+        g = [self.ring.unit_inverse(c[0])]
+        lengths = [len(c)]
+        while lengths[-1] > 1:
+            lengths.append(-(-lengths[-1] // 2))
+        for t in reversed(lengths[:-1]):
+            k = len(g)
+            # -r goes in unreduced, since the product reduces its output
+            r = self._conv(c, g, t)[k:]
+            g += self._conv(g, [-x for x in r], t - k)
+        g = _spread(g, e, h)
+        f = self._conv(a, g, h)
+        # r goes in unreduced, since the product reduces its output
+        r = [x - y for x, y in zip(a[h:], self._conv(b, f, m)[h:])]
+        f += self._conv(g, r, m - h)
+        return QSeries._canonical(self.ring, _spread(f, s, n), val, val + n)
 
     def _conv(self, a, b, n_out, ell=1, o=0):
         out = convolve_ints(a, b, n_out, ell, o)

@@ -266,9 +266,6 @@ class UImageTable:
         p = self._path(i, j, k)
         try:
             lines = p.read_text().splitlines()
-        except FileNotFoundError:  # never stored, or removed by another process
-            return None
-        try:
             head = tuple(int(x) for x in lines[0].split())
             terms = {}
             for line in lines[1:]:
@@ -279,7 +276,9 @@ class UImageTable:
                     if (jj, kk) in terms:  # _store writes each key once
                         raise ValueError(f"term {line!r} repeats t^{jj}*g{kk}")
                     terms[(jj, kk)] = c
-        except (ValueError, IndexError) as exc:
+        except FileNotFoundError:  # never stored, or removed by another process
+            return None
+        except (ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
             raise ContractError(f"cache file {p} is malformed: {exc}") from exc
         if head != (self.basis.level, self.ell, i, j, k, self.basis.v):
             raise ContractError(f"cache file {p} does not match its key")
@@ -319,7 +318,7 @@ class UImageTable:
         through its constant term plus SLACK check coefficients.
 
         t**j * y, y = A**i * g_k, starts at val = -(v+1)*j - n_k + i*val(A),
-        where val(A) is eta_expand's shift sum(d*r_d)/24, so at relative
+        where val(A) is ``EtaQuotient.q_shift``, so at relative
         precision p its ell-dissection is known below ceil((val + p)/ell), and
         t**m lowers that by (v+1)*m.  The least p with
         ceil((val + p)/ell) - (v+1)*m >= 1 + SLACK is
@@ -328,7 +327,7 @@ class UImageTable:
         b = self.basis
         v1 = b.v + 1
         n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
-        val = -v1 * j - n_k + i * (self.A.sum_dr() // 24)
+        val = -v1 * j - n_k + i * self.A.q_shift()
         return self.ell * (v1 * self.se.exponent(i, j, k) + self.SLACK) + 1 - val
 
     def images(self, keys) -> list:

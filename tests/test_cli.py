@@ -171,6 +171,19 @@ def test_cache_file_under_another_key_exits_3(capsys, tmp_path):
     assert code == 3 and out == "" and "does not match its key" in err
 
 
+def test_undecodable_cache_file_exits_3(capsys, tmp_path):
+    # a cache file whose bytes are not text is malformed like any other
+    # corrupted entry: refused as a contract violation, never a traceback
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path),
+                     "verify", "rogers-ramanujan", "--B", "1")
+    assert code == 0
+    stored, = tmp_path.glob("*/i1_j0_k0.txt")
+    stored.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path),
+                         "verify", "rogers-ramanujan", "--B", "1")
+    assert code == 3 and "is malformed" in err and "Traceback" not in err
+
+
 def test_cache_dir_defaults_to_etacheck_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ETACHECK_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "u-image", "rogers-ramanujan", "0", "-1", "0")

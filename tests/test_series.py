@@ -289,12 +289,18 @@ def test_inverse_matches_schoolbook(ring):
 DIVISION_LENGTHS = list(range(1, 65)) + [n for k in range(3, 9) for n in (2 ** k - 1, 2 ** k + 1)]
 
 
+def reference_inverse(den):
+    """den's inverse to as many coefficients as den holds, by
+    ``schoolbook_inverse``."""
+    n = den.trunc - den.val
+    return QSeries(den.ring, schoolbook_inverse(den.coeffs, n, den.ring), -den.val, n - den.val)
+
+
 @pytest.mark.parametrize("ring", [ZZ, zmod(5, 3), zmod(7, 1)], ids=str)
 def test_division_matches_inverse_then_product(ring):
-    # one division step against the full inverse and a product, at every
-    # length to 64 and each side of the powers of two, with windows and
-    # valuations that differ between the operands; a denominator in q**d is
-    # divided with its inverse made in q, as euler_quotient does
+    # one division step against the schoolbook inverse and a product, at
+    # every length to 64 and each side of the powers of two, with windows and
+    # valuations that differ between the operands and denominators in q**d
     rng = random.Random(37)
     coeff = lambda: ring.coerce(rng.randint(-30, 30))
     for n in DIVISION_LENGTHS:
@@ -305,18 +311,46 @@ def test_division_matches_inverse_then_product(ring):
             extra = rng.randint(0, 3)
             val = rng.randint(-3, 3)
             num = QSeries(ring, [coeff() for _ in range(n + extra)], val, val + n + extra)
-            expected = num.mul(den.inv())
-            assert num.div(den) == expected, (ring, n, d)
-            inverse = small.truncate(-(-n // (2 * d))).inv().substitute_power(d).shift(-den.val)
-            assert num.div(den, inverse) == expected, (ring, n, d)
-    # a zero numerator keeps the product's window; a short inverse is refused
+            assert num.div(den) == num.mul(reference_inverse(den)), (ring, n, d)
+    # a zero numerator keeps the product's window
     den = QSeries(ring, [1, 2, 3], 0, 3)
     zero = QSeries.zero(ring, 4)
-    assert zero.div(den) == zero.mul(den.inv())
-    with pytest.raises(SpecError):
-        QSeries.one(ring, 9).div(QSeries.one(ring, 9), QSeries.one(ring, 4))
+    assert zero.div(den) == zero.mul(reference_inverse(den))
     with pytest.raises(SpecError):
         QSeries.one(ring, 9).div(QSeries.zero(ring, 9))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_division_works_in_the_operands_q_stride(ring, monkeypatch):
+    # a denominator in q**5, such as G(q**5) in scaled_congruence_series, is
+    # inverted in q**5 to h = n/2: no product of the inverse is longer than
+    # ceil(n/10), also when a term past h breaks the stride; a numerator and
+    # a denominator both in q**s are divided at ceil(n/s) coefficients
+    rng = random.Random(41)
+    coeff = lambda: ring.coerce(rng.randint(-30, 30))
+    lengths = []
+    conv = series.convolve_ints
+    monkeypatch.setattr(series, "convolve_ints",
+                        lambda a, b, n, *rest: lengths.append(n) or conv(a, b, n, *rest))
+    n = 200
+    num = QSeries(ring, [coeff() for _ in range(n)], 0, n)
+    g5 = euler_quotient(((1, -3), (2, 5), (4, -2)), n // 5, ring).substitute_power(5)
+    for den in (g5, g5.add(QSeries.from_terms(ring, {n - 1: 1}, n))):
+        lengths.clear()
+        quotient = num.div(den)
+        assert lengths[-3:] == [n // 2, n, n // 2] and max(lengths[:-3]) <= n // 10
+        assert quotient == num.mul(reference_inverse(den))
+    for s in (2, 3, 7):
+        lead = rng.choice((1, -1) if ring == ZZ else (1, 2, ring.modulus - 1))
+        m = -(-n // s)
+        den = QSeries(ring, [lead] + [coeff() for _ in range(m - 1)], 0, m)
+        den = den.substitute_power(s).truncate(n).shift(rng.randint(-3, 3))
+        num = QSeries(ring, [coeff() for _ in range(m + 2)], 0, m + 2)
+        num = num.substitute_power(s).truncate(n + 1).shift(rng.randint(-3, 3))
+        lengths.clear()
+        quotient = num.div(den)
+        assert max(lengths) <= m
+        assert quotient == num.mul(reference_inverse(den)), (ring, s)
 
 
 @pytest.mark.parametrize("ring", RINGS + [zmod(5, 3)], ids=str)
@@ -326,9 +360,10 @@ def test_euler_powers_from_jacobi_and_pentagonal_series(ring):
     for n in (1, 2, 7, 60, 201):
         for r in range(1, 13):
             ref = euler_product(1, n, ring).pow(r)
-            assert eta._power_product([(1, r)], n, ring) == (ref, 1), (n, r)
+            assert eta._power_product([(1, r)], n, ring) == ref, (n, r)
             for d in (2, 5):
-                assert eta._power_product([(d, r)], n, ring) == (ref.truncate(-(-n // d)), d)
+                spread = ref.truncate(-(-n // d)).substitute_power(d).truncate(n)
+                assert eta._power_product([(d, r)], n, ring) == spread, (n, r, d)
 
 
 def test_convolution_huge_coefficients():
