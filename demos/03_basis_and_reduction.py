@@ -33,7 +33,7 @@ print("reduce f = 3*t*g1 - 7*g3 + 5 (built from its expansion alone):")
 f = (b.monomial(1, 1, 60).scale(3)
      .add(b.monomial(0, 3, 60).scale(-7))
      .add(QSeries.one(ZZ, 35).scale(5)))
-me = mw_reduce(f, b)
+me = mw_reduce([f], b)[0]
 print(f"  {me}")
 print("  reconstruction matches the input:",
       module_element_series(me, b, f.trunc).agrees_with(f))
@@ -42,6 +42,6 @@ print()
 print("a simple pole at infinity stalls the reduction immediately:")
 bad = QSeries(ZZ, [1], -1, 20)
 try:
-    mw_reduce(bad, b)
+    mw_reduce([bad], b)[0]
 except ContractError as exc:
     print(f"  not a member: {exc}")

@@ -33,10 +33,12 @@ valuation of t**j * y and m), for t**m only as far as U_ell of that reaches
 only as far as its remainder reaches.
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to; the
-table computes the keys it cannot load deepest first, so each A * g_k, and
-each t-power the batch shares, is expanded once, to what the deepest key
-needs.  The step adds the scaled images over Z; ``ModuleElement`` reduces
-the sum into the ring.
+table computes the tamed products of the keys it cannot load deepest first,
+so each A * g_k, and each t-power the batch shares, is expanded once, to
+what the deepest key needs.  The products are then reduced together, by one
+``mw_reduce`` call over the whole batch, and each reduced element is shifted
+by t**(-m) into its image.  The step adds the scaled images over Z;
+``ModuleElement`` reduces the sum into the ring.
 """
 
 from __future__ import annotations
@@ -223,12 +225,12 @@ class UImageTable:
     """Memoized images t**(-m) * [t**m * U_ell(A**i t**j g_k)] over Z.
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
-    one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed, largest ``_precision`` first, and stored.  Each A * g_k
-    (held per k, A * g_0 = A) and the t-powers the batch shares are thus
-    expanded once, to what its deepest key needs.  Each image reads them
-    only to its own ``_precision``, so it does not depend on what else was
-    computed first.
+    one-key case): keys found in memory or on disk are loaded, and the
+    tamed products of the rest are computed, largest ``_precision`` first,
+    reduced as one batch and stored.  Each A * g_k (held per k, A * g_0 = A)
+    and the t-powers the batch shares are thus expanded once, to what its
+    deepest key needs.  Each image reads them only to its own
+    ``_precision``, so it does not depend on what else was computed first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -346,8 +348,8 @@ class UImageTable:
         # are then expanded once for the whole batch, to what its deepest key
         # needs, not once more for every deeper key
         missing.sort(key=lambda key: self._precision(*key), reverse=True)
-        for key in missing:
-            me = self._compute(*key)
+        for key, me in zip(missing, self._reduce(missing) if missing else ()):
+            me = self._compute(*key, me)
             if self.cache_dir:
                 self._store(*key, me)
             self._mem[key] = me
@@ -356,7 +358,11 @@ class UImageTable:
     def image(self, i: int, j: int, k: int) -> ModuleElement:
         return self.images([(i, j, k)])[0]
 
-    def _compute(self, i, j, k) -> ModuleElement:
+    def _tamed(self, i: int, j: int, k: int) -> QSeries:
+        """t**m * U_ell(A**i t**j g_k), m = exponent(i, j, k), known through
+        its constant term and SLACK check coefficients.  ``_precision`` makes
+        every product end at q**SLACK, so a batch of them shares the one
+        truncation ``mw_reduce`` asks for."""
         b = self.basis
         m = self.se.exponent(i, j, k)
         prec = self._precision(i, j, k)
@@ -368,7 +374,23 @@ class UImageTable:
             raise ContractError(
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
                 f"constant term and {self.SLACK} check coefficients")
-        tamed = mw_reduce(prod, b)
+        return prod
+
+    def _reduce(self, keys) -> list:
+        """The tamed products of keys reduced over the basis as one batch; a
+        failed reduction is reported under the key of its series."""
+        products = [self._tamed(*key) for key in keys]
+        try:
+            return mw_reduce(products, self.basis)
+        except ContractError as exc:
+            if not hasattr(exc, "series"):
+                raise
+            raise ContractError(f"image {keys[exc.series]}: {exc}") from exc
+
+    def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:
+        """The image of A**i t**j g_k from ``tamed``, its t**m multiple
+        reduced over the basis: every term shifted by t**(-m)."""
+        m = self.se.exponent(i, j, k)
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
 
 

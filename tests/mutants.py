@@ -43,7 +43,19 @@ MUTANTS = (
     ("src/etacheck/verifier.py",
      "return QSeries.one(ring, count)",
      "return QSeries.zero(ring, count)", None),
-    ("src/etacheck/basis.py", "if any(rem):", "if any(rem[:-1]):", None),
+    # the batched reduction: the residual check starting one position late
+    # or stopping one early, the overflow bound never checked, and slots
+    # read one by one, so a negative slot's borrow from the one above stays
+    ("src/etacheck/basis.py",
+     "for p in range(pos, len(rem)) if rem[p]", "for p in range(pos + 1, len(rem)) if rem[p]",
+     None),
+    ("src/etacheck/basis.py",
+     "for p in range(pos, len(rem)) if rem[p]", "for p in range(pos, len(rem) - 1) if rem[p]",
+     None),
+    ("src/etacheck/basis.py", "if bound >= 1 << width - 1:", "if False:", None),
+    ("src/etacheck/basis.py",
+     "        x += bias\n        return [(x >> shift & mask) - half",
+     "        return [((x >> shift) + half & mask) - half", None),
     ("src/etacheck/ujump.py",
      "if prod.trunc < 1 + self.SLACK:", "if prod.trunc < 1:", None),
     # a precision one more than the least, and one less

@@ -1,9 +1,11 @@
 """The level-20 algebra basis and the greedy membership reduction."""
 
+import operator
 import random
 
 import pytest
 
+from etacheck import basis, ujump
 from etacheck.basis import (
     AlgebraBasis,
     BasisFunction,
@@ -18,7 +20,8 @@ from etacheck.errors import ContractError, SpecError
 from etacheck.eta import EtaQuotient, eta_expand
 from etacheck.series import QSeries, ZZ, zmod
 from etacheck.tfinder import find_t
-from etacheck.ujump import FamilyGenerator
+from etacheck.ujump import FamilyGenerator, UImageTable, build_A
+from etacheck.verifier import andrews_sellers, iterate, rogers_ramanujan
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +91,12 @@ def test_t_powers_match_the_one_factor_chain(b20):
 
 def test_reduce_constant(b20):
     one = QSeries.one(ZZ, 10)
-    assert mw_reduce(one, b20) == ModuleElement(ZZ, {(0, 0): 1})
+    assert mw_reduce([one], b20)[0] == ModuleElement(ZZ, {(0, 0): 1})
 
 
 def test_reduce_t_times_g1(b20):
     f = b20.monomial(1, 1, 30)
-    assert mw_reduce(f, b20) == ModuleElement(ZZ, {(1, 1): 1})
+    assert mw_reduce([f], b20)[0] == ModuleElement(ZZ, {(1, 1): 1})
 
 
 def test_reduce_stalls_on_order_one(b20):
@@ -101,7 +104,7 @@ def test_reduce_stalls_on_order_one(b20):
     # at infinity is irreducible
     f = QSeries(ZZ, [1, 0, 2], -1, 2)
     with pytest.raises(ContractError, match="pole order 1"):
-        mw_reduce(f, b20)
+        mw_reduce([f], b20)[0]
 
 
 def test_reduce_rejects_non_integral_step(b20):
@@ -112,8 +115,8 @@ def test_reduce_rejects_non_integral_step(b20):
     assert not verify_basis(b)
     g = b20.monomial(0, 1, 30)
     with pytest.raises(ContractError, match="non-integral reduction step at pole order 2"):
-        mw_reduce(g, b)
-    assert mw_reduce(g.scale(2), b) == ModuleElement(ZZ, {(0, 1): 1})
+        mw_reduce([g], b)[0]
+    assert mw_reduce([g.scale(2)], b)[0] == ModuleElement(ZZ, {(0, 1): 1})
 
 
 def test_reduce_detects_corruption(b20):
@@ -121,19 +124,19 @@ def test_reduce_detects_corruption(b20):
     f = b20.monomial(1, 1, 30)
     broken = f.add(QSeries.from_terms(ZZ, {3: 1}, f.trunc))
     with pytest.raises(ContractError):
-        mw_reduce(broken, b20)
+        mw_reduce([broken], b20)[0]
     # the last coefficient in view is checked too
     broken = f.add(QSeries.from_terms(ZZ, {f.trunc - 1: 1}, f.trunc))
     with pytest.raises(ContractError, match="nonzero residual"):
-        mw_reduce(broken, b20)
+        mw_reduce([broken], b20)[0]
 
 
 def test_reduce_requires_constant_in_view(b20):
     f = QSeries(ZZ, [1], -5, -4)
     with pytest.raises(SpecError):
-        mw_reduce(f, b20)
+        mw_reduce([f], b20)[0]
     with pytest.raises(SpecError):
-        mw_reduce(QSeries.one(zmod(5, 1), 10), b20)
+        mw_reduce([QSeries.one(zmod(5, 1), 10)], b20)
 
 
 def random_module_series(rng, b, prec=40):
@@ -155,7 +158,7 @@ def run_reduce_reconstruction(cases=200, seed=17, b=None):
     rng = random.Random(seed)
     for _ in range(cases):
         f, picks = random_module_series(rng, b)
-        res = mw_reduce(f, b)
+        res = mw_reduce([f], b)[0]
         assert res.ring == ZZ
         assert res.terms == {key: c for key, c in picks.items() if c}
         back = module_element_series(res, b, f.trunc)
@@ -170,7 +173,141 @@ def test_reduce_reconstruction_roundtrip():
 def test_reduce_determinism(b20):
     rng = random.Random(4)
     f, _ = random_module_series(rng, b20)
-    assert mw_reduce(f, b20) == mw_reduce(f, b20)
+    assert mw_reduce([f], b20)[0] == mw_reduce([f], b20)[0]
+
+
+# -- the batched reduction against the per-series loop ----------------------
+
+def reference_reduce(f: QSeries, b) -> ModuleElement:
+    """The greedy reduction of one series on its own, one remainder list
+    reduced in place: the loop the packed batch reduction replaced."""
+    v1 = b.v + 1
+    terms = {}
+    lo, rem, pos = f.val, list(f.coeffs), 0
+    while True:
+        while pos < len(rem) and not rem[pos]:
+            pos += 1
+        m = max(0, -(lo + pos)) if pos < len(rem) else 0
+        if m == 0:
+            terms[(0, 0)] = rem.pop(-lo) if lo <= 0 < lo + len(rem) else 0
+            if any(rem):
+                raise ContractError("nonzero residual after reduction")
+            return ModuleElement(ZZ, terms)
+        k = b.residue_index(m % v1)
+        n_k = -b.gs[k - 1].ord_inf if k else 0
+        if n_k > m:
+            raise ContractError(f"reduction stalled at pole order {m}")
+        e = (m - n_k) // v1
+        s = b.monomial(e, k, m + f.trunc)
+        alpha, r = divmod(rem[pos], s.coeffs[0])
+        if r:
+            raise ContractError(f"non-integral reduction step at pole order {m}")
+        rem[pos:] = map(operator.sub, rem[pos:], map(alpha.__mul__, s.coeffs))
+        terms[(e, k)] = alpha
+
+
+def count_passes(monkeypatch) -> list:
+    """(width, bound, outcome) of every greedy pass made from now on."""
+    passes, greedy_pass = [], basis._greedy_pass
+
+    def traced(fs, b, top, width):
+        bound, outcome = greedy_pass(fs, b, top, width)
+        passes.append((width, bound, outcome))
+        return bound, outcome
+
+    monkeypatch.setattr(basis, "_greedy_pass", traced)
+    return passes
+
+
+@pytest.mark.parametrize("family,B", [("rr", 5), ("rr", 7), ("as", 5), ("as", 7)])
+def test_cold_run_batches_match_the_per_series_reference(family, B, monkeypatch):
+    spec = (rogers_ramanujan if family == "rr" else andrews_sellers)(B=B)
+    b20 = load_basis_n20()
+    table = UImageTable(AlgebraBasis(b20.level, b20.t, b20.gs), build_A(spec.gen), 5)
+    batches = []
+    monkeypatch.setattr(ujump, "mw_reduce",
+                        lambda fs, b: batches.append((fs, b)) or mw_reduce(fs, b))
+    iterate(spec, table)
+    assert len(batches) >= 3
+    passes = count_passes(monkeypatch)
+    for fs, b in batches:
+        assert mw_reduce(fs, b) == [reference_reduce(f, b) for f in fs]
+    # the first width fits every batch of a cold run
+    assert len(passes) == len(batches)
+
+
+def synthetic_batch(b, trunc=12):
+    """Series ending at q**trunc with valuations -18 to 0, a zero series,
+    both signs and 10**40-sized coefficients, and the recipe of each."""
+    recipes = [{(3, 2): 10 ** 40, (1, 1): -3, (0, 0): 7},
+               {(1, 1): 5, (0, 3): -2},
+               {(0, 0): -4},
+               {},
+               {(2, 4): -1, (2, 0): -(10 ** 40) - 1, (1, 0): 9},
+               {(1, 2): 1}]
+    fs = []
+    for recipe in recipes:
+        f = QSeries.zero(ZZ, trunc)
+        for (e, k), c in recipe.items():
+            f = f.add(b.monomial(e, k, trunc + 40).truncate(trunc).scale(c))
+        fs.append(f)
+    assert sorted({f.val for f in fs}) == [-18, -16, -8, -7, 0, trunc]
+    return fs, [ModuleElement(ZZ, recipe) for recipe in recipes]
+
+
+def test_synthetic_batch_matches_the_per_series_reference(b20):
+    fs, want = synthetic_batch(b20)
+    assert mw_reduce(fs, b20) == [reference_reduce(f, b20) for f in fs] == want
+    for f, me in zip(fs, want):
+        assert mw_reduce([f], b20) == [me]
+    assert mw_reduce([], b20) == []
+
+
+@pytest.mark.parametrize("first_width", [2, 133])
+def test_a_pass_too_narrow_is_redone_wider(b20, first_width, monkeypatch):
+    # 133 bits hold the batch's largest input coefficient, about 2**132.9,
+    # but not the sign, so slots already spill into their neighbours when
+    # packed; the narrow pass returns without raising, and the wider one
+    # gives what the estimated width gives
+    fs, want = synthetic_batch(b20)
+    passes = count_passes(monkeypatch)
+    assert mw_reduce(fs, b20) == want
+    assert len(passes) == 1
+    monkeypatch.setattr(basis, "_first_width", lambda top, deepest, steps: first_width)
+    assert mw_reduce(fs, b20) == want
+    (width, bound, outcome), *wider = passes[1:]
+    assert width == first_width and bound >= 1 << width - 1 and outcome is None
+    assert wider and wider[-1][2] == want
+
+
+def test_a_failed_series_is_named(b20):
+    fs, _ = synthetic_batch(b20)
+    trunc = fs[0].trunc
+    last = QSeries.from_terms(ZZ, {trunc - 1: 1}, trunc)
+    with pytest.raises(ContractError, match="^series 4: nonzero residual"):
+        mw_reduce(fs[:4] + [fs[4].add(last)] + fs[5:], b20)
+    # with no constant term in the batch, the first coefficient past the
+    # constant is checked too
+    first = QSeries.from_terms(ZZ, {1: -1}, trunc)
+    with pytest.raises(ContractError, match="^series 2: nonzero residual"):
+        mw_reduce([fs[1], fs[3], fs[5].add(first), fs[4]], b20)
+    pole = QSeries(ZZ, [1, 0, 2], -1, trunc)
+    with pytest.raises(ContractError, match="^series 1: reduction stalled at pole order 1"):
+        mw_reduce([fs[1], pole, fs[2]], b20)
+    doubled = BasisFunction("g1", ((2, b20.gs[0].construction[0][1]),), -2)
+    b = AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
+    g = b20.monomial(0, 1, trunc + 2)
+    with pytest.raises(ContractError, match="^series 1: non-integral reduction step at pole order 2"):
+        mw_reduce([g.scale(2), g, g.scale(4)], b)
+    assert mw_reduce([g.scale(2), g.scale(-6)], b) == [ModuleElement(ZZ, {(0, 1): 1}),
+                                                       ModuleElement(ZZ, {(0, 1): -3})]
+
+
+def test_a_batch_of_unequal_truncations_is_refused(b20):
+    # a shared window would drop the check coefficients of the longer series
+    fs, _ = synthetic_batch(b20)
+    with pytest.raises(SpecError, match="one truncation"):
+        mw_reduce(fs[:2] + [fs[2].truncate(fs[2].trunc - 1)], b20)
 
 
 # Fingerprints key the cached image tables, so a change to the generator or
@@ -199,7 +336,7 @@ def test_construct_basis_degenerate_order_one():
     assert verify_basis(b)
     # reduction over a pure polynomial module
     f = b.monomial(2, 0, 20).add(b.monomial(1, 0, 20).scale(3)).add(QSeries.one(ZZ, 12))
-    assert mw_reduce(f, b) == ModuleElement(ZZ, {(2, 0): 1, (1, 0): 3, (0, 0): 1})
+    assert mw_reduce([f], b)[0] == ModuleElement(ZZ, {(2, 0): 1, (1, 0): 3, (0, 0): 1})
 
 
 def test_construct_basis_product_closure():

@@ -413,9 +413,28 @@ def test_reduce_tamed_first_image_is_integral(b20):
     # t^2 * U(A) lies in the module with integer coefficients
     a_ser = eta_expand(build_A(RR), 320)
     f = u_ell(a_ser, 5).mul(b20.monomial(2, 0, 320))
-    res = mw_reduce(f, b20)
+    res = mw_reduce([f], b20)[0]
     assert res.ring == ZZ and res.terms
     assert module_element_series(res, b20, f.trunc).agrees_with(f)
+
+
+def test_a_failed_image_names_its_key(b20, monkeypatch):
+    # one product of a batch off by one in its last check coefficient: the
+    # batch is refused under that key, and nothing is kept
+    tamed = UImageTable._tamed
+
+    def corrupt(self, i, j, k):
+        prod = tamed(self, i, j, k)
+        if (i, j, k) == (0, -1, 0):
+            prod = prod.add(QSeries.from_terms(ZZ, {prod.trunc - 1: 1}, prod.trunc))
+        return prod
+
+    monkeypatch.setattr(UImageTable, "_tamed", corrupt)
+    table = UImageTable(b20, build_A(RR), 5)
+    with pytest.raises(ContractError,
+                       match=r"^image \(0, -1, 0\): series \d+: nonzero residual"):
+        table.images([(0, 1, 0), (0, -1, 0), (0, 0, 1)])
+    assert table._mem == {}
 
 
 def test_image_disk_cache_roundtrip(b20, tmp_path):
@@ -474,15 +493,17 @@ def fresh_basis():
 def rr_cold_run(tmp_path_factory):
     """A cold RR B=5 iterate on a fresh basis and an empty disk cache, with
     (window, n_out) for every convolution made inside a reduction, where the
-    window is f.trunc - f.val of the series being reduced."""
+    window is the widest f.trunc - f.val of the batch being reduced, and the
+    size of every batch reduced."""
     cache = tmp_path_factory.mktemp("images-rr-cold")
     table = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=cache)
-    windows, seen = [], []
+    windows, seen, batches = [], [], []
 
-    def reduce(f, b):
-        windows.append(f.trunc - f.val)
+    def reduce(fs, b):
+        batches.append(len(fs))
+        windows.append(max(f.trunc - f.val for f in fs))
         try:
-            return mw_reduce(f, b)
+            return mw_reduce(fs, b)
         finally:
             windows.pop()
 
@@ -495,16 +516,28 @@ def rr_cold_run(tmp_path_factory):
         mp.setattr(ujump, "mw_reduce", reduce)
         mp.setattr(series, "convolve_ints", convolve)
         report = iterate(rogers_ramanujan(B=5), table)
-    return table, report, seen
+    return table, report, seen, batches
 
 
 def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
     # a reduction builds the monomials it needs only as far as its remainder
     # reaches, never to the precision of the deepest image (616 here)
-    _, report, seen = rr_cold_run
+    _, report, seen, _ = rr_cold_run
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     assert seen
     assert all(n_out <= window for window, n_out in seen)
+
+
+def test_each_step_reduces_its_images_as_one_batch(rr_cold_run, monkeypatch):
+    # the 33 images of a cold run are reduced in one call per step that
+    # computes any, and a warm run, which loads them all, reduces nothing
+    table, report, _, batches = rr_cold_run
+    assert batches == [1, 9, 18, 5]
+    calls = []
+    monkeypatch.setattr(ujump, "mw_reduce", lambda fs, b: calls.append(fs) or mw_reduce(fs, b))
+    warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
+    assert iterate(rogers_ramanujan(B=5), warm).V == report.V
+    assert calls == []
 
 
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
@@ -514,7 +547,7 @@ def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
     # coefficients it needs on its own; (0, -3, 4) multiplies t**-3 by g_4
     # inside U_ell, and (1, -2, 3) reads the table's A * g_3 after a deeper
     # key of its batch had grown it
-    table, _, _ = rr_cold_run
+    table, _, _, _ = rr_cold_run
     b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
     assert alone.image(*key) == table.image(*key)
@@ -522,7 +555,7 @@ def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
 
 
 def test_images_from_disk_never_build_the_workspace(rr_cold_run):
-    table, report, _ = rr_cold_run
+    table, report, _, _ = rr_cold_run
     b = fresh_basis()
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
@@ -533,7 +566,7 @@ def test_images_from_disk_never_build_the_workspace(rr_cold_run):
 def test_warm_run_never_computes_stability_exponents(rr_cold_run, monkeypatch):
     # every image a warm run needs is on disk, stored under a fingerprint
     # whose stability exponents were computed when the images were
-    table, report, _ = rr_cold_run
+    table, report, _, _ = rr_cold_run
     calls = []
     monkeypatch.setattr(ujump, "compute_m_constants",
                         lambda *args: calls.append(args) or compute_m_constants(*args))
@@ -549,7 +582,7 @@ def test_warm_run_never_computes_stability_exponents(rr_cold_run, monkeypatch):
 def test_image_file_vanishing_before_its_read_is_a_miss(rr_cold_run, monkeypatch):
     # another process may delete a cache file at any moment: a read that
     # finds it gone computes the image (and stores it again)
-    table, report, _ = rr_cold_run
+    table, report, _, _ = rr_cold_run
     warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
     gone, read_text, vanished = warm._path(1, -1, 0), Path.read_text, []
 
@@ -563,7 +596,7 @@ def test_image_file_vanishing_before_its_read_is_a_miss(rr_cold_run, monkeypatch
     compute = UImageTable._compute
     monkeypatch.setattr(Path, "read_text", read_once_missing)
     monkeypatch.setattr(UImageTable, "_compute",
-                        lambda self, *key: computed.append(key) or compute(self, *key))
+                        lambda self, *args: computed.append(args[:3]) or compute(self, *args))
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
     assert vanished == [gone] and computed == [(1, -1, 0)]
     assert warm._mem == table._mem
