@@ -26,7 +26,7 @@ print(f"pole orders {orders} cover residues {[o % 5 for o in orders]} mod 5,")
 print("with multiples of 5 handled by powers of t: every pole order except 1")
 print("is reachable, and order 1 is exactly the gap of the underlying curve.")
 print("Every monomial t^e*g_k leads with coefficient 1, so the reduction")
-print("runs over the integers and each step divides exactly.")
+print("runs over the integers and no step divides.")
 
 print()
 print("reduce f = 3*t*g1 - 7*g3 + 5 (built from its expansion alone):")

@@ -9,11 +9,13 @@ leading term, and the pole order strictly drops.    A remainder of order zero
 is a constant, which ends the reduction; an order that no basis element can
 reach disproves membership.
 
-Reduction arithmetic is exact integer.  Every basis function leads with
-coefficient 1 (``verify_basis`` checks it), hence so does every monomial
-t**e * g_k, and each greedy step divides exactly; a step that does not is a
-broken basis or a non-integral input, and raises rather than let a fractional
-answer poison everything built on top.
+Reduction arithmetic is exact integer, and a monic basis is its
+precondition: every basis function leads with coefficient 1
+(``verify_basis`` checks it), hence so does every monomial t**e * g_k, and a
+greedy step subtracts the remainder's leading coefficient times its
+monomial, with no division.  A step handed a monomial that does not lead
+with 1 refuses the basis (ContractError) before its pass returns, so no
+image is ever computed over a non-monic basis.
 
 ``mw_reduce`` reduces a batch of series of one truncation in one pass over
 packed vectors: R[p] = sum of rem_i[p] * 2**(W*i) holds position p of every
@@ -189,8 +191,8 @@ def verify_basis(b: AlgebraBasis) -> bool:
     """All structural conditions: t has pole order v+1 at infinity, the
     |ord_inf| are strictly increasing and fill the nonzero residues mod v+1,
     every eta-quotient constituent is modular at the level, and every
-    function is monic (leads with coefficient 1 at its declared order), so
-    each greedy reduction step divides exactly."""
+    function is monic (leads with coefficient 1 at its declared order), as
+    a greedy reduction step needs."""
     v1 = b.v + 1
     if -b.t.ord_inf != v1:
         return False
@@ -290,13 +292,17 @@ def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSe
 
 def _step_monomial(b: AlgebraBasis, m: int, trunc: int):
     """(e, k, t**e * g_k known to q**trunc) for pole order m > 0, or None
-    when no basis element reaches m."""
+    when no basis element reaches m.  Raises ContractError when t**e * g_k
+    does not lead with 1: a greedy step needs a monic basis."""
     k = b.residue_index(m % (b.v + 1))
     n_k = -b.gs[k - 1].ord_inf if k else 0
     if n_k > m:
         return None
     e = (m - n_k) // (b.v + 1)
-    return e, k, b.monomial(e, k, m + trunc)
+    s = b.monomial(e, k, m + trunc)
+    if s.coeffs[0] != 1:
+        raise ContractError(f"t^{e}*g{k} leads with {s.coeffs[0]}, not 1: the basis is not monic")
+    return e, k, s
 
 
 def _max_abs(values) -> int:
@@ -334,30 +340,20 @@ def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
         off = f.val - lo
         rem[off:] = map(operator.add, rem[off:],
                         map(operator.lshift, f.coeffs, itertools.repeat(width * i)))
-    # each step leaves rem[pos] == 0, so pos advances and the pole order m
-    # strictly drops; m determines (e, k), so each step fills a distinct
-    # (e, k) and the step coefficient is the final coefficient
-    steps, failure, pos = [], None, 0
-    while True:
-        while pos < len(rem) and not rem[pos]:
-            pos += 1
-        m = max(0, -(lo + pos)) if pos < len(rem) else 0
-        if m == 0:
-            break
+    # pos runs once over the pole orders m = -(lo + pos) > 0, highest first;
+    # as s leads with 1, a step leaves rem[pos] == 0, and m determines
+    # (e, k), so each step fills a distinct (e, k) and its alpha is final
+    steps, failure = [], None
+    for pos in range(-lo):
+        alpha, m = rem[pos], -(lo + pos)
+        if not alpha:
+            continue
         step = _step_monomial(b, m, trunc)
         if step is None:
-            failure = (read(rem[pos]), f"reduction stalled at pole order {m}: "
-                                       "no basis element reaches it")
+            failure = (read(alpha), f"reduction stalled at pole order {m}: "
+                                    "no basis element reaches it")
             break
         e, k, s = step
-        alpha, lead = rem[pos], s.coeffs[0]
-        if lead != 1:  # a broken basis: divide slot by slot
-            quotients, residues = zip(*(divmod(x, lead) for x in read(alpha)))
-            if any(residues):
-                failure = (residues, f"non-integral reduction step at pole order {m}: not a "
-                                     f"multiple of the leading coefficient {lead} of t^{e}*g{k}")
-                break
-            alpha = sum(q << width * i for i, q in enumerate(quotients))
         rem[pos:] = map(operator.sub, rem[pos:], map(alpha.__mul__, s.coeffs))
         steps.append(((e, k), alpha, _max_abs(s.coeffs)))
     alphas = [read(alpha) for _, alpha, _ in steps]
@@ -368,7 +364,7 @@ def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
         const = [0] * n
         if lo <= 0:
             const, rem[-lo] = read(rem[-lo]), 0
-        bad = next((p for p in range(pos, len(rem)) if rem[p]), None)
+        bad = next((p for p in range(len(rem)) if rem[p]), None)
         if bad is None:
             keys = [key for key, _, _ in steps] + [(0, 0)]
             return bound, [ModuleElement(ZZ, dict(zip(keys, column)))
@@ -391,8 +387,9 @@ def mw_reduce(fs, b: AlgebraBasis) -> list:
     the constant is consumed as a corruption check, since the residual of a
     successful reduction vanishes identically.  Raises ContractError naming
     the series when the descent stalls at a pole order no basis element
-    reaches, when a step's leading coefficient is not divisible by the
-    monomial's, or when the residual is not zero.
+    reaches or when the residual is not zero.  The basis must be monic: a
+    step whose monomial t**e * g_k does not lead with 1 raises ContractError
+    naming that monomial, before any pass returns.
 
     The batch is reduced in one pass over packed vectors, one multiply per
     coefficient of each step's monomial s for all series; the pass is exact

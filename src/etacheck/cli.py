@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage (a
 u-image j beyond +-64 too), a bad family spec, or a path that cannot be read
 or written (spec file, cache directory, report file), 3 an internal
-contract was violated (a reduction step that does not divide exactly, a
+contract was violated (a basis monomial that does not lead with 1, a
 reduction stall or nonzero residual, runaway support, a malformed cache
 file) or an unexpected error such as MemoryError (traceback on stderr).
 

@@ -14,7 +14,7 @@ class SearchExhaustedError(SpecError):
 
 
 class ContractError(EtacheckError):
-    """An internal invariant failed (non-integral reduction, closure stall, runaway support).
+    """An internal invariant failed (a non-monic basis, closure stall, runaway support).
 
     Seeing this means either a genuine bug or an instance outside the method's
     guarantees; it is never a routine "no result" outcome.

@@ -26,11 +26,12 @@ store shares (``series.stored``).  An image is U_ell(t**j * y), with y = g_k
 for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected product
 (``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``): only the
 coefficients at multiples of ell are computed, and neither t**j * g_k nor
-its product with A is formed.  An image asks for t**j and y at the least
-precision its key needs (``UImageTable._precision``, derived from the
-valuation of t**j * y and m), for t**m only as far as U_ell of that reaches
-(about a factor ell less), and the reduction asks for each of its monomials
-only as far as its remainder reaches.
+its product with A is formed; U_ell(t**j), where y = 1, is a slice of
+t**j.  An image asks for t**j and y at the least precision its key needs
+(``UImageTable._precision``, derived from the valuation of t**j * y and
+m), for t**m only as far as U_ell of that reaches (about a factor ell
+less), and the reduction asks for each of its monomials only as far as its
+remainder reaches.
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to; the
 table computes the tamed products of the keys it cannot load deepest first,
@@ -366,7 +367,7 @@ class UImageTable:
         b = self.basis
         m = self.se.exponent(i, j, k)
         prec = self._precision(i, j, k)
-        y = self._a_times(k, prec) if i else b.monomial(0, k, prec)
+        y = self._a_times(k, prec) if i else b.monomial(0, k, prec) if k else None
         u = u_ell(b.monomial(j, 0, prec), self.ell, y)
         # a longer t**m would not lengthen the product: it is known as far as u
         prod = u.mul(b.monomial(m, 0, max(1, u.trunc - u.val)))

@@ -43,19 +43,22 @@ MUTANTS = (
     ("src/etacheck/verifier.py",
      "return QSeries.one(ring, count)",
      "return QSeries.zero(ring, count)", None),
-    # the batched reduction: the residual check starting one position late
-    # or stopping one early, the overflow bound never checked, and slots
-    # read one by one, so a negative slot's borrow from the one above stays
+    # the batched reduction: the residual check skipping q**1 or stopping
+    # one position early, the overflow bound never checked, slots read one
+    # by one, so a negative slot's borrow from the one above stays, and a
+    # non-monic basis reduced instead of refused
     ("src/etacheck/basis.py",
-     "for p in range(pos, len(rem)) if rem[p]", "for p in range(pos + 1, len(rem)) if rem[p]",
+     "for p in range(len(rem)) if rem[p]",
+     "for p in range(max(0, 2 - lo), len(rem)) if rem[p]",
      None),
     ("src/etacheck/basis.py",
-     "for p in range(pos, len(rem)) if rem[p]", "for p in range(pos, len(rem) - 1) if rem[p]",
+     "for p in range(len(rem)) if rem[p]", "for p in range(len(rem) - 1) if rem[p]",
      None),
     ("src/etacheck/basis.py", "if bound >= 1 << width - 1:", "if False:", None),
     ("src/etacheck/basis.py",
      "        x += bias\n        return [(x >> shift & mask) - half",
      "        return [((x >> shift) + half & mask) - half", None),
+    ("src/etacheck/basis.py", "if s.coeffs[0] != 1:", "if False:", None),
     ("src/etacheck/ujump.py",
      "if prod.trunc < 1 + self.SLACK:", "if prod.trunc < 1:", None),
     # a precision one more than the least, and one less

@@ -107,16 +107,30 @@ def test_reduce_stalls_on_order_one(b20):
         mw_reduce([f], b20)[0]
 
 
-def test_reduce_rejects_non_integral_step(b20):
-    # with g1 doubled the basis is no longer monic: reducing g itself would
-    # need the coefficient 1/2, which an integer reduction must refuse
+def doubled_g1(b20) -> AlgebraBasis:
+    """The level-20 basis with g1 doubled, which is no longer monic."""
     doubled = BasisFunction("g1", ((2, b20.gs[0].construction[0][1]),), -2)
-    b = AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
+    return AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
+
+
+NOT_MONIC = r"^t\^0\*g1 leads with 2, not 1: the basis is not monic$"
+
+
+def test_reduce_refuses_a_non_monic_basis(b20, monkeypatch):
+    # verify_basis rejects the basis with g1 doubled, and the reduction
+    # refuses it at the first step that meets 2*g1, even where that step
+    # would divide exactly (2*g1 is the element g1 of this basis), and
+    # before any pass returns: at the deepest monomial, or mid-pass after
+    # a step over t
+    b = doubled_g1(b20)
     assert not verify_basis(b)
-    g = b20.monomial(0, 1, 30)
-    with pytest.raises(ContractError, match="non-integral reduction step at pole order 2"):
-        mw_reduce([g], b)[0]
-    assert mw_reduce([g.scale(2)], b)[0] == ModuleElement(ZZ, {(0, 1): 1})
+    passes = count_passes(monkeypatch)
+    g, t = b20.monomial(0, 1, 30), b20.monomial(1, 0, 33)
+    for fs in ([g], [g.scale(2)], [t.add(g), t]):
+        with pytest.raises(ContractError, match=NOT_MONIC):
+            mw_reduce(fs, b)
+    assert passes == []
+    assert mw_reduce([t], b) == [ModuleElement(ZZ, {(1, 0): 1})]
 
 
 def test_reduce_detects_corruption(b20):
@@ -294,13 +308,15 @@ def test_a_failed_series_is_named(b20):
     pole = QSeries(ZZ, [1, 0, 2], -1, trunc)
     with pytest.raises(ContractError, match="^series 1: reduction stalled at pole order 1"):
         mw_reduce([fs[1], pole, fs[2]], b20)
-    doubled = BasisFunction("g1", ((2, b20.gs[0].construction[0][1]),), -2)
-    b = AlgebraBasis(20, b20.t, (doubled, *b20.gs[1:]))
-    g = b20.monomial(0, 1, trunc + 2)
-    with pytest.raises(ContractError, match="^series 1: non-integral reduction step at pole order 2"):
-        mw_reduce([g.scale(2), g, g.scale(4)], b)
-    assert mw_reduce([g.scale(2), g.scale(-6)], b) == [ModuleElement(ZZ, {(0, 1): 1}),
-                                                       ModuleElement(ZZ, {(0, 1): -3})]
+
+
+def test_a_table_over_a_non_monic_basis_stores_no_image(b20, tmp_path):
+    b = doubled_g1(b20)
+    table = UImageTable(b, build_A(rogers_ramanujan(B=5).gen), 5, cache_dir=tmp_path)
+    with pytest.raises(ContractError, match="g1 leads with 2, not 1: the basis is not monic"):
+        table.images([(0, 1, 1), (1, -1, 0), (0, 0, 1)])
+    assert table._mem == {}
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_a_batch_of_unequal_truncations_is_refused(b20):

@@ -26,7 +26,7 @@ from etacheck.ujump import (
     compute_m_constants,
     u_ell,
 )
-from etacheck.verifier import iterate, rogers_ramanujan
+from etacheck.verifier import andrews_sellers, iterate, rogers_ramanujan
 
 RR = FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5)
 AS = FamilyGenerator(4, {1: -4, 2: 5, 4: -2}, 5)
@@ -538,6 +538,19 @@ def test_each_step_reduces_its_images_as_one_batch(rr_cold_run, monkeypatch):
     warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
     assert calls == []
+
+
+@pytest.mark.parametrize("family,computed", [(rogers_ramanujan, 33), (andrews_sellers, 28)])
+def test_every_taming_power_is_tight(family, computed):
+    # each image of a cold run reaches down to exactly t**(-m): a larger m
+    # would leave the images as they are and silently lengthen every
+    # expansion they are computed from by ell*(v+1) coefficients per unit
+    spec = family(B=5)
+    table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
+    iterate(spec, table)
+    assert len(table._mem) == computed
+    for (i, j, k), me in table._mem.items():
+        assert min(e for e, _ in me.terms) == -table.se.exponent(i, j, k), (i, j, k)
 
 
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
