@@ -7,9 +7,9 @@ cusp, and reading off the order of an eta quotient at any cusp from its
 exponent vector alone.
 """
 
-from etacheck import (
+from etacheck.eta import EtaQuotient
+from etacheck.modcurve import (
     Cusp,
-    EtaQuotient,
     cusp_equivalent,
     cusp_image_under_scaling,
     cusp_representatives,

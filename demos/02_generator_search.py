@@ -8,8 +8,9 @@ integer order vectors that meet all of them at once, maps each back to an
 exponent vector, and keeps the smallest-pole generator.
 """
 
-from etacheck import build_A, compute_pole_sets, find_t, order_vector, solve_W, verify_W
-from etacheck.tfinder import EXPONENT_BOUND
+from etacheck.modcurve import order_vector
+from etacheck.tfinder import EXPONENT_BOUND, compute_pole_sets, find_t, solve_W, verify_W
+from etacheck.ujump import build_A
 from etacheck.verifier import rogers_ramanujan
 
 spec = rogers_ramanujan()

@@ -8,14 +8,9 @@ strictly drops.  A constant remainder proves membership and yields the
 module element; an unreachable order disproves it.
 """
 
-from etacheck import (
-    ZZ,
-    ContractError,
-    QSeries,
-    load_basis_n20,
-    module_element_series,
-    mw_reduce,
-)
+from etacheck.basis import load_basis_n20, module_element_series, mw_reduce
+from etacheck.errors import ContractError
+from etacheck.series import ZZ, QSeries
 
 b = load_basis_n20()
 print(f"basis at level {b.level}: generator of order {b.t.ord_inf}, v = {b.v}")

@@ -11,17 +11,10 @@ images of the reciprocal generator settle into a cycle mod 5, so they never
 vanish 5-adically on their own.
 """
 
-from etacheck import (
-    ModuleElement,
-    UImageTable,
-    build_A,
-    eta_expand,
-    load_basis_n20,
-    module_element_series,
-    u_ell,
-    u_step,
-    zmod,
-)
+from etacheck.basis import ModuleElement, load_basis_n20, module_element_series
+from etacheck.eta import eta_expand
+from etacheck.series import zmod
+from etacheck.ujump import UImageTable, build_A, u_ell, u_step
 from etacheck.verifier import rogers_ramanujan
 
 b = load_basis_n20()

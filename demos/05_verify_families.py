@@ -12,7 +12,8 @@ The iteration below checks five cases of each family in seconds.
 
 import time
 
-from etacheck import build_A, load_basis_n20, UImageTable
+from etacheck.basis import load_basis_n20
+from etacheck.ujump import UImageTable, build_A
 from etacheck.verifier import (
     andrews_sellers,
     consistency_check,

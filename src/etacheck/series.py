@@ -670,9 +670,7 @@ class QSeries(Frozen):
             return self
         if self.is_zero():
             return QSeries.zero(self.ring, d * self.trunc)
-        out = [0] * (d * (self.trunc - self.val))
-        for i, c in enumerate(self.coeffs):
-            out[d * i] = c
+        out = _spread(self.coeffs, d, d * (self.trunc - self.val))
         return QSeries._canonical(self.ring, out, d * self.val, d * self.trunc)
 
     def truncate(self, trunc: int) -> "QSeries":

@@ -332,16 +332,35 @@ def test_custom_spec_file(capsys, tmp_path, image_cache_dir):
     assert code == 0 and "custom-rr: ell=5 B=1 iterations=2" in out
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_import(module):
+    """The modules that importing `module` adds, in a fresh interpreter."""
+    src, env = str(SRC), dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(*set(sys.modules) - before)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
 def test_import_needs_neither_dataclasses_nor_inspect():
     # every short run pays for the package's imports, and dataclasses, with
     # the inspect, ast and dis it pulls in, costs more than the rest of a
     # warm verify
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    code = ("import sys; before = set(sys.modules); import etacheck.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert {"dataclasses", "inspect"} & fresh_import("etacheck.cli") == set()
+
+
+def test_series_loads_no_upper_layer_and_cli_loads_every_module():
+    # the package root re-exports nothing, so the series layer loads no
+    # upper layer; cli still loads every module, which perfbench/layers.py
+    # needs before it patches their functions
+    def ours(names):
+        return {name for name in names if name.split(".")[0] == "etacheck"}
+    assert ours(fresh_import("etacheck.series")) == {
+        "etacheck", "etacheck.errors", "etacheck.series"}
+    modules = {"etacheck." + p.stem for p in (SRC / "etacheck").glob("[!_]*.py")}
+    assert ours(fresh_import("etacheck.cli")) == {"etacheck"} | modules
