@@ -7,7 +7,8 @@ greedily: the pole order of the running remainder picks the unique basis
 element with a matching residue class, one monomial g_k * t**e kills the
 leading term, and the pole order strictly drops.    A remainder of order zero
 is a constant, which ends the reduction; an order that no basis element can
-reach disproves membership.
+reach disproves membership.  The basis owns these pole orders
+(``AlgebraBasis.pole_order``).
 
 Reduction arithmetic is exact integer, and a monic basis is its
 precondition: every basis function leads with coefficient 1
@@ -29,7 +30,7 @@ The pass is exact when max|f| + (sum over steps of max_i |alpha_i| * max|s|)
 over the steps, while its partial sum stays below 2**(W-1) no slot leaves
 its range, so each R[pos] reads back as the true alpha_i and R[p] == 0
 exactly when every slot at p is zero.  A pass whose bound fails is redone
-at a width that holds it; only a pass whose bound holds may raise.
+at a width that holds it; a pass whose bound holds raises its own failure.
 
 A module element keeps its coefficients in its ring: the ``ModuleElement``
 constructor reduces them and drops zeros, so sums are formed over Z and
@@ -53,7 +54,7 @@ import operator
 
 from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
-from .modcurve import eta_order_at_cusp, finite_cusps, infinity_class, newman_check
+from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
 from .search import search_modular_quotients
 from .series import CoeffRing, Frozen, QSeries, ZZ, stored
 
@@ -133,6 +134,10 @@ class AlgebraBasis:
             raise SpecError("the generator t must be a single eta quotient")
         return factors[0]
 
+    def pole_order(self, e: int, k: int) -> int:
+        """(v+1)*e + n_k, the pole order of t**e * g_k at infinity."""
+        return (self.v + 1) * e - (self.gs[k - 1].ord_inf if k else 0)
+
     def residue_index(self, rho: int) -> int:
         """Index k (1..v) of the basis function with |ord_inf| == rho mod (v+1);
         rho == 0 belongs to t itself (index 0)."""
@@ -190,9 +195,10 @@ class AlgebraBasis:
 def verify_basis(b: AlgebraBasis) -> bool:
     """All structural conditions: t has pole order v+1 at infinity, the
     |ord_inf| are strictly increasing and fill the nonzero residues mod v+1,
-    every eta-quotient constituent is modular at the level, and every
-    function is monic (leads with coefficient 1 at its declared order), as
-    a greedy reduction step needs."""
+    every eta-quotient constituent is modular at the level, every function
+    is monic (leads with coefficient 1 at its declared order), as a greedy
+    reduction step needs, and t has no finite pole.  t's expansion starting
+    at its declared order shows t's order at infinity."""
     v1 = b.v + 1
     if -b.t.ord_inf != v1:
         return False
@@ -214,8 +220,6 @@ def verify_basis(b: AlgebraBasis) -> bool:
         except ContractError:  # the expansion does not start at ord_inf
             return False
     t_eq = b.t_quotient()
-    if eta_order_at_cusp(t_eq, infinity_class(b.level)) != b.t.ord_inf:
-        return False
     for x in finite_cusps(b.level):
         if eta_order_at_cusp(t_eq, x) < 0:
             return False
@@ -279,10 +283,9 @@ class ModuleElement(Frozen):
 
 def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSeries:
     """Honest q-expansion of a module element, over the element's ring."""
-    v1 = b.v + 1
     out = QSeries.zero(ZZ, trunc)
     for (j, k), c in sorted(me.terms.items()):
-        prec = trunc + v1 * j + (-b.gs[k - 1].ord_inf if k else 0)  # trunc - val(t^j g_k)
+        prec = trunc + b.pole_order(j, k)  # trunc - val(t^j g_k)
         if prec > 0:
             out = out.add(b.monomial(j, k, prec).scale(c))
     return QSeries(me.ring, out.coeffs, out.val, out.trunc)
@@ -294,11 +297,10 @@ def _step_monomial(b: AlgebraBasis, m: int, trunc: int):
     """(e, k, t**e * g_k known to q**trunc) for pole order m > 0, or None
     when no basis element reaches m.  Raises ContractError when t**e * g_k
     does not lead with 1: a greedy step needs a monic basis."""
-    k = b.residue_index(m % (b.v + 1))
-    n_k = -b.gs[k - 1].ord_inf if k else 0
-    if n_k > m:
+    k = b.residue_index(m)
+    e = (m - b.pole_order(0, k)) // (b.v + 1)
+    if e < 0:
         return None
-    e = (m - n_k) // (b.v + 1)
     s = b.monomial(e, k, m + trunc)
     if s.coeffs[0] != 1:
         raise ContractError(f"t^{e}*g{k} leads with {s.coeffs[0]}, not 1: the basis is not monic")
@@ -331,8 +333,9 @@ def _slot_reader(width: int, n: int):
 
 def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
     """One pass over the remainders of fs packed at slot width ``width``:
-    (bound, outcome), the outcome being the module elements or the
-    ContractError to raise, or None when the bound fails."""
+    (bound, the module elements), or (bound, None) when the bound fails and
+    the pass was too narrow.  Once the bound holds, a stalled descent or a
+    nonzero residual raises ContractError naming its series."""
     n, trunc, lo = len(fs), fs[0].trunc, min(f.val for f in fs)
     read = _slot_reader(width, n)
     rem = [0] * (trunc - lo)  # rem[p] packs the coefficients of q**(lo + p)
@@ -375,7 +378,7 @@ def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
     i = next(i for i, x in enumerate(slots) if x)
     exc = ContractError(f"series {i}: {what}")
     exc.series = i  # UImageTable names the image key of the series
-    return bound, exc
+    raise exc
 
 
 def mw_reduce(fs, b: AlgebraBasis) -> list:
@@ -387,9 +390,10 @@ def mw_reduce(fs, b: AlgebraBasis) -> list:
     the constant is consumed as a corruption check, since the residual of a
     successful reduction vanishes identically.  Raises ContractError naming
     the series when the descent stalls at a pole order no basis element
-    reaches or when the residual is not zero.  The basis must be monic: a
-    step whose monomial t**e * g_k does not lead with 1 raises ContractError
-    naming that monomial, before any pass returns.
+    reaches or when the residual is not zero; the first pass whose bound
+    holds raises it.  The basis must be monic: a step whose monomial
+    t**e * g_k does not lead with 1 raises ContractError naming that
+    monomial, before any pass returns.
 
     The batch is reduced in one pass over packed vectors, one multiply per
     coefficient of each step's monomial s for all series; the pass is exact
@@ -413,34 +417,29 @@ def mw_reduce(fs, b: AlgebraBasis) -> list:
     while True:
         bound, outcome = _greedy_pass(fs, b, top, width)
         if outcome is not None:
-            break
+            return outcome
         width = bound.bit_length() + 1
-    if isinstance(outcome, ContractError):
-        raise outcome
-    return outcome
 
 
 # -- basis construction from a generator -------------------------------------
 
-def construct_basis(t_eq: EtaQuotient, N: int) -> AlgebraBasis:
-    """Build a basis for the given generator from searched eta quotients.
+def construct_basis(t_eq: EtaQuotient) -> AlgebraBasis:
+    """Build a basis for the generator, at its level, from searched eta
+    quotients.
 
     Searches eta quotients with a pole only at infinity for each pole order
     1, 2, ... and keeps the first hit per nonzero residue class mod v+1;
     residues still missing afterwards are attempted as products of two hits.
     """
-    if t_eq.level != N:
-        raise SpecError("generator level mismatch")
     if not newman_check(t_eq)[0]:
         raise SpecError("generator fails the modularity conditions")
-    ord_t = eta_order_at_cusp(t_eq, infinity_class(N))
-    if ord_t.denominator != 1 or ord_t >= 0:
+    N, v1 = t_eq.level, -t_eq.q_shift()
+    if v1 <= 0:
         raise SpecError("generator must have a pole at infinity")
     finite = finite_cusps(N)
     for x in finite:
         if eta_order_at_cusp(t_eq, x) < 0:
             raise SpecError(f"generator has a pole at the finite cusp {x}")
-    v1 = -int(ord_t)
     v = v1 - 1
     t = BasisFunction.from_quotient("t", t_eq, -v1)
     if v == 0:

@@ -93,9 +93,9 @@ def resolve_basis(spec: CongruenceFamilySpec) -> AlgebraBasis:
     """
     t = find_t(spec.gen)
     fixture = load_basis_n20()
-    if spec.level == 20 and t == fixture.t_quotient():
+    if t == fixture.t_quotient():
         return fixture
-    return construct_basis(t, spec.level)
+    return construct_basis(t)
 
 
 # -- subcommand handlers -----------------------------------------------------

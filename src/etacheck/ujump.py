@@ -83,9 +83,8 @@ class FamilyGenerator(Frozen):
         if not (0 <= -wsum * (ell + 1) <= 24):
             raise SpecError(
                 f"sum d*r_d = {wsum} violates 0 <= {-wsum} <= 24/(ell+1)")
-        if (1 - ell * ell) * wsum % 24:
-            raise SpecError("the exponent shift (1-ell^2)*sum(d*r_d)/24 is not integral")
         self._set(M=M, r=packed, ell=ell)
+        build_A(self).q_shift()  # refuses a fractional exponent shift
 
     def series(self, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
         """The generating function G(q) with coefficients in ``ring``."""
@@ -320,18 +319,16 @@ class UImageTable:
         A**i t**j g_k is computed from that shows t**m * U_ell(A**i t**j g_k)
         through its constant term plus SLACK check coefficients.
 
-        t**j * y, y = A**i * g_k, starts at val = -(v+1)*j - n_k + i*val(A),
-        where val(A) is ``EtaQuotient.q_shift``, so at relative
-        precision p its ell-dissection is known below ceil((val + p)/ell), and
-        t**m lowers that by (v+1)*m.  The least p with
+        t**j * y, y = A**i * g_k, starts at val = i*val(A) - (v+1)*j - n_k,
+        val(A) the ``q_shift`` and (v+1)*j + n_k the ``pole_order``, so at
+        relative precision p its ell-dissection is known below
+        ceil((val + p)/ell), and t**m lowers that by (v+1)*m.  The least p with
         ceil((val + p)/ell) - (v+1)*m >= 1 + SLACK is
         ell*((v+1)*m + SLACK) + 1 - val: ``_compute``'s guard then holds with
         equality."""
         b = self.basis
-        v1 = b.v + 1
-        n_k = 0 if k == 0 else -b.gs[k - 1].ord_inf
-        val = -v1 * j - n_k + i * self.A.q_shift()
-        return self.ell * (v1 * self.se.exponent(i, j, k) + self.SLACK) + 1 - val
+        val = i * self.A.q_shift() - b.pole_order(j, k)
+        return self.ell * (b.pole_order(self.se.exponent(i, j, k), 0) + self.SLACK) + 1 - val
 
     def images(self, keys) -> list:
         """The images of every (i, j, k) in keys, in order."""

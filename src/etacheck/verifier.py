@@ -64,10 +64,6 @@ class CongruenceFamilySpec(Frozen):
         return CongruenceFamilySpec(self.name, self.gen, self.c, self.pattern, B)
 
     @property
-    def level(self) -> int:
-        return self.gen.ell * self.gen.M
-
-    @property
     def default_iterations(self) -> int:
         return PATTERN_STEPS[self.pattern] * self.B
 

@@ -132,9 +132,14 @@ MUTANTS = (
      "the fingerprint directory pins the basis, so every file stored there "
      "carries its v, and the terms are range-checked against the table's own"),
     ("src/etacheck/ujump.py",
-     "if (1 - ell * ell) * wsum % 24:", "if False:",
+     "build_A(self).q_shift()", "build_A(self)",
      "ell**2 == 1 mod 24 for every prime ell >= 5, the only ell a "
      "FamilyGenerator accepts, so the shift is always integral"),
+    # the basis: a pole order one t-power short, and verify_basis passing a
+    # g of residue 0 or a constituent at another level
+    ("src/etacheck/basis.py", "(self.v + 1) * e", "self.v * e", None),
+    ("src/etacheck/basis.py", "if 0 in residues or ", "if ", None),
+    ("src/etacheck/basis.py", "eq.level != b.level or ", "", None),
 )
 
 

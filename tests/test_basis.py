@@ -18,6 +18,8 @@ from etacheck.basis import (
 )
 from etacheck.errors import ContractError, SpecError
 from etacheck.eta import EtaQuotient, eta_expand
+from etacheck.modcurve import finite_cusps
+from etacheck.search import search_modular_quotients
 from etacheck.series import QSeries, ZZ, zmod
 from etacheck.tfinder import find_t
 from etacheck.ujump import FamilyGenerator, UImageTable, build_A
@@ -50,6 +52,32 @@ def test_broken_bases_fail_verification(b20):
     assert not verify_basis(dup)
     short_t = BasisFunction(b20.t.name, b20.t.construction, -4)
     assert not verify_basis(AlgebraBasis(20, short_t, b20.gs))
+
+
+@pytest.fixture(scope="module")
+def finite_pole_t():
+    """T20 times the quotient of order 0 at infinity that is positive at the
+    first finite cusp that has one: order -5 at infinity, a pole at 1/5."""
+    q = next(found[0] for x in finite_cusps(20)
+             if (found := search_modular_quotients(20, 0, 12, positive=[x])))
+    return EtaQuotient(20, basis._T20.exponents + q.exponents)
+
+
+# the level-20 basis broken one way per case, each refused by verify_basis
+BROKEN = {
+    "order-0": lambda b, _: (b.t, (BasisFunction("c", ((1, ()),), 0), *b.gs[1:])),
+    "residue-0": lambda b, _: (b.t, (*b.gs[:3], b.t)),
+    "level-40": lambda b, _: (b.t, (BasisFunction.from_quotient("g1", basis._G20.at_level(40), -2),
+                                    *b.gs[1:])),
+    "expansion-off-order": lambda b, _: (b.t, (b.gs[0], BasisFunction(
+        "g2", ((1, (basis._H20,)), (-1, (basis._H20,))), -3), *b.gs[2:])),
+    "finite-pole": lambda b, t: (BasisFunction.from_quotient("t", t, -5), b.gs),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN)
+def test_each_broken_condition_fails_verification(b20, finite_pole_t, case):
+    assert not verify_basis(AlgebraBasis(20, *BROKEN[case](b20, finite_pole_t)))
 
 
 def test_g2_series_is_difference(b20):
@@ -221,7 +249,7 @@ def reference_reduce(f: QSeries, b) -> ModuleElement:
 
 
 def count_passes(monkeypatch) -> list:
-    """(width, bound, outcome) of every greedy pass made from now on."""
+    """(width, bound, outcome) of every greedy pass that returns from now on."""
     passes, greedy_pass = [], basis._greedy_pass
 
     def traced(fs, b, top, width):
@@ -335,7 +363,7 @@ PINNED_FINGERPRINTS = {20: "4025fb1059232361", 5: "a9716696a9be2a32", 7: "a43c91
 @pytest.mark.parametrize("N", [20, 5, 7])
 def test_construct_basis_level_20(b20, N):
     t = b20.t_quotient() if N == 20 else find_t(FamilyGenerator(1, {1: -1}, N))
-    built = construct_basis(t, N)
+    built = construct_basis(t)
     assert verify_basis(built)
     assert built.fingerprint() == PINNED_FINGERPRINTS[N]
     if N == 20:
@@ -347,7 +375,7 @@ def test_construct_basis_level_20(b20, N):
 def test_construct_basis_degenerate_order_one():
     # eta(tau)^8/eta(4tau)^8 has a simple pole at infinity over Gamma0(4)
     t = EtaQuotient(4, {1: 8, 4: -8})
-    b = construct_basis(t, 4)
+    b = construct_basis(t)
     assert b.v == 0
     assert verify_basis(b)
     # reduction over a pure polynomial module
@@ -359,7 +387,7 @@ def test_construct_basis_product_closure():
     # at level 34 the search finds no quotient with a pole of order 2, 6 or
     # 10 at infinity alone, so residue 2 mod 4 is covered by g1 * g1
     t = EtaQuotient(34, {1: -2, 2: 4, 17: 2, 34: -4})
-    b = construct_basis(t, 34)
+    b = construct_basis(t)
     assert verify_basis(b)
     assert b.v == 3
     assert [g.ord_inf for g in b.gs] == [-7, -9, -14]
@@ -368,6 +396,10 @@ def test_construct_basis_product_closure():
     run_reduce_reconstruction(cases=60, seed=34, b=b)
 
 
-def test_construct_basis_rejects_bad_generator():
-    with pytest.raises(SpecError):
-        construct_basis(EtaQuotient(20, {1: 1, 20: -1}), 20)  # not modular
+def test_construct_basis_rejects_bad_generator(b20, finite_pole_t):
+    with pytest.raises(SpecError, match="modularity"):
+        construct_basis(EtaQuotient(20, {1: 1, 20: -1}))
+    with pytest.raises(SpecError, match="pole at the finite cusp 1/5"):
+        construct_basis(finite_pole_t)
+    with pytest.raises(SpecError, match="must have a pole at infinity"):
+        construct_basis(b20.t_quotient().inverse())
