@@ -147,18 +147,18 @@ def cmd_basis(args) -> int:
 
 
 def cmd_u_image(args) -> int:
-    mod = None
+    ring = None  # refused before any work, so a bad --mod caches nothing
     if args.mod:
         ell, caret, power = args.mod.partition("^")
         try:
-            mod = (int(ell), int(power) if caret else 1)
+            ring = zmod(int(ell), int(power) if caret else 1)
         except ValueError as exc:
             raise SpecError(f"cannot parse --mod {args.mod!r}: {exc}") from exc
     spec = load_family_spec(args.spec)
     b = resolve_basis(spec)
     table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
     me = table.image(args.i, args.j, args.k)
-    print(me if mod is None else ModuleElement(zmod(*mod), me.terms))
+    print(me if ring is None else ModuleElement(ring, me.terms))
     return 0
 
 

@@ -102,27 +102,27 @@ class Frozen:
 
 
 class CoeffRing(Frozen):
-    """Coefficient ring tag: exact integers ('Z') or integers modulo
-    ell**power ('Zmod') with canonical representatives in [0, ell**power)."""
+    """Coefficient ring tag: the exact integers Z, ``CoeffRing()`` with
+    (ell, power) = (0, 0), or, for any other pair, the integers modulo
+    ell**power, a prime ell and power >= 1, with canonical representatives
+    in [0, ell**power)."""
 
-    __slots__ = ("kind", "ell", "power", "_modulus")
+    __slots__ = ("ell", "power", "_modulus")
 
-    def __init__(self, kind: str, ell: int = 0, power: int = 0):
-        if kind not in ("Z", "Zmod"):
-            raise SpecError(f"unknown coefficient ring kind {kind!r}")
+    def __init__(self, ell: int = 0, power: int = 0):
         _whole(ell, "modulus base")
         _whole(power, "modulus exponent")
-        if kind == "Zmod":
+        if ell or power:
             if not _is_prime(ell):
                 raise SpecError(f"modulus base {ell} is not prime")
             if power < 1:
                 raise SpecError("modulus exponent must be >= 1")
-        self._set(kind=kind, ell=ell, power=power, _modulus=ell ** power if kind == "Zmod" else None)
+        self._set(ell=ell, power=power, _modulus=ell ** power if ell else None)
 
     @property
     def modulus(self) -> int:
         """ell**power, computed once at construction; the Z ring has none."""
-        if self.kind != "Zmod":
+        if self._modulus is None:
             raise SpecError("only Zmod rings have a modulus")
         return self._modulus
 
@@ -130,28 +130,29 @@ class CoeffRing(Frozen):
         """Bring an integer into canonical form; a non-integer raises
         TypeError instead of being truncated."""
         c = operator.index(c)
-        return c if self.kind == "Z" else c % self._modulus
+        return c if self._modulus is None else c % self._modulus
 
     def unit_inverse(self, c):
         """The inverse of c; SpecError unless c is a unit (+-1 in Z, prime to
         ell in Z/ell^e)."""
-        if self.kind == "Z" and c in (1, -1):
+        if self._modulus is None and c in (1, -1):
             return c
-        if self.kind == "Zmod" and c % self.ell:
+        if self._modulus and c % self.ell:
             return pow(c, -1, self._modulus)
         raise SpecError(f"{c} is not a unit in {self}")
 
     def __str__(self):
-        if self.kind == "Z":
-            return "Z"
-        return f"Z/{self.ell}^{self.power}"
+        return f"Z/{self.ell}^{self.power}" if self._modulus else "Z"
 
 
-ZZ = CoeffRing("Z")
+ZZ = CoeffRing()
 
 
 def zmod(ell: int, power: int) -> CoeffRing:
-    return CoeffRing("Zmod", ell, power)
+    """Z/ell**power; the pair (0, 0), which names Z, is refused."""
+    if not ell:
+        raise SpecError(f"modulus base {ell} is not prime")
+    return CoeffRing(ell, power)
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +521,6 @@ class QSeries(Frozen):
         lo = min(self.val, other.val)
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, t))
 
-    def __repr__(self):
-        parts = []
-        shown = 0
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}*q^{self.val + i}")
-            shown += 1
-            if shown >= 6:
-                parts.append("...")
-                break
-        body = " + ".join(parts) if parts else "0"
-        return f"<{body} + O(q^{self.trunc}) over {self.ring}>"
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "QSeries"):
@@ -642,10 +629,8 @@ class QSeries(Frozen):
 
     def _conv(self, a, b, n_out, ell=1, o=0):
         out = convolve_ints(a, b, n_out, ell, o)
-        if self.ring.kind == "Zmod":
-            m = self.ring.modulus
-            out = [c % m for c in out]
-        return out
+        m = self.ring._modulus
+        return [c % m for c in out] if m else out
 
     def pow(self, n: int) -> "QSeries":
         """f**n by binary powering; negative n inverts first."""

@@ -53,8 +53,6 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     """
     if A.level != ell * N:
         raise SpecError(f"A must live at level {ell}*{N}={ell * N}, got {A.level}")
-    if not newman_check(A)[0]:
-        raise SpecError("A fails the modularity conditions")
 
     inf_N = infinity_class(N)
     finite = finite_cusps(N)

@@ -53,7 +53,7 @@ from pathlib import Path
 from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, eta_expand, euler_quotient
-from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
+from .modcurve import eta_order_at_cusp, finite_cusps
 from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, stored
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
@@ -65,8 +65,8 @@ class FamilyGenerator(Frozen):
     ell-adically for a prime ell > 3.
 
     The standing smallness assumption 0 <= -sum(d*r_d) <= 24/(ell+1) keeps
-    the auxiliary quotient A holomorphic at infinity with an integral
-    exponent shift.  A float M, ell, divisor or exponent is refused.
+    the auxiliary quotient A holomorphic at infinity.  A float M, ell,
+    divisor or exponent is refused.
     """
 
     __slots__ = ("M", "r", "ell")
@@ -84,7 +84,6 @@ class FamilyGenerator(Frozen):
             raise SpecError(
                 f"sum d*r_d = {wsum} violates 0 <= {-wsum} <= 24/(ell+1)")
         self._set(M=M, r=packed, ell=ell)
-        build_A(self).q_shift()  # refuses a fractional exponent shift
 
     def series(self, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
         """The generating function G(q) with coefficients in ``ring``."""
@@ -102,10 +101,9 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
     """The auxiliary quotient A = q**shift * G(q)/G(q**ell^2) at level ell^2*M.
 
     In eta terms the exponent r_d moves to d and -r_d to ell^2*d; the
-    q-power shift (1-ell^2)*sum(d*r_d)/24 is exactly the eta prefactor
-    q**(sum(d*r_d)/24) of A, an integer power of q because
-    ``FamilyGenerator`` refuses a family where it is not, so eta_expand(A)
-    is the expansion on integer exponents.
+    q-power shift (1-ell^2)*sum(d*r_d)/24 is exactly the eta prefactor of A.
+    A is modular, its shift an integer, for every prime ell >= 5: ell^2 == 1
+    mod 24 zeroes its sums mod 24, and its prod d**r_d is ell**(-2*sum r_d), a square.
     """
     ell2 = gen.ell ** 2
     exps = {}
@@ -204,11 +202,10 @@ def _least_power(cusps, ord_scaled_t, ords, what: str) -> int:
 
 def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityExponents:
     """The order vectors of t(ell*tau), A, t and each construction term of
-    each g_k at every cusp of Gamma0(ell*N) but infinity.  A term's vector
-    is the sum of its factors' vectors."""
+    each g_k at every cusp of Gamma0(ell*N) but infinity, each read at that
+    level by ``EtaQuotient.at_level``.  A term's vector is the sum of its
+    factors' vectors."""
     level = ell * b.level
-    if A.level != level:
-        raise SpecError(f"A must live at level {level}")
     cusps = finite_cusps(level)
     zero = (0,) * len(cusps)
     vec = {f: _orders(f.at_level(level), cusps)
@@ -217,8 +214,8 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
                   for g in b.gs)
     t_eq = b.t_quotient()
     return StabilityExponents(level, cusps, _orders(t_eq.scale_tau(ell), cusps),
-                              _orders(A, cusps), _orders(t_eq.at_level(level), cusps),
-                              ((zero,),) + terms)
+                              _orders(A.at_level(level), cusps),
+                              _orders(t_eq.at_level(level), cusps), ((zero,),) + terms)
 
 
 class UImageTable:
@@ -240,8 +237,6 @@ class UImageTable:
     SLACK = 16  # spare coefficients the reduction consumes as a corruption check
 
     def __init__(self, b: AlgebraBasis, A: EtaQuotient, ell: int, cache_dir=None):
-        if not newman_check(A)[0]:
-            raise SpecError("A fails the modularity conditions")
         self.basis = b
         self.A = A
         self.ell = ell

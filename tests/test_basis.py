@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from etacheck.basis import (
     mw_reduce,
     verify_basis,
 )
-from etacheck.errors import ContractError, SpecError
+from etacheck.errors import ContractError, SearchExhaustedError, SpecError
 from etacheck.eta import EtaQuotient, eta_expand
 from etacheck.modcurve import finite_cusps
 from etacheck.search import search_modular_quotients
@@ -403,3 +404,45 @@ def test_construct_basis_rejects_bad_generator(b20, finite_pole_t):
         construct_basis(finite_pole_t)
     with pytest.raises(SpecError, match="must have a pole at infinity"):
         construct_basis(b20.t_quotient().inverse())
+
+
+def test_construct_basis_refuses_what_its_search_cannot_cover(b20, monkeypatch):
+    # no quotient found for any pole order leaves every residue uncovered
+    monkeypatch.setattr(basis, "search_modular_quotients", lambda *args, **kwargs: [])
+    with pytest.raises(SearchExhaustedError,
+                       match=re.escape("could not cover residues [1, 2, 3, 4] mod 5 within")):
+        construct_basis(b20.t_quotient())
+
+
+def test_construct_basis_refuses_a_basis_failing_its_conditions(b20, monkeypatch):
+    monkeypatch.setattr(basis, "verify_basis", lambda b: False)
+    with pytest.raises(ContractError, match="constructed basis fails its own structural"):
+        construct_basis(b20.t_quotient())
+
+
+def test_constant_terms_and_the_zero_element():
+    # a construction term with no factors is its coefficient, a constant
+    c = BasisFunction("c", ((3, ()), (1, (basis._G20,))), -2)
+    assert c.describe() == f"c = 3*1 + 1*{basis._G20!r}"
+    assert c.series(4).agrees_with(eta_expand(basis._G20, 4).add(QSeries.one(ZZ, 4).scale(3)))
+    assert repr(ModuleElement(ZZ, {(0, 0): 5})) == "<5*1 over Z>"
+    assert repr(ModuleElement(zmod(5, 1), {(0, 0): 5})) == "<0>"
+
+
+# (call, exception, message): the guards of the basis functions
+GUARDS = [
+    (lambda: AlgebraBasis(20, BasisFunction("t", ((2, (basis._T20,)),), -5), ()).t_quotient(),
+     SpecError, "the generator t must be a single eta quotient"),
+    (lambda: AlgebraBasis(20, BasisFunction("t", ((1, (basis._T20, basis._T20)),), -10),
+                          ()).t_quotient(),
+     SpecError, "the generator t must be a single eta quotient"),
+    (lambda: AlgebraBasis(20, load_basis_n20().t,
+                          (BasisFunction.from_quotient("g1", basis._G20, -2),)).residue_index(1),
+     ContractError, "no basis element covers residue 1 mod 2"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS, ids=[m for _, _, m in GUARDS])
+def test_guards_refuse(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

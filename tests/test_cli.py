@@ -69,6 +69,23 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", "5^x")
     assert code == 2 and out == "" and "--mod" in err
+    # a level, a cusp or a ring that does not exist: exit 2 with its reason
+    for argv, message in ((("cusps", "0"), "level must be positive"),
+                          (("order", "0:", "oo"), "level must be a positive integer"),
+                          (("order", "20:1^2,4^2,10^8,5^-2,20^-10", "0/0"), "0/0 is not a cusp")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+    # a --mod that names no ring Z/ell^power is refused before the basis
+    # search and the image, so nothing is written to a cold cache
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    for mod, message in (("4^1", "modulus base 4 is not prime"),
+                         ("5^0", "modulus exponent must be >= 1"),
+                         ("0^0", "modulus base 0 is not prime")):
+        code, out, err = run(capsys, "--cache-dir", str(cold),
+                             "u-image", "rogers-ramanujan", "0", "-3", "0", "--mod", mod)
+        assert code == 2 and out == "" and message in err, mod
+    assert list(cold.iterdir()) == []
     # an image index outside the basis is bad usage, refused before any work
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "0", "9")
@@ -99,10 +116,16 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
         assert code == 2 and out == "" and "malformed family spec" in err
-    # a progression constant sharing the factor ell is refused at load
-    path.write_text(json.dumps({**good, "c": 25}))
-    code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
-    assert code == 2 and out == "" and "coprime" in err
+    # as are a progression constant sharing the factor ell, a level M below
+    # 1, an unknown pattern and a missing field, each with its reason
+    missing_c = {key: value for key, value in good.items() if key != "c"}
+    for bad, message in (({**good, "c": 25}, "coprime"),
+                         ({**good, "M": 0}, "M must be a positive integer"),
+                         ({**good, "pattern": "odd-alpha"}, "unknown pattern kind 'odd-alpha'"),
+                         (missing_c, "family spec is missing field 'c'")):
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
+        assert code == 2 and out == "" and message in err, message
     # a key that is not a string (only a dict built in Python has one) is
     # checked as a number, not truncated
     with pytest.raises(SpecError, match="divisor 1.9"):

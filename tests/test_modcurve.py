@@ -1,12 +1,14 @@
 """Cusp enumeration, equivalence, modularity conditions, and order formulas."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from etacheck import modcurve
+from etacheck.errors import SpecError
 from etacheck.eta import EtaQuotient, divisors, eta_expand
 from etacheck.modcurve import (
     Cusp,
@@ -269,3 +271,21 @@ def test_order_vector_is_keyed_by_representatives():
     # 3/10 is equivalent to 1/10 over Gamma0(20), infinity to 1/20
     assert ov[canonical_cusp(Cusp(3, 10), 20)] == eta_order_at_cusp(T20, Cusp(3, 10)) == 1
     assert ov[infinity_class(20)] == eta_order_at_cusp(T20, Cusp(1, 0)) == Fraction(-5)
+
+
+# (call, exception, message): the guards of the cusp functions
+GUARDS = [
+    (lambda: Cusp(1, 2) < 3, TypeError, "'<' not supported between instances of 'Cusp' and 'int'"),
+    (lambda: cusp_image_under_scaling(Cusp(1, 4), 5, 5, 20), SpecError,
+     "shift r must lie in 0..ell-1"),
+    (lambda: cusp_image_under_scaling(Cusp(1, 4), -1, 5, 20), SpecError,
+     "shift r must lie in 0..ell-1"),
+    (lambda: cusp_image_under_scaling(Cusp(1, 0), 0, 5, 20), SpecError,
+     "scale the representative 1/N, not the infinity symbol"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS, ids=[m for _, _, m in GUARDS])
+def test_guards_refuse(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import pytest
 
+from etacheck.errors import SpecError
 from etacheck.eta import EtaQuotient, divisors
 from etacheck.modcurve import (
     cusp_representatives,
@@ -90,3 +92,15 @@ def test_conflicting_signs_within_one_class():
     assert search_modular_quotients(N, 1, BOUND, zero=[z])
     assert search_modular_quotients(N, 1, BOUND, positive=[p], zero=[z]) == []
     assert brute_force(N, 1, positive=[p], zero=[z]) == []
+
+
+# (call, exception, message): the guards of the search
+GUARDS = [
+    (lambda: search_modular_quotients(20, 5, 0), SpecError, "exponent bound must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS, ids=[m for _, _, m in GUARDS])
+def test_guards_refuse(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

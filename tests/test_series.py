@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,7 +71,7 @@ def random_series(rng, ring, max_len=12):
     val = rng.randint(-4, 4)
     n = rng.randint(1, max_len)
     coeffs = [rng.randint(-9, 9) for _ in range(n)]
-    if ring.kind == "Zmod":
+    if ring != ZZ:
         coeffs = [c % ring.modulus for c in coeffs]
     return QSeries(ring, coeffs, val, val + n) if any(coeffs) else QSeries.zero(ring, val + n)
 
@@ -515,7 +516,7 @@ RR_GEN = FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5)
 VALUE_CLASSES = [
     (EtaQuotient, (20, {4: -2, 1: 2}), ("level", "exponents")),
     (Cusp, (3, 20), ("c", "a")),
-    (CoeffRing, ("Zmod", 5, 3), ("kind", "ell", "power")),
+    (CoeffRing, (5, 3), ("ell", "power")),
     (PoleSets, (frozenset({Cusp(1, 4)}), frozenset(), frozenset({Cusp(1, 5)}), frozenset()),
      ("p_A", "p_g", "p0_prime", "p1_prime")),
     (FamilyGenerator, (4, {1: -3, 2: 5, 4: -2}, 5), ("M", "r", "ell")),
@@ -558,10 +559,8 @@ def test_value_class_orders_and_reprs():
     assert repr(EtaQuotient(20, {4: -2, 1: 2})) == "EtaQuotient(20: 1^2,4^-2)"
     assert repr(EtaQuotient(12, {})) == "EtaQuotient(12: 1)"
     assert (str(ZZ), str(zmod(5, 3))) == ("Z", "Z/5^3")
-    assert repr(zmod(5, 3)) == "CoeffRing(kind='Zmod', ell=5, power=3)"
+    assert repr(zmod(5, 3)) == "CoeffRing(ell=5, power=3)"
     assert zmod(5, 3).modulus == 125
-    with pytest.raises(SpecError, match="only Zmod rings have a modulus"):
-        ZZ.modulus
 
 
 def test_from_terms_coerces_only_the_given_terms(monkeypatch):
@@ -726,6 +725,43 @@ def test_eta_quotient_validation():
     assert eq.scale_tau(5).level == 100
     assert dict(eq.scale_tau(5).exponents)[100] == -1
     assert eq.at_level(100).level == 100
+
+
+# (call, exception, message): the guards of the series and eta functions
+GUARDS = [
+    (lambda: QSeries(ZZ, [1, 2, 3], 0, 2), SpecError, "coefficient window exceeds truncation"),
+    (lambda: QSeries.one(ZZ, 3).coeff(3), SpecError, "coefficient q^3 lies beyond truncation 3"),
+    (lambda: QSeries.zero(ZZ, 3).leading(), SpecError, "zero series has no leading term"),
+    (lambda: QSeries.one(ZZ, 3).add(QSeries.one(zmod(5, 1), 3)), SpecError,
+     "ring mismatch: Z vs Z/5^1"),
+    (lambda: QSeries.one(ZZ, 3).substitute_power(0), SpecError, "substitution power must be >= 1"),
+    (lambda: QSeries.one(ZZ, 3).truncate(4), SpecError, "cannot extend a truncated series"),
+    (lambda: zmod(4, 1), SpecError, "modulus base 4 is not prime"),
+    (lambda: zmod(5, 0), SpecError, "modulus exponent must be >= 1"),
+    (lambda: zmod(0, 0), SpecError, "modulus base 0 is not prime"),
+    (lambda: CoeffRing(0, 3), SpecError, "modulus base 0 is not prime"),
+    (lambda: ZZ.modulus, SpecError, "only Zmod rings have a modulus"),
+    (lambda: EtaQuotient(20, {4: 1}).at_level(10), SpecError,
+     "divisor 4 does not divide target level 10"),
+    (lambda: EtaQuotient(20, {4: 1}).scale_tau(0), SpecError, "scaling factor must be >= 1"),
+    (lambda: euler_product(0, 5), SpecError, "Euler product index must be a positive integer"),
+    (lambda: euler_product(1, -1), SpecError, "truncation must be >= 0"),
+    (lambda: eta_expand(EtaQuotient(1, {}), 0), SpecError, "eta expansion needs truncation >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS, ids=[m for _, _, m in GUARDS])
+def test_guards_refuse(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
+
+
+def test_z_has_one_representation():
+    # Z is the ring of the pair (0, 0) however it is written, so series over
+    # CoeffRing() and ZZ add, and Z/ell^power is the same ring either way
+    assert CoeffRing() == CoeffRing(0, 0) == ZZ and (ZZ.ell, ZZ.power) == (0, 0)
+    assert CoeffRing(5, 3) == zmod(5, 3) != ZZ
+    assert QSeries.one(CoeffRing(), 3).add(QSeries.one(ZZ, 3)).terms() == {0: 2}
 
 
 SERIES_INTERNALS = {"_canonical", "_conv", "_check_ring", "_fill"}

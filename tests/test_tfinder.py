@@ -2,7 +2,8 @@
 
 import pytest
 
-from etacheck.errors import SpecError
+from etacheck import tfinder
+from etacheck.errors import SearchExhaustedError, SpecError
 from etacheck.eta import EtaQuotient
 from etacheck.modcurve import (
     Cusp,
@@ -64,6 +65,8 @@ def test_verify_w_rejects_each_broken_condition(rr_pole_sets):
     assert not verify_W(t, 5, PoleSets(at_1_5, empty, empty, empty))  # order 0 on p_A
     at_1_10 = frozenset({Cusp(1, 10)})
     assert not verify_W(t, 5, PoleSets(empty, empty, empty, at_1_10))  # nonzero on p1'
+    at_1_20 = frozenset({Cusp(1, 20)})
+    assert not verify_W(t, 5, PoleSets(empty, empty, at_1_20, empty))  # negative on p0'
 
 
 def test_known_vector_satisfies_w5(rr_pole_sets):
@@ -124,3 +127,11 @@ def test_pole_set_representative_invariance():
 def test_level_mismatch_rejected():
     with pytest.raises(SpecError):
         compute_pole_sets(build_A(RR), 5, 10)
+
+
+def test_find_t_refuses_when_no_order_within_its_bound_works(monkeypatch):
+    # the RR generator has order -5 at infinity, one past this bound
+    monkeypatch.setattr(tfinder, "N0_MAX", 4)
+    with pytest.raises(SearchExhaustedError,
+                       match=r"no generator with -ord\(infinity\) <= 4 and exponents within 12"):
+        find_t(RR)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from etacheck.basis import (
     mw_reduce,
 )
 from etacheck.errors import ContractError, SpecError
-from etacheck.eta import EtaQuotient, eta_expand
+from etacheck.eta import EtaQuotient, divisors, eta_expand
 from etacheck.modcurve import eta_order_at_cusp, finite_cusps, newman_check
 from etacheck.series import QSeries, ZZ, convolve_ints, zmod
 from etacheck.ujump import (
@@ -209,6 +210,23 @@ def test_family_generator_validation():
         FamilyGenerator(4, {1: -3, 2: 5, 4: -2}, 5.0)
 
 
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_a_is_modular_for_every_family(ell):
+    # ell^2 == 1 mod 24 zeroes A's sums mod 24 and its prod d^r_d is
+    # ell^(-2*sum r_d), a square, so no family gives an A that fails Newman's
+    # conditions or has a fractional q-shift; M divisible by ell^2 lets r_d
+    # and -r_d' meet at one divisor d = ell^2*d'
+    rng = random.Random(ell)
+    for M in (1, 2, 6, 12, ell ** 2, 2 * ell ** 2, 6 * ell ** 2):
+        for _ in range(12):
+            r = {d: rng.randint(-6, 6) for d in divisors(M)[1:]}
+            wsum = -rng.randint(0, 24 // (ell + 1))
+            r[1] = wsum - sum(d * e for d, e in r.items())
+            A = build_A(FamilyGenerator(M, r, ell))
+            assert newman_check(A)[0]
+            assert A.q_shift() * 24 == (1 - ell ** 2) * wsum
+
+
 def test_generating_function_substitution():
     # the ell^2-substituted generating function keeps its first two nonzero
     # terms at exponents 0 and 25
@@ -313,6 +331,23 @@ def test_a_pole_no_power_of_t_cancels_is_refused(b20):
     assert tuple(se.exponent(0, 0, k) for k in range(1, 5)) == (2, 3, 4, 6)
     with pytest.raises(ContractError, match="pole at 1/25 .* no power of t can cancel it"):
         se.exponent(1, 0, 0)
+
+
+# (call, exception, message): the guards of the stability exponents
+GUARDS = [
+    # eta(tau)/eta(20*tau) is not modular: its order at 0 is 95/24
+    (lambda: compute_m_constants(load_basis_n20(), build_A(RR), 5).taming_power(
+        EtaQuotient(20, {1: 1, 20: -1})), ContractError, "non-integral order for a modular quotient"),
+    # A is read at the level ell*N like every other quotient
+    (lambda: compute_m_constants(load_basis_n20(), build_A(RR).scale_tau(3), 5), SpecError,
+     "divisor 3 does not divide target level 100"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS, ids=[m for _, _, m in GUARDS])
+def test_guards_refuse(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
 
 
 def test_least_power_refuses_when_no_power_fits():
