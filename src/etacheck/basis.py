@@ -205,7 +205,7 @@ def verify_basis(b: AlgebraBasis) -> bool:
     orders = [-g.ord_inf for g in b.gs]
     if any(o <= 0 for o in orders):
         return False
-    if sorted(orders) != orders or len(set(orders)) != len(orders):
+    if sorted(orders) != orders:
         return False
     residues = [o % v1 for o in orders]
     if 0 in residues or len(set(residues)) != len(residues):
@@ -294,9 +294,10 @@ def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSe
 # -- membership reduction ----------------------------------------------------
 
 def _step_monomial(b: AlgebraBasis, m: int, trunc: int):
-    """(e, k, t**e * g_k known to q**trunc) for pole order m > 0, or None
-    when no basis element reaches m.  Raises ContractError when t**e * g_k
-    does not lead with 1: a greedy step needs a monic basis."""
+    """(e, k, t**e * g_k known to q**trunc) for pole order m, or None when
+    no basis element reaches m (none reaches an m < 0).  Raises
+    ContractError when t**e * g_k does not lead with 1: a greedy step needs
+    a monic basis."""
     k = b.residue_index(m)
     e = (m - b.pole_order(0, k)) // (b.v + 1)
     if e < 0:
@@ -412,7 +413,7 @@ def mw_reduce(fs, b: AlgebraBasis) -> list:
     if not fs:
         return []
     top, lo = max(_max_abs(f.coeffs) for f in fs), min(f.val for f in fs)
-    deepest = _step_monomial(b, -lo, fs[0].trunc) if lo < 0 else None
+    deepest = _step_monomial(b, -lo, fs[0].trunc)
     width = _first_width(top, _max_abs(deepest[2].coeffs) if deepest else 1, max(0, -lo))
     while True:
         bound, outcome = _greedy_pass(fs, b, top, width)
@@ -440,11 +441,7 @@ def construct_basis(t_eq: EtaQuotient) -> AlgebraBasis:
     for x in finite:
         if eta_order_at_cusp(t_eq, x) < 0:
             raise SpecError(f"generator has a pole at the finite cusp {x}")
-    v = v1 - 1
     t = BasisFunction.from_quotient("t", t_eq, -v1)
-    if v == 0:
-        return AlgebraBasis(N, t, ())
-
     needed = set(range(1, v1))
     hits = {}  # residue -> (pole_order, construction tuple)
     for n0 in range(1, 2 * v1 + 3):
@@ -454,8 +451,6 @@ def construct_basis(t_eq: EtaQuotient) -> AlgebraBasis:
         found = search_modular_quotients(N, n0, EXPONENT_BOUND, nonneg=finite)
         if found:
             hits[rho] = (n0, ((1, (found[0],)),))
-        if len(hits) == len(needed):
-            break
     if len(hits) < len(needed):
         # close under products of two found quotients
         pool = sorted(hits.values())

@@ -51,11 +51,8 @@ def parse_eta_spec(text: str) -> EtaQuotient:
     head, _, body = text.partition(":")
     try:
         level = int(head)
-        exps = {}
-        if body.strip():
-            for piece in body.split(","):
-                d, _, e = piece.partition("^")
-                exps[int(d)] = exps.get(int(d), 0) + int(e if e else "1")
+        pieces = body.split(",") if body.strip() else []
+        exps = [(int(d), int(e or "1")) for d, _, e in (p.partition("^") for p in pieces)]
     except ValueError as exc:
         raise SpecError(f"cannot parse eta spec {text!r}: {exc}") from exc
     return EtaQuotient(level, exps)

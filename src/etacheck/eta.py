@@ -132,12 +132,12 @@ def euler_product(d: int, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     k = 0
     while True:
         hit = False
-        for kk in (k, -k) if k else (0,):
+        for kk in (k, -k):
             e = d * kk * (3 * kk - 1) // 2
             if e < trunc:
                 terms[e] = 1 if kk % 2 == 0 else -1
                 hit = True
-        if not hit and k > 0:
+        if not hit:
             break
         k += 1
     return QSeries.from_terms(ring, terms, trunc)
@@ -170,7 +170,7 @@ def euler_quotient(exponents, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
     pairs = tuple(exponents)
     out = _power_product([(d, r) for d, r in pairs if r > 0], trunc, ring)
     den = [(d, -r) for d, r in pairs if r < 0]
-    return out.div(_power_product(den, trunc, ring)) if den else out
+    return out.div(_power_product(den, trunc, ring))
 
 
 def _power_product(pairs, n: int, ring: CoeffRing) -> QSeries:

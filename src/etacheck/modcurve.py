@@ -157,7 +157,7 @@ def cusp_equivalent(x: Cusp, y: Cusp, N: int):
         if rhs % g:
             continue
         cc, nn, mm = c // g, rhs // g, N // g
-        n = (nn * pow(cc, -1, mm)) % mm if mm > 1 else 0
+        n = (nn * pow(cc, -1, mm)) % mm
         return (m, n)
     return None
 
@@ -207,10 +207,8 @@ def eta_order_at_cusp(eq: EtaQuotient, x: Cusp) -> Fraction:
     quotient is modular, but the generator search builds its order matrix
     from single factors eta(d*tau), so the rational value is kept.
     """
-    N = eq.level
-    if x.is_infinity():
-        x = Cusp(1, N)
-    c = x.c
+    # infinity, 1/0, is the class of 1/N: gcd(0, d) = d and gcd(0, N) = N
+    N, c = eq.level, x.c
     total = Fraction(0)
     for d, r in eq.exponents:
         total += Fraction(r * gcd(c, d) ** 2, d)

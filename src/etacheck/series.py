@@ -503,7 +503,7 @@ class QSeries(Frozen):
         if e >= self.trunc:
             raise SpecError(f"coefficient q^{e} lies beyond truncation {self.trunc}")
         if e < self.val:
-            return self.ring.coerce(0)
+            return 0
         return self.coeffs[e - self.val]
 
     def leading(self):
@@ -532,8 +532,6 @@ class QSeries(Frozen):
         trunc = min(self.trunc, other.trunc)
         if self.is_zero():
             return other.truncate(trunc)
-        if other.is_zero():
-            return self.truncate(trunc)
         lo = min(self.val, other.val)
         out = [0] * (trunc - lo)
         for s in (self, other):
@@ -547,8 +545,6 @@ class QSeries(Frozen):
     def scale(self, c) -> "QSeries":
         """Scalar multiple c*f."""
         c = self.ring.coerce(c)
-        if c == 0:
-            return QSeries.zero(self.ring, self.trunc)
         return QSeries(self.ring, [c * x for x in self.coeffs], self.val, self.trunc)
 
     def mul(self, other: "QSeries", ell: int = 1) -> "QSeries":
@@ -560,9 +556,7 @@ class QSeries(Frozen):
         val = self.val + other.val
         trunc = -(-min(self.trunc + other.val, other.trunc + self.val) // ell)
         start = -(-val // ell)
-        n_out = trunc - start  # <= 0 when self or other is zero
-        if n_out <= 0:
-            return QSeries.zero(self.ring, trunc)
+        n_out = trunc - start  # 0 when self or other is zero
         out = self._conv(self.coeffs, other.coeffs, n_out, ell, ell * start - val)
         return QSeries._canonical(self.ring, out, start, trunc)
 
@@ -653,8 +647,6 @@ class QSeries(Frozen):
             raise SpecError("substitution power must be >= 1")
         if d == 1:
             return self
-        if self.is_zero():
-            return QSeries.zero(self.ring, d * self.trunc)
         out = _spread(self.coeffs, d, d * (self.trunc - self.val))
         return QSeries._canonical(self.ring, out, d * self.val, d * self.trunc)
 

@@ -106,11 +106,7 @@ def build_A(gen: FamilyGenerator) -> EtaQuotient:
     mod 24 zeroes its sums mod 24, and its prod d**r_d is ell**(-2*sum r_d), a square.
     """
     ell2 = gen.ell ** 2
-    exps = {}
-    for d, e in gen.r:
-        exps[d] = exps.get(d, 0) + e
-        exps[ell2 * d] = exps.get(ell2 * d, 0) - e
-    return EtaQuotient(ell2 * gen.M, exps)
+    return EtaQuotient(ell2 * gen.M, [*gen.r, *((ell2 * d, -e) for d, e in gen.r)])
 
 
 def u_ell(f: QSeries, ell: int, times: QSeries | None = None) -> QSeries:

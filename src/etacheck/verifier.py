@@ -236,7 +236,7 @@ def residue_for_case(c: int, ell: int, alpha: int) -> int:
     modulus = ell ** alpha
     if gcd(c, modulus) != 1:
         raise SpecError(f"{c} is not invertible mod {ell}^{alpha}")
-    return pow(c, -1, modulus) if modulus > 1 else 0
+    return pow(c, -1, modulus)
 
 
 def direct_oracle(gen: FamilyGenerator, m: int, j: int, ell: int, e: int,

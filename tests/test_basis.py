@@ -73,6 +73,10 @@ BROKEN = {
     "expansion-off-order": lambda b, _: (b.t, (b.gs[0], BasisFunction(
         "g2", ((1, (basis._H20,)), (-1, (basis._H20,))), -3), *b.gs[2:])),
     "finite-pole": lambda b, t: (BasisFunction.from_quotient("t", t, -5), b.gs),
+    "t-order-5-for-v-1": lambda b, _: (b.t, (b.gs[1],)),
+    "unsorted": lambda b, _: (b.t, (b.gs[1], b.gs[0], *b.gs[2:])),
+    "zero-at-infinity": lambda b, _: (b.t, (
+        BasisFunction.from_quotient("g0", basis._G20.inverse(), 2), b.gs[0], *b.gs[2:])),
 }
 
 
@@ -426,6 +430,8 @@ def test_constant_terms_and_the_zero_element():
     assert c.describe() == f"c = 3*1 + 1*{basis._G20!r}"
     assert c.series(4).agrees_with(eta_expand(basis._G20, 4).add(QSeries.one(ZZ, 4).scale(3)))
     assert repr(ModuleElement(ZZ, {(0, 0): 5})) == "<5*1 over Z>"
+    assert repr(ModuleElement(ZZ, {(1, 0): 2, (1, 2): 1, (-1, 0): 1})) == \
+        "<1*t^-1 + 2*t + 1*t*g2 over Z>"
     assert repr(ModuleElement(zmod(5, 1), {(0, 0): 5})) == "<0>"
 
 
@@ -439,6 +445,10 @@ GUARDS = [
     (lambda: AlgebraBasis(20, load_basis_n20().t,
                           (BasisFunction.from_quotient("g1", basis._G20, -2),)).residue_index(1),
      ContractError, "no basis element covers residue 1 mod 2"),
+    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -2).series(4),
+     ContractError, "z: expansion valuation None does not match declared order -2"),
+    (lambda: BasisFunction.from_quotient("g", basis._G20, -3).series(4),
+     ContractError, "g: expansion valuation -2 does not match declared order -3"),
 ]
 
 

@@ -17,10 +17,20 @@ from etacheck.ujump import UImageTable, build_A
 from etacheck.verifier import CongruenceFamilySpec, rogers_ramanujan
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src, env = str(SRC), dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
 
 
 def test_parse_eta_spec():
@@ -38,7 +48,11 @@ def test_cusps_command(capsys):
     code, out, _ = run(capsys, "cusps", "20")
     assert code == 0
     assert "6 cusp classes" in out
-    assert "1/20   (infinity class)" in out
+    assert "1/20   (infinity class)" in out and out.count("(infinity class)") == 1
+    # python -m etacheck.cli runs the same command
+    done = subprocess.run([sys.executable, "-m", "etacheck.cli", "cusps", "20"],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, out)
 
 
 def test_order_and_newman_commands(capsys):
@@ -55,9 +69,11 @@ def test_order_and_newman_commands(capsys):
 def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, _, _ = run(capsys, "order", "20-bad", "1/2")
     assert code == 2
-    code, _, _ = run(capsys, "verify", "no-such-family")
-    assert code == 2
+    code, _, err = run(capsys, "verify", "no-such-family")
+    assert code == 2 and "'no-such-family' is neither a built-in family nor a file" in err
     assert main(["no-such-subcommand"]) == 2
+    code, out, _ = run(capsys, "--help")  # argparse's own exit 0
+    assert code == 0 and out.startswith("usage: etacheck")
     # the generator and basis searches have fixed bounds, not options
     for command in ("find-t", "basis"):
         code, out, err = run(capsys, command, "rogers-ramanujan", "--bound", "12")
@@ -335,11 +351,12 @@ def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
 
 
 def test_u_image_command(capsys, image_cache_dir):
-    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
-                       "u-image", "rogers-ramanujan", "0", "-1", "0",
-                       "--mod", "5^1")
-    assert code == 0
-    assert out.strip() == "<4*t^-1 + 2*t^-1*g1 + 1*t^-1*g2 + 1*t^-1*g3 over Z/5^1>"
+    # --mod 5 means 5^1
+    for mod in ("5^1", "5"):
+        code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                           "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", mod)
+        assert code == 0
+        assert out.strip() == "<4*t^-1 + 2*t^-1*g1 + 1*t^-1*g2 + 1*t^-1*g3 over Z/5^1>"
 
 
 def test_custom_spec_file(capsys, tmp_path, image_cache_dir):
@@ -355,16 +372,11 @@ def test_custom_spec_file(capsys, tmp_path, image_cache_dir):
     assert code == 0 and "custom-rr: ell=5 B=1 iterations=2" in out
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 def fresh_import(module):
     """The modules that importing `module` adds, in a fresh interpreter."""
-    src, env = str(SRC), dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     code = (f"import sys; before = set(sys.modules); import {module}; "
             "print(*set(sys.modules) - before)")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())

@@ -1,8 +1,8 @@
 """The narrative demos run to completion.
 
-Demos 01-04 take a few seconds together; 05 verifies both families end to
-end on an empty image cache and cross-checks them by brute force, about
-15 s on a 2-core host.
+Demos 01-04 take under half a second together; 05 verifies both families
+end to end on an empty image cache and cross-checks them by brute force,
+about 0.3-0.6 s on a 2-core host (``pytest --durations``).
 """
 
 import os

@@ -96,6 +96,12 @@ def test_infinity_is_one_over_n():
     assert canonical_cusp(parse_cusp("oo"), 12) == canonical_cusp(Cusp(1, 12), 12)
 
 
+def test_a_cusp_is_a_reduced_fraction_over_a_positive_denominator():
+    assert Cusp(2, -10) == Cusp(-1, 5) == parse_cusp("1/-5")
+    assert (Cusp(2, -10).a, Cusp(2, -10).c) == (-1, 5)
+    assert parse_cusp("3") == Cusp(3, 1)  # an integer a is the cusp a/1
+
+
 def test_classes_need_no_witness_search(monkeypatch):
     # the classes come from the closed-form key alone: on fresh caches and
     # with the witness search disabled, every cusp question still answers
@@ -233,6 +239,8 @@ def run_order_class_invariance(cases=200, seed=77):
         assert cusp_equivalent(x, y, N) is not None
         assert canonical_cusp(y, N) == canonical_cusp(x, N)
         assert eta_order_at_cusp(eq, x) == eta_order_at_cusp(eq, y)
+        # infinity is the class of 1/N: gcd(0, d) = d and gcd(0, N) = N
+        assert eta_order_at_cusp(eq, Cusp(1, 0)) == eta_order_at_cusp(eq, Cusp(1, N))
         done += 1
     return done
 

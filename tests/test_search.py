@@ -3,10 +3,12 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from etacheck import search
 from etacheck.errors import SpecError
 from etacheck.eta import EtaQuotient, divisors
 from etacheck.modcurve import (
@@ -92,6 +94,10 @@ def test_conflicting_signs_within_one_class():
     assert search_modular_quotients(N, 1, BOUND, zero=[z])
     assert search_modular_quotients(N, 1, BOUND, positive=[p], zero=[z]) == []
     assert brute_force(N, 1, positive=[p], zero=[z]) == []
+
+
+def test_order_matrix_inverse_swaps_rows_past_a_zero_pivot():
+    assert search._inverse([[0, 2], [4, 0]]) == [[0, Fraction(1, 4)], [Fraction(1, 2), 0]]
 
 
 # (call, exception, message): the guards of the search

@@ -1,6 +1,7 @@
 """Series ring laws, Euler product expansion, and eta-quotient expansion."""
 
 import ast
+import importlib.util
 import random
 import re
 import sys
@@ -139,6 +140,19 @@ def test_convolution_matches_schoolbook(monkeypatch):
     # and so does every product without the C decimal module
     monkeypatch.setattr(series, "_decimal", None)
     assert check_all() == set(range(1, 12))
+
+
+def test_a_host_without_little_endian_words_packs_through_bytes(monkeypatch):
+    # on a big-endian host, or one whose array items have other sizes, the
+    # module keeps no item codes, so every limb width goes through to_bytes
+    monkeypatch.setattr(sys, "byteorder", "big")
+    spec = importlib.util.spec_from_file_location("etacheck._series_big_endian", series.__file__)
+    big = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(big)
+    assert big._WORDS == {} and big._word(1) is None
+    rng = random.Random(7)
+    a, b = [rng.randint(-99, 99) for _ in range(40)], [rng.randint(-99, 99) for _ in range(30)]
+    assert big.convolve_ints(a, b, 60) == schoolbook(a, b, 60)
 
 
 def test_square_matches_schoolbook(monkeypatch):
@@ -456,6 +470,7 @@ def run_ring_laws(cases=200, seed=2024):
         f = random_series(rng, ring)
         g = random_series(rng, ring)
         h = random_series(rng, ring)
+        assert f.scale(0) == QSeries.zero(ring, f.trunc)
         assert f.mul(g).agrees_with(g.mul(f))
         assert f.mul(g).mul(h).agrees_with(f.mul(g.mul(h)))
         assert f.mul(g.add(h)).agrees_with(f.mul(g).add(f.mul(h)))
@@ -590,6 +605,7 @@ def test_substitute_power():
     assert q.substitute_power(5).trunc == 10
     s = QSeries(ZZ, [1, 2, 3], 0, 3).substitute_power(5)
     assert s.terms() == {0: 1, 5: 2, 10: 3}
+    assert QSeries.zero(ZZ, 3).substitute_power(5) == QSeries.zero(ZZ, 15)
 
 
 def run_substitution_homomorphism(cases=200, seed=5):

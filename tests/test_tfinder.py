@@ -41,6 +41,9 @@ def test_pole_sets_trivial_quotient():
     ps = compute_pole_sets(A1, 5, 20)
     assert ps.p_A == frozenset()
     assert ps.p_g == frozenset({Cusp(1, 4)})
+    # at level 10, 1/5 maps only to itself (p0'), while 1 reaches 1/5 (p1')
+    assert compute_pole_sets(EtaQuotient(50, {}), 5, 10) == PoleSets(
+        frozenset(), frozenset({Cusp(1, 2)}), frozenset({Cusp(1, 5)}), frozenset({Cusp(1, 1)}))
 
 
 def test_pole_sets_same_for_both_families(rr_pole_sets):

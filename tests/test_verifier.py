@@ -250,7 +250,12 @@ def test_deep_run_in_closed_form(rr_image_table):
 
 def test_report_text_shape(rr_image_table):
     rep = iterate(rogers_ramanujan(B=2), rr_image_table)
-    text = rep.text()
-    assert "VERIFIED" in text and "alpha= 4" in text
+    assert rep.text() == ("family rogers-ramanujan: ell=5 B=2 iterations=4\n"
+                          "  alpha= 0  v=0 need>=0  ok\n"
+                          "  alpha= 1  v=0    \n"
+                          "  alpha= 2  v=1 need>=1  ok\n"
+                          "  alpha= 3  v=1    \n"
+                          "  alpha= 4  v=2 (saturated) need>=2  ok\n"
+                          "VERIFIED")
     data = rep.to_json()
     assert data["ok"] and data["V"] == [0, 0, 1, 1, 2]
