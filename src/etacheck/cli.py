@@ -52,7 +52,7 @@ def parse_eta_spec(text: str) -> EtaQuotient:
     try:
         level = int(head)
         pieces = body.split(",") if body.strip() else []
-        exps = [(int(d), int(e or "1")) for d, _, e in (p.partition("^") for p in pieces)]
+        exps = [(int(d), int(e)) for d, _, e in (p.partition("^") for p in pieces)]
     except ValueError as exc:
         raise SpecError(f"cannot parse eta spec {text!r}: {exc}") from exc
     return EtaQuotient(level, exps)
@@ -127,7 +127,7 @@ def cmd_find_t(args) -> int:
     spec = load_family_spec(args.spec)
     t = find_t(spec.gen)
     print(f"generator at level {t.level}: "
-          + ",".join(f"{d}^{r}" for d, r in t.exponents or ((1, 0),)))
+          + ",".join(f"{d}^{r}" for d, r in t.exponents))
     for x, o in order_vector(t).items():
         print(f"  ord at {x}: {o}")
     return 0

@@ -41,7 +41,7 @@ def _inverse(rows):
         a[col], a[pivot] = a[pivot], a[col]
         a[col] = [x / a[col][col] for x in a[col]]
         for r in range(k):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[k:] for row in a]

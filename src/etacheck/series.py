@@ -135,7 +135,7 @@ class CoeffRing(Frozen):
     def unit_inverse(self, c):
         """The inverse of c; SpecError unless c is a unit (+-1 in Z, prime to
         ell in Z/ell^e)."""
-        if self._modulus is None and c in (1, -1):
+        if c in (1, -1):
             return c
         if self._modulus and c % self.ell:
             return pow(c, -1, self._modulus)
@@ -367,7 +367,7 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     b = a if square else b[:n_in]
     ma = _running_maxima(a)
     mb = ma if square else _running_maxima(b)
-    if ma[-1] == 0 or mb[-1] == 0:
+    if mb[-1] == 0:  # a leads with a nonzero coefficient; div's residual b may vanish
         return [0] * n_out
     # blocks i and j meet only if i + j <= last; ma and mb never fall, so
     # each i is paired with the last block of b it can meet

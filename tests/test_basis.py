@@ -77,6 +77,10 @@ BROKEN = {
     "unsorted": lambda b, _: (b.t, (b.gs[1], b.gs[0], *b.gs[2:])),
     "zero-at-infinity": lambda b, _: (b.t, (
         BasisFunction.from_quotient("g0", basis._G20.inverse(), 2), b.gs[0], *b.gs[2:])),
+    # g times eta(tau)^24 / eta(2 tau)^12: level 20, order -2 at infinity,
+    # monic, and every Newman condition but the weight, sum r_d = 12
+    "not-modular": lambda b, _: (b.t, (BasisFunction.from_quotient(
+        "g1", EtaQuotient(20, basis._G20.exponents + ((1, 24), (2, -12))), -2), *b.gs[1:])),
 }
 
 
@@ -401,6 +405,20 @@ def test_construct_basis_product_closure():
     run_reduce_reconstruction(cases=60, seed=34, b=b)
 
 
+def test_product_closure_takes_the_least_pair_of_the_missing_residue(monkeypatch):
+    # a search that finds level-20 quotients of pole orders 2, 3 and 9 alone
+    # leaves residue 1 mod 5 to the closure: 2 + 2 has the least order but
+    # residue 4, 2 + 9 comes first but 3 + 3 = 6 is less
+    search = basis.search_modular_quotients
+    monkeypatch.setattr(basis, "search_modular_quotients",
+                        lambda N, n0, *args, **kwargs:
+                        search(N, n0, *args, **kwargs) if n0 in (2, 3, 9) else [])
+    b = construct_basis(basis._T20)
+    assert [g.ord_inf for g in b.gs] == [-2, -3, -6, -9]
+    (_, (q3,)), = b.gs[1].construction
+    assert b.gs[2].construction == ((1, (q3, q3)),)
+
+
 def test_construct_basis_rejects_bad_generator(b20, finite_pole_t):
     with pytest.raises(SpecError, match="modularity"):
         construct_basis(EtaQuotient(20, {1: 1, 20: -1}))
@@ -447,6 +465,10 @@ GUARDS = [
      ContractError, "no basis element covers residue 1 mod 2"),
     (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -2).series(4),
      ContractError, "z: expansion valuation None does not match declared order -2"),
+    # one coefficient from ord_inf -1: a zero sum is refused by name, before
+    # its truncation to [-1, 0) would be asked to extend it
+    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -1).series(1),
+     ContractError, "z: expansion valuation None does not match declared order -1"),
     (lambda: BasisFunction.from_quotient("g", basis._G20, -3).series(4),
      ContractError, "g: expansion valuation -2 does not match declared order -3"),
 ]

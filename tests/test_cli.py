@@ -55,6 +55,33 @@ def test_cusps_command(capsys):
     assert (done.returncode, done.stdout) == (0, out)
 
 
+def test_concurrent_cold_writers_leave_what_one_writer_leaves(tmp_path):
+    # three cold runs on one cache directory, more than a 2-core host runs at
+    # once, all computing and storing the same image
+    def start(cache):
+        return subprocess.Popen(
+            [sys.executable, "-m", "etacheck.cli", "--cache-dir", str(cache),
+             "u-image", "rogers-ramanujan", "1", "-2", "0"],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def files(cache):
+        return {p.relative_to(cache): p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+
+    alone = start(tmp_path / "alone")
+    out, _ = alone.communicate(timeout=120)
+    assert alone.returncode == 0
+    writers = [start(tmp_path / "shared") for _ in range(3)]
+    try:
+        done = [(w.communicate(timeout=120), w.returncode) for w in writers]
+    finally:
+        for w in writers:
+            w.kill()  # a no-op once it has exited
+    assert all(code == 0 and stdout == out for (stdout, _), code in done)
+    (key_dir,) = (tmp_path / "shared").iterdir()
+    assert list(key_dir.glob("*.tmp")) == []
+    assert files(tmp_path / "shared") == files(tmp_path / "alone")
+
+
 def test_order_and_newman_commands(capsys):
     code, out, _ = run(capsys, "order", "20:1^2,4^2,10^8,5^-2,20^-10", "1/20")
     assert code == 0 and out.strip() == "-5"
@@ -85,6 +112,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", "5^x")
     assert code == 2 and out == "" and "--mod" in err
+    # an eta piece is d^e: a bare divisor is not read as d^1
+    code, out, err = run(capsys, "order", "20:5", "oo")
+    assert code == 2 and out == "" and "cannot parse eta spec '20:5'" in err
     # a level, a cusp or a ring that does not exist: exit 2 with its reason
     for argv, message in ((("cusps", "0"), "level must be positive"),
                           (("order", "0:", "oo"), "level must be a positive integer"),
@@ -126,7 +156,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     for bad in ({**good, "r": [[1, -3]]}, {**good, "M": "x"}, [good],
                 {**good, "c": 24.9, "B": 2.5}, {**good, "B": True},
                 *({**good, "r": {"1": -3, key: 5, "4": -2}}
-                  for key in ("0_2", " 2", "+2", "\u0662")),
+                  for key in ("0_2", " 2", "+2", "\u0662", "x")),
                 {**good, "name": ["x"]}, {**good, "b": 7}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -348,6 +378,11 @@ def test_verify_command_json_report(capsys, tmp_path, image_cache_dir):
     # spec echo round-trips
     again = CongruenceFamilySpec.from_json(payload["spec"])
     assert again.to_json() == payload["spec"]
+    # with -o, --json goes to the file alone: stdout keeps the text report
+    code, out, _ = run(capsys, "--cache-dir", str(image_cache_dir),
+                       "verify", "rogers-ramanujan", "--B", "2", "--json", "-o", str(out_file))
+    assert code == 0 and out.rstrip().endswith("VERIFIED") and '"report"' not in out
+    assert json.loads(out_file.read_text())["report"]["V"] == [0, 0, 1, 1, 2]
 
 
 def test_u_image_command(capsys, image_cache_dir):

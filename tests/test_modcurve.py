@@ -132,6 +132,9 @@ def test_newman_conditions():
     assert ok and k0 * k0 == 5 ** 6
     assert newman_check(EtaQuotient(2, {}))[0]
     assert not newman_check(EtaQuotient(2, {1: 1, 2: -1}))[0]
+    # Delta = eta(tau)^24 meets every condition but the weight: a modular
+    # form of weight 12, not a function
+    assert newman_check(EtaQuotient(1, {1: 24})) == (False, None)
     for eq in (T20, H20, G20, A100):
         assert newman_check(eq)[0]
 

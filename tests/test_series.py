@@ -1,5 +1,6 @@
 """Series ring laws, Euler product expansion, and eta-quotient expansion."""
 
+import array
 import ast
 import importlib.util
 import random
@@ -135,6 +136,13 @@ def test_convolution_matches_schoolbook(monkeypatch):
         a = [rng.randint(-10**400, 10**400) for _ in range(4)]
         b = [rng.randint(-10**400, 10**400) for _ in range(5)]
         assert convolve_ints(a, b, 12) == schoolbook(a, b, 12) and widths
+        # and no limit at all (0) leaves them to libmpdec
+        sys.set_int_max_str_digits(0)
+        widths.clear()
+        packed, pack_decimal = [], series._pack_decimal
+        monkeypatch.setattr(series, "_pack_decimal",
+                            lambda vals, digits: packed.append(digits) or pack_decimal(vals, digits))
+        assert convolve_ints(a, b, 12) == schoolbook(a, b, 12) and packed and not widths
     finally:
         sys.set_int_max_str_digits(limit)
     # and so does every product without the C decimal module
@@ -142,17 +150,36 @@ def test_convolution_matches_schoolbook(monkeypatch):
     assert check_all() == set(range(1, 12))
 
 
+class _EightByteInt(array.array):
+    """array items as on a host whose C int is 8 bytes wide."""
+
+    @property
+    def itemsize(self):
+        return 8 if self.typecode == "i" else super().itemsize
+
+
+def _packs_through_bytes():
+    """Load a second copy of series on the host as patched: it keeps no item
+    codes and multiplies through to_bytes."""
+    spec = importlib.util.spec_from_file_location("etacheck._series_copy", series.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy._WORDS == {} and copy._word(1) is None
+    rng = random.Random(7)
+    a, b = [rng.randint(-99, 99) for _ in range(40)], [rng.randint(-99, 99) for _ in range(30)]
+    assert copy.convolve_ints(a, b, 60) == schoolbook(a, b, 60)
+
+
 def test_a_host_without_little_endian_words_packs_through_bytes(monkeypatch):
     # on a big-endian host, or one whose array items have other sizes, the
     # module keeps no item codes, so every limb width goes through to_bytes
     monkeypatch.setattr(sys, "byteorder", "big")
-    spec = importlib.util.spec_from_file_location("etacheck._series_big_endian", series.__file__)
-    big = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(big)
-    assert big._WORDS == {} and big._word(1) is None
-    rng = random.Random(7)
-    a, b = [rng.randint(-99, 99) for _ in range(40)], [rng.randint(-99, 99) for _ in range(30)]
-    assert big.convolve_ints(a, b, 60) == schoolbook(a, b, 60)
+    _packs_through_bytes()
+
+
+def test_a_host_whose_c_int_is_8_bytes_packs_through_bytes(monkeypatch):
+    monkeypatch.setattr(array, "array", _EightByteInt)
+    _packs_through_bytes()
 
 
 def test_square_matches_schoolbook(monkeypatch):
@@ -759,6 +786,8 @@ GUARDS = [
     (lambda: ZZ.modulus, SpecError, "only Zmod rings have a modulus"),
     (lambda: EtaQuotient(20, {4: 1}).at_level(10), SpecError,
      "divisor 4 does not divide target level 10"),
+    (lambda: EtaQuotient(20, {0: 1}), SpecError, "divisor 0 does not divide level 20"),
+    (lambda: EtaQuotient(20, {-4: 1}), SpecError, "divisor -4 does not divide level 20"),
     (lambda: EtaQuotient(20, {4: 1}).scale_tau(0), SpecError, "scaling factor must be >= 1"),
     (lambda: euler_product(0, 5), SpecError, "Euler product index must be a positive integer"),
     (lambda: euler_product(1, -1), SpecError, "truncation must be >= 0"),

@@ -589,7 +589,7 @@ def test_every_taming_power_is_tight(family, computed):
 
 
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
-def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
+def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key):
     # (1, -4, 4) is the deepest key of its batch; (1, -1, 0) was computed in
     # the same batch, after the store held t**-1 far past the 250
     # coefficients it needs on its own; (0, -3, 4) multiplies t**-3 by g_4
@@ -602,7 +602,7 @@ def test_image_does_not_depend_on_workspace_size(rr_cold_run, key):
     assert max(s.trunc - s.val for s in b._monomials.values()) == alone._precision(*key)
 
 
-def test_images_from_disk_never_build_the_workspace(rr_cold_run):
+def test_images_from_disk_never_fill_the_monomial_store(rr_cold_run):
     table, report, _, _ = rr_cold_run
     b = fresh_basis()
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)

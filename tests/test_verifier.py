@@ -1,5 +1,7 @@
 """The iteration driver, pattern checks, and brute-force cross-checks."""
 
+import re
+
 import pytest
 
 from etacheck import verifier
@@ -197,6 +199,12 @@ def test_runaway_support_guard(rr_image_table, monkeypatch):
     spec = rogers_ramanujan(B=2)
     monkeypatch.setattr(verifier, "J_CEILING", 1)
     with pytest.raises(ContractError):
+        iterate(spec, rr_image_table)
+    # a support that escapes upward is refused too
+    monkeypatch.setattr(verifier, "u_step",
+                        lambda table, me, with_A: ModuleElement(me.ring, {(2, 0): 1}))
+    message = "t-support [2, 2] escaped the +-1 ceiling at step 1"
+    with pytest.raises(ContractError, match=re.escape(message)):
         iterate(spec, rr_image_table)
 
 
