@@ -49,9 +49,13 @@ def parse_eta_spec(text: str) -> EtaQuotient:
     if ":" not in text:
         raise SpecError(f"eta spec {text!r} lacks the 'level:' prefix")
     head, _, body = text.partition(":")
+    pieces = body.split(",") if body.strip() else []
+    for piece in pieces:
+        if not piece.partition("^")[2].strip():
+            raise SpecError(f"cannot parse eta spec {text!r}: piece {piece!r} "
+                            "is missing its ^exponent")
     try:
         level = int(head)
-        pieces = body.split(",") if body.strip() else []
         exps = [(int(d), int(e)) for d, _, e in (p.partition("^") for p in pieces)]
     except ValueError as exc:
         raise SpecError(f"cannot parse eta spec {text!r}: {exc}") from exc

@@ -33,18 +33,42 @@ m), for t**m only as far as U_ell of that reaches (about a factor ell
 less), and the reduction asks for each of its monomials only as far as its
 remainder reaches.
 ``u_step`` asks the table for a step's images as one batch, since the keys
-a step needs are exactly the terms of the element it is applied to; the
-table computes the tamed products of the keys it cannot load deepest first,
-so each A * g_k, and each t-power the batch shares, is expanded once, to
-what the deepest key needs.  The products are then reduced together, by one
-``mw_reduce`` call over the whole batch, and each reduced element is shifted
-by t**(-m) into its image.  The step adds the scaled images over Z;
-``ModuleElement`` reduces the sum into the ring.
+a step needs are exactly the terms of the element it is applied to.  The
+keys the table cannot load are computed in P interleaved parts keys[p::P],
+sorted deepest first: one part per core the process may use, each of at
+least PART_KEYS keys (``_part_count``).  On two cores a cold B = 5 run
+splits only its 18-key batch, in two; a batch of one part is computed in
+the calling process alone, by the same code.  A batch is computed in two
+rounds, each of which runs its first job in the calling process and every
+other job in a worker made by ``os.fork`` (``_fan_out``):
+
+  1. the expansions the batch reads (``_wants``): t**j and y at each key's
+     precision, t**m, and the monomial of every pole order the reduction
+     can step through, each made once, to the largest precision the batch
+     reads it at.  With two parts or more they are made in two chains side
+     by side (``_chain``): a worker makes g_k and A * g_k, from the
+     quotients of g, h and A, and hands back the store entries it made,
+     which the calling process keeps, while the calling process makes the
+     t-powers and the reduction's monomials;
+  2. the parts: a worker inherits the table with every expansion its part
+     reads, computes the part's tamed products, reduces them by one
+     ``mw_reduce`` call and shifts each by t**(-m).
+
+A worker writes its result (or the message of the ContractError that
+refused its job) to a pipe with ``marshal`` and leaves by ``os._exit``; the
+calling process reads each pipe to its end, reaps the worker, and alone
+stores and memoizes the images, which do not depend on P: each is the
+unique Laurent element.  A worker's memory is not counted in the calling
+process's peak RSS (the benchmark's ``peak_rss_mb``), and a tracer
+installed in the calling process sees only the work done there.  The step
+adds the scaled images over Z; ``ModuleElement`` reduces the sum into the
+ring.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 import tempfile
 from functools import cached_property
@@ -57,6 +81,8 @@ from .modcurve import eta_order_at_cusp, finite_cusps
 from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, stored
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
+PART_KEYS = 6  # the fewest images a part of a batch computes: splitting the
+               # 9- and 5-key batches of a cold B = 5 run measured no faster
 
 
 class FamilyGenerator(Frozen):
@@ -218,12 +244,12 @@ class UImageTable:
     """Memoized images t**(-m) * [t**m * U_ell(A**i t**j g_k)] over Z.
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
-    one-key case): keys found in memory or on disk are loaded, and the
-    tamed products of the rest are computed, largest ``_precision`` first,
-    reduced as one batch and stored.  Each A * g_k (held per k, A * g_0 = A)
-    and the t-powers the batch shares are thus expanded once, to what its
-    deepest key needs.  Each image reads them only to its own
-    ``_precision``, so it does not depend on what else was computed first.
+    one-key case): keys found in memory or on disk are loaded, and the rest
+    are computed (``_computed``) and stored.  Each A * g_k (held per k,
+    A * g_0 = A) and the t-powers the batch shares are expanded once, to
+    what its deepest key needs.  Each image reads them only to its own
+    ``_precision``, so it does not depend on what else was computed first,
+    nor on the part it was computed in.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -333,15 +359,13 @@ class UImageTable:
                 missing.append(key)
             else:
                 self._mem[key] = me
-        # largest precision first: the expansion of A and the shared t-powers
-        # are then expanded once for the whole batch, to what its deepest key
-        # needs, not once more for every deeper key
-        missing.sort(key=lambda key: self._precision(*key), reverse=True)
-        for key, me in zip(missing, self._reduce(missing) if missing else ()):
-            me = self._compute(*key, me)
-            if self.cache_dir:
-                self._store(*key, me)
-            self._mem[key] = me
+        if missing:
+            # deepest first: the parts of keys[p::parts] then share the work
+            missing.sort(key=lambda key: self._precision(*key), reverse=True)
+            for key, me in zip(missing, self._computed(missing, _part_count(len(missing)))):
+                if self.cache_dir:
+                    self._store(*key, me)
+                self._mem[key] = me
         return [self._mem[key] for key in keys]
 
     def image(self, i: int, j: int, k: int) -> ModuleElement:
@@ -376,11 +400,166 @@ class UImageTable:
                 raise
             raise ContractError(f"image {keys[exc.series]}: {exc}") from exc
 
+    def _wants(self, keys) -> list:
+        """(prec, e, k, i) of every expansion the images of keys read,
+        largest precision first: t**j and y at each key's ``_precision``
+        (y = A * g_k, kept by the table, for i = 1), t**m as far as its
+        product reads it at most, and the monomial of every pole order the
+        reduction can step through, at the window that step reads.  A store
+        entry asks for its factors at its own precision, so expansions made
+        in this order are each made once, at the largest precision the batch
+        reads."""
+        b, ell, wants, lo = self.basis, self.ell, set(), 0
+        for i, j, k in keys:
+            m, prec = self.se.exponent(i, j, k), self._precision(i, j, k)
+            val = i * self.A.q_shift() - b.pole_order(j, k)
+            start = -(-val // ell)  # U_ell(t**j * y) starts here or above
+            wants.add((prec, j, 0, 0))
+            if i or k:
+                wants.add((prec, 0, k, i))
+            wants.add((-(-(val + prec) // ell) - start, m, 0, 0))
+            lo = min(lo, start - b.pole_order(m, 0))
+        for pole in range(1, 1 - lo):
+            k = b.residue_index(pole)
+            e = (pole - b.pole_order(0, k)) // (b.v + 1)
+            if e >= 0:
+                wants.add((pole + 1 + self.SLACK, e, k, 0))
+        return sorted(wants, reverse=True)
+
+    def _stores(self) -> tuple:
+        """The expansion stores a batch fills: the basis monomials and this
+        table's A * g_k."""
+        return self.basis._monomials, self._a_times_g
+
+    def _expand(self, wants) -> list:
+        """Make the expansions of wants, in order, and return the store
+        entries this made as (store, key, val, trunc, coefficients), store
+        the index into ``_stores``."""
+        before = [dict(store) for store in self._stores()]
+        for prec, e, k, i in wants:
+            if i:
+                self._a_times(k, prec)
+            else:
+                self.basis.monomial(e, k, prec)
+        return [(n, key, s.val, s.trunc, s.coeffs)
+                for n, (store, old) in enumerate(zip(self._stores(), before))
+                for key, s in store.items() if old.get(key) is not s]
+
+    def _install(self, made):
+        """Keep each entry ``_expand`` made, in this process or another, by
+        the rule every expansion store shares (``series.stored``)."""
+        for n, key, val, trunc, coeffs in made:
+            stored(self._stores()[n], key, trunc - val, lambda _: QSeries(ZZ, coeffs, val, trunc))
+
+    def _part(self, keys) -> list:
+        """The terms of the images of keys, reduced as one batch."""
+        return [self._compute(*key, me).terms for key, me in zip(keys, self._reduce(keys))]
+
+    def _computed(self, keys, parts: int) -> list:
+        """The images of keys, computed in ``parts`` interleaved parts
+        keys[p::parts], part 0 here and each other part in a forked worker.
+        First the expansions they read are made: those of the quotients of
+        g and h and of A in one worker, the t-powers and the reduction's
+        monomials in this process, and each made entry is kept here; then
+        each worker of a part inherits them all and makes none."""
+        parts = min(parts, len(keys))
+        wants = self._wants(keys)
+        shares = [[w for w in wants if _chain(w) % parts == p] for p in range(parts)]
+        for made in _fan_out([(self._expand, share) for share in shares if share]):
+            self._install(made)
+        out = [None] * len(keys)
+        results = _fan_out([(self._part, keys[p::parts]) for p in range(parts)])
+        for p, terms in enumerate(results):
+            out[p::parts] = (ModuleElement(ZZ, t) for t in terms)
+        return out
+
     def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:
         """The image of A**i t**j g_k from ``tamed``, its t**m multiple
         reduced over the basis: every term shifted by t**(-m)."""
         m = self.se.exponent(i, j, k)
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
+
+
+def _run(job):
+    """A job's result as a worker hands it back: the value of method(arg),
+    or the message of the ContractError it raised."""
+    method, arg = job
+    try:
+        return method(arg)
+    except ContractError as exc:
+        return str(exc)
+
+
+def _fork(job, reads: list) -> int:
+    """Fork a worker that writes ``_run(job)`` to a pipe and exits; its pid.
+    The read end of the pipe is appended to reads, which holds those of the
+    workers forked before it: a worker closes them all, so that closing the
+    read end here breaks its write."""
+    r, w = os.pipe()
+    reads.append(r)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:  # the worker, which never returns into its caller
+                for inherited in reads:  # its own read end, and its elders'
+                    os.close(inherited)
+                with open(w, "wb") as pipe:
+                    marshal.dump(_run(job), pipe)
+            finally:
+                os._exit(0)
+    finally:
+        os.close(w)
+    return pid
+
+
+def _fan_out(jobs) -> list:
+    """The results of jobs, (method, argument) pairs: the first run here,
+    each other in a forked worker.  Every worker is read to the end of its
+    pipe and reaped; on an error or an interrupt its read end is closed
+    first, so that it leaves at its write.  A job's ContractError is raised
+    here once every worker is reaped, and a worker that leaves without a
+    result is one."""
+    reads, pids = [], []
+    try:
+        for job in jobs[1:]:
+            pids.append(_fork(job, reads))
+        results = [_run(jobs[0])]
+        while pids:
+            with open(reads.pop(0), "rb") as fh:
+                data = fh.read()
+            pid, status = os.waitpid(pids.pop(0), 0)
+            try:
+                results.append(marshal.loads(data))
+            except (EOFError, ValueError):
+                raise ContractError(f"image worker {pid} left without a result "
+                                    f"(wait status {status})") from None
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for result in results:
+        if isinstance(result, str):
+            raise ContractError(result)
+    return results
+
+
+def _chain(want) -> int:
+    """1 for g_k alone or A * g_k, made from the quotients of g, h and A;
+    0 for a t-power or a reduction monomial t**e * g_k, made from t's
+    quotients and from g_k only to the reduction's short window.  The two
+    chains share no expansion longer than that, so they are made side by
+    side."""
+    _, e, k, i = want
+    return int(bool(i or (k and not e)))
+
+
+def _part_count(n: int) -> int:
+    """How many parts a batch of n images is computed in: one per core
+    this process may run on (``sched_getaffinity`` exists only where
+    ``os.fork`` does), each of at least PART_KEYS images."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cores, n // PART_KEYS))
 
 
 def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement:

@@ -33,6 +33,14 @@ ALLOWED = (
     ("cli.py", "sys.exit(main())",
      "the __main__ guard; tests run it only in a subprocess, which is not traced"),
     ("series.py", "_decimal = None", "the fallback of a CPython built without _decimal"),
+    *(("ujump.py", text, "runs only in a forked image worker, which the tracer of this "
+       "process does not follow") for text in (
+        "try:  # the worker, which never returns into its caller",
+        "for inherited in reads:  # its own read end, and its elders'",
+        "os.close(inherited)",
+        'with open(w, "wb") as pipe:',
+        "marshal.dump(_run(job), pipe)",
+        "os._exit(0)")),
 )
 
 

@@ -18,7 +18,7 @@ without a reason survives, when an old text no longer occurs exactly once,
 or when the argument matches no entry.  It uses only the standard library;
 pytest does not collect it.
 
-    python3 tests/mutants.py            # the whole catalogue, 18 min on 2 cores
+    python3 tests/mutants.py            # the whole catalogue, 20 min on 2 cores
     python3 tests/mutants.py series.py  # only the entries whose file, old or
                                         # new text contains "series.py"
 """
@@ -233,7 +233,7 @@ MUTANTS = (
     ("src/etacheck/verifier.py", '"" if req is None else f" need>={req}"', 'f" need>={req}"', None),
     # single clauses and handlers whose deletion changed no result in the
     # rest of tier-1, each killed by a new row, assertion or test: an eta
-    # piece without ^exponent read as d^1; Newman's weight condition;
+    # piece without ^exponent refused without naming it; Newman's weight condition;
     # verify_basis passing a constituent that is not modular; a divisor
     # below 1; a spec file's unparsable divisor key (exit 3 with a
     # traceback); --json printed beside -o FILE; a support that escapes
@@ -241,7 +241,7 @@ MUTANTS = (
     # first pair of the missing one; a zero basis function refused by
     # truncate instead of by name; the array path kept on a host whose C int
     # is not 4 bytes, and dropped where int() has no digit limit
-    ("src/etacheck/cli.py", "int(e))", 'int(e or "1"))', None),
+    ("src/etacheck/cli.py", 'if not piece.partition("^")[2].strip():', "if False:", None),
     ("src/etacheck/modcurve.py", "if eq.sum_r() != 0 or ", "if ", None),
     ("src/etacheck/basis.py", " or not newman_check(eq)[0]", "", None),
     ("src/etacheck/eta.py", "if d < 1 or level % d:", "if level % d:", None),
@@ -262,6 +262,26 @@ MUTANTS = (
      "the search's exactness guard: the cusp-weighted sum of a leaf's orders is "
      "(index/24) * sum w_d, so it is 0 exactly when sum w_d = 0, and a non-integral w "
      "floors to exponents summing below 0, which newman_check's weight condition refuses"),
+    # the fan-out of a batch, each killed by a test of tests/test_ujump.py:
+    # parts reassembled out of order and the expansions a worker made
+    # dropped, so that part 0 makes them again (on two cores or more
+    # test_cold_iterate_builds_each_expansion_once_per_batch kills both, and
+    # test_two_parts_give_the_images_of_one on any host); an error record
+    # taken for a result (test_precision_is_the_least_sufficient, whose
+    # refusal in part 0 comes back as one); a worker read but never reaped
+    # (test_two_parts_give_the_images_of_one)
+    ("src/etacheck/ujump.py", "enumerate(results)", "enumerate(results[::-1])", None),
+    ("src/etacheck/ujump.py", "self._install(made)", "pass", None),
+    ("src/etacheck/ujump.py", "if isinstance(result, str):", "if False:", None),
+    ("src/etacheck/ujump.py", "pid, status = os.waitpid(pids.pop(0), 0)",
+     "pid, status = pids.pop(0), 0", None),
+    # two clause deletions that make a loop run forever, each killed by the
+    # per-test deadline of tests/conftest.py: the pole-set closure adding
+    # cusps it already holds (in the set-up of test_tfinder.py's
+    # rr_pole_sets), and the valuation loop past B on the zero element,
+    # whose gcd 0 every power of ell divides
+    ("src/etacheck/tfinder.py", "if x not in forced and ", "if ", None),
+    ("src/etacheck/verifier.py", "while v < spec.B and ", "while ", None),
     ("src/etacheck/series.py", "except ImportError:", "except ():",
      "CPython builds ship _decimal, so the import never fails and the handler "
      "never runs (tests/linecov.py allows its one statement for that reason)"),

@@ -112,9 +112,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, image_cache_dir, monkeypatch):
     code, out, err = run(capsys, "--cache-dir", str(image_cache_dir),
                          "u-image", "rogers-ramanujan", "0", "-1", "0", "--mod", "5^x")
     assert code == 2 and out == "" and "--mod" in err
-    # an eta piece is d^e: a bare divisor is not read as d^1
-    code, out, err = run(capsys, "order", "20:5", "oo")
-    assert code == 2 and out == "" and "cannot parse eta spec '20:5'" in err
+    # an eta piece is d^e: a bare divisor is not read as d^1, and the
+    # refusal names the piece whose ^exponent is missing
+    for spec, piece in (("20:5", "'5'"), ("20:1^2,5^", "'5^'"), ("20:1^2, 4", "' 4'")):
+        code, out, err = run(capsys, "order", spec, "oo")
+        assert code == 2 and out == "" and (
+            f"cannot parse eta spec '{spec}': piece {piece} is missing its ^exponent" in err), spec
     # a level, a cusp or a ring that does not exist: exit 2 with its reason
     for argv, message in ((("cusps", "0"), "level must be positive"),
                           (("order", "0:", "oo"), "level must be a positive integer"),

@@ -1,6 +1,7 @@
 """U_ell behaviour, the auxiliary quotient A, stability exponents, images."""
 
 import itertools
+import os
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from etacheck import series, ujump
+from etacheck import basis, series, ujump
 from etacheck.basis import (
     AlgebraBasis,
     ModuleElement,
@@ -16,10 +17,11 @@ from etacheck.basis import (
     module_element_series,
     mw_reduce,
 )
+from etacheck.cli import main
 from etacheck.errors import ContractError, SpecError
 from etacheck.eta import EtaQuotient, divisors, eta_expand
 from etacheck.modcurve import eta_order_at_cusp, finite_cusps, newman_check
-from etacheck.series import QSeries, ZZ, convolve_ints, zmod
+from etacheck.series import QSeries, ZZ, zmod
 from etacheck.ujump import (
     FamilyGenerator,
     UImageTable,
@@ -527,52 +529,193 @@ def fresh_basis():
 @pytest.fixture(scope="module")
 def rr_cold_run(tmp_path_factory):
     """A cold RR B=5 iterate on a fresh basis and an empty disk cache, with
-    (window, n_out) for every convolution made inside a reduction, where the
-    window is the widest f.trunc - f.val of the batch being reduced, and the
-    size of every batch reduced."""
+    (keys, parts) for every batch computed, the size of every batch reduced
+    in this process, and (batch, in a part, store, key) for every expansion
+    built here or kept from a worker."""
     cache = tmp_path_factory.mktemp("images-rr-cold")
     table = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=cache)
-    windows, seen, batches = [], [], []
+    computed, reduced, builds, in_part = [], [], [], []
+    compute, part = UImageTable._computed, UImageTable._part
 
-    def reduce(fs, b):
-        batches.append(len(fs))
-        windows.append(max(f.trunc - f.val for f in fs))
+    def record(self, keys, parts):
+        computed.append((list(keys), parts))
+        return compute(self, keys, parts)
+
+    def record_part(self, keys):
+        in_part.append(True)
         try:
-            return mw_reduce(fs, b)
+            return part(self, keys)
         finally:
-            windows.pop()
+            in_part.pop()
 
-    def convolve(a, b, n_out, ell=1, o=0):
-        if windows:
-            seen.append((windows[-1], n_out))
-        return convolve_ints(a, b, n_out, ell, o)
+    def build(store, key, prec, make):
+        held = store.get(key)
+        if held is None or held.trunc - held.val < prec:
+            builds.append((len(computed), bool(in_part), id(store), key))
+        return series.stored(store, key, prec, make)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ujump, "mw_reduce", reduce)
-        mp.setattr(series, "convolve_ints", convolve)
+        mp.setattr(UImageTable, "_computed", record)
+        mp.setattr(UImageTable, "_part", record_part)
+        mp.setattr(ujump, "mw_reduce", lambda fs, b: reduced.append(len(fs)) or mw_reduce(fs, b))
+        mp.setattr(ujump, "stored", build)
+        mp.setattr(basis, "stored", build)
         report = iterate(rogers_ramanujan(B=5), table)
-    return table, report, seen, batches
+    return table, report, computed, reduced, builds
 
 
-def test_cold_iterate_reductions_convolve_within_their_window(rr_cold_run):
-    # a reduction builds the monomials it needs only as far as its remainder
-    # reaches, never to the precision of the deepest image (616 here)
-    _, report, seen, _ = rr_cold_run
+def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run):
+    # everything a batch reads is expanded before any part is computed,
+    # largest precision first, so no part expands anything, no expansion is
+    # rebuilt within a batch, and the monomial of each reduction step is
+    # made only to the window that step reads, never to the precision of
+    # the deepest image (616 here)
+    table, report, _, _, builds = rr_cold_run
     assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
-    assert seen
-    assert all(n_out <= window for window, n_out in seen)
+    assert builds and len(set(builds)) == len(builds)
+    assert not any(in_part for _, in_part, _, _ in builds)
+    b, steps = table.basis, 0
+    for (e, k), s in b._monomials.items():
+        if e > 0 and k > 0:  # only a reduction step reads t**e * g_k
+            steps += 1
+            assert s.trunc - s.val == b.pole_order(e, k) + 1 + table.SLACK, (e, k)
+    assert steps
 
 
-def test_each_step_reduces_its_images_as_one_batch(rr_cold_run, monkeypatch):
-    # the 33 images of a cold run are reduced in one call per step that
-    # computes any, and a warm run, which loads them all, reduces nothing
-    table, report, _, batches = rr_cold_run
-    assert batches == [1, 9, 18, 5]
+def test_each_step_computes_its_images_as_one_batch(rr_cold_run, monkeypatch):
+    # the 33 images of a cold run are computed in one batch per step that
+    # computes any, each batch in as many parts as _part_count gives, and
+    # part 0 is reduced here as one batch; a warm run, which loads them
+    # all, reduces nothing
+    table, report, computed, reduced, _ = rr_cold_run
+    assert [len(keys) for keys, _ in computed] == [1, 9, 18, 5]
+    assert [parts for _, parts in computed] == [ujump._part_count(n) for n in (1, 9, 18, 5)]
+    assert reduced == [len(keys[::parts]) for keys, parts in computed]
     calls = []
     monkeypatch.setattr(ujump, "mw_reduce", lambda fs, b: calls.append(fs) or mw_reduce(fs, b))
     warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
     assert calls == []
+
+
+def test_part_count_follows_the_cores_and_the_batch_size(monkeypatch):
+    # one part per core the process may use, each of PART_KEYS images or
+    # more; a batch too small to split, or a host without sched_getaffinity,
+    # computes in one part
+    monkeypatch.setattr(ujump.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    n = ujump.PART_KEYS
+    assert [ujump._part_count(k) for k in (1, 2 * n - 1, 2 * n, 3 * n, 9 * n)] == [1, 1, 2, 3, 3]
+    monkeypatch.delattr(ujump.os, "sched_getaffinity")
+    assert ujump._part_count(9 * n) == 1
+
+
+# -- fan-out: a batch's parts in forked workers ------------------------------
+
+def no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("family", [rogers_ramanujan, andrews_sellers])
+def test_two_parts_give_the_images_of_one(family, monkeypatch):
+    # every batch of a cold B=7 run forced into two parts (a one-key batch
+    # stays whole) gives the images one part gives, in the same batches,
+    # whatever the cores of the host
+    spec = family(B=7)
+    tables, batches, stores = [], [], []
+    compute = UImageTable._computed
+    for parts in (1, 2):
+        seen = []
+        monkeypatch.setattr(UImageTable, "_computed",
+                            lambda self, keys, _, parts=parts, seen=seen:
+                            seen.append(list(keys)) or compute(self, keys, parts))
+        table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
+        iterate(spec, table)
+        tables.append(table._mem)
+        batches.append(seen)
+        stores.append([dict(store) for store in table._stores()])
+        assert no_child_left()
+    assert batches[0] == batches[1] and max(len(keys) for keys in batches[0]) >= 18
+    assert tables[0] == tables[1]
+    # the expansions the worker of the first round made were all kept here
+    assert stores[0] == stores[1]
+    assert [tables[1][key] for key in tables[0]] == list(tables[0].values())
+
+
+def test_a_worker_error_reaches_the_cli_as_exit_3(tmp_path, capsys, monkeypatch):
+    # one product corrupted in every worker and nowhere else: the run stops
+    # with exit 3 under the key of the first image of part 1, prints no
+    # verdict, stores none of the batch and leaves no child behind
+    parent, tamed, batches = os.getpid(), UImageTable._tamed, []
+
+    def corrupt(self, i, j, k):
+        prod = tamed(self, i, j, k)
+        if os.getpid() != parent:
+            prod = prod.add(QSeries.from_terms(ZZ, {prod.trunc - 1: 1}, prod.trunc))
+        return prod
+
+    compute = UImageTable._computed
+    monkeypatch.setattr(UImageTable, "_tamed", corrupt)
+    monkeypatch.setattr(UImageTable, "_computed",
+                        lambda self, keys, _: batches.append(keys) or compute(self, keys, 2))
+    code = main(["--cache-dir", str(tmp_path), "verify", "rogers-ramanujan", "--B", "5"])
+    out, err = capsys.readouterr()
+    failed = batches[-1]
+    assert len(failed) > 1 and all(len(keys) == 1 for keys in batches[:-1])
+    assert code == 3 and "VERIFIED" not in out
+    assert re.search(rf"^internal contract violation: image {re.escape(str(failed[1]))}: "
+                     r"series 0: nonzero residual", err), err
+    stored = {p.name for p in tmp_path.rglob("i*_j*_k*.txt")}
+    assert len(stored) == sum(map(len, batches[:-1])) and no_child_left()
+
+
+def test_a_worker_that_leaves_without_a_result_is_refused(b20, monkeypatch):
+    parent, part = os.getpid(), UImageTable._part
+    monkeypatch.setattr(UImageTable, "_part", lambda self, keys: part(self, keys)
+                        if os.getpid() == parent else os._exit(0))
+    table = UImageTable(b20, build_A(RR), 5)
+    keys = [(0, j, 0) for j in range(-3, 3)]
+    with pytest.raises(ContractError, match=r"^image worker \d+ left without a result"):
+        table._computed(keys, 2)
+    assert table._mem == {} and no_child_left()
+
+
+def test_a_failed_fork_closes_both_ends_of_its_pipe(b20, monkeypatch):
+    # the process limit reached, say: the fork's OSError is raised and
+    # neither end of the pipe made for the worker stays open
+    def fail():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    opened = []
+    pipe = os.pipe
+    monkeypatch.setattr(ujump.os, "pipe", lambda: opened.extend(pipe()) or tuple(opened[-2:]))
+    monkeypatch.setattr(ujump.os, "fork", fail)
+    with pytest.raises(BlockingIOError):
+        UImageTable(b20, build_A(RR), 5)._computed([(0, j, 0) for j in range(-3, 3)], 2)
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert no_child_left()
+
+
+def test_an_interrupt_leaves_no_worker_behind(b20, monkeypatch):
+    # part 0 interrupted while the worker of part 1 computes: the worker's
+    # pipe is closed, so it leaves at its write, and it is reaped
+    parent, part = os.getpid(), UImageTable._part
+
+    def interrupted(self, keys):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return part(self, keys)
+
+    monkeypatch.setattr(UImageTable, "_part", interrupted)
+    table = UImageTable(b20, build_A(RR), 5)
+    with pytest.raises(KeyboardInterrupt):
+        table._computed([(0, j, 0) for j in range(-3, 3)], 2)
+    assert table._mem == {} and no_child_left()
 
 
 @pytest.mark.parametrize("family,computed", [(rogers_ramanujan, 33), (andrews_sellers, 28)])
@@ -595,7 +738,7 @@ def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key)
     # coefficients it needs on its own; (0, -3, 4) multiplies t**-3 by g_4
     # inside U_ell, and (1, -2, 3) reads the table's A * g_3 after a deeper
     # key of its batch had grown it
-    table, _, _, _ = rr_cold_run
+    table, _, _, _, _ = rr_cold_run
     b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
     assert alone.image(*key) == table.image(*key)
@@ -603,7 +746,7 @@ def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key)
 
 
 def test_images_from_disk_never_fill_the_monomial_store(rr_cold_run):
-    table, report, _, _ = rr_cold_run
+    table, report, _, _, _ = rr_cold_run
     b = fresh_basis()
     warm = UImageTable(b, build_A(RR), 5, cache_dir=table.cache_dir)
     assert iterate(rogers_ramanujan(B=5), warm).V == report.V
@@ -614,7 +757,7 @@ def test_images_from_disk_never_fill_the_monomial_store(rr_cold_run):
 def test_warm_run_never_computes_stability_exponents(rr_cold_run, monkeypatch):
     # every image a warm run needs is on disk, stored under a fingerprint
     # whose stability exponents were computed when the images were
-    table, report, _, _ = rr_cold_run
+    table, report, _, _, _ = rr_cold_run
     calls = []
     monkeypatch.setattr(ujump, "compute_m_constants",
                         lambda *args: calls.append(args) or compute_m_constants(*args))
@@ -630,7 +773,7 @@ def test_warm_run_never_computes_stability_exponents(rr_cold_run, monkeypatch):
 def test_image_file_vanishing_before_its_read_is_a_miss(rr_cold_run, monkeypatch):
     # another process may delete a cache file at any moment: a read that
     # finds it gone computes the image (and stores it again)
-    table, report, _, _ = rr_cold_run
+    table, report, _, _, _ = rr_cold_run
     warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
     gone, read_text, vanished = warm._path(1, -1, 0), Path.read_text, []
 
