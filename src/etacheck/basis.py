@@ -40,9 +40,13 @@ Z and hands the result to the ``QSeries`` constructor of the element's
 ring.  Like every value type it is a ``series.Frozen``: an image a table
 hands out cannot be reassigned.
 
-The basis keeps each monomial t**e * g_k it expands at its own relative
-precision, rebuilt only when asked for more, by the rule every expansion
-store shares (``series.stored``).
+The basis keeps each monomial t**e * g_k it expands, and each product
+A * t**e * g_k with an eta quotient A (an image table's auxiliary quotient),
+at its own relative precision, rebuilt only when asked for more, by the rule
+every expansion store shares (``series.stored``).  It owns the two rules
+every reader of that store applies: which t**e * g_k has pole order m
+(``pole_monomial``), and the relative precision at which t**e * g_k is known
+below q**trunc (``precision_below``).
 """
 
 from __future__ import annotations
@@ -116,7 +120,11 @@ class BasisFunction(Frozen):
 
 class AlgebraBasis:
     """Generator t plus g_1..g_v; immutable once built.  The monomial store
-    only grows and is shared by every reduction at this level."""
+    (``monomial``) only grows and is the one expansion store of every
+    reduction and every image table at this level: a table's A * g_k is
+    kept there too, under A's exponents.  Two rules are derived only here:
+    the monomial of a pole order (``pole_monomial``) and the precision at
+    which a monomial is known below a truncation (``precision_below``)."""
 
     def __init__(self, level: int, t: BasisFunction, gs: tuple):
         self.level = level
@@ -138,6 +146,18 @@ class AlgebraBasis:
         """(v+1)*e + n_k, the pole order of t**e * g_k at infinity."""
         return (self.v + 1) * e - (self.gs[k - 1].ord_inf if k else 0)
 
+    def pole_monomial(self, m: int):
+        """(e, k) of the monomial t**e * g_k of pole order m, or None when no
+        basis element reaches m (none reaches an m < 0)."""
+        k = self.residue_index(m)
+        e = (m - self.pole_order(0, k)) // (self.v + 1)
+        return (e, k) if e >= 0 else None
+
+    def precision_below(self, e: int, k: int, trunc: int) -> int:
+        """The relative precision at which t**e * g_k is known below q**trunc:
+        trunc less its valuation."""
+        return trunc + self.pole_order(e, k)
+
     def residue_index(self, rho: int) -> int:
         """Index k (1..v) of the basis function with |ord_inf| == rho mod (v+1);
         rho == 0 belongs to t itself (index 0)."""
@@ -156,8 +176,11 @@ class AlgebraBasis:
 
     # -- the monomial store ----------------------------------------------------
     #
-    # (e, k) -> t**e * g_k, each entry at its own relative precision (number
-    # of coefficients past the leading term) under ``series.stored``'s rule.
+    # (e, k, a) -> t**e * g_k times the eta quotient of exponents a (a = ()
+    # for none), each entry at its own relative precision (number of
+    # coefficients past the leading term) under ``series.stored``'s rule.
+    # The key holds A's exponent tuple, not A, so that a forked image worker
+    # can hand the entries it made back with ``marshal``.
     # Products and inverses preserve relative precision, so an entry asked
     # for at a larger precision than it holds is rebuilt alone from its
     # factors, each cut to that precision; every other entry stays as it is.
@@ -167,15 +190,22 @@ class AlgebraBasis:
     # they read: an image for the window its key needs, a reduction step
     # for the window its remainder still has.
 
-    def monomial(self, e: int, k: int, prec: int) -> QSeries:
-        """Expansion of t**e * g_k (g_0 = 1) to relative precision prec.
+    def monomial(self, e: int, k: int, prec: int, A: EtaQuotient | None = None) -> QSeries:
+        """Expansion of t**e * g_k (g_0 = 1), times A when given, to relative
+        precision prec.
 
-        A t-power is t**(e//2) * t**(e - e//2), one factor squared for even
-        e; a product with a basis function is t**e * g_k; t and 1/t are the
-        expansions of t's eta quotient and of its inverse.  Each factor is
-        taken from the store at prec and the result is kept.
+        A product with A is A * (t**e * g_k); a t-power is
+        t**(e//2) * t**(e - e//2), one factor squared for even e; a product
+        with a basis function is t**e * g_k; t and 1/t are the expansions of
+        t's eta quotient and of its inverse.  Each factor is taken from the
+        store at prec and the result is kept.
         """
+        a = A.exponents if A is not None else ()
+
         def build(n):
+            if a:
+                y = eta_expand(A, n)
+                return y.mul(self.monomial(e, k, n)) if e or k else y
             if k and e:
                 return self.monomial(e, 0, n).mul(self.monomial(0, k, n))
             if k:
@@ -189,7 +219,7 @@ class AlgebraBasis:
             half = self.monomial(e // 2, 0, n)
             return half.mul(half if e % 2 == 0 else self.monomial(e - e // 2, 0, n))
 
-        return stored(self._monomials, (e, k), prec, build)
+        return stored(self._monomials, (e, k, a), prec, build)
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
@@ -285,7 +315,7 @@ def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSe
     """Honest q-expansion of a module element, over the element's ring."""
     out = QSeries.zero(ZZ, trunc)
     for (j, k), c in sorted(me.terms.items()):
-        prec = trunc + b.pole_order(j, k)  # trunc - val(t^j g_k)
+        prec = b.precision_below(j, k, trunc)
         if prec > 0:
             out = out.add(b.monomial(j, k, prec).scale(c))
     return QSeries(me.ring, out.coeffs, out.val, out.trunc)
@@ -294,15 +324,14 @@ def module_element_series(me: ModuleElement, b: AlgebraBasis, trunc: int) -> QSe
 # -- membership reduction ----------------------------------------------------
 
 def _step_monomial(b: AlgebraBasis, m: int, trunc: int):
-    """(e, k, t**e * g_k known to q**trunc) for pole order m, or None when
-    no basis element reaches m (none reaches an m < 0).  Raises
-    ContractError when t**e * g_k does not lead with 1: a greedy step needs
-    a monic basis."""
-    k = b.residue_index(m)
-    e = (m - b.pole_order(0, k)) // (b.v + 1)
-    if e < 0:
+    """(e, k, t**e * g_k known below q**trunc) for pole order m, or None when
+    no basis element reaches m.  Raises ContractError when t**e * g_k does
+    not lead with 1: a greedy step needs a monic basis."""
+    step = b.pole_monomial(m)
+    if step is None:
         return None
-    s = b.monomial(e, k, m + trunc)
+    e, k = step
+    s = b.monomial(e, k, b.precision_below(e, k, trunc))
     if s.coeffs[0] != 1:
         raise ContractError(f"t^{e}*g{k} leads with {s.coeffs[0]}, not 1: the basis is not monic")
     return e, k, s

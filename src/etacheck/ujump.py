@@ -19,19 +19,23 @@ it computes its first image, so a run that finds every image it needs on
 disk never computes them: those images were stored under the same
 fingerprint by a run that did.
 
-Computing an image needs expansions of basis monomials t**e * g_k.  The
-basis keeps each at its own relative precision (``AlgebraBasis.monomial``),
-and the table keeps A * g_k per k, both by the rebuild rule every expansion
-store shares (``series.stored``).  An image is U_ell(t**j * y), with y = g_k
-for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected product
-(``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``): only the
-coefficients at multiples of ell are computed, and neither t**j * g_k nor
-its product with A is formed; U_ell(t**j), where y = 1, is a slice of
-t**j.  An image asks for t**j and y at the least precision its key needs
-(``UImageTable._precision``, derived from the valuation of t**j * y and
-m), for t**m only as far as U_ell of that reaches (about a factor ell
-less), and the reduction asks for each of its monomials only as far as its
-remainder reaches.
+Computing an image needs expansions of basis monomials t**e * g_k and of
+A * g_k.  All of them live in one store, the basis's
+(``AlgebraBasis.monomial``; A * g_k under a key that holds A's exponents),
+each at its own relative precision by the rebuild rule every expansion
+store shares (``series.stored``).  An image is U_ell(t**j * y), with
+y = g_k for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected
+product (``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``):
+only the coefficients at multiples of ell are computed, and neither
+t**j * g_k nor its product with A is formed; U_ell(t**j), where y = 1, is
+a slice of t**j.  What an image reads is its plan (``UImageTable._plan``,
+the one place it is derived from the valuation of t**j * y and m): t**j
+and y at the least precision its key needs, t**m only as far as U_ell of
+that reaches (about a factor ell less), and the lowest exponent of the
+tamed product, from which the reduction steps down.  The reduction asks
+for each of its monomials only as far as its remainder reaches; which
+monomial a pole order takes and that window are the basis's two rules
+(``AlgebraBasis.pole_monomial`` and ``precision_below``).
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to.  The
 keys the table cannot load are computed in P interleaved parts keys[p::P],
@@ -42,17 +46,18 @@ the calling process alone, by the same code.  A batch is computed in two
 rounds, each of which runs its first job in the calling process and every
 other job in a worker made by ``os.fork`` (``_fan_out``):
 
-  1. the expansions the batch reads (``_wants``): t**j and y at each key's
-     precision, t**m, and the monomial of every pole order the reduction
+  1. the expansions the batch reads (``_wants``): t**j, y and t**m as each
+     key's plan says, and the monomial of every pole order the reduction
      can step through, each made once, to the largest precision the batch
-     reads it at.  With two parts or more they are made in two chains side
-     by side (``_chain``): a worker makes g_k and A * g_k, from the
-     quotients of g, h and A, and hands back the store entries it made,
-     which the calling process keeps, while the calling process makes the
-     t-powers and the reduction's monomials;
-  2. the parts: a worker inherits the table with every expansion its part
+     reads it at.  ``_wants`` returns them as two chains: g_k and A * g_k,
+     made from the quotients of g, h and A, and the t-powers with the
+     reduction's monomials.  With two parts or more a worker makes the
+     first and hands back the store entries it made, which the calling
+     process keeps, while the calling process makes the second; with one
+     part the calling process makes both, largest precision first;
+  2. the parts: a worker inherits the basis with every expansion its part
      reads, computes the part's tamed products, reduces them by one
-     ``mw_reduce`` call and shifts each by t**(-m).
+     ``mw_reduce`` call and shifts each by t**(-m) (``_compute``).
 
 A worker writes its result (or the message of the ContractError that
 refused its job) to a pipe with ``marshal`` and leaves by ``os._exit``; the
@@ -76,9 +81,9 @@ from pathlib import Path
 
 from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
-from .eta import EtaQuotient, eta_expand, euler_quotient
+from .eta import EtaQuotient, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps
-from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, stored
+from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, keep_canonical
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
 PART_KEYS = 6  # the fewest images a part of a batch computes: splitting the
@@ -240,16 +245,31 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
                               _orders(t_eq.at_level(level), cusps), ((zero,),) + terms)
 
 
+class Plan(Frozen):
+    """What one image reads, derived only by ``UImageTable._plan``: the
+    taming power m, the relative precision prec of t**j and y, how far t**m
+    is read (reach, its relative precision), and lo, the lowest exponent of
+    the tamed product."""
+
+    __slots__ = ("m", "prec", "reach", "lo")
+
+
 class UImageTable:
     """Memoized images t**(-m) * [t**m * U_ell(A**i t**j g_k)] over Z.
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
     one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed (``_computed``) and stored.  Each A * g_k (held per k,
-    A * g_0 = A) and the t-powers the batch shares are expanded once, to
-    what its deepest key needs.  Each image reads them only to its own
-    ``_precision``, so it does not depend on what else was computed first,
-    nor on the part it was computed in.
+    are computed (``_computed``) and stored.  One plan per key (``_plan``,
+    a ``Plan``) holds everything the key's image reads: its taming power m,
+    the precision of t**j and y, how far t**m is read and the tamed
+    product's lowest exponent.  The deepest-first order of a batch, the
+    products (``_tamed``), the expansions the batch makes (``_wants``) and
+    the t**(-m) shift (``_compute``) all read it.  The table keeps no
+    expansion: A * g_k (A * g_0 = A) lives in the basis's one monomial
+    store with everything else, and each expansion a batch shares is made
+    once, to what its deepest key needs.  Each image reads them only as far
+    as its plan says, so it does not depend on what else was computed
+    first, nor on the part it was computed in.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -265,7 +285,6 @@ class UImageTable:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._key_dir = self.cache_dir / self.fingerprint() if cache_dir else None
         self._mem = {}
-        self._a_times_g = {}  # k -> A * g_k (g_0 = 1), at its own relative precision
 
     @cached_property
     def se(self) -> StabilityExponents:
@@ -322,30 +341,24 @@ class UImageTable:
 
     # -- computation ---------------------------------------------------------
 
-    def _a_times(self, k: int, prec: int) -> QSeries:
-        """A * g_k to relative precision prec, kept per k like a basis
-        monomial (``stored``)."""
-        def build(n):
-            a = eta_expand(self.A, n)
-            return a.mul(self.basis.monomial(0, k, n)) if k else a
-
-        return stored(self._a_times_g, k, prec, build)
-
-    def _precision(self, i: int, j: int, k: int) -> int:
-        """The least relative precision of the expansions the image of
-        A**i t**j g_k is computed from that shows t**m * U_ell(A**i t**j g_k)
-        through its constant term plus SLACK check coefficients.
-
-        t**j * y, y = A**i * g_k, starts at val = i*val(A) - (v+1)*j - n_k,
-        val(A) the ``q_shift`` and (v+1)*j + n_k the ``pole_order``, so at
-        relative precision p its ell-dissection is known below
-        ceil((val + p)/ell), and t**m lowers that by (v+1)*m.  The least p with
-        ceil((val + p)/ell) - (v+1)*m >= 1 + SLACK is
-        ell*((v+1)*m + SLACK) + 1 - val: ``_compute``'s guard then holds with
-        equality."""
-        b = self.basis
+    def _plan(self, i: int, j: int, k: int) -> Plan:
+        """What the image of A**i t**j g_k reads.  t**j * y, y = A**i * g_k,
+        starts at val = i*val(A) - (v+1)*j - n_k, val(A) the ``q_shift`` and
+        (v+1)*j + n_k the ``pole_order``, so at relative precision p its
+        ell-dissection starts at ceil(val/ell) or above and is known below
+        ceil((val + p)/ell), and t**m lowers both by (v+1)*m: the tamed
+        product starts at lo = ceil(val/ell) - (v+1)*m or above.  The least
+        p that shows it through its constant term plus SLACK check
+        coefficients is ell*((v+1)*m + SLACK) + 1 - val (``_tamed``'s guard
+        then holds with equality), and t**m, which starts at -(v+1)*m, is
+        read to the relative precision 1 + SLACK - lo that this needs: a
+        longer t**m would not lengthen the product."""
+        b, ell = self.basis, self.ell
+        m = self.se.exponent(i, j, k)
+        tm = b.pole_order(m, 0)
         val = i * self.A.q_shift() - b.pole_order(j, k)
-        return self.ell * (b.pole_order(self.se.exponent(i, j, k), 0) + self.SLACK) + 1 - val
+        lo = -(-val // ell) - tm
+        return Plan(m, ell * (tm + self.SLACK) + 1 - val, 1 + self.SLACK - lo, lo)
 
     def images(self, keys) -> list:
         """The images of every (i, j, k) in keys, in order."""
@@ -361,7 +374,7 @@ class UImageTable:
                 self._mem[key] = me
         if missing:
             # deepest first: the parts of keys[p::parts] then share the work
-            missing.sort(key=lambda key: self._precision(*key), reverse=True)
+            missing.sort(key=lambda key: self._plan(*key).prec, reverse=True)
             for key, me in zip(missing, self._computed(missing, _part_count(len(missing)))):
                 if self.cache_dir:
                     self._store(*key, me)
@@ -373,98 +386,85 @@ class UImageTable:
 
     def _tamed(self, i: int, j: int, k: int) -> QSeries:
         """t**m * U_ell(A**i t**j g_k), m = exponent(i, j, k), known through
-        its constant term and SLACK check coefficients.  ``_precision`` makes
+        its constant term and SLACK check coefficients.  ``_plan`` makes
         every product end at q**SLACK, so a batch of them shares the one
         truncation ``mw_reduce`` asks for."""
-        b = self.basis
-        m = self.se.exponent(i, j, k)
-        prec = self._precision(i, j, k)
-        y = self._a_times(k, prec) if i else b.monomial(0, k, prec) if k else None
-        u = u_ell(b.monomial(j, 0, prec), self.ell, y)
-        # a longer t**m would not lengthen the product: it is known as far as u
-        prod = u.mul(b.monomial(m, 0, max(1, u.trunc - u.val)))
+        b, plan = self.basis, self._plan(i, j, k)
+        y = b.monomial(0, k, plan.prec, self.A if i else None) if i or k else None
+        u = u_ell(b.monomial(j, 0, plan.prec), self.ell, y)
+        prod = u.mul(b.monomial(plan.m, 0, plan.reach))
         if prod.trunc < 1 + self.SLACK:
             raise ContractError(
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
                 f"constant term and {self.SLACK} check coefficients")
         return prod
 
-    def _reduce(self, keys) -> list:
-        """The tamed products of keys reduced over the basis as one batch; a
-        failed reduction is reported under the key of its series."""
+    def _wants(self, keys) -> tuple:
+        """(prec, e, k, i) of every expansion the images of keys read, in the
+        two chains a batch makes side by side, each largest precision first:
+        the t-powers (t**j at each key's plan precision, t**m as far as its
+        plan reads it) with the reduction's monomials t**e * g_k, e > 0, made
+        from t's quotients and from g_k only to the reduction's short window;
+        and g_k or A * g_k at each key's plan precision with every g_k the
+        reduction reads alone, made from the quotients of g, h and A.  The
+        reduction can step through every pole order down from the lowest
+        exponent of a plan, each at the window the basis says that step
+        reads.  A store entry asks for its factors at its own precision, so
+        expansions made in this order are each made once, at the largest
+        precision the batch reads."""
+        b, ts, ys, lo = self.basis, set(), set(), 0
+        for i, j, k in keys:
+            plan = self._plan(i, j, k)
+            ts.update({(plan.prec, j, 0, 0), (plan.reach, plan.m, 0, 0)})
+            if i or k:
+                ys.add((plan.prec, 0, k, i))
+            lo = min(lo, plan.lo)
+        for pole in range(1, 1 - lo):
+            step = b.pole_monomial(pole)
+            if step is not None:
+                e, k = step
+                (ts if e else ys).add((b.precision_below(e, k, 1 + self.SLACK), e, k, 0))
+        return sorted(ts, reverse=True), sorted(ys, reverse=True)
+
+    def _expand(self, wants) -> list:
+        """Make the expansions of wants, in order, and return the entries
+        this made in the basis's store as (key, val, trunc, coefficients)."""
+        store = self.basis._monomials
+        before = dict(store)
+        for prec, e, k, i in wants:
+            self.basis.monomial(e, k, prec, self.A if i else None)
+        return [(key, s.val, s.trunc, s.coeffs)
+                for key, s in store.items() if before.get(key) is not s]
+
+    def _install(self, made):
+        """Keep each entry ``_expand`` made, in this process or another, by
+        the rule every expansion store shares (``series.keep_canonical``)."""
+        for entry in made:
+            keep_canonical(self.basis._monomials, *entry)
+
+    def _part(self, keys) -> list:
+        """The terms of the images of keys: their tamed products reduced over
+        the basis as one batch, a failed reduction reported under the key of
+        its series, and each shifted by t**(-m)."""
         products = [self._tamed(*key) for key in keys]
         try:
-            return mw_reduce(products, self.basis)
+            reduced = mw_reduce(products, self.basis)
         except ContractError as exc:
             if not hasattr(exc, "series"):
                 raise
             raise ContractError(f"image {keys[exc.series]}: {exc}") from exc
-
-    def _wants(self, keys) -> list:
-        """(prec, e, k, i) of every expansion the images of keys read,
-        largest precision first: t**j and y at each key's ``_precision``
-        (y = A * g_k, kept by the table, for i = 1), t**m as far as its
-        product reads it at most, and the monomial of every pole order the
-        reduction can step through, at the window that step reads.  A store
-        entry asks for its factors at its own precision, so expansions made
-        in this order are each made once, at the largest precision the batch
-        reads."""
-        b, ell, wants, lo = self.basis, self.ell, set(), 0
-        for i, j, k in keys:
-            m, prec = self.se.exponent(i, j, k), self._precision(i, j, k)
-            val = i * self.A.q_shift() - b.pole_order(j, k)
-            start = -(-val // ell)  # U_ell(t**j * y) starts here or above
-            wants.add((prec, j, 0, 0))
-            if i or k:
-                wants.add((prec, 0, k, i))
-            wants.add((-(-(val + prec) // ell) - start, m, 0, 0))
-            lo = min(lo, start - b.pole_order(m, 0))
-        for pole in range(1, 1 - lo):
-            k = b.residue_index(pole)
-            e = (pole - b.pole_order(0, k)) // (b.v + 1)
-            if e >= 0:
-                wants.add((pole + 1 + self.SLACK, e, k, 0))
-        return sorted(wants, reverse=True)
-
-    def _stores(self) -> tuple:
-        """The expansion stores a batch fills: the basis monomials and this
-        table's A * g_k."""
-        return self.basis._monomials, self._a_times_g
-
-    def _expand(self, wants) -> list:
-        """Make the expansions of wants, in order, and return the store
-        entries this made as (store, key, val, trunc, coefficients), store
-        the index into ``_stores``."""
-        before = [dict(store) for store in self._stores()]
-        for prec, e, k, i in wants:
-            if i:
-                self._a_times(k, prec)
-            else:
-                self.basis.monomial(e, k, prec)
-        return [(n, key, s.val, s.trunc, s.coeffs)
-                for n, (store, old) in enumerate(zip(self._stores(), before))
-                for key, s in store.items() if old.get(key) is not s]
-
-    def _install(self, made):
-        """Keep each entry ``_expand`` made, in this process or another, by
-        the rule every expansion store shares (``series.stored``)."""
-        for n, key, val, trunc, coeffs in made:
-            stored(self._stores()[n], key, trunc - val, lambda _: QSeries(ZZ, coeffs, val, trunc))
-
-    def _part(self, keys) -> list:
-        """The terms of the images of keys, reduced as one batch."""
-        return [self._compute(*key, me).terms for key, me in zip(keys, self._reduce(keys))]
+        return [self._compute(*key, me).terms for key, me in zip(keys, reduced)]
 
     def _computed(self, keys, parts: int) -> list:
         """The images of keys, computed in ``parts`` interleaved parts
         keys[p::parts], part 0 here and each other part in a forked worker.
-        First the expansions they read are made: those of the quotients of
-        g and h and of A in one worker, the t-powers and the reduction's
-        monomials in this process, and each made entry is kept here; then
-        each worker of a part inherits them all and makes none."""
+        First the expansions they read are made: with two parts or more the
+        chain of g_k and A * g_k in one worker and the t-powers and the
+        reduction's monomials in this process, each made entry kept here;
+        then each worker of a part inherits them all and makes none."""
         parts = min(parts, len(keys))
-        wants = self._wants(keys)
-        shares = [[w for w in wants if _chain(w) % parts == p] for p in range(parts)]
+        ts, ys = self._wants(keys)
+        shares = [ts, ys] if parts > 1 else [sorted(ts + ys, reverse=True)]
         for made in _fan_out([(self._expand, share) for share in shares if share]):
             self._install(made)
         out = [None] * len(keys)
@@ -476,7 +476,7 @@ class UImageTable:
     def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:
         """The image of A**i t**j g_k from ``tamed``, its t**m multiple
         reduced over the basis: every term shifted by t**(-m)."""
-        m = self.se.exponent(i, j, k)
+        m = self._plan(i, j, k).m
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
 
 
@@ -542,16 +542,6 @@ def _fan_out(jobs) -> list:
         if isinstance(result, str):
             raise ContractError(result)
     return results
-
-
-def _chain(want) -> int:
-    """1 for g_k alone or A * g_k, made from the quotients of g, h and A;
-    0 for a t-power or a reduction monomial t**e * g_k, made from t's
-    quotients and from g_k only to the reduction's short window.  The two
-    chains share no expansion longer than that, so they are made side by
-    side."""
-    _, e, k, i = want
-    return int(bool(i or (k and not e)))
 
 
 def _part_count(n: int) -> int:

@@ -275,6 +275,20 @@ MUTANTS = (
     ("src/etacheck/ujump.py", "if isinstance(result, str):", "if False:", None),
     ("src/etacheck/ujump.py", "pid, status = os.waitpid(pids.pop(0), 0)",
      "pid, status = pids.pop(0), 0", None),
+    # the one owner of each rule an image's expansions follow (the plan's
+    # precision is the pair of entries above): the plan's t**m reach one
+    # short (test_least_exponent_gives_the_same_images), the monomial of a
+    # pole order off by one t-power (test_reduce_t_times_g1), a monomial
+    # known one coefficient short of a truncation
+    # (test_reduce_detects_corruption), and A dropped from the store key, so
+    # that A * g_k and g_k share one entry
+    # (test_a_product_is_kept_beside_its_monomial)
+    ("src/etacheck/ujump.py", "1 + self.SLACK - lo, lo)", "self.SLACK - lo, lo)", None),
+    ("src/etacheck/basis.py", "return (e, k) if e >= 0 else None",
+     "return (e + 1, k) if e >= 0 else None", None),
+    ("src/etacheck/basis.py", "return trunc + self.pole_order(e, k)",
+     "return trunc - 1 + self.pole_order(e, k)", None),
+    ("src/etacheck/basis.py", "(e, k, a), prec, build)", "(e, k, ()), prec, build)", None),
     # two clause deletions that make a loop run forever, each killed by the
     # per-test deadline of tests/conftest.py: the pole-set closure adding
     # cusps it already holds (in the set-up of test_tfinder.py's

@@ -364,9 +364,13 @@ def test_precision_is_the_least_sufficient(rr_table, b20, key, monkeypatch):
     # one coefficient less leaves the reduction short of its check
     # coefficients, and the guard refuses it
     assert UImageTable(b20, build_A(RR), 5).image(*key) == rr_table.image(*key)
-    precision = UImageTable._precision
-    monkeypatch.setattr(UImageTable, "_precision",
-                        lambda self, *index: precision(self, *index) - 1)
+    plan = UImageTable._plan
+
+    def short(self, *index):
+        least = plan(self, *index)
+        return ujump.Plan(least.m, least.prec - 1, least.reach, least.lo)
+
+    monkeypatch.setattr(UImageTable, "_plan", short)
     with pytest.raises(ContractError, match="short of the constant term"):
         UImageTable(b20, build_A(RR), 5).image(*key)
 
@@ -526,16 +530,16 @@ def fresh_basis():
     return AlgebraBasis(b20.level, b20.t, b20.gs)
 
 
-@pytest.fixture(scope="module")
-def rr_cold_run(tmp_path_factory):
-    """A cold RR B=5 iterate on a fresh basis and an empty disk cache, with
-    (keys, parts) for every batch computed, the size of every batch reduced
-    in this process, and (batch, in a part, store, key) for every expansion
-    built here or kept from a worker."""
-    cache = tmp_path_factory.mktemp("images-rr-cold")
-    table = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=cache)
-    computed, reduced, builds, in_part = [], [], [], []
-    compute, part = UImageTable._computed, UImageTable._part
+def cold_run(family, cache):
+    """A cold B=5 iterate of family on a fresh basis and an empty disk cache,
+    with (keys, parts) for every batch computed, the size of every batch
+    reduced in this process, and (batch, in a part, key, kept) for every
+    expansion built here (kept False) or kept from a worker (kept True)."""
+    spec = family(B=5)
+    table = UImageTable(fresh_basis(), build_A(spec.gen), 5, cache_dir=cache)
+    computed, reduced, builds, in_part, keeping = [], [], [], [], []
+    compute, part, stored = UImageTable._computed, UImageTable._part, series.stored
+    keep = ujump.keep_canonical
 
     def record(self, keys, parts):
         computed.append((list(keys), parts))
@@ -551,35 +555,64 @@ def rr_cold_run(tmp_path_factory):
     def build(store, key, prec, make):
         held = store.get(key)
         if held is None or held.trunc - held.val < prec:
-            builds.append((len(computed), bool(in_part), id(store), key))
-        return series.stored(store, key, prec, make)
+            builds.append((len(computed), bool(in_part), key, bool(keeping)))
+        return stored(store, key, prec, make)
+
+    def kept(*entry):
+        keeping.append(True)
+        try:
+            return keep(*entry)
+        finally:
+            keeping.pop()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(UImageTable, "_computed", record)
         mp.setattr(UImageTable, "_part", record_part)
         mp.setattr(ujump, "mw_reduce", lambda fs, b: reduced.append(len(fs)) or mw_reduce(fs, b))
-        mp.setattr(ujump, "stored", build)
+        mp.setattr(series, "stored", build)  # what keep_canonical keeps
         mp.setattr(basis, "stored", build)
-        report = iterate(rogers_ramanujan(B=5), table)
+        mp.setattr(ujump, "keep_canonical", kept)
+        report = iterate(spec, table)
     return table, report, computed, reduced, builds
 
 
-def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run):
+@pytest.fixture(scope="module")
+def rr_cold_run(tmp_path_factory):
+    return cold_run(rogers_ramanujan, tmp_path_factory.mktemp("images-rr-cold"))
+
+
+@pytest.fixture(scope="module")
+def as_cold_run(tmp_path_factory):
+    return cold_run(andrews_sellers, tmp_path_factory.mktemp("images-as-cold"))
+
+
+def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run, as_cold_run):
     # everything a batch reads is expanded before any part is computed,
     # largest precision first, so no part expands anything, no expansion is
     # rebuilt within a batch, and the monomial of each reduction step is
     # made only to the window that step reads, never to the precision of
-    # the deepest image (616 here)
-    table, report, _, _, builds = rr_cold_run
-    assert report.V == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
-    assert builds and len(set(builds)) == len(builds)
-    assert not any(in_part for _, in_part, _, _ in builds)
-    b, steps = table.basis, 0
-    for (e, k), s in b._monomials.items():
-        if e > 0 and k > 0:  # only a reduction step reads t**e * g_k
-            steps += 1
-            assert s.trunc - s.val == b.pole_order(e, k) + 1 + table.SLACK, (e, k)
-    assert steps
+    # the deepest image (616 for RR).  AS holds both A-powers to it: on two
+    # cores its 18-key batch of i = 0 splits in two, like RR's of i = 1.
+    # The one repeat the two chains leave is in that AS batch: a reduction
+    # step's t**e * g_k made here reads g_k to its short window, and the
+    # worker's longer g_k, kept here afterwards, replaces it
+    for (table, report, computed, _, builds), V, repeats in (
+            (rr_cold_run, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5], False),
+            (as_cold_run, [0, 1, 2, 3, 4, 5], True)):
+        assert report.V == V
+        assert {i for keys, _ in computed for i, _, _ in keys} == {0, 1}
+        assert builds and len(set(builds)) == len(builds)
+        assert not any(in_part for _, in_part, _, _ in builds)
+        here = {(n, key) for n, _, key, kept in builds if not kept}
+        twice = here & {(n, key) for n, _, key, kept in builds if kept}
+        assert all(e == 0 and k > 0 and not a for _, (e, k, a) in twice) and (
+            bool(twice) == (repeats and max(parts for _, parts in computed) > 1))
+        b, steps = table.basis, 0
+        for (e, k, a), s in b._monomials.items():
+            if e > 0 and k > 0:  # only a reduction step reads t**e * g_k
+                steps += 1
+                assert s.trunc - s.val == b.precision_below(e, k, 1 + table.SLACK), (e, k)
+        assert steps
 
 
 def test_each_step_computes_its_images_as_one_batch(rr_cold_run, monkeypatch):
@@ -635,7 +668,7 @@ def test_two_parts_give_the_images_of_one(family, monkeypatch):
         iterate(spec, table)
         tables.append(table._mem)
         batches.append(seen)
-        stores.append([dict(store) for store in table._stores()])
+        stores.append(dict(table.basis._monomials))
         assert no_child_left()
     assert batches[0] == batches[1] and max(len(keys) for keys in batches[0]) >= 18
     assert tables[0] == tables[1]
@@ -731,6 +764,38 @@ def test_every_taming_power_is_tight(family, computed):
         assert min(e for e, _ in me.terms) == -table.se.exponent(i, j, k), (i, j, k)
 
 
+def valuation(c, p):
+    """The exponent of the prime p in the nonzero integer c."""
+    n = 0
+    while c % p == 0:
+        c, n = c // p, n + 1
+    return n
+
+
+@pytest.mark.parametrize("family, images, terms, kappa", [
+    (rogers_ramanujan, 58, 5175, {0: 7, 1: 7}),
+    (andrews_sellers, 53, 4705, {0: 7, 1: 9}),
+])
+def test_images_obey_the_ell_adic_growth_law(family, images, terms, kappa):
+    # the growth lemmas of Paule and Radu: in U_5(A**i t**j g_k), j <= 0, the
+    # coefficient c of t**l * g_k', l < 0, has 3*v_5(c) >= 5|l| - |j| - kappa,
+    # over every image of a cold B = 10 run, with kappa per A-power i, and
+    # no smaller kappa holds
+    spec = family(B=10)
+    table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
+    iterate(spec, table)
+    assert len(table._mem) == images and all(j <= 0 for _, j, _ in table._mem)
+    least, seen = {}, 0
+    for (i, j, _), me in table._mem.items():
+        for (l, _), c in me.terms.items():
+            if l < 0:
+                seen += 1
+                slack = 3 * valuation(c, 5) - 5 * -l + -j
+                least[i] = min(least.get(i, slack), slack)
+    assert seen == terms
+    assert least == {i: -k for i, k in kappa.items()}
+
+
 @pytest.mark.parametrize("key", [(1, -4, 4), (1, -1, 0), (0, -3, 4), (1, -2, 3)])
 def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key):
     # (1, -4, 4) is the deepest key of its batch; (1, -1, 0) was computed in
@@ -742,7 +807,7 @@ def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key)
     b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
     assert alone.image(*key) == table.image(*key)
-    assert max(s.trunc - s.val for s in b._monomials.values()) == alone._precision(*key)
+    assert max(s.trunc - s.val for s in b._monomials.values()) == alone._plan(*key).prec
 
 
 def test_images_from_disk_never_fill_the_monomial_store(rr_cold_run):
