@@ -11,7 +11,9 @@ Euler products expand through the pentagonal-number series (sparse, linear
 time); the dense finite-product definition is kept in the test suite as an
 independent reference.  A power (q; q)_infinity ** r is J**(r//3) *
 P**(r % 3), with P the pentagonal series and J = (q; q)_infinity ** 3 the
-equally sparse series of Jacobi's identity, so r = 3 takes no product.
+equally sparse series of Jacobi's identity, so r = 3 takes no product;
+``euler_product`` is (q; q)_infinity alone, and ``_power_product`` is the
+one routine that spreads a factor to (q**d; q**d)_infinity.
 ``euler_quotient`` expands a product of their powers as a numerator over a
 denominator, each a product of positive powers, divided by ``QSeries.div``,
 which owns the q-strides: it works in q**(the gcd of the d's) and inverts
@@ -119,26 +121,18 @@ class EtaQuotient(Frozen):
         return f"EtaQuotient({self.level}: {body})"
 
 
-def euler_product(d: int, trunc: int, ring: CoeffRing = ZZ) -> QSeries:
-    """(q**d; q**d)_infinity to order ``trunc`` with coefficients in ``ring``.
-
-    Pentagonal expansion: (q;q)_inf = sum over k in Z of (-1)**k * q**(k(3k-1)/2).
-    """
-    if d < 1:
-        raise SpecError("Euler product index must be a positive integer")
+def euler_product(trunc: int, ring: CoeffRing = ZZ) -> QSeries:
+    """(q; q)_infinity to order ``trunc`` with coefficients in ``ring``, by
+    the pentagonal-number theorem: the sum over k in Z of
+    (-1)**k * q**(k(3k-1)/2).  ``_power_product`` spreads it to q**d."""
     if trunc < 0:
         raise SpecError("truncation must be >= 0")
     terms = {}
     k = 0
-    while True:
-        hit = False
-        for kk in (k, -k):
-            e = d * kk * (3 * kk - 1) // 2
+    while k * (3 * k - 1) // 2 < trunc:  # k and -k, the lower exponent first
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if e < trunc:
-                terms[e] = 1 if kk % 2 == 0 else -1
-                hit = True
-        if not hit:
-            break
+                terms[e] = -1 if k % 2 else 1
         k += 1
     return QSeries.from_terms(ring, terms, trunc)
 
@@ -191,7 +185,7 @@ def _power_product(pairs, n: int, ring: CoeffRing) -> QSeries:
         k = -(-m // d)
         f = _jacobi_cube(k, ring).pow(r // 3) if r >= 3 else None
         if r % 3:
-            p = euler_product(1, k, ring).pow(r % 3)
+            p = euler_product(k, ring).pow(r % 3)
             f = p if f is None else f.mul(p)
         f = f.substitute_power(d).truncate(m)
         out = f if out is None else out.mul(f)

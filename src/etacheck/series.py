@@ -32,8 +32,9 @@ are formed over Z and handed to the ``QSeries`` constructor (or to
 Every store of expansions (``eta_expand``'s and the basis monomials, an
 image table's A * g_k among them) keeps its entries through ``stored``: an
 entry is rebuilt only when asked for more coefficients past its leading
-term than it holds, and is handed out cut to what was asked.  An entry
-another process made is kept by the same rule (``keep_canonical``).
+term than it holds, and is handed out cut to what was asked.  The basis's
+store keeps entries another process made by the same rule
+(``basis.AlgebraBasis.keep``).
 """
 
 from __future__ import annotations
@@ -675,10 +676,3 @@ def stored(store: dict, key, prec: int, build) -> QSeries:
         s = store[key] = build(prec)
     return s.truncate(s.val + prec)
 
-
-def keep_canonical(store: dict, key, val: int, trunc: int, coeffs):
-    """Keep the series over Z of canonical coefficients ``coeffs`` from val
-    below trunc as store[key] by ``stored``'s rule: an entry another process
-    made, handed over as plain integers, so no pass of
-    ``CoeffRing.coerce`` is made over them."""
-    stored(store, key, trunc - val, lambda _: QSeries._canonical(ZZ, coeffs, val, trunc))

@@ -54,7 +54,10 @@ other job in a worker made by ``os.fork`` (``_fan_out``):
      reduction's monomials.  With two parts or more a worker makes the
      first and hands back the store entries it made, which the calling
      process keeps, while the calling process makes the second; with one
-     part the calling process makes both, largest precision first;
+     part the calling process makes both.  The basis makes each chain,
+     largest precision first, and keeps what a worker handed back
+     (``AlgebraBasis.make`` and ``keep``): the table reaches the store
+     only through these and ``monomial``;
   2. the parts: a worker inherits the basis with every expansion its part
      reads, computes the part's tamed products, reduces them by one
      ``mw_reduce`` call and shifts each by t**(-m) (``_compute``).
@@ -83,7 +86,7 @@ from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, euler_quotient
 from .modcurve import eta_order_at_cusp, finite_cusps
-from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole, keep_canonical
+from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
 PART_KEYS = 6  # the fewest images a part of a batch computes: splitting the
@@ -400,18 +403,18 @@ class UImageTable:
         return prod
 
     def _wants(self, keys) -> tuple:
-        """(prec, e, k, i) of every expansion the images of keys read, in the
-        two chains a batch makes side by side, each largest precision first:
-        the t-powers (t**j at each key's plan precision, t**m as far as its
-        plan reads it) with the reduction's monomials t**e * g_k, e > 0, made
-        from t's quotients and from g_k only to the reduction's short window;
-        and g_k or A * g_k at each key's plan precision with every g_k the
-        reduction reads alone, made from the quotients of g, h and A.  The
+        """(prec, e, k, i) of every expansion the images of keys read, as the
+        sets of the two chains a batch makes side by side: the t-powers
+        (t**j at each key's plan precision, t**m as far as its plan reads
+        it) with the reduction's monomials t**e * g_k, e > 0, made from t's
+        quotients and from g_k only to the reduction's short window; and g_k
+        or A * g_k at each key's plan precision with every g_k the reduction
+        reads alone, made from the quotients of g, h and A.  The
         reduction can step through every pole order down from the lowest
         exponent of a plan, each at the window the basis says that step
-        reads.  A store entry asks for its factors at its own precision, so
-        expansions made in this order are each made once, at the largest
-        precision the batch reads."""
+        reads.  ``AlgebraBasis.make`` makes a chain largest precision first,
+        and a store entry asks for its factors at its own precision, so each
+        expansion is made once, at the largest precision the batch reads."""
         b, ts, ys, lo = self.basis, set(), set(), 0
         for i, j, k in keys:
             plan = self._plan(i, j, k)
@@ -424,23 +427,7 @@ class UImageTable:
             if step is not None:
                 e, k = step
                 (ts if e else ys).add((b.precision_below(e, k, 1 + self.SLACK), e, k, 0))
-        return sorted(ts, reverse=True), sorted(ys, reverse=True)
-
-    def _expand(self, wants) -> list:
-        """Make the expansions of wants, in order, and return the entries
-        this made in the basis's store as (key, val, trunc, coefficients)."""
-        store = self.basis._monomials
-        before = dict(store)
-        for prec, e, k, i in wants:
-            self.basis.monomial(e, k, prec, self.A if i else None)
-        return [(key, s.val, s.trunc, s.coeffs)
-                for key, s in store.items() if before.get(key) is not s]
-
-    def _install(self, made):
-        """Keep each entry ``_expand`` made, in this process or another, by
-        the rule every expansion store shares (``series.keep_canonical``)."""
-        for entry in made:
-            keep_canonical(self.basis._monomials, *entry)
+        return ts, ys
 
     def _part(self, keys) -> list:
         """The terms of the images of keys: their tamed products reduced over
@@ -458,15 +445,16 @@ class UImageTable:
     def _computed(self, keys, parts: int) -> list:
         """The images of keys, computed in ``parts`` interleaved parts
         keys[p::parts], part 0 here and each other part in a forked worker.
-        First the expansions they read are made: with two parts or more the
-        chain of g_k and A * g_k in one worker and the t-powers and the
-        reduction's monomials in this process, each made entry kept here;
-        then each worker of a part inherits them all and makes none."""
-        parts = min(parts, len(keys))
+        First the basis makes the expansions they read (``make``): with two
+        parts or more the chain of g_k and A * g_k in one worker and the
+        t-powers and the reduction's monomials in this process, and keeps
+        here the entries both made (``keep``); then each worker of a part
+        inherits them all and makes none."""
+        b, parts = self.basis, min(parts, len(keys))
         ts, ys = self._wants(keys)
-        shares = [ts, ys] if parts > 1 else [sorted(ts + ys, reverse=True)]
-        for made in _fan_out([(self._expand, share) for share in shares if share]):
-            self._install(made)
+        shares = [ts, ys] if parts > 1 else [ts | ys]
+        for made in _fan_out([(b.make, share, self.A) for share in shares if share]):
+            b.keep(made)
         out = [None] * len(keys)
         results = _fan_out([(self._part, keys[p::parts]) for p in range(parts)])
         for p, terms in enumerate(results):
@@ -481,11 +469,11 @@ class UImageTable:
 
 
 def _run(job):
-    """A job's result as a worker hands it back: the value of method(arg),
-    or the message of the ContractError it raised."""
-    method, arg = job
+    """A job's result as a worker hands it back: the value of
+    method(*args), or the message of the ContractError it raised."""
+    method, *args = job
     try:
-        return method(arg)
+        return method(*args)
     except ContractError as exc:
         return str(exc)
 
@@ -513,7 +501,7 @@ def _fork(job, reads: list) -> int:
 
 
 def _fan_out(jobs) -> list:
-    """The results of jobs, (method, argument) pairs: the first run here,
+    """The results of jobs, (method, *arguments) tuples: the first run here,
     each other in a forked worker.  Every worker is read to the end of its
     pipe and reaped; on an error or an interrupt its read end is closed
     first, so that it leaves at its write.  A job's ContractError is raised

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from etacheck import basis, series, ujump
+from etacheck import basis, ujump
 from etacheck.basis import (
     AlgebraBasis,
     ModuleElement,
@@ -538,8 +538,8 @@ def cold_run(family, cache):
     spec = family(B=5)
     table = UImageTable(fresh_basis(), build_A(spec.gen), 5, cache_dir=cache)
     computed, reduced, builds, in_part, keeping = [], [], [], [], []
-    compute, part, stored = UImageTable._computed, UImageTable._part, series.stored
-    keep = ujump.keep_canonical
+    compute, part, stored = UImageTable._computed, UImageTable._part, basis.stored
+    keep = AlgebraBasis.keep
 
     def record(self, keys, parts):
         computed.append((list(keys), parts))
@@ -558,10 +558,10 @@ def cold_run(family, cache):
             builds.append((len(computed), bool(in_part), key, bool(keeping)))
         return stored(store, key, prec, make)
 
-    def kept(*entry):
+    def kept(self, made):
         keeping.append(True)
         try:
-            return keep(*entry)
+            return keep(self, made)
         finally:
             keeping.pop()
 
@@ -569,9 +569,8 @@ def cold_run(family, cache):
         mp.setattr(UImageTable, "_computed", record)
         mp.setattr(UImageTable, "_part", record_part)
         mp.setattr(ujump, "mw_reduce", lambda fs, b: reduced.append(len(fs)) or mw_reduce(fs, b))
-        mp.setattr(series, "stored", build)  # what keep_canonical keeps
-        mp.setattr(basis, "stored", build)
-        mp.setattr(ujump, "keep_canonical", kept)
+        mp.setattr(basis, "stored", build)  # what monomial makes and keep keeps
+        mp.setattr(AlgebraBasis, "keep", kept)
         report = iterate(spec, table)
     return table, report, computed, reduced, builds
 
@@ -675,6 +674,23 @@ def test_two_parts_give_the_images_of_one(family, monkeypatch):
     # the expansions the worker of the first round made were all kept here
     assert stores[0] == stores[1]
     assert [tables[1][key] for key in tables[0]] == list(tables[0].values())
+
+
+@pytest.mark.parametrize("family", [rogers_ramanujan, andrews_sellers])
+def test_part_count_changes_neither_the_store_nor_the_images(family, monkeypatch):
+    # a cold B=5 run with every batch in one part, and with every batch of
+    # two keys or more in two, leaves the same entries in the basis's store,
+    # each with its valuation and truncation, and the same images: each
+    # entry a worker of the first round makes is kept here (AlgebraBasis.keep)
+    spec, runs = family(B=5), []
+    for parts in (1, 2):
+        monkeypatch.setattr(ujump, "_part_count", lambda n, parts=parts: parts)
+        table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
+        iterate(spec, table)
+        store = {key: (s.val, s.trunc) for key, s in table.basis._monomials.items()}
+        runs.append((store, table._mem))
+        assert no_child_left()
+    assert runs[0] == runs[1]
 
 
 def test_a_worker_error_reaches_the_cli_as_exit_3(tmp_path, capsys, monkeypatch):
