@@ -23,7 +23,10 @@ is never formed.  ``QSeries.div`` is the one owner of q-strides and of the
 Newton inverse: when both operands are series in q**s it divides in q**s,
 it inverts the denominator only to half the length, in q**(the
 denominator's own stride), and one division step (Karp and Markstein)
-finishes the quotient; ``inv`` is one divided by self.
+finishes the quotient.  A denominator must lead with 1, as every one the
+method divides by does (an Euler-product denominator, or the generating
+function G), so Newton's method starts from 1 in either ring; ``inv`` is one
+divided by a series leading with 1, and ``pow`` takes exponents >= 1 only.
 
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
@@ -121,27 +124,11 @@ class CoeffRing(Frozen):
                 raise SpecError("modulus exponent must be >= 1")
         self._set(ell=ell, power=power, _modulus=ell ** power if ell else None)
 
-    @property
-    def modulus(self) -> int:
-        """ell**power, computed once at construction; the Z ring has none."""
-        if self._modulus is None:
-            raise SpecError("only Zmod rings have a modulus")
-        return self._modulus
-
     def coerce(self, c):
         """Bring an integer into canonical form; a non-integer raises
         TypeError instead of being truncated."""
         c = operator.index(c)
         return c if self._modulus is None else c % self._modulus
-
-    def unit_inverse(self, c):
-        """The inverse of c; SpecError unless c is a unit (+-1 in Z, prime to
-        ell in Z/ell^e)."""
-        if c in (1, -1):
-            return c
-        if self._modulus and c % self.ell:
-            return pow(c, -1, self._modulus)
-        raise SpecError(f"{c} is not a unit in {self}")
 
     def __str__(self):
         return f"Z/{self.ell}^{self.power}" if self._modulus else "Z"
@@ -564,15 +551,17 @@ class QSeries(Frozen):
 
     def inv(self) -> "QSeries":
         """1/self, as ``div`` makes it: one over self, to as many
-        coefficients as self holds (the zero series, which holds none, is
-        refused by ``div``).  The leading coefficient must be a unit of the
-        ring."""
+        coefficients as self holds.  Like every denominator, self must lead
+        with 1, which ``div`` checks."""
         one = QSeries._canonical(self.ring, [1], 0, max(1, self.trunc - self.val))
         return one.div(self)
 
     def div(self, den: "QSeries") -> "QSeries":
         """The quotient self/den, with the window of ``self.mul(den.inv())``:
         the package's one Newton inverse and the one owner of q-strides.
+        den must lead with 1, as every denominator of the method does (an
+        Euler-product denominator and the generating function G); any other
+        leading coefficient, the zero series' included, is refused.
 
         For n coefficients, s is the stride of both operands, the gcd of the
         offsets of their nonzero coefficients in the window (``_stride``),
@@ -585,8 +574,8 @@ class QSeries(Frozen):
         reaches 82), is never made past h, and the residual's product meets
         only den's narrow coefficients.
 
-        g is made by Newton's method in q**e, e the stride of den's first h
-        coefficients, so a denominator in q**5 (G(q**5) in
+        g is made by Newton's method in q**e from g = 1, e the stride of
+        den's first h coefficients, so a denominator in q**5 (G(q**5) in
         ``verifier.scaled_congruence_series``) is inverted at ceil(h/5)
         coefficients.  The lengths run through c = ceil(h/e), ceil(c/2),
         ceil(c/4), ... up from 1, so each step takes the k known terms of g
@@ -595,8 +584,9 @@ class QSeries(Frozen):
         terms of g*r, is computed and appended.
         """
         self._check_ring(den)
-        if den.is_zero():
-            raise SpecError("zero series has no inverse")
+        lead = den.coeffs[0] if den.coeffs else 0
+        if lead != 1:
+            raise SpecError(f"a denominator must lead with 1, not {lead}")
         val = self.val - den.val
         n = min(self.trunc - self.val, den.trunc - den.val)
         if n <= 0:
@@ -607,7 +597,7 @@ class QSeries(Frozen):
         h = -(-m // 2)
         e = _stride(b, h) or h
         c = b[:h:e]
-        g = [self.ring.unit_inverse(c[0])]
+        g = [1]
         lengths = [len(c)]
         while lengths[-1] > 1:
             lengths.append(-(-lengths[-1] // 2))
@@ -629,12 +619,10 @@ class QSeries(Frozen):
         return [c % m for c in out] if m else out
 
     def pow(self, n: int) -> "QSeries":
-        """f**n by binary powering; negative n inverts first."""
-        if n == 0:
-            return QSeries.one(self.ring, self.trunc - self.val)
-        base = self if n > 0 else self.inv()
-        n = abs(n)
-        result = None
+        """f**n for n >= 1, by binary powering."""
+        if n < 1:
+            raise SpecError(f"a series power needs an exponent >= 1, not {n}")
+        base, result = self, None
         while n:
             if n & 1:
                 result = base if result is None else result.mul(base)

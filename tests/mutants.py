@@ -130,6 +130,13 @@ MUTANTS = (
      "out = [0] * n\n    out[::s] = vals",
      "out = [0] * (s * len(vals))\n    out[::s] = vals", None),
     ("src/etacheck/series.py", "e = _stride(b, h) or h", "e = _stride(b, m) or h", None),
+    # the monic division and the positive powers, each killed by its test in
+    # test_series.py: only the zero denominator refused, so that one leading
+    # with 2 or -1 is divided as if it led with 1 (test_ring_laws and
+    # test_inv_requires_unit_leading), and the exponent 0 taken, for which
+    # pow returns None (test_pow_zero_and_inverse_pairing)
+    ("src/etacheck/series.py", "if lead != 1:", "if not lead:", None),
+    ("src/etacheck/series.py", "if n < 1:", "if n < 0:", None),
     ("src/etacheck/ujump.py",
      "if head != (self.basis.level, self.ell, i, j, k, self.basis.v):",
      "if head[:5] != (self.basis.level, self.ell, i, j, k):",
