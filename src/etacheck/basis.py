@@ -44,9 +44,8 @@ The basis keeps each monomial t**e * g_k it expands, and each product
 A * t**e * g_k with an eta quotient A (an image table's auxiliary quotient),
 at its own relative precision, rebuilt only when asked for more, by the rule
 every expansion store shares (``series.stored``).  Nothing else writes
-that store: ``make`` makes a list of its entries, largest first, and
-returns those it made as plain tuples, and ``keep`` keeps such tuples made
-in another process (an image table's forked worker).  The basis owns the
+that store: ``monomial`` makes one entry, and ``make`` makes a list of
+them, largest first.  The basis owns the
 two rules every reader of the store applies: which t**e * g_k has pole
 order m (``pole_monomial``), and the relative precision at which
 t**e * g_k is known below q**trunc (``precision_below``).
@@ -125,8 +124,8 @@ class AlgebraBasis:
     """Generator t plus g_1..g_v; immutable once built.  The monomial store
     (``monomial``) only grows and is the one expansion store of every
     reduction and every image table at this level: a table's A * g_k is
-    kept there too, under A's exponents, and only ``monomial``, ``make``
-    and ``keep`` write it.  Two rules are derived only here:
+    kept there too, under A's exponents, and only ``monomial`` and
+    ``make`` write it.  Two rules are derived only here:
     the monomial of a pole order (``pole_monomial``) and the precision at
     which a monomial is known below a truncation (``precision_below``)."""
 
@@ -183,9 +182,6 @@ class AlgebraBasis:
     # (e, k, a) -> t**e * g_k times the eta quotient of exponents a (a = ()
     # for none), each entry at its own relative precision (number of
     # coefficients past the leading term) under ``series.stored``'s rule.
-    # The key holds A's exponent tuple, not A, so that the entries a forked
-    # image worker made (``make``) go back with ``marshal`` to be kept
-    # (``keep``).
     # Products and inverses preserve relative precision, so an entry asked
     # for at a larger precision than it holds is rebuilt alone from its
     # factors, each cut to that precision; every other entry stays as it is.
@@ -226,23 +222,12 @@ class AlgebraBasis:
 
         return stored(self._monomials, (e, k, a), prec, build)
 
-    def make(self, wants, A: EtaQuotient) -> list:
+    def make(self, wants, A: EtaQuotient):
         """Make the expansions of wants, (prec, e, k, i) entries, i = 1 for a
         product with A, largest first, so that each is made once, at the
-        largest precision asked for; the entries this made in the store, as
-        the (key, val, trunc, coefficients) tuples ``keep`` takes, which
-        ``marshal`` carries to another process."""
-        before = dict(self._monomials)
+        largest precision asked for."""
         for prec, e, k, i in sorted(wants, reverse=True):
             self.monomial(e, k, prec, A if i else None)
-        return [(key, s.val, s.trunc, s.coeffs)
-                for key, s in self._monomials.items() if before.get(key) is not s]
-
-    def keep(self, made):
-        """Keep the entries ``make`` returned, in this process or another, by
-        the store's rule (``series.stored``)."""
-        for key, val, trunc, coeffs in made:
-            stored(self._monomials, key, trunc - val, lambda _: QSeries(ZZ, coeffs, val, trunc))
 
 
 def verify_basis(b: AlgebraBasis) -> bool:

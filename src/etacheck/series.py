@@ -35,9 +35,7 @@ are formed over Z and handed to the ``QSeries`` constructor (or to
 Every store of expansions (``eta_expand``'s and the basis monomials, an
 image table's A * g_k among them) keeps its entries through ``stored``: an
 entry is rebuilt only when asked for more coefficients past its leading
-term than it holds, and is handed out cut to what was asked.  The basis's
-store keeps entries another process made by the same rule
-(``basis.AlgebraBasis.keep``).
+term than it holds, and is handed out cut to what was asked.
 """
 
 from __future__ import annotations

@@ -38,45 +38,26 @@ monomial a pole order takes and that window are the basis's two rules
 (``AlgebraBasis.pole_monomial`` and ``precision_below``).
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to.  The
-keys the table cannot load are computed in P interleaved parts keys[p::P],
-sorted deepest first: one part per core the process may use, each of at
-least PART_KEYS keys (``_part_count``).  On two cores a cold B = 5 run
-splits only its 18-key batch, in two; a batch of one part is computed in
-the calling process alone, by the same code.  A batch is computed in two
-rounds, each of which runs its first job in the calling process and every
-other job in a worker made by ``os.fork`` (``_fan_out``):
+keys the table cannot load are sorted deepest first and computed in the
+calling process in two steps:
 
   1. the expansions the batch reads (``_wants``): t**j, y and t**m as each
      key's plan says, and the monomial of every pole order the reduction
-     can step through, each made once, to the largest precision the batch
-     reads it at.  ``_wants`` returns them as two chains: g_k and A * g_k,
-     made from the quotients of g, h and A, and the t-powers with the
-     reduction's monomials.  With two parts or more a worker makes the
-     first and hands back the store entries it made, which the calling
-     process keeps, while the calling process makes the second; with one
-     part the calling process makes both.  The basis makes each chain,
-     largest precision first, and keeps what a worker handed back
-     (``AlgebraBasis.make`` and ``keep``): the table reaches the store
-     only through these and ``monomial``;
-  2. the parts: a worker inherits the basis with every expansion its part
-     reads, computes the part's tamed products, reduces them by one
-     ``mw_reduce`` call and shifts each by t**(-m) (``_compute``).
+     can step through.  The basis makes them largest precision first
+     (``AlgebraBasis.make``), so each is made once, to the largest
+     precision the batch reads it at: the table reaches the store only
+     through ``make`` and ``monomial``;
+  2. the images (``_part``): the batch's tamed products, reduced by one
+     ``mw_reduce`` call, each shifted by t**(-m) (``_compute``).
 
-A worker writes its result (or the message of the ContractError that
-refused its job) to a pipe with ``marshal`` and leaves by ``os._exit``; the
-calling process reads each pipe to its end, reaps the worker, and alone
-stores and memoizes the images, which do not depend on P: each is the
-unique Laurent element.  A worker's memory is not counted in the calling
-process's peak RSS (the benchmark's ``peak_rss_mb``), and a tracer
-installed in the calling process sees only the work done there.  The step
-adds the scaled images over Z; ``ModuleElement`` reduces the sum into the
-ring.
+The table alone stores and memoizes the images, and each is the unique
+Laurent element, whatever else its batch holds.  The step adds the scaled
+images over Z; ``ModuleElement`` reduces the sum into the ring.
 """
 
 from __future__ import annotations
 
 import hashlib
-import marshal
 import os
 import tempfile
 from functools import cached_property
@@ -89,8 +70,6 @@ from .modcurve import eta_order_at_cusp, finite_cusps
 from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
-PART_KEYS = 6  # the fewest images a part of a batch computes: splitting the
-               # 9- and 5-key batches of a cold B = 5 run measured no faster
 
 
 class FamilyGenerator(Frozen):
@@ -262,7 +241,7 @@ class UImageTable:
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
     one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed (``_computed``) and stored.  One plan per key (``_plan``,
+    are computed (``_part``) and stored.  One plan per key (``_plan``,
     a ``Plan``) holds everything the key's image reads: its taming power m,
     the precision of t**j and y, how far t**m is read and the tamed
     product's lowest exponent.  The deepest-first order of a batch, the
@@ -272,7 +251,7 @@ class UImageTable:
     store with everything else, and each expansion a batch shares is made
     once, to what its deepest key needs.  Each image reads them only as far
     as its plan says, so it does not depend on what else was computed
-    first, nor on the part it was computed in.
+    first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -376,9 +355,9 @@ class UImageTable:
             else:
                 self._mem[key] = me
         if missing:
-            # deepest first: the parts of keys[p::parts] then share the work
             missing.sort(key=lambda key: self._plan(*key).prec, reverse=True)
-            for key, me in zip(missing, self._computed(missing, _part_count(len(missing)))):
+            self.basis.make(self._wants(missing), self.A)
+            for key, me in zip(missing, self._part(missing)):
                 if self.cache_dir:
                     self._store(*key, me)
                 self._mem[key] = me
@@ -402,37 +381,33 @@ class UImageTable:
                 f"constant term and {self.SLACK} check coefficients")
         return prod
 
-    def _wants(self, keys) -> tuple:
-        """(prec, e, k, i) of every expansion the images of keys read, as the
-        sets of the two chains a batch makes side by side: the t-powers
-        (t**j at each key's plan precision, t**m as far as its plan reads
-        it) with the reduction's monomials t**e * g_k, e > 0, made from t's
-        quotients and from g_k only to the reduction's short window; and g_k
-        or A * g_k at each key's plan precision with every g_k the reduction
-        reads alone, made from the quotients of g, h and A.  The
-        reduction can step through every pole order down from the lowest
-        exponent of a plan, each at the window the basis says that step
-        reads.  ``AlgebraBasis.make`` makes a chain largest precision first,
-        and a store entry asks for its factors at its own precision, so each
+    def _wants(self, keys) -> set:
+        """(prec, e, k, i) of every expansion the images of keys read: t**j
+        and y (g_k or A * g_k) at each key's plan precision, t**m as far as
+        its plan reads it, and the monomial t**e * g_k of every pole order
+        the reduction can step through down from the lowest exponent of a
+        plan, at the window the basis says that step reads.
+        ``AlgebraBasis.make`` makes them largest precision first, and a
+        store entry asks for its factors at its own precision, so each
         expansion is made once, at the largest precision the batch reads."""
-        b, ts, ys, lo = self.basis, set(), set(), 0
+        b, wants, lo = self.basis, set(), 0
         for i, j, k in keys:
             plan = self._plan(i, j, k)
-            ts.update({(plan.prec, j, 0, 0), (plan.reach, plan.m, 0, 0)})
+            wants.update({(plan.prec, j, 0, 0), (plan.reach, plan.m, 0, 0)})
             if i or k:
-                ys.add((plan.prec, 0, k, i))
+                wants.add((plan.prec, 0, k, i))
             lo = min(lo, plan.lo)
         for pole in range(1, 1 - lo):
             step = b.pole_monomial(pole)
             if step is not None:
                 e, k = step
-                (ts if e else ys).add((b.precision_below(e, k, 1 + self.SLACK), e, k, 0))
-        return ts, ys
+                wants.add((b.precision_below(e, k, 1 + self.SLACK), e, k, 0))
+        return wants
 
     def _part(self, keys) -> list:
-        """The terms of the images of keys: their tamed products reduced over
-        the basis as one batch, a failed reduction reported under the key of
-        its series, and each shifted by t**(-m)."""
+        """The images of keys: their tamed products reduced over the basis
+        as one batch, a failed reduction reported under the key of its
+        series, and each shifted by t**(-m)."""
         products = [self._tamed(*key) for key in keys]
         try:
             reduced = mw_reduce(products, self.basis)
@@ -440,104 +415,13 @@ class UImageTable:
             if not hasattr(exc, "series"):
                 raise
             raise ContractError(f"image {keys[exc.series]}: {exc}") from exc
-        return [self._compute(*key, me).terms for key, me in zip(keys, reduced)]
-
-    def _computed(self, keys, parts: int) -> list:
-        """The images of keys, computed in ``parts`` interleaved parts
-        keys[p::parts], part 0 here and each other part in a forked worker.
-        First the basis makes the expansions they read (``make``): with two
-        parts or more the chain of g_k and A * g_k in one worker and the
-        t-powers and the reduction's monomials in this process, and keeps
-        here the entries both made (``keep``); then each worker of a part
-        inherits them all and makes none."""
-        b, parts = self.basis, min(parts, len(keys))
-        ts, ys = self._wants(keys)
-        shares = [ts, ys] if parts > 1 else [ts | ys]
-        for made in _fan_out([(b.make, share, self.A) for share in shares if share]):
-            b.keep(made)
-        out = [None] * len(keys)
-        results = _fan_out([(self._part, keys[p::parts]) for p in range(parts)])
-        for p, terms in enumerate(results):
-            out[p::parts] = (ModuleElement(ZZ, t) for t in terms)
-        return out
+        return [self._compute(*key, me) for key, me in zip(keys, reduced)]
 
     def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:
         """The image of A**i t**j g_k from ``tamed``, its t**m multiple
         reduced over the basis: every term shifted by t**(-m)."""
         m = self._plan(i, j, k).m
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
-
-
-def _run(job):
-    """A job's result as a worker hands it back: the value of
-    method(*args), or the message of the ContractError it raised."""
-    method, *args = job
-    try:
-        return method(*args)
-    except ContractError as exc:
-        return str(exc)
-
-
-def _fork(job, reads: list) -> int:
-    """Fork a worker that writes ``_run(job)`` to a pipe and exits; its pid.
-    The read end of the pipe is appended to reads, which holds those of the
-    workers forked before it: a worker closes them all, so that closing the
-    read end here breaks its write."""
-    r, w = os.pipe()
-    reads.append(r)
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:  # the worker, which never returns into its caller
-                for inherited in reads:  # its own read end, and its elders'
-                    os.close(inherited)
-                with open(w, "wb") as pipe:
-                    marshal.dump(_run(job), pipe)
-            finally:
-                os._exit(0)
-    finally:
-        os.close(w)
-    return pid
-
-
-def _fan_out(jobs) -> list:
-    """The results of jobs, (method, *arguments) tuples: the first run here,
-    each other in a forked worker.  Every worker is read to the end of its
-    pipe and reaped; on an error or an interrupt its read end is closed
-    first, so that it leaves at its write.  A job's ContractError is raised
-    here once every worker is reaped, and a worker that leaves without a
-    result is one."""
-    reads, pids = [], []
-    try:
-        for job in jobs[1:]:
-            pids.append(_fork(job, reads))
-        results = [_run(jobs[0])]
-        while pids:
-            with open(reads.pop(0), "rb") as fh:
-                data = fh.read()
-            pid, status = os.waitpid(pids.pop(0), 0)
-            try:
-                results.append(marshal.loads(data))
-            except (EOFError, ValueError):
-                raise ContractError(f"image worker {pid} left without a result "
-                                    f"(wait status {status})") from None
-    finally:
-        for fd in reads:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    for result in results:
-        if isinstance(result, str):
-            raise ContractError(result)
-    return results
-
-
-def _part_count(n: int) -> int:
-    """How many parts a batch of n images is computed in: one per core
-    this process may run on (``sched_getaffinity`` exists only where
-    ``os.fork`` does), each of at least PART_KEYS images."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cores, n // PART_KEYS))
 
 
 def u_step(table: UImageTable, me: ModuleElement, with_A: bool) -> ModuleElement:

@@ -26,7 +26,7 @@ def pytest_runtest_protocol(item, nextitem):
     that never returns fails the first test that sets it up.  SIGALRM's
     handler runs between bytecodes, so a loop that never ends is stopped;
     pytest.fail raises a BaseException, which no handler of the package
-    catches.  A forked worker inherits no timer."""
+    catches."""
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
     try:

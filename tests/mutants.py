@@ -266,19 +266,6 @@ MUTANTS = (
      "the search's exactness guard: the cusp-weighted sum of a leaf's orders is "
      "(index/24) * sum w_d, so it is 0 exactly when sum w_d = 0, and a non-integral w "
      "floors to exponents summing below 0, which newman_check's weight condition refuses"),
-    # the fan-out of a batch, each killed by a test of tests/test_ujump.py:
-    # parts reassembled out of order and the expansions a worker made
-    # dropped, so that part 0 makes them again (on two cores or more
-    # test_cold_iterate_builds_each_expansion_once_per_batch kills both, and
-    # test_two_parts_give_the_images_of_one on any host); an error record
-    # taken for a result (test_precision_is_the_least_sufficient, whose
-    # refusal in part 0 comes back as one); a worker read but never reaped
-    # (test_two_parts_give_the_images_of_one)
-    ("src/etacheck/ujump.py", "enumerate(results)", "enumerate(results[::-1])", None),
-    ("src/etacheck/ujump.py", "b.keep(made)", "pass", None),
-    ("src/etacheck/ujump.py", "if isinstance(result, str):", "if False:", None),
-    ("src/etacheck/ujump.py", "pid, status = os.waitpid(pids.pop(0), 0)",
-     "pid, status = pids.pop(0), 0", None),
     # the one owner of each rule an image's expansions follow (the plan's
     # precision is the pair of entries above): the plan's t**m reach one
     # short (test_least_exponent_gives_the_same_images), the monomial of a
@@ -293,14 +280,10 @@ MUTANTS = (
     ("src/etacheck/basis.py", "return trunc + self.pole_order(e, k)",
      "return trunc - 1 + self.pole_order(e, k)", None),
     ("src/etacheck/basis.py", "(e, k, a), prec, build)", "(e, k, ()), prec, build)", None),
-    # the basis's hand-off of a batch's expansions: a chain made smallest
-    # first, so that an entry is rebuilt within a batch
-    # (test_cold_iterate_builds_each_expansion_once_per_batch), and the
-    # entries of A * g_k a worker made never kept
-    # (test_part_count_changes_neither_the_store_nor_the_images)
+    # a batch's expansions made smallest first, so that an entry is
+    # rebuilt within the batch
+    # (test_cold_iterate_builds_each_expansion_once_per_batch)
     ("src/etacheck/basis.py", "sorted(wants, reverse=True)", "sorted(wants)", None),
-    ("src/etacheck/basis.py", "for key, val, trunc, coeffs in made:",
-     "for key, val, trunc, coeffs in (x for x in made if not x[0][2]):", None),
     # two clause deletions that make a loop run forever, each killed by the
     # per-test deadline of tests/conftest.py: the pole-set closure adding
     # cusps it already holds (in the set-up of test_tfinder.py's

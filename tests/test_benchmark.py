@@ -36,8 +36,9 @@ def test_every_traced_span_names_a_package_attribute():
 
 
 # cross-check runs the tracer's direct_oracle hook, which smoke never
-# reaches; rr-cold runs its compute_m_constants hook and checks every image
-# it computes against the golden digest
+# reaches; rr-cold runs its compute_m_constants hook, checks every image it
+# computes against the golden digest, and its tracer sees each of them
+# computed, since every image is computed in the traced process
 @pytest.mark.parametrize("workload", ["smoke", "cross-check", "rr-cold"])
 def test_traced_smoke_run_is_correct(workload):
     done = subprocess.run(
@@ -48,3 +49,7 @@ def test_traced_smoke_run_is_correct(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if workload == "rr-cold":
+        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+        assert (result["metrics"]["ujump.images_computed"]["value"]
+                == len(golden["rr-B5"]["image_keys"]) == 33)

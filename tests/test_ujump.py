@@ -1,7 +1,6 @@
 """U_ell behaviour, the auxiliary quotient A, stability exponents, images."""
 
 import itertools
-import os
 import random
 import re
 from fractions import Fraction
@@ -532,18 +531,16 @@ def fresh_basis():
 
 def cold_run(family, cache):
     """A cold B=5 iterate of family on a fresh basis and an empty disk cache,
-    with (keys, parts) for every batch computed, the size of every batch
-    reduced in this process, and (batch, in a part, key, kept) for every
-    expansion built here (kept False) or kept from a worker (kept True)."""
+    with the keys of every batch computed, the size of every batch reduced,
+    and (batch, in its reduction, key) for every expansion built."""
     spec = family(B=5)
     table = UImageTable(fresh_basis(), build_A(spec.gen), 5, cache_dir=cache)
-    computed, reduced, builds, in_part, keeping = [], [], [], [], []
-    compute, part, stored = UImageTable._computed, UImageTable._part, basis.stored
-    keep = AlgebraBasis.keep
+    computed, reduced, builds, in_part = [], [], [], []
+    wants, part, stored = UImageTable._wants, UImageTable._part, basis.stored
 
-    def record(self, keys, parts):
-        computed.append((list(keys), parts))
-        return compute(self, keys, parts)
+    def record(self, keys):
+        computed.append(list(keys))
+        return wants(self, keys)
 
     def record_part(self, keys):
         in_part.append(True)
@@ -555,22 +552,14 @@ def cold_run(family, cache):
     def build(store, key, prec, make):
         held = store.get(key)
         if held is None or held.trunc - held.val < prec:
-            builds.append((len(computed), bool(in_part), key, bool(keeping)))
+            builds.append((len(computed), bool(in_part), key))
         return stored(store, key, prec, make)
 
-    def kept(self, made):
-        keeping.append(True)
-        try:
-            return keep(self, made)
-        finally:
-            keeping.pop()
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(UImageTable, "_computed", record)
+        mp.setattr(UImageTable, "_wants", record)  # once per batch, before make
         mp.setattr(UImageTable, "_part", record_part)
         mp.setattr(ujump, "mw_reduce", lambda fs, b: reduced.append(len(fs)) or mw_reduce(fs, b))
-        mp.setattr(basis, "stored", build)  # what monomial makes and keep keeps
-        mp.setattr(AlgebraBasis, "keep", kept)
+        mp.setattr(basis, "stored", build)  # what monomial makes
         report = iterate(spec, table)
     return table, report, computed, reduced, builds
 
@@ -586,26 +575,18 @@ def as_cold_run(tmp_path_factory):
 
 
 def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run, as_cold_run):
-    # everything a batch reads is expanded before any part is computed,
-    # largest precision first, so no part expands anything, no expansion is
-    # rebuilt within a batch, and the monomial of each reduction step is
+    # everything a batch reads is expanded before it is reduced, largest
+    # precision first, so the reduction expands nothing, no expansion is
+    # built twice within a batch, and the monomial of each reduction step is
     # made only to the window that step reads, never to the precision of
-    # the deepest image (616 for RR).  AS holds both A-powers to it: on two
-    # cores its 18-key batch of i = 0 splits in two, like RR's of i = 1.
-    # The one repeat the two chains leave is in that AS batch: a reduction
-    # step's t**e * g_k made here reads g_k to its short window, and the
-    # worker's longer g_k, kept here afterwards, replaces it
-    for (table, report, computed, _, builds), V, repeats in (
-            (rr_cold_run, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5], False),
-            (as_cold_run, [0, 1, 2, 3, 4, 5], True)):
+    # the deepest image (616 for RR)
+    for (table, report, computed, _, builds), V in (
+            (rr_cold_run, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]),
+            (as_cold_run, [0, 1, 2, 3, 4, 5])):
         assert report.V == V
-        assert {i for keys, _ in computed for i, _, _ in keys} == {0, 1}
-        assert builds and len(set(builds)) == len(builds)
-        assert not any(in_part for _, in_part, _, _ in builds)
-        here = {(n, key) for n, _, key, kept in builds if not kept}
-        twice = here & {(n, key) for n, _, key, kept in builds if kept}
-        assert all(e == 0 and k > 0 and not a for _, (e, k, a) in twice) and (
-            bool(twice) == (repeats and max(parts for _, parts in computed) > 1))
+        assert {i for keys in computed for i, _, _ in keys} == {0, 1}
+        assert builds and len({(n, key) for n, _, key in builds}) == len(builds)
+        assert not any(in_part for _, in_part, _ in builds)
         b, steps = table.basis, 0
         for (e, k, a), s in b._monomials.items():
             if e > 0 and k > 0:  # only a reduction step reads t**e * g_k
@@ -616,13 +597,10 @@ def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run, as_cold_
 
 def test_each_step_computes_its_images_as_one_batch(rr_cold_run, monkeypatch):
     # the 33 images of a cold run are computed in one batch per step that
-    # computes any, each batch in as many parts as _part_count gives, and
-    # part 0 is reduced here as one batch; a warm run, which loads them
-    # all, reduces nothing
+    # computes any, each reduced by one mw_reduce call; a warm run, which
+    # loads them all, reduces nothing
     table, report, computed, reduced, _ = rr_cold_run
-    assert [len(keys) for keys, _ in computed] == [1, 9, 18, 5]
-    assert [parts for _, parts in computed] == [ujump._part_count(n) for n in (1, 9, 18, 5)]
-    assert reduced == [len(keys[::parts]) for keys, parts in computed]
+    assert [len(keys) for keys in computed] == reduced == [1, 9, 18, 5]
     calls = []
     monkeypatch.setattr(ujump, "mw_reduce", lambda fs, b: calls.append(fs) or mw_reduce(fs, b))
     warm = UImageTable(fresh_basis(), build_A(RR), 5, cache_dir=table.cache_dir)
@@ -630,141 +608,29 @@ def test_each_step_computes_its_images_as_one_batch(rr_cold_run, monkeypatch):
     assert calls == []
 
 
-def test_part_count_follows_the_cores_and_the_batch_size(monkeypatch):
-    # one part per core the process may use, each of PART_KEYS images or
-    # more; a batch too small to split, or a host without sched_getaffinity,
-    # computes in one part
-    monkeypatch.setattr(ujump.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    n = ujump.PART_KEYS
-    assert [ujump._part_count(k) for k in (1, 2 * n - 1, 2 * n, 3 * n, 9 * n)] == [1, 1, 2, 3, 3]
-    monkeypatch.delattr(ujump.os, "sched_getaffinity")
-    assert ujump._part_count(9 * n) == 1
-
-
-# -- fan-out: a batch's parts in forked workers ------------------------------
-
-def no_child_left():
-    """No child of this process is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-@pytest.mark.parametrize("family", [rogers_ramanujan, andrews_sellers])
-def test_two_parts_give_the_images_of_one(family, monkeypatch):
-    # every batch of a cold B=7 run forced into two parts (a one-key batch
-    # stays whole) gives the images one part gives, in the same batches,
-    # whatever the cores of the host
-    spec = family(B=7)
-    tables, batches, stores = [], [], []
-    compute = UImageTable._computed
-    for parts in (1, 2):
-        seen = []
-        monkeypatch.setattr(UImageTable, "_computed",
-                            lambda self, keys, _, parts=parts, seen=seen:
-                            seen.append(list(keys)) or compute(self, keys, parts))
-        table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
-        iterate(spec, table)
-        tables.append(table._mem)
-        batches.append(seen)
-        stores.append(dict(table.basis._monomials))
-        assert no_child_left()
-    assert batches[0] == batches[1] and max(len(keys) for keys in batches[0]) >= 18
-    assert tables[0] == tables[1]
-    # the expansions the worker of the first round made were all kept here
-    assert stores[0] == stores[1]
-    assert [tables[1][key] for key in tables[0]] == list(tables[0].values())
-
-
-@pytest.mark.parametrize("family", [rogers_ramanujan, andrews_sellers])
-def test_part_count_changes_neither_the_store_nor_the_images(family, monkeypatch):
-    # a cold B=5 run with every batch in one part, and with every batch of
-    # two keys or more in two, leaves the same entries in the basis's store,
-    # each with its valuation and truncation, and the same images: each
-    # entry a worker of the first round makes is kept here (AlgebraBasis.keep)
-    spec, runs = family(B=5), []
-    for parts in (1, 2):
-        monkeypatch.setattr(ujump, "_part_count", lambda n, parts=parts: parts)
-        table = UImageTable(fresh_basis(), build_A(spec.gen), 5)
-        iterate(spec, table)
-        store = {key: (s.val, s.trunc) for key, s in table.basis._monomials.items()}
-        runs.append((store, table._mem))
-        assert no_child_left()
-    assert runs[0] == runs[1]
-
-
 def test_a_worker_error_reaches_the_cli_as_exit_3(tmp_path, capsys, monkeypatch):
-    # one product corrupted in every worker and nowhere else: the run stops
-    # with exit 3 under the key of the first image of part 1, prints no
-    # verdict, stores none of the batch and leaves no child behind
-    parent, tamed, batches = os.getpid(), UImageTable._tamed, []
+    # the tamed product of the second key of the 18-key batch off by one in
+    # its last check coefficient: the run stops with exit 3 under that key,
+    # prints no verdict and stores none of the batch
+    tamed, part, batches = UImageTable._tamed, UImageTable._part, []
 
     def corrupt(self, i, j, k):
         prod = tamed(self, i, j, k)
-        if os.getpid() != parent:
+        if len(batches[-1]) == 18 and (i, j, k) == batches[-1][1]:
             prod = prod.add(QSeries.from_terms(ZZ, {prod.trunc - 1: 1}, prod.trunc))
         return prod
 
-    compute = UImageTable._computed
     monkeypatch.setattr(UImageTable, "_tamed", corrupt)
-    monkeypatch.setattr(UImageTable, "_computed",
-                        lambda self, keys, _: batches.append(keys) or compute(self, keys, 2))
+    monkeypatch.setattr(UImageTable, "_part",
+                        lambda self, keys: batches.append(keys) or part(self, keys))
     code = main(["--cache-dir", str(tmp_path), "verify", "rogers-ramanujan", "--B", "5"])
     out, err = capsys.readouterr()
-    failed = batches[-1]
-    assert len(failed) > 1 and all(len(keys) == 1 for keys in batches[:-1])
+    assert [len(keys) for keys in batches] == [1, 9, 18]
     assert code == 3 and "VERIFIED" not in out
-    assert re.search(rf"^internal contract violation: image {re.escape(str(failed[1]))}: "
-                     r"series 0: nonzero residual", err), err
-    stored = {p.name for p in tmp_path.rglob("i*_j*_k*.txt")}
-    assert len(stored) == sum(map(len, batches[:-1])) and no_child_left()
-
-
-def test_a_worker_that_leaves_without_a_result_is_refused(b20, monkeypatch):
-    parent, part = os.getpid(), UImageTable._part
-    monkeypatch.setattr(UImageTable, "_part", lambda self, keys: part(self, keys)
-                        if os.getpid() == parent else os._exit(0))
-    table = UImageTable(b20, build_A(RR), 5)
-    keys = [(0, j, 0) for j in range(-3, 3)]
-    with pytest.raises(ContractError, match=r"^image worker \d+ left without a result"):
-        table._computed(keys, 2)
-    assert table._mem == {} and no_child_left()
-
-
-def test_a_failed_fork_closes_both_ends_of_its_pipe(b20, monkeypatch):
-    # the process limit reached, say: the fork's OSError is raised and
-    # neither end of the pipe made for the worker stays open
-    def fail():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    opened = []
-    pipe = os.pipe
-    monkeypatch.setattr(ujump.os, "pipe", lambda: opened.extend(pipe()) or tuple(opened[-2:]))
-    monkeypatch.setattr(ujump.os, "fork", fail)
-    with pytest.raises(BlockingIOError):
-        UImageTable(b20, build_A(RR), 5)._computed([(0, j, 0) for j in range(-3, 3)], 2)
-    assert len(opened) == 2
-    for fd in opened:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-    assert no_child_left()
-
-
-def test_an_interrupt_leaves_no_worker_behind(b20, monkeypatch):
-    # part 0 interrupted while the worker of part 1 computes: the worker's
-    # pipe is closed, so it leaves at its write, and it is reaped
-    parent, part = os.getpid(), UImageTable._part
-
-    def interrupted(self, keys):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return part(self, keys)
-
-    monkeypatch.setattr(UImageTable, "_part", interrupted)
-    table = UImageTable(b20, build_A(RR), 5)
-    with pytest.raises(KeyboardInterrupt):
-        table._computed([(0, j, 0) for j in range(-3, 3)], 2)
-    assert table._mem == {} and no_child_left()
+    assert re.search(rf"^internal contract violation: image {re.escape(str(batches[-1][1]))}: "
+                     r"series 1: nonzero residual", err), err
+    assert {p.name for p in tmp_path.rglob("i*_j*_k*.txt")} == {
+        f"i{i}_j{j}_k{k}.txt" for keys in batches[:-1] for i, j, k in keys}
 
 
 @pytest.mark.parametrize("family,computed", [(rogers_ramanujan, 33), (andrews_sellers, 28)])
