@@ -60,7 +60,7 @@ import operator
 
 from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
-from .modcurve import eta_order_at_cusp, finite_cusps, newman_check
+from .modcurve import finite_cusps, newman_check, order_numerator
 from .search import search_modular_quotients
 from .series import CoeffRing, Frozen, QSeries, ZZ, stored
 
@@ -259,7 +259,7 @@ def verify_basis(b: AlgebraBasis) -> bool:
             return False
     t_eq = b.t_quotient()
     for x in finite_cusps(b.level):
-        if eta_order_at_cusp(t_eq, x) < 0:
+        if order_numerator(t_eq, x) < 0:
             return False
     return True
 
@@ -476,7 +476,7 @@ def construct_basis(t_eq: EtaQuotient) -> AlgebraBasis:
         raise SpecError("generator must have a pole at infinity")
     finite = finite_cusps(N)
     for x in finite:
-        if eta_order_at_cusp(t_eq, x) < 0:
+        if order_numerator(t_eq, x) < 0:
             raise SpecError(f"generator has a pole at the finite cusp {x}")
     t = BasisFunction.from_quotient("t", t_eq, -v1)
     needed = set(range(1, v1))

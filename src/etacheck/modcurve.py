@@ -20,12 +20,17 @@ Orders of eta quotients at cusps come from the classical formula
     ord_{a/c}(f) = N / (24*gcd(c^2, N)) * sum_d r_d * gcd(c, d)^2 / d,
 
 measured in the local uniformizer, so the orders of a modular quotient sum
-to zero over a full set of representatives.
+to zero over a full set of representatives.  Scaled by 24*N it is the
+integer
+
+    sum_d r_d * (N / gcd(c^2, N)) * (N / d) * gcd(c, d)^2,
+
+which the package computes with; only the rational view for output builds
+a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -200,19 +205,24 @@ def newman_check(eq: EtaQuotient):
     return True, k0
 
 
-def eta_order_at_cusp(eq: EtaQuotient, x: Cusp) -> Fraction:
-    """Order of the quotient at the cusp a/c, as an exact rational.
-
-    The value depends only on the cusp class; it is an integer whenever the
-    quotient is modular, but the generator search builds its order matrix
-    from single factors eta(d*tau), so the rational value is kept.
-    """
+def order_numerator(eq: EtaQuotient, x: Cusp) -> int:
+    """24*N times the order of the quotient at the cusp a/c, N its level: an
+    integer for every quotient at level N, eta(d*tau) alone included.  It
+    depends only on the cusp class; the quotient is modular only if every
+    value is a multiple of 24*N."""
     # infinity, 1/0, is the class of 1/N: gcd(0, d) = d and gcd(0, N) = N
     N, c = eq.level, x.c
-    total = Fraction(0)
-    for d, r in eq.exponents:
-        total += Fraction(r * gcd(c, d) ** 2, d)
-    return Fraction(N, 24 * gcd(c * c, N)) * total
+    return N // gcd(c * c, N) * sum(r * (N // d) * gcd(c, d) ** 2 for d, r in eq.exponents)
+
+
+def eta_order_at_cusp(eq: EtaQuotient, x: Cusp) -> Fraction:
+    """Order of the quotient at the cusp a/c, as an exact rational: the
+    public view of ``order_numerator``, for output and tests.  Importing
+    ``fractions`` here keeps it (and ``decimal``) out of every run that
+    prints no order."""
+    from fractions import Fraction
+
+    return Fraction(order_numerator(eq, x), 24 * eq.level)
 
 
 def order_vector(eq: EtaQuotient) -> dict:

@@ -23,45 +23,54 @@ every search in this package deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import gcd
 
 from .errors import SpecError
 from .eta import EtaQuotient, divisors
-from .modcurve import Cusp, cusp_representatives, eta_order_at_cusp, newman_check
+from .modcurve import Cusp, cusp_representatives, newman_check, order_numerator
 
 
 def _inverse(rows):
-    """Exact inverse of an invertible square matrix over Fraction."""
+    """(M, D) with M / D the inverse of an invertible square integer matrix
+    and D > 0, by fraction-free Gauss-Jordan elimination (Bareiss): each
+    step divides by the pivot before it, exactly, so every entry stays an
+    integer."""
     k = len(rows)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(k):
         pivot = next(r for r in range(col, k) if a[r][col])
         a[col], a[pivot] = a[pivot], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
+        p = a[col][col]
         for r in range(k):
             if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[k:] for row in a]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[col])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[k:]] for row in a], sign * prev
 
 
 @lru_cache(maxsize=None)
 def _order_map(N: int):
     """(divisors, row sums, integer inverse rows, denominator, cusps per class).
 
-    Row c of the order matrix holds the orders of eta(d*tau) at 1/c, so the
-    orders of w are o_c = sum_d rows[c][d] * w_d, at most bound times the row
-    sum in size, and w_d is recovered as sum_c inverse[d][c] * o_c / den.
+    Row c of the order matrix holds 24N times the orders of eta(d*tau) at
+    1/c, all integers and none negative, so the orders of w are
+    o_c = sum_d rows[c][d] * w_d / 24N, at most bound times the row sum over
+    24N in size.  w_d is recovered as sum_c inverse[d][c] * o_c / den, den
+    the least denominator of the inverse of the unscaled matrix.
     """
     divs = tuple(divisors(N))
-    rows = [[eta_order_at_cusp(EtaQuotient(N, {d: 1}), Cusp(1, c)) for d in divs] for c in divs]
-    inv = _inverse(rows)
-    den = lcm(*(x.denominator for row in inv for x in row))
-    inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
+    rows = [[order_numerator(EtaQuotient(N, {d: 1}), Cusp(1, c)) for d in divs] for c in divs]
+    m, d = _inverse(rows)
+    # the unscaled inverse is 24N * m / d, and g cancels what they share
+    scaled = [[24 * N * x for x in row] for row in m]
+    g = gcd(d, *(x for row in scaled for x in row))
+    inverse = tuple(tuple(x // g for x in row) for row in scaled)
     sizes = Counter(gcd(x.c, N) for x in cusp_representatives(N))
-    return divs, tuple(map(sum, rows)), inverse, den, tuple(sizes[c] for c in divs)
+    return divs, tuple(map(sum, rows)), inverse, d // g, tuple(sizes[c] for c in divs)
 
 
 def search_modular_quotients(N: int, n0: int, bound: int, positive=(), nonneg=(), zero=()):
@@ -73,7 +82,7 @@ def search_modular_quotients(N: int, n0: int, bound: int, positive=(), nonneg=()
     if bound < 1:
         raise SpecError("exponent bound must be >= 1")
     divs, row_sums, inverse, den, sizes = _order_map(N)
-    reach = [floor(bound * s) for s in row_sums]
+    reach = [bound * s // (24 * N) for s in row_sums]
     lo, hi = [-r for r in reach], reach
     i_inf = divs.index(N)
     lo[i_inf] = max(lo[i_inf], -n0)

@@ -145,20 +145,23 @@ def zmod(ell: int, power: int) -> CoeffRing:
 # ---------------------------------------------------------------------------
 # Kronecker-substitution convolution.
 
-try:
-    import _decimal  # libmpdec; the pure-Python _pydecimal is slower than int
-except ImportError:  # pragma: no cover - CPython builds ship _decimal
-    _decimal = None
+def _libmpdec():
+    """The C decimal module, imported by the first product that needs it, or None."""
+    global _decimal
+    try:
+        import _decimal  # libmpdec; the pure-Python _pydecimal is slower than int
+    except ImportError:  # pragma: no cover - CPython builds ship _decimal
+        _decimal = None
+    return _decimal
 
-# A class product of at least this many decimal digits (limb digits times the
-# two class lengths) is made by libmpdec, below it by CPython's int multiply
-# (see ``convolve_ints``).  Both encodings, timed alternately on the 994
-# products of at least 5 000 digits of cold RR (B = 14) and AS (B = 10) runs,
-# the 5^6 and 5^5 oracle cases, the benchmark's four oracle checks and
+
+# Class products of this many decimal digits or more go to libmpdec (see
+# ``convolve_ints``).  Both encodings, timed alternately on the 994 products
+# of at least 5 000 digits of cold RR (B = 14) and AS (B = 10) runs, the 5^6
+# and 5^5 oracle cases, the benchmark's four oracle checks and
 # ``consistency_check`` at alpha = 5, take the least time in all there (2-core
 # x86-64, CPython 3.11, libmpdec 2.5.1): 8.08 s, against 18.6 s for int alone
-# and 9.2 s for libmpdec alone, and within 0.2% of that from 200 000 to
-# 450 000.
+# and 9.2 s for libmpdec alone, and within 0.2% of it from 200 000 to 450 000.
 _DECIMAL_DIGITS = 210_000
 
 # Blocks of the limb-width bound (``convolve_ints``): an operand of at most
@@ -238,10 +241,9 @@ def _unpack(raw, limb_bytes):
 
 
 def _pack_decimal(vals, digits):
-    """The Decimal sum of vals[i] * 10**(digits*i), written as limbs v + half,
-    half = 5 * 10**(digits-1), minus their bias, in the caller's exact
-    context.  |v| < 10**(digits-1), so every limb has exactly ``digits``
-    digits."""
+    """The Decimal sum of vals[i] * 10**(digits*i): limbs v + half, each of
+    exactly ``digits`` digits, as |v| < 10**(digits-1) and half =
+    5 * 10**(digits-1), minus their bias, in the caller's exact context."""
     half = 5 * 10 ** (digits - 1)
     packed = "".join([str(v + half) for v in reversed(vals)])
     return _decimal.Decimal(packed) - _decimal.Decimal(str(half) * len(vals))
@@ -316,14 +318,14 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
 
     The limb encoding follows from the operand sizes alone.  A class product
     of at least ``_DECIMAL_DIGITS`` decimal digits (limb digits times the two
-    class lengths) is made in base 10**w by libmpdec, the C ``decimal``
-    module, whose number-theoretic transform beats CPython's Karatsuba on
-    huge operands (about 3 times faster above 10**6 digits), when that module
-    is present and int() may parse a w-digit limb; a power of ten above both
-    the sum of the products and the n_out limbs keeps the total positive, and
-    the limbs are read from its digit string one w-digit slice at a time,
-    never by one int() of the whole string and never by
-    ``Context.remainder`` (a full division); its one point is x = 10**w.
+    class lengths) is made in base 10**w by libmpdec, whose number-theoretic
+    transform beats CPython's Karatsuba on huge operands (about 3 times
+    faster above 10**6 digits), when ``_libmpdec`` loads it and int() may
+    parse a w-digit limb; a power of ten above both the sum of the products
+    and the n_out limbs keeps the total positive, and the limbs are read
+    from its digit string one w-digit slice at a time, never by one int() of
+    the whole string and never by ``Context.remainder`` (a full division);
+    its one point is x = 10**w.
 
     Every other product is made by CPython at the two points x = 2**h and
     x = -2**h (D. Harvey, J. Symbolic Comput. 44, 2009): two products of
@@ -364,22 +366,20 @@ def convolve_ints(a, b, n_out, ell=1, o=0):
     digits = bound.bit_length() * 30103 // 100000 + 2  # 10**(digits-1) > bound
     size = -(-len(a) // ell) + -(-len(b) // ell)  # limbs of one class product
     str_digits = sys.get_int_max_str_digits()
-    if (_decimal is not None and digits * size >= _DECIMAL_DIGITS
-            and (str_digits == 0 or digits <= str_digits)):
+    if (digits * size >= _DECIMAL_DIGITS and (str_digits == 0 or digits <= str_digits)
+            and _libmpdec()):
         half = 5 * 10 ** (digits - 1)
         # 10**top exceeds the sum of at most ell products shifted up one
         # limb, and lies above the n_out limbs
         top = max(digits * n_out, digits * (size + 1) + len(str(ell)))
-        ctx = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX,
-                               Emin=_decimal.MIN_EMIN)
-        with _decimal.localcontext(ctx):
+        with _decimal.localcontext(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX,
+                                   Emin=_decimal.MIN_EMIN):
             start = _decimal.Decimal("1" + "0" * (top - digits * n_out) + str(half) * n_out)
             (total,) = _class_products(a, b, ell, o, lambda v: [_pack_decimal(v, digits)],
                                        lambda p: [p[0].scaleb(digits)]) or [0]
             total = str(start + total)
         end = len(total)
-        return [int(total[i - digits:i]) - half
-                for i in range(end, end - digits * n_out, -digits)]
+        return [int(total[i - digits:i]) - half for i in range(end, end - digits * n_out, -digits)]
     k = (bound.bit_length() + 8) // 8  # limb bytes: bit_length + 1 bits, whole bytes
     h = 4 * k  # half a limb, in bits
 

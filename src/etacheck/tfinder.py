@@ -25,11 +25,11 @@ from .errors import SearchExhaustedError, SpecError
 from .eta import EtaQuotient
 from .modcurve import (
     cusp_image_under_scaling,
-    eta_order_at_cusp,
+    cusp_representatives,
     finite_cusps,
     infinity_class,
     newman_check,
-    order_vector,
+    order_numerator,
 )
 from .search import search_modular_quotients
 from .series import Frozen
@@ -57,7 +57,7 @@ def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
     inf_N = infinity_class(N)
     finite = finite_cusps(N)
 
-    a_poles = frozenset(x for x, o in order_vector(A).items() if o < 0)
+    a_poles = frozenset(x for x in cusp_representatives(A.level) if order_numerator(A, x) < 0)
     images_fine = {x: {cusp_image_under_scaling(x, r, ell, ell * N) for r in range(ell)}
                    for x in finite}
     images_coarse = {x: {cusp_image_under_scaling(x, r, ell, N) for r in range(ell)}
@@ -94,19 +94,20 @@ def solve_W(N: int, pole_sets: PoleSets, n0: int):
 
 
 def verify_W(eq: EtaQuotient, n0: int, pole_sets: PoleSets) -> bool:
-    """Re-check every condition of W(n0) through the order formulas."""
+    """Re-check every condition of W(n0) through the order formula, each
+    order scaled by 24 times the level."""
     if not newman_check(eq)[0]:
         return False
-    if eta_order_at_cusp(eq, infinity_class(eq.level)) != -n0:
+    if order_numerator(eq, infinity_class(eq.level)) != -24 * eq.level * n0:
         return False
     for x in pole_sets.p_A | pole_sets.p_g:
-        if eta_order_at_cusp(eq, x) <= 0:
+        if order_numerator(eq, x) <= 0:
             return False
     for x in pole_sets.p0_prime:
-        if eta_order_at_cusp(eq, x) < 0:
+        if order_numerator(eq, x) < 0:
             return False
     for x in pole_sets.p1_prime:
-        if eta_order_at_cusp(eq, x) != 0:
+        if order_numerator(eq, x) != 0:
             return False
     return True
 

@@ -66,7 +66,7 @@ from pathlib import Path
 from .basis import AlgebraBasis, ModuleElement, mw_reduce
 from .errors import ContractError, SpecError
 from .eta import EtaQuotient, euler_quotient
-from .modcurve import eta_order_at_cusp, finite_cusps
+from .modcurve import finite_cusps, order_numerator
 from .series import CoeffRing, Frozen, QSeries, ZZ, _is_prime, _whole
 
 J_CEILING = 64  # the largest |j| of an image, and of a run's t-support
@@ -185,10 +185,11 @@ class StabilityExponents(Frozen):
 
 def _orders(eq: EtaQuotient, cusps) -> tuple:
     """eq's orders at cusps of its level, integers as for any modular quotient."""
-    ords = [eta_order_at_cusp(eq, x) for x in cusps]
-    if any(o.denominator != 1 for o in ords):
+    scale = 24 * eq.level
+    ords = [order_numerator(eq, x) for x in cusps]
+    if any(o % scale for o in ords):
         raise ContractError("non-integral order for a modular quotient")
-    return tuple(int(o) for o in ords)
+    return tuple(o // scale for o in ords)
 
 
 def _least_power(cusps, ord_scaled_t, ords, what: str) -> int:

@@ -32,7 +32,8 @@ PKG = ROOT / "src" / "etacheck"
 ALLOWED = (
     ("cli.py", "sys.exit(main())",
      "the __main__ guard; tests run it only in a subprocess, which is not traced"),
-    ("series.py", "_decimal = None", "the fallback of a CPython built without _decimal"),
+    ("series.py", "_decimal = None",
+     "_libmpdec's fallback for a CPython built without _decimal"),
 )
 
 

@@ -190,8 +190,7 @@ MUTANTS = (
     ("src/etacheck/basis.py",
      'raise ContractError(f"no basis element covers residue {rho} mod {v1}")',
      "return 0", None),
-    ("src/etacheck/ujump.py",
-     "if any(o.denominator != 1 for o in ords):", "if False:", None),
+    ("src/etacheck/ujump.py", "if any(o % scale for o in ords):", "if False:", None),
     # the searches' own refusals and verify_W's p0' sign, each killed by its
     # test in test_basis.py and test_tfinder.py
     ("src/etacheck/basis.py",
@@ -203,7 +202,7 @@ MUTANTS = (
         f"no generator with""", """    return None
     raise SearchExhaustedError(
         f"no generator with""", None),
-    ("src/etacheck/tfinder.py", "if eta_order_at_cusp(eq, x) < 0:", "if False:", None),
+    ("src/etacheck/tfinder.py", "if order_numerator(eq, x) < 0:", "if False:", None),
     # branches whose deletion changed no result in the rest of tier-1, each
     # killed by its row or assertion in tests/test_<module>.py: verify_basis
     # passing a t of the wrong pole order, a g without a pole, or unsorted
@@ -291,6 +290,21 @@ MUTANTS = (
     # whose gcd 0 every power of ell divides
     ("src/etacheck/tfinder.py", "if x not in forced and ", "if ", None),
     ("src/etacheck/verifier.py", "while v < spec.B and ", "while ", None),
+    # the integer orders and the on-demand libmpdec: the N / gcd(c^2, N)
+    # factor read as N / gcd(c, N) (test_modcurve.py::
+    # test_order_values_at_level_20), the integrality guard of the stability
+    # exponents checking N alone, not 24N (test_ujump.py::test_guards_refuse),
+    # the inverse's pivot taken from a row already eliminated
+    # (test_search.py::test_search_matches_brute_force), and libmpdec
+    # imported by every product, whatever its size
+    # (test_cli.py::test_a_check_loads_neither_fractions_nor_decimal)
+    ("src/etacheck/modcurve.py", "return N // gcd(c * c, N) * sum(",
+     "return N // gcd(c, N) * sum(", None),
+    ("src/etacheck/ujump.py", "if any(o % scale for o in ords):",
+     "if any(o % eq.level for o in ords):", None),
+    ("src/etacheck/search.py", "next(r for r in range(col, k)", "next(r for r in range(k)", None),
+    ("src/etacheck/series.py", "if (digits * size >= _DECIMAL_DIGITS and",
+     "if (_libmpdec() and digits * size >= _DECIMAL_DIGITS and", None),
     ("src/etacheck/series.py", "except ImportError:", "except ():",
      "CPython builds ship _decimal, so the import never fails and the handler "
      "never runs (tests/linecov.py allows its one statement for that reason)"),

@@ -87,6 +87,9 @@ def test_order_and_newman_commands(capsys):
     assert code == 0 and out.strip() == "-5"
     code, out, _ = run(capsys, "order", "100:1^-3,2^5,4^-2,25^3,50^-5,100^2", "1/50")
     assert code == 0 and out.strip() == "-5"
+    # a quotient that is not modular has a rational order
+    code, out, _ = run(capsys, "order", "20:1^1,4^-3", "1/2")
+    assert code == 0 and out == "-5/12\n"
     code, out, _ = run(capsys, "newman", "20:1^2,4^2,10^8,5^-2,20^-10")
     assert code == 0 and "square witness" in out
     code, out, _ = run(capsys, "newman", "2:1^1,2^-1")
@@ -437,3 +440,23 @@ def test_series_loads_no_upper_layer_and_cli_loads_every_module():
         "etacheck", "etacheck.errors", "etacheck.series"}
     modules = {"etacheck." + p.stem for p in (SRC / "etacheck").glob("[!_]*.py")}
     assert ours(fresh_import("etacheck.cli")) == {"etacheck"} | modules
+
+
+def test_a_check_loads_neither_fractions_nor_decimal(tmp_path):
+    # a check's orders are integers and none of its products is big enough
+    # for libmpdec, so the cold and the warm verify and the oracle, each in a
+    # fresh process, leave out fractions and decimal with the numbers and
+    # _decimal they pull in
+    code = ("import sys; from etacheck.cli import main; status = main(sys.argv[1:]); "
+            "print('loaded:', *sorted({'fractions', 'decimal', '_decimal', 'numbers'} "
+            "& set(sys.modules))); sys.exit(status)")
+    cache = tmp_path / "cache"
+    verify = ["--cache-dir", str(cache), "verify", "rogers-ramanujan", "--B", "5"]
+    for argv, status in ((verify, 0), (verify, 0),
+                         (["direct-check", "rogers-ramanujan", "125", "99", "2", "50"], 1)):
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded:", argv
+    # the first verify computed and stored the 33 images the second one loaded
+    assert len(list(cache.rglob("*.txt"))) == 33

@@ -20,10 +20,13 @@ from etacheck.modcurve import (
     eta_order_at_cusp,
     infinity_class,
     newman_check,
+    order_numerator,
     order_vector,
     parse_cusp,
 )
 from etacheck.tfinder import PoleSets, compute_pole_sets
+from etacheck.ujump import build_A
+from etacheck.verifier import andrews_sellers, rogers_ramanujan
 
 T20 = EtaQuotient(20, {1: 2, 4: 2, 10: 8, 5: -2, 20: -10})
 H20 = EtaQuotient(20, {4: 1, 5: 5, 1: -1, 20: -5})
@@ -274,6 +277,29 @@ def run_ligozat_matches_valuation(cases=200, seed=41):
 
 def test_ligozat_matches_expansion_valuation():
     run_ligozat_matches_valuation(cases=60)
+
+
+def textbook_order(eq, x):
+    """The classical formula over Fraction, N / (24*gcd(c^2, N)) times
+    sum_d r_d * gcd(c, d)^2 / d, written out independently of the package."""
+    N, c = eq.level, x.c
+    return Fraction(N, 24 * gcd(c * c, N)) * sum(
+        (Fraction(r * gcd(c, d) ** 2, d) for d, r in eq.exponents), Fraction(0))
+
+
+def test_integer_orders_match_the_textbook_formula():
+    # t, g, h and eta(d*tau), d | 20, at level 20 and lifted to 100; t(5*tau),
+    # both families' A and eta(d*tau), d | 100, at level 100
+    level20 = [T20, G20, H20] + [EtaQuotient(20, {d: 1}) for d in divisors(20)]
+    level100 = ([eq.at_level(100) for eq in level20] + [T20.scale_tau(5), A100]
+                + [build_A(spec.gen) for spec in (rogers_ramanujan(), andrews_sellers())]
+                + [EtaQuotient(100, {d: 1}) for d in divisors(100)])
+    for eq in level20 + level100:
+        for x in cusp_representatives(eq.level) + (Cusp(1, 0),):
+            want = textbook_order(eq, x)
+            assert order_numerator(eq, x) == 24 * eq.level * want, (eq, x)
+            got = eta_order_at_cusp(eq, x)
+            assert type(got) is Fraction and got == want
 
 
 def test_order_vector_is_keyed_by_representatives():

@@ -3,8 +3,10 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +14,7 @@ from etacheck import search
 from etacheck.errors import SpecError
 from etacheck.eta import EtaQuotient, divisors
 from etacheck.modcurve import (
+    Cusp,
     cusp_representatives,
     eta_order_at_cusp,
     infinity_class,
@@ -97,7 +100,37 @@ def test_conflicting_signs_within_one_class():
 
 
 def test_order_matrix_inverse_swaps_rows_past_a_zero_pivot():
-    assert search._inverse([[0, 2], [4, 0]]) == [[0, Fraction(1, 4)], [Fraction(1, 2), 0]]
+    # [[0, 2], [4, 0]]^-1 = [[0, 1/4], [1/2, 0]] = M / 8
+    assert search._inverse([[0, 2], [4, 0]]) == ([[0, 2], [4, 0]], 8)
+
+
+def fraction_inverse(rows):
+    """Gauss-Jordan over Fraction, the textbook reference for ``_inverse``."""
+    k = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(rows)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[k:] for row in a]
+
+
+@pytest.mark.parametrize("N", [5, 12, 20, 100])
+def test_order_map_matches_a_fraction_reference(N):
+    divs = divisors(N)
+    rows = [[eta_order_at_cusp(EtaQuotient(N, {d: 1}), Cusp(1, c)) for d in divs] for c in divs]
+    inv = fraction_inverse(rows)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    sizes = Counter(gcd(x.c, N) for x in cusp_representatives(N))
+    assert search._order_map(N) == (
+        tuple(divs), tuple(24 * N * sum(row) for row in rows),
+        tuple(tuple(int(x * den) for x in row) for row in inv), den,
+        tuple(sizes[c] for c in divs))
 
 
 # (call, exception, message): the guards of the search

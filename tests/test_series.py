@@ -148,7 +148,7 @@ def test_convolution_matches_schoolbook(monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     # and so does every product without the C decimal module
-    monkeypatch.setattr(series, "_decimal", None)
+    monkeypatch.setattr(series, "_libmpdec", lambda: None)
     assert check_all() == set(range(1, 12))
 
 
