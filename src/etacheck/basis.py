@@ -43,12 +43,13 @@ hands out cannot be reassigned.
 The basis keeps each monomial t**e * g_k it expands, and each product
 A * t**e * g_k with an eta quotient A (an image table's auxiliary quotient),
 at its own relative precision, rebuilt only when asked for more, by the rule
-every expansion store shares (``series.stored``).  Nothing else writes
-that store: ``monomial`` makes one entry, and ``make`` makes a list of
-them, largest first.  The basis owns the
-two rules every reader of the store applies: which t**e * g_k has pole
-order m (``pole_monomial``), and the relative precision at which
-t**e * g_k is known below q**trunc (``precision_below``).
+every expansion store shares (``series.stored``).  ``monomial`` is that
+store's only writer: every reader asks it for one entry at the precision
+it reads, and it makes the entry when the store holds it shorter.  The
+basis owns the two rules every reader of the store applies: which
+t**e * g_k has pole order m (``pole_monomial``), and the relative
+precision at which t**e * g_k is known below q**trunc
+(``precision_below``).
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class AlgebraBasis:
     """Generator t plus g_1..g_v; immutable once built.  The monomial store
     (``monomial``) only grows and is the one expansion store of every
     reduction and every image table at this level: a table's A * g_k is
-    kept there too, under A's exponents, and only ``monomial`` and
-    ``make`` write it.  Two rules are derived only here:
+    kept there too, under A's exponents, and ``monomial`` is its only
+    writer.  Two rules are derived only here:
     the monomial of a pole order (``pole_monomial``) and the precision at
     which a monomial is known below a truncation (``precision_below``)."""
 
@@ -221,13 +222,6 @@ class AlgebraBasis:
             return half.mul(half if e % 2 == 0 else self.monomial(e - e // 2, 0, n))
 
         return stored(self._monomials, (e, k, a), prec, build)
-
-    def make(self, wants, A: EtaQuotient):
-        """Make the expansions of wants, (prec, e, k, i) entries, i = 1 for a
-        product with A, largest first, so that each is made once, at the
-        largest precision asked for."""
-        for prec, e, k, i in sorted(wants, reverse=True):
-            self.monomial(e, k, prec, A if i else None)
 
 
 def verify_basis(b: AlgebraBasis) -> bool:

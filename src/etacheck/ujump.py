@@ -31,24 +31,21 @@ t**j * g_k nor its product with A is formed; U_ell(t**j), where y = 1, is
 a slice of t**j.  What an image reads is its plan (``UImageTable._plan``,
 the one place it is derived from the valuation of t**j * y and m): t**j
 and y at the least precision its key needs, t**m only as far as U_ell of
-that reaches (about a factor ell less), and the lowest exponent of the
-tamed product, from which the reduction steps down.  The reduction asks
-for each of its monomials only as far as its remainder reaches; which
-monomial a pole order takes and that window are the basis's two rules
-(``AlgebraBasis.pole_monomial`` and ``precision_below``).
+that reaches (about a factor ell less).  The reduction steps down from
+the tamed product's lowest exponent and asks for each of its monomials
+only as far as its remainder reaches; which monomial a pole order takes
+and that window are the basis's two rules (``AlgebraBasis.pole_monomial``
+and ``precision_below``).
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to.  The
 keys the table cannot load are sorted deepest first and computed in the
-calling process in two steps:
-
-  1. the expansions the batch reads (``_wants``): t**j, y and t**m as each
-     key's plan says, and the monomial of every pole order the reduction
-     can step through.  The basis makes them largest precision first
-     (``AlgebraBasis.make``), so each is made once, to the largest
-     precision the batch reads it at: the table reaches the store only
-     through ``make`` and ``monomial``;
-  2. the images (``_part``): the batch's tamed products, reduced by one
-     ``mw_reduce`` call, each shifted by t**(-m) (``_compute``).
+calling process (``_part``): the batch's tamed products, reduced by one
+``mw_reduce`` call, each shifted by t**(-m) (``_compute``).  Every
+expansion is made on demand, through ``AlgebraBasis.monomial``, as a
+product or a reduction step reads it.  Deepest first, the products ask
+for each store entry at its largest precision first, so they build no
+entry twice, and neither does the reduction; a t-power that the
+reduction reads longer than the products did is built once by each.
 
 The table alone stores and memoizes the images, and each is the unique
 Laurent element, whatever else its batch holds.  The step adds the scaled
@@ -230,11 +227,10 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
 
 class Plan(Frozen):
     """What one image reads, derived only by ``UImageTable._plan``: the
-    taming power m, the relative precision prec of t**j and y, how far t**m
-    is read (reach, its relative precision), and lo, the lowest exponent of
-    the tamed product."""
+    taming power m, the relative precision prec of t**j and y, and how far
+    t**m is read (reach, its relative precision)."""
 
-    __slots__ = ("m", "prec", "reach", "lo")
+    __slots__ = ("m", "prec", "reach")
 
 
 class UImageTable:
@@ -244,15 +240,13 @@ class UImageTable:
     one-key case): keys found in memory or on disk are loaded, and the rest
     are computed (``_part``) and stored.  One plan per key (``_plan``,
     a ``Plan``) holds everything the key's image reads: its taming power m,
-    the precision of t**j and y, how far t**m is read and the tamed
-    product's lowest exponent.  The deepest-first order of a batch, the
-    products (``_tamed``), the expansions the batch makes (``_wants``) and
-    the t**(-m) shift (``_compute``) all read it.  The table keeps no
+    the precision of t**j and y and how far t**m is read.  The
+    deepest-first order of a batch, the products (``_tamed``) and the
+    t**(-m) shift (``_compute``) all read it.  The table keeps no
     expansion: A * g_k (A * g_0 = A) lives in the basis's one monomial
-    store with everything else, and each expansion a batch shares is made
-    once, to what its deepest key needs.  Each image reads them only as far
-    as its plan says, so it does not depend on what else was computed
-    first.
+    store with everything else, and each product reads its expansions
+    from there only as far as its plan says, so an image does not depend
+    on what else was computed first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -341,7 +335,7 @@ class UImageTable:
         tm = b.pole_order(m, 0)
         val = i * self.A.q_shift() - b.pole_order(j, k)
         lo = -(-val // ell) - tm
-        return Plan(m, ell * (tm + self.SLACK) + 1 - val, 1 + self.SLACK - lo, lo)
+        return Plan(m, ell * (tm + self.SLACK) + 1 - val, 1 + self.SLACK - lo)
 
     def images(self, keys) -> list:
         """The images of every (i, j, k) in keys, in order."""
@@ -356,8 +350,9 @@ class UImageTable:
             else:
                 self._mem[key] = me
         if missing:
+            # deepest first: an expansion several products read is built
+            # once, at the largest precision any of them reads it
             missing.sort(key=lambda key: self._plan(*key).prec, reverse=True)
-            self.basis.make(self._wants(missing), self.A)
             for key, me in zip(missing, self._part(missing)):
                 if self.cache_dir:
                     self._store(*key, me)
@@ -369,9 +364,11 @@ class UImageTable:
 
     def _tamed(self, i: int, j: int, k: int) -> QSeries:
         """t**m * U_ell(A**i t**j g_k), m = exponent(i, j, k), known through
-        its constant term and SLACK check coefficients.  ``_plan`` makes
-        every product end at q**SLACK, so a batch of them shares the one
-        truncation ``mw_reduce`` asks for."""
+        its constant term and SLACK check coefficients.  Each expansion is
+        asked of the basis's store (``AlgebraBasis.monomial``) at its plan
+        precision, and made there when the store holds it shorter.
+        ``_plan`` makes every product end at q**SLACK, so a batch of them
+        shares the one truncation ``mw_reduce`` asks for."""
         b, plan = self.basis, self._plan(i, j, k)
         y = b.monomial(0, k, plan.prec, self.A if i else None) if i or k else None
         u = u_ell(b.monomial(j, 0, plan.prec), self.ell, y)
@@ -381,29 +378,6 @@ class UImageTable:
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
                 f"constant term and {self.SLACK} check coefficients")
         return prod
-
-    def _wants(self, keys) -> set:
-        """(prec, e, k, i) of every expansion the images of keys read: t**j
-        and y (g_k or A * g_k) at each key's plan precision, t**m as far as
-        its plan reads it, and the monomial t**e * g_k of every pole order
-        the reduction can step through down from the lowest exponent of a
-        plan, at the window the basis says that step reads.
-        ``AlgebraBasis.make`` makes them largest precision first, and a
-        store entry asks for its factors at its own precision, so each
-        expansion is made once, at the largest precision the batch reads."""
-        b, wants, lo = self.basis, set(), 0
-        for i, j, k in keys:
-            plan = self._plan(i, j, k)
-            wants.update({(plan.prec, j, 0, 0), (plan.reach, plan.m, 0, 0)})
-            if i or k:
-                wants.add((plan.prec, 0, k, i))
-            lo = min(lo, plan.lo)
-        for pole in range(1, 1 - lo):
-            step = b.pole_monomial(pole)
-            if step is not None:
-                e, k = step
-                wants.add((b.precision_below(e, k, 1 + self.SLACK), e, k, 0))
-        return wants
 
     def _part(self, keys) -> list:
         """The images of keys: their tamed products reduced over the basis

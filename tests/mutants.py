@@ -273,16 +273,17 @@ MUTANTS = (
     # (test_reduce_detects_corruption), and A dropped from the store key, so
     # that A * g_k and g_k share one entry
     # (test_a_product_is_kept_beside_its_monomial)
-    ("src/etacheck/ujump.py", "1 + self.SLACK - lo, lo)", "self.SLACK - lo, lo)", None),
+    ("src/etacheck/ujump.py", "1 + self.SLACK - lo)", "self.SLACK - lo)", None),
     ("src/etacheck/basis.py", "return (e, k) if e >= 0 else None",
      "return (e + 1, k) if e >= 0 else None", None),
     ("src/etacheck/basis.py", "return trunc + self.pole_order(e, k)",
      "return trunc - 1 + self.pole_order(e, k)", None),
     ("src/etacheck/basis.py", "(e, k, a), prec, build)", "(e, k, ()), prec, build)", None),
-    # a batch's expansions made smallest first, so that an entry is
-    # rebuilt within the batch
-    # (test_cold_iterate_builds_each_expansion_once_per_batch)
-    ("src/etacheck/basis.py", "sorted(wants, reverse=True)", "sorted(wants)", None),
+    # a batch's keys taken shallowest first, so that its products rebuild
+    # an entry they read shorter for an earlier key
+    # (test_cold_iterate_builds_each_expansion_once_per_phase)
+    ("src/etacheck/ujump.py", "self._plan(*key).prec, reverse=True)", "self._plan(*key).prec)",
+     None),
     # two clause deletions that make a loop run forever, each killed by the
     # per-test deadline of tests/conftest.py: the pole-set closure adding
     # cusps it already holds (in the set-up of test_tfinder.py's

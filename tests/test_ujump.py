@@ -367,7 +367,7 @@ def test_precision_is_the_least_sufficient(rr_table, b20, key, monkeypatch):
 
     def short(self, *index):
         least = plan(self, *index)
-        return ujump.Plan(least.m, least.prec - 1, least.reach, least.lo)
+        return ujump.Plan(least.m, least.prec - 1, least.reach)
 
     monkeypatch.setattr(UImageTable, "_plan", short)
     with pytest.raises(ContractError, match="short of the constant term"):
@@ -532,33 +532,36 @@ def fresh_basis():
 def cold_run(family, cache):
     """A cold B=5 iterate of family on a fresh basis and an empty disk cache,
     with the keys of every batch computed, the size of every batch reduced,
-    and (batch, in its reduction, key) for every expansion built."""
+    and (batch, phase, key) for every expansion built, the phase "products"
+    while a batch forms its tamed products and "reduction" while
+    mw_reduce reduces them."""
     spec = family(B=5)
     table = UImageTable(fresh_basis(), build_A(spec.gen), 5, cache_dir=cache)
-    computed, reduced, builds, in_part = [], [], [], []
-    wants, part, stored = UImageTable._wants, UImageTable._part, basis.stored
-
-    def record(self, keys):
-        computed.append(list(keys))
-        return wants(self, keys)
+    computed, reduced, builds, phase = [], [], [], [None]
+    part, stored = UImageTable._part, basis.stored
 
     def record_part(self, keys):
-        in_part.append(True)
+        computed.append(list(keys))
+        phase[0] = "products"
         try:
             return part(self, keys)
         finally:
-            in_part.pop()
+            phase[0] = None
+
+    def record_reduce(fs, b):
+        reduced.append(len(fs))
+        phase[0] = "reduction"
+        return mw_reduce(fs, b)
 
     def build(store, key, prec, make):
         held = store.get(key)
         if held is None or held.trunc - held.val < prec:
-            builds.append((len(computed), bool(in_part), key))
+            builds.append((len(computed), phase[0], key))
         return stored(store, key, prec, make)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(UImageTable, "_wants", record)  # once per batch, before make
-        mp.setattr(UImageTable, "_part", record_part)
-        mp.setattr(ujump, "mw_reduce", lambda fs, b: reduced.append(len(fs)) or mw_reduce(fs, b))
+        mp.setattr(UImageTable, "_part", record_part)  # once per batch
+        mp.setattr(ujump, "mw_reduce", record_reduce)
         mp.setattr(basis, "stored", build)  # what monomial makes
         report = iterate(spec, table)
     return table, report, computed, reduced, builds
@@ -574,19 +577,25 @@ def as_cold_run(tmp_path_factory):
     return cold_run(andrews_sellers, tmp_path_factory.mktemp("images-as-cold"))
 
 
-def test_cold_iterate_builds_each_expansion_once_per_batch(rr_cold_run, as_cold_run):
-    # everything a batch reads is expanded before it is reduced, largest
-    # precision first, so the reduction expands nothing, no expansion is
-    # built twice within a batch, and the monomial of each reduction step is
-    # made only to the window that step reads, never to the precision of
-    # the deepest image (616 for RR)
+def test_cold_iterate_builds_each_expansion_once_per_phase(rr_cold_run, as_cold_run):
+    # a batch's keys are taken deepest first, so its products ask for each
+    # expansion at its largest precision first and build none twice, and
+    # neither does the reduction; an entry built in both phases of a batch
+    # is a pure t-power the reduction reads longer than the products did,
+    # and the monomial of each reduction step is made only to the window
+    # that step reads, never to the precision of the deepest image (616
+    # for RR)
     for (table, report, computed, _, builds), V in (
             (rr_cold_run, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]),
             (as_cold_run, [0, 1, 2, 3, 4, 5])):
         assert report.V == V
         assert {i for keys in computed for i, _, _ in keys} == {0, 1}
-        assert builds and len({(n, key) for n, _, key in builds}) == len(builds)
-        assert not any(in_part for _, in_part, _ in builds)
+        assert builds and {phase for _, phase, _ in builds} == {"products", "reduction"}
+        assert len(set(builds)) == len(builds)
+        products, reduction = ({(n, key) for n, p, key in builds if p == phase}
+                               for phase in ("products", "reduction"))
+        for n, (e, k, a) in products & reduction:
+            assert k == 0 and a == (), (n, e, k, a)
         b, steps = table.basis, 0
         for (e, k, a), s in b._monomials.items():
             if e > 0 and k > 0:  # only a reduction step reads t**e * g_k
@@ -608,7 +617,7 @@ def test_each_step_computes_its_images_as_one_batch(rr_cold_run, monkeypatch):
     assert calls == []
 
 
-def test_a_worker_error_reaches_the_cli_as_exit_3(tmp_path, capsys, monkeypatch):
+def test_a_failed_image_reaches_the_cli_as_exit_3(tmp_path, capsys, monkeypatch):
     # the tamed product of the second key of the 18-key batch off by one in
     # its last check coefficient: the run stops with exit 3 under that key,
     # prints no verdict and stores none of the batch
