@@ -40,15 +40,19 @@ Z and hands the result to the ``QSeries`` constructor of the element's
 ring.  Like every value type it is a ``series.Frozen``: an image a table
 hands out cannot be reassigned.
 
-The basis keeps each monomial t**e * g_k it expands, and each product
+The basis's store is the package's one store of expansions
+(``eta.eta_expand`` keeps nothing).  It keeps each monomial t**e * g_k it
+expands, each eta quotient the monomials are read from, and each product
 A * t**e * g_k with an eta quotient A (an image table's auxiliary quotient),
-at its own relative precision, rebuilt only when asked for more, by the rule
-every expansion store shares (``series.stored``).  ``monomial`` is that
-store's only writer: every reader asks it for one entry at the precision
-it reads, and it makes the entry when the store holds it shorter.  The
-basis owns the two rules every reader of the store applies: which
-t**e * g_k has pole order m (``pole_monomial``), and the relative
-precision at which t**e * g_k is known below q**trunc
+each held once at its own relative precision and rebuilt only when asked
+for more, by the rule of ``series.stored``: t, 1/t and a g_k that is one
+quotient with coefficient 1 are the entries of their quotients, as A * g_0
+is A's, and every other g_k reads its quotients from the store.
+``monomial`` is the store's only writer: every reader asks it for one
+entry at the precision it reads, and it makes the entry when the store
+holds it shorter.  The basis owns the two rules every reader of the store
+applies: which t**e * g_k has pole order m (``pole_monomial``), and the
+relative precision at which t**e * g_k is known below q**trunc
 (``precision_below``).
 """
 
@@ -80,24 +84,29 @@ class BasisFunction(Frozen):
     def from_quotient(cls, name: str, eq: EtaQuotient, ord_inf: int) -> "BasisFunction":
         return cls(name, ((1, (eq,)),), ord_inf)
 
-    def constituent_quotients(self) -> tuple:
-        seen = []
-        for _, factors in self.construction:
-            for f in factors:
-                if f not in seen:
-                    seen.append(f)
-        return tuple(seen)
+    def quotient(self) -> EtaQuotient | None:
+        """The eta quotient this function is, when it is one with coefficient
+        1, else None."""
+        match self.construction:
+            case ((1, (eq,)),):
+                return eq
+        return None
 
-    def series(self, trunc: int) -> QSeries:
-        """Exact-integer expansion covering trunc coefficients past ord_inf.
+    def constituent_quotients(self) -> tuple:
+        return tuple(dict.fromkeys(f for _, factors in self.construction for f in factors))
+
+    def series(self, trunc: int, expand) -> QSeries:
+        """Exact-integer expansion covering trunc coefficients past ord_inf,
+        read from expand(quotient, trunc): the basis's store, or
+        ``eta.eta_expand``.
 
         A product keeps the relative precision of its factors, so each
-        constituent quotient is expanded once, to trunc coefficients past its
+        constituent quotient is read once, to trunc coefficients past its
         own lead (one object, so a square is made as one); a term that leads
         below ord_inf, whose lead would have to cancel, leaves too few and
         raises SpecError instead.
         """
-        expansions = {f: eta_expand(f, trunc) for f in self.constituent_quotients()}
+        expansions = {f: expand(f, trunc) for f in self.constituent_quotients()}
         out = None
         for coef, factors in self.construction:
             term = None
@@ -123,10 +132,11 @@ class BasisFunction(Frozen):
 
 class AlgebraBasis:
     """Generator t plus g_1..g_v; immutable once built.  The monomial store
-    (``monomial``) only grows and is the one expansion store of every
-    reduction and every image table at this level: a table's A * g_k is
-    kept there too, under A's exponents, and ``monomial`` is its only
-    writer.  Two rules are derived only here:
+    (``monomial``) only grows and is the package's one expansion store, of
+    every reduction and every image table at this level: the eta quotients
+    its basis functions and a table read are entries, under their
+    exponents, a table's A * g_k is kept there too, under A's exponents, and
+    ``monomial`` is its only writer.  Two rules are derived only here:
     the monomial of a pole order (``pole_monomial``) and the precision at
     which a monomial is known below a truncation (``precision_below``)."""
 
@@ -141,10 +151,10 @@ class AlgebraBasis:
         return len(self.gs)
 
     def t_quotient(self) -> EtaQuotient:
-        (coef, factors), = self.t.construction
-        if coef != 1 or len(factors) != 1:
+        t = self.t.quotient()
+        if t is None:
             raise SpecError("the generator t must be a single eta quotient")
-        return factors[0]
+        return t
 
     def pole_order(self, e: int, k: int) -> int:
         """(v+1)*e + n_k, the pole order of t**e * g_k at infinity."""
@@ -183,45 +193,59 @@ class AlgebraBasis:
     # (e, k, a) -> t**e * g_k times the eta quotient of exponents a (a = ()
     # for none), each entry at its own relative precision (number of
     # coefficients past the leading term) under ``series.stored``'s rule.
-    # Products and inverses preserve relative precision, so an entry asked
-    # for at a larger precision than it holds is rebuilt alone from its
-    # factors, each cut to that precision; every other entry stays as it is.
-    # A t-power is made from two halves, so t**e asks only for the powers
-    # on its halving chain, and t**-1 is the expansion of t's inverse eta
-    # quotient, so t is never expanded to invert it.  Callers ask for what
-    # they read: an image for the window its key needs, a reduction step
-    # for the window its remainder still has.
+    # An eta quotient's entry is (0, 0, its exponents), and t, t**-1 and a
+    # g_k that is one quotient with coefficient 1 have no key of their own:
+    # they are their quotients' entries (``_quotients``), so each
+    # expansion is held once.  Products and inverses preserve relative
+    # precision, so an entry asked for at a larger precision than it holds
+    # is rebuilt alone from its factors, each cut to that precision; every
+    # other entry stays as it is.  A t-power is made from two halves, so
+    # t**e asks only for the powers on its halving chain, and t**-1 is the
+    # expansion of t's inverse eta quotient, so t is never expanded to
+    # invert it.  Callers ask for what they read: an image for the window
+    # its key needs, a reduction step for the window its remainder still
+    # has.
 
     def monomial(self, e: int, k: int, prec: int, A: EtaQuotient | None = None) -> QSeries:
         """Expansion of t**e * g_k (g_0 = 1), times A when given, to relative
         precision prec.
 
-        A product with A is A * (t**e * g_k); a t-power is
-        t**(e//2) * t**(e - e//2), one factor squared for even e; a product
-        with a basis function is t**e * g_k; t and 1/t are the expansions of
-        t's eta quotient and of its inverse.  Each factor is taken from the
-        store at prec and the result is kept.
+        A product with A is A's entry times t**e * g_k, and A alone is its
+        expansion; a t-power is t**(e//2) * t**(e - e//2), one factor
+        squared for even e; a product with a basis function is t**e * g_k; a
+        basis function reads its quotients' entries; t, 1/t and a g_k that
+        is one quotient with coefficient 1 are the entries of t's eta
+        quotient, of its inverse and of that quotient.  Each factor is taken
+        from the store at prec and the result is kept.
         """
         a = A.exponents if A is not None else ()
+        if not a and (e, k) in self._quotients:
+            return self.monomial(0, 0, prec, self._quotients[e, k])
 
         def build(n):
+            if a and (e or k):
+                return self.monomial(0, 0, n, A).mul(self.monomial(e, k, n))
             if a:
-                y = eta_expand(A, n)
-                return y.mul(self.monomial(e, k, n)) if e or k else y
+                return eta_expand(A, n)
             if k and e:
                 return self.monomial(e, 0, n).mul(self.monomial(0, k, n))
             if k:
-                return self.gs[k - 1].series(n)
+                return self.gs[k - 1].series(n, lambda eq, m: self.monomial(0, 0, m, eq))
             if e == 0:
                 return QSeries.one(ZZ, n)
-            if e == 1:
-                return self.t.series(n)
-            if e == -1:
-                return eta_expand(self.t_quotient().inverse(), n)
             half = self.monomial(e // 2, 0, n)
             return half.mul(half if e % 2 == 0 else self.monomial(e - e // 2, 0, n))
 
         return stored(self._monomials, (e, k, a), prec, build)
+
+    @functools.cached_property
+    def _quotients(self) -> dict:
+        """(e, k) -> the eta quotient that t**e * g_k is: t, 1/t and each g_k
+        that is one quotient with coefficient 1, whose entries are the
+        quotients' own."""
+        t = self.t_quotient()
+        gs = {(0, k): g.quotient() for k, g in enumerate(self.gs, start=1)}
+        return {(1, 0): t, (-1, 0): t.inverse(), **{key: q for key, q in gs.items() if q}}
 
 
 def verify_basis(b: AlgebraBasis) -> bool:
@@ -247,15 +271,12 @@ def verify_basis(b: AlgebraBasis) -> bool:
             if eq.level != b.level or not newman_check(eq)[0]:
                 return False
         try:
-            if fn.series(1).coeffs[0] != 1:
+            if fn.series(1, eta_expand).coeffs[0] != 1:
                 return False
         except ContractError:  # the expansion does not start at ord_inf
             return False
     t_eq = b.t_quotient()
-    for x in finite_cusps(b.level):
-        if order_numerator(t_eq, x) < 0:
-            return False
-    return True
+    return all(order_numerator(t_eq, x) >= 0 for x in finite_cusps(b.level))
 
 
 # -- the level-20 basis ------------------------------------------------------

@@ -22,10 +22,10 @@ inverse, nearly twice as wide as the quotient, never runs at the full
 length.  The result is exact over Z and in Z/ell**e alike; expanding each
 factor on its own, raising the pentagonal series to r, inverting at full
 length and multiplying them in at full length is kept in the test suite as
-the reference.  ``eta_expand`` keeps the longest expansion made of
-each quotient under ``series.stored``'s rule and serves shorter requests by
-truncation, so a quotient that several basis functions share is expanded
-once per length it outgrows.
+the reference.  ``eta_expand`` expands and keeps nothing; the one store of
+expansions is the basis's (``basis.AlgebraBasis.monomial``), where each
+quotient a basis or an image table reads is an entry, so a quotient that
+several basis functions share is expanded once per length it outgrows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import SpecError
-from .series import CoeffRing, Frozen, QSeries, ZZ, _whole, stored
+from .series import CoeffRing, Frozen, QSeries, ZZ, _whole
 
 
 def divisors(n: int) -> list[int]:
@@ -192,24 +192,15 @@ def _power_product(pairs, n: int, ring: CoeffRing) -> QSeries:
     return out.substitute_power(g).truncate(n)
 
 
-# quotient -> its longest expansion so far; every value is exact and
-# immutable, so one store serves every caller in the process
-_EXPANSIONS: dict = {}
-
-
 def eta_expand(eq: EtaQuotient, trunc: int) -> QSeries:
     """Expand the quotient as a q-series over the exact integers.
 
     ``trunc`` counts coefficients past the leading term, so the result covers
     exponents [sum(d*r_d)/24, sum(d*r_d)/24 + trunc).  Raises SpecError when
     24 does not divide sum(d*r_d): the expansion would need fractional
-    exponents.
-
-    Each quotient is expanded once per length it outgrows (``stored``): the
-    longest expansion made so far is kept, a shorter request is its
-    truncation, and a longer one replaces it.
+    exponents.  It keeps nothing: the basis's store
+    (``basis.AlgebraBasis.monomial``) holds the quotients a run reads.
     """
     if trunc < 1:
         raise SpecError("eta expansion needs truncation >= 1")
-    shift = eq.q_shift()
-    return stored(_EXPANSIONS, eq, trunc, lambda n: euler_quotient(eq.exponents, n).shift(shift))
+    return euler_quotient(eq.exponents, trunc).shift(eq.q_shift())

@@ -32,10 +32,12 @@ Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
 ``basis.ModuleElement``'s), which reduces them.
 
-Every store of expansions (``eta_expand``'s and the basis monomials, an
-image table's A * g_k among them) keeps its entries through ``stored``: an
-entry is rebuilt only when asked for more coefficients past its leading
-term than it holds, and is handed out cut to what was asked.
+The package has one store of expansions, the basis's
+(``basis.AlgebraBasis.monomial``: the basis monomials, the eta quotients
+they and an image table read, and a table's A * g_k), and it keeps its
+entries through ``stored``: an entry is rebuilt only when asked for more
+coefficients past its leading term than it holds, and is handed out cut
+to what was asked.
 """
 
 from __future__ import annotations
@@ -655,8 +657,8 @@ class QSeries(Frozen):
 
 def stored(store: dict, key, prec: int, build) -> QSeries:
     """store[key] to relative precision prec (coefficients past its leading
-    term), the one rule of every expansion store: the stored series when it
-    holds that many, else build(prec), which replaces it."""
+    term), the rule of the one expansion store, the basis's: the stored
+    series when it holds that many, else build(prec), which replaces it."""
     s = store.get(key)
     if s is None or s.trunc - s.val < prec:
         s = store[key] = build(prec)

@@ -20,10 +20,10 @@ disk never computes them: those images were stored under the same
 fingerprint by a run that did.
 
 Computing an image needs expansions of basis monomials t**e * g_k and of
-A * g_k.  All of them live in one store, the basis's
-(``AlgebraBasis.monomial``; A * g_k under a key that holds A's exponents),
-each at its own relative precision by the rebuild rule every expansion
-store shares (``series.stored``).  An image is U_ell(t**j * y), with
+A * g_k.  All of them live in the package's one store of expansions, the
+basis's (``AlgebraBasis.monomial``; A and A * g_k under keys that hold A's
+exponents), each held once at its own relative precision by the rebuild
+rule of ``series.stored``.  An image is U_ell(t**j * y), with
 y = g_k for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected
 product (``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``):
 only the coefficients at multiples of ell are computed, and neither

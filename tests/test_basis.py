@@ -1,12 +1,13 @@
 """The level-20 algebra basis and the greedy membership reduction."""
 
+import itertools
 import operator
 import random
 import re
 
 import pytest
 
-from etacheck import basis, ujump
+from etacheck import basis, eta, ujump
 from etacheck.basis import (
     AlgebraBasis,
     BasisFunction,
@@ -18,7 +19,7 @@ from etacheck.basis import (
     verify_basis,
 )
 from etacheck.errors import ContractError, SearchExhaustedError, SpecError
-from etacheck.eta import EtaQuotient, eta_expand
+from etacheck.eta import EtaQuotient, eta_expand, euler_quotient
 from etacheck.modcurve import finite_cusps
 from etacheck.search import search_modular_quotients
 from etacheck.series import QSeries, ZZ, zmod
@@ -92,14 +93,14 @@ def test_each_broken_condition_fails_verification(b20, finite_pole_t, case):
 def test_g2_series_is_difference(b20):
     h = eta_expand(EtaQuotient(20, {1: -1, 4: 1, 5: 5, 20: -5}), 40)
     g = eta_expand(EtaQuotient(20, {2: -2, 4: 4, 10: 2, 20: -4}), 40)
-    g2 = b20.gs[1].series(30)
+    g2 = b20.gs[1].series(30, eta_expand)
     assert g2.agrees_with(h.add(g.scale(-1)))
     assert g2.leading() == (-3, 1)
 
 
 def test_series_leading_coefficients(b20):
     for fn in (b20.t, *b20.gs):
-        s = fn.series(12)
+        s = fn.series(12, eta_expand)
         assert s.leading() == (fn.ord_inf, 1)
 
 
@@ -113,7 +114,7 @@ def test_t_powers_match_the_one_factor_chain(b20):
     # t**e from its two halves is t**(e-1) * t, or t**(e+1) * t**-1, one
     # factor at a time; asked short first, then long, so entries are rebuilt
     n = 130
-    t = b20.t.series(n)
+    t = b20.t.series(n, eta_expand)
     chain = {0: QSeries.one(ZZ, n), 1: t, -1: t.inv()}
     for e in range(2, 9):
         chain[e] = chain[e - 1].mul(t)
@@ -127,9 +128,10 @@ def test_t_powers_match_the_one_factor_chain(b20):
 
 
 def test_a_product_is_kept_beside_its_monomial(b20):
-    # A * t**e * g_k is A's expansion times the monomial, kept in the one
-    # store under a key that holds A's exponents; a quotient without
-    # exponents is 1
+    # A * t**e * g_k is A's entry times the monomial, kept in the one
+    # store under a key that holds A's exponents, beside the entries of A
+    # and of the quotients t, g and h the monomials are read from; a
+    # quotient without exponents is 1
     fresh = AlgebraBasis(20, b20.t, b20.gs)
     A = build_A(rogers_ramanujan().gen)
     for e, k in ((0, 0), (0, 3), (1, 2)):
@@ -137,7 +139,52 @@ def test_a_product_is_kept_beside_its_monomial(b20):
         assert fresh.monomial(e, k, 40, A) == want, (e, k)
         assert fresh.monomial(e, k, 40, EtaQuotient(100, {})) == fresh.monomial(e, k, 40)
     assert {key for key in fresh._monomials if key[2]} == {
-        (0, 0, A.exponents), (0, 3, A.exponents), (1, 2, A.exponents)}
+        (0, 0, A.exponents), (0, 3, A.exponents), (1, 2, A.exponents),
+        *((0, 0, q.exponents) for q in (basis._T20, basis._G20, basis._H20))}
+
+
+def test_a_quotient_is_expanded_once_per_length_it_outgrows(b20, monkeypatch):
+    # the basis store is the one store of expansions: a quotient asked for
+    # at 40, 90 and then 40 coefficients is built twice and served cut to
+    # what was asked, the basis functions read their quotients from it, so
+    # g_1..g_4 expand g and h once, and g_1 is g's entry itself; eta_expand
+    # keeps nothing, so asked twice it expands twice
+    G, H = basis._G20, basis._H20
+    want = [g.series(60, eta_expand) for g in b20.gs]
+    made = []
+    monkeypatch.setattr(eta, "euler_quotient",
+                        lambda exps, n: made.append((exps, n)) or euler_quotient(exps, n))
+    fresh = AlgebraBasis(20, b20.t, b20.gs)
+    for n in (40, 90, 40):
+        assert fresh.monomial(0, 0, n, H) == euler_quotient(H.exponents, n).shift(H.q_shift())
+    assert made == [(H.exponents, 40), (H.exponents, 90)]
+    del made[:]
+    assert [fresh.monomial(0, k, 60) for k in (4, 3, 2, 1)] == want[::-1]
+    assert made == [(G.exponents, 60)]
+    assert fresh.monomial(0, 1, 60) is fresh._monomials[0, 0, G.exponents]
+    del made[:]
+    assert eta_expand(G, 30) == eta_expand(G, 30)
+    assert made == [(G.exponents, 30)] * 2
+
+
+def test_the_store_holds_each_expansion_once(b20):
+    # after cold RR and AS runs on one basis, no two entries of its store
+    # hold one expansion, nor one entry the start of another: t, 1/t and
+    # g_1 are the entries of their eta quotients, as A * g_0 is A's; the
+    # eta module keeps no store of its own
+    fresh = AlgebraBasis(20, b20.t, b20.gs)
+    for family in (rogers_ramanujan, andrews_sellers):
+        spec = family(B=5)
+        iterate(spec, UImageTable(fresh, build_A(spec.gen), 5))
+    for s, r in itertools.combinations(fresh._monomials.values(), 2):
+        n = min(len(s.coeffs), len(r.coeffs))
+        assert s.val != r.val or s.coeffs[:n] != r.coeffs[:n]
+    T, G = basis._T20, basis._G20
+    for (e, k), q in (((1, 0), T), ((-1, 0), T.inverse()), ((0, 1), G)):
+        held = fresh._monomials[0, 0, q.exponents]
+        assert fresh.monomial(e, k, held.trunc - held.val) is held, (e, k)
+    assert not [name for name, value in vars(eta).items()
+                if isinstance(value, dict) and not name.startswith("__")]
 
 
 def test_reduce_constant(b20):
@@ -460,7 +507,7 @@ def test_constant_terms_and_the_zero_element():
     # a construction term with no factors is its coefficient, a constant
     c = BasisFunction("c", ((3, ()), (1, (basis._G20,))), -2)
     assert c.describe() == f"c = 3*1 + 1*{basis._G20!r}"
-    assert c.series(4).agrees_with(eta_expand(basis._G20, 4).add(QSeries.one(ZZ, 4).scale(3)))
+    assert c.series(4, eta_expand).agrees_with(eta_expand(basis._G20, 4).add(QSeries.one(ZZ, 4).scale(3)))
     assert repr(ModuleElement(ZZ, {(0, 0): 5})) == "<5*1 over Z>"
     assert repr(ModuleElement(ZZ, {(1, 0): 2, (1, 2): 1, (-1, 0): 1})) == \
         "<1*t^-1 + 2*t + 1*t*g2 over Z>"
@@ -477,13 +524,13 @@ GUARDS = [
     (lambda: AlgebraBasis(20, load_basis_n20().t,
                           (BasisFunction.from_quotient("g1", basis._G20, -2),)).residue_index(1),
      ContractError, "no basis element covers residue 1 mod 2"),
-    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -2).series(4),
+    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -2).series(4, eta_expand),
      ContractError, "z: expansion valuation None does not match declared order -2"),
     # one coefficient from ord_inf -1: a zero sum is refused by name, before
     # its truncation to [-1, 0) would be asked to extend it
-    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -1).series(1),
+    (lambda: BasisFunction("z", ((1, (basis._G20,)), (-1, (basis._G20,))), -1).series(1, eta_expand),
      ContractError, "z: expansion valuation None does not match declared order -1"),
-    (lambda: BasisFunction.from_quotient("g", basis._G20, -3).series(4),
+    (lambda: BasisFunction.from_quotient("g", basis._G20, -3).series(4, eta_expand),
      ContractError, "g: expansion valuation -2 does not match declared order -3"),
 ]
 

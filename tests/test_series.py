@@ -723,27 +723,6 @@ def test_eta_expand_rejects_fractional_prefactor():
     assert eta_expand(EtaQuotient(1, {1: 24}), 3).leading() == (1, 1)
 
 
-def test_eta_expand_keeps_one_expansion_per_quotient(monkeypatch):
-    # a shorter request is served from the longest expansion so far, a longer
-    # one replaces it, and two quotients at one length keep their own entries
-    monkeypatch.setattr(eta, "_EXPANSIONS", {})
-    made = []
-    monkeypatch.setattr(eta, "euler_quotient",
-                        lambda exps, n: made.append(n) or euler_quotient(exps, n))
-
-    def fresh(eq, n):
-        return euler_quotient(eq.exponents, n).shift(eq.sum_dr() // 24)
-
-    for n in (60, 25, 90):
-        assert eta_expand(_G20, n) == fresh(_G20, n)
-    assert made == [60, 90]
-    assert eta_expand(_H20, 90) == fresh(_H20, 90)
-    assert eta_expand(_G20, 90) == fresh(_G20, 90)
-    assert eta_expand(_H20, 40) == fresh(_H20, 40)
-    assert made == [60, 90, 90]
-    assert eta._EXPANSIONS == {_G20: fresh(_G20, 90), _H20: fresh(_H20, 90)}
-
-
 def run_eta_multiplicativity(cases=200, seed=13):
     rng = random.Random(seed)
     levels = [4, 6, 10, 20]
