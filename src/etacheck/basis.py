@@ -44,10 +44,12 @@ The basis's store is the package's one store of expansions
 (``eta.eta_expand`` keeps nothing).  It keeps each monomial t**e * g_k it
 expands, each eta quotient the monomials are read from, and each product
 A * t**e * g_k with an eta quotient A (an image table's auxiliary quotient),
-each held once at its own relative precision and rebuilt only when asked
-for more, by the rule of ``series.stored``: t, 1/t and a g_k that is one
-quotient with coefficient 1 are the entries of their quotients, as A * g_0
-is A's, and every other g_k reads its quotients from the store.
+each held once at its own relative precision, by the rule of ``stored``:
+an entry is rebuilt only when asked for more coefficients past its leading
+term than it holds, and is handed out cut to what was asked.  t, 1/t and a
+g_k that is one quotient with coefficient 1 are the entries of their
+quotients, as A * g_0 is A's, and every other g_k reads its quotients from
+the store.
 ``monomial`` is the store's only writer: every reader asks it for one
 entry at the precision it reads, and it makes the entry when the store
 holds it shorter.  The basis owns the two rules every reader of the store
@@ -67,7 +69,7 @@ from .errors import ContractError, SearchExhaustedError, SpecError
 from .eta import EtaQuotient, eta_expand
 from .modcurve import finite_cusps, newman_check, order_numerator
 from .search import search_modular_quotients
-from .series import CoeffRing, Frozen, QSeries, ZZ, stored
+from .series import CoeffRing, Frozen, QSeries, ZZ
 
 EXPONENT_BOUND = 16  # |w_d| bound of the search for the basis functions g_k
 
@@ -192,7 +194,7 @@ class AlgebraBasis:
     #
     # (e, k, a) -> t**e * g_k times the eta quotient of exponents a (a = ()
     # for none), each entry at its own relative precision (number of
-    # coefficients past the leading term) under ``series.stored``'s rule.
+    # coefficients past the leading term) under ``stored``'s rule.
     # An eta quotient's entry is (0, 0, its exponents), and t, t**-1 and a
     # g_k that is one quotient with coefficient 1 have no key of their own:
     # they are their quotients' entries (``_quotients``), so each
@@ -246,6 +248,16 @@ class AlgebraBasis:
         t = self.t_quotient()
         gs = {(0, k): g.quotient() for k, g in enumerate(self.gs, start=1)}
         return {(1, 0): t, (-1, 0): t.inverse(), **{key: q for key, q in gs.items() if q}}
+
+
+def stored(store: dict, key, prec: int, build) -> QSeries:
+    """store[key] to relative precision prec (coefficients past its leading
+    term), the rebuild rule of the monomial store: the stored series when
+    it holds that many, else build(prec), which replaces it."""
+    s = store.get(key)
+    if s is None or s.trunc - s.val < prec:
+        s = store[key] = build(prec)
+    return s.truncate(s.val + prec)
 
 
 def verify_basis(b: AlgebraBasis) -> bool:

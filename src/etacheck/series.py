@@ -31,13 +31,6 @@ divided by a series leading with 1, and ``pow`` takes exponents >= 1 only.
 Outside this module nothing reduces coefficients into a ring by hand: sums
 are formed over Z and handed to the ``QSeries`` constructor (or to
 ``basis.ModuleElement``'s), which reduces them.
-
-The package has one store of expansions, the basis's
-(``basis.AlgebraBasis.monomial``: the basis monomials, the eta quotients
-they and an image table read, and a table's A * g_k), and it keeps its
-entries through ``stored``: an entry is rebuilt only when asked for more
-coefficients past its leading term than it holds, and is handed out cut
-to what was asked.
 """
 
 from __future__ import annotations
@@ -653,14 +646,3 @@ class QSeries(Frozen):
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
         return QSeries._canonical(self.ring, self.coeffs, self.val + k, self.trunc + k)
-
-
-def stored(store: dict, key, prec: int, build) -> QSeries:
-    """store[key] to relative precision prec (coefficients past its leading
-    term), the rule of the one expansion store, the basis's: the stored
-    series when it holds that many, else build(prec), which replaces it."""
-    s = store.get(key)
-    if s is None or s.trunc - s.val < prec:
-        s = store[key] = build(prec)
-    return s.truncate(s.val + prec)
-

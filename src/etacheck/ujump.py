@@ -23,19 +23,19 @@ Computing an image needs expansions of basis monomials t**e * g_k and of
 A * g_k.  All of them live in the package's one store of expansions, the
 basis's (``AlgebraBasis.monomial``; A and A * g_k under keys that hold A's
 exponents), each held once at its own relative precision by the rebuild
-rule of ``series.stored``.  An image is U_ell(t**j * y), with
+rule of ``basis.stored``.  An image is U_ell(t**j * y), with
 y = g_k for i = 0 and y = A * g_k for i = 1, taken as one ell-dissected
 product (``u_ell`` with ``times``, which is ``QSeries.mul(times, ell)``):
 only the coefficients at multiples of ell are computed, and neither
 t**j * g_k nor its product with A is formed; U_ell(t**j), where y = 1, is
-a slice of t**j.  What an image reads is its plan (``UImageTable._plan``,
-the one place it is derived from the valuation of t**j * y and m): t**j
-and y at the least precision its key needs, t**m only as far as U_ell of
-that reaches (about a factor ell less).  The reduction steps down from
-the tamed product's lowest exponent and asks for each of its monomials
-only as far as its remainder reaches; which monomial a pole order takes
-and that window are the basis's two rules (``AlgebraBasis.pole_monomial``
-and ``precision_below``).
+a slice of t**j.  t**j and y are read at the least precision the key
+needs (``UImageTable._precision``, from the valuation of t**j * y and m),
+and t**m only as far as its product with U_ell of that must reach, by the
+basis's window rule: about a factor ell less.  The reduction steps down
+from the tamed product's lowest exponent and asks for each of its
+monomials only as far as its remainder reaches; which monomial a pole
+order takes and that window are the basis's two rules
+(``AlgebraBasis.pole_monomial`` and ``precision_below``).
 ``u_step`` asks the table for a step's images as one batch, since the keys
 a step needs are exactly the terms of the element it is applied to.  The
 keys the table cannot load are sorted deepest first and computed in the
@@ -225,28 +225,19 @@ def compute_m_constants(b: AlgebraBasis, A: EtaQuotient, ell: int) -> StabilityE
                               _orders(t_eq.at_level(level), cusps), ((zero,),) + terms)
 
 
-class Plan(Frozen):
-    """What one image reads, derived only by ``UImageTable._plan``: the
-    taming power m, the relative precision prec of t**j and y, and how far
-    t**m is read (reach, its relative precision)."""
-
-    __slots__ = ("m", "prec", "reach")
-
-
 class UImageTable:
     """Memoized images t**(-m) * [t**m * U_ell(A**i t**j g_k)] over Z.
 
     ``images(keys)`` is the one way images are fetched (``image`` is its
     one-key case): keys found in memory or on disk are loaded, and the rest
-    are computed (``_part``) and stored.  One plan per key (``_plan``,
-    a ``Plan``) holds everything the key's image reads: its taming power m,
-    the precision of t**j and y and how far t**m is read.  The
-    deepest-first order of a batch, the products (``_tamed``) and the
-    t**(-m) shift (``_compute``) all read it.  The table keeps no
-    expansion: A * g_k (A * g_0 = A) lives in the basis's one monomial
-    store with everything else, and each product reads its expansions
-    from there only as far as its plan says, so an image does not depend
-    on what else was computed first.
+    are computed (``_part``) and stored.  A key's taming power m is its
+    stability exponent (``se``), and the precision of its t**j and y is
+    ``_precision``, which the deepest-first order of a batch and the
+    products (``_tamed``) read; the t**(-m) shift (``_compute``) reads m.
+    The table keeps no expansion: A * g_k (A * g_0 = A) lives in the
+    basis's one monomial store with everything else, and each product
+    reads its expansions from there only as far as it needs them, so an
+    image does not depend on what else was computed first.
 
     Disk layout (one file per key under cache_dir/<fingerprint>/):
         header  "level ell i j k v"
@@ -318,24 +309,19 @@ class UImageTable:
 
     # -- computation ---------------------------------------------------------
 
-    def _plan(self, i: int, j: int, k: int) -> Plan:
-        """What the image of A**i t**j g_k reads.  t**j * y, y = A**i * g_k,
-        starts at val = i*val(A) - (v+1)*j - n_k, val(A) the ``q_shift`` and
-        (v+1)*j + n_k the ``pole_order``, so at relative precision p its
-        ell-dissection starts at ceil(val/ell) or above and is known below
-        ceil((val + p)/ell), and t**m lowers both by (v+1)*m: the tamed
-        product starts at lo = ceil(val/ell) - (v+1)*m or above.  The least
-        p that shows it through its constant term plus SLACK check
-        coefficients is ell*((v+1)*m + SLACK) + 1 - val (``_tamed``'s guard
-        then holds with equality), and t**m, which starts at -(v+1)*m, is
-        read to the relative precision 1 + SLACK - lo that this needs: a
-        longer t**m would not lengthen the product."""
-        b, ell = self.basis, self.ell
-        m = self.se.exponent(i, j, k)
-        tm = b.pole_order(m, 0)
+    def _precision(self, i: int, j: int, k: int) -> int:
+        """The relative precision of t**j and y = A**i * g_k that the image
+        of A**i t**j g_k reads.  t**j * y starts at val = i*val(A) -
+        (v+1)*j - n_k, val(A) the ``q_shift`` and (v+1)*j + n_k the
+        ``pole_order``, so at relative precision p its ell-dissection is
+        known below ceil((val + p)/ell), and t**m, m = exponent(i, j, k),
+        lowers that by (v+1)*m.  The least p that shows the tamed product
+        through its constant term plus SLACK check coefficients is
+        ell*((v+1)*m + SLACK) + 1 - val: ``_tamed``'s guard then holds
+        with equality."""
+        b = self.basis
         val = i * self.A.q_shift() - b.pole_order(j, k)
-        lo = -(-val // ell) - tm
-        return Plan(m, ell * (tm + self.SLACK) + 1 - val, 1 + self.SLACK - lo)
+        return self.ell * (b.pole_order(self.se.exponent(i, j, k), 0) + self.SLACK) + 1 - val
 
     def images(self, keys) -> list:
         """The images of every (i, j, k) in keys, in order."""
@@ -352,7 +338,7 @@ class UImageTable:
         if missing:
             # deepest first: an expansion several products read is built
             # once, at the largest precision any of them reads it
-            missing.sort(key=lambda key: self._plan(*key).prec, reverse=True)
+            missing.sort(key=lambda key: self._precision(*key), reverse=True)
             for key, me in zip(missing, self._part(missing)):
                 if self.cache_dir:
                     self._store(*key, me)
@@ -365,14 +351,19 @@ class UImageTable:
     def _tamed(self, i: int, j: int, k: int) -> QSeries:
         """t**m * U_ell(A**i t**j g_k), m = exponent(i, j, k), known through
         its constant term and SLACK check coefficients.  Each expansion is
-        asked of the basis's store (``AlgebraBasis.monomial``) at its plan
-        precision, and made there when the store holds it shorter.
-        ``_plan`` makes every product end at q**SLACK, so a batch of them
-        shares the one truncation ``mw_reduce`` asks for."""
-        b, plan = self.basis, self._plan(i, j, k)
-        y = b.monomial(0, k, plan.prec, self.A if i else None) if i or k else None
-        u = u_ell(b.monomial(j, 0, plan.prec), self.ell, y)
-        prod = u.mul(b.monomial(plan.m, 0, plan.reach))
+        asked of the basis's store (``AlgebraBasis.monomial``), and made
+        there when the store holds it shorter: t**j and y at ``_precision``,
+        which makes every product end at q**SLACK, so a batch of them
+        shares the one truncation ``mw_reduce`` asks for.  u * t**m, u the
+        U_ell part, is known below val(u) plus the truncation of t**m, so
+        t**m is read below q**(1 + SLACK - min(val(u), 0))
+        (``precision_below``): exactly what the product needs when u starts
+        at q**0 or below, and never less."""
+        b, prec = self.basis, self._precision(i, j, k)
+        y = b.monomial(0, k, prec, self.A if i else None) if i or k else None
+        u = u_ell(b.monomial(j, 0, prec), self.ell, y)
+        m = self.se.exponent(i, j, k)
+        prod = u.mul(b.monomial(m, 0, b.precision_below(m, 0, 1 + self.SLACK - min(u.val, 0))))
         if prod.trunc < 1 + self.SLACK:
             raise ContractError(
                 f"image {(i, j, k)} is known only below q^{prod.trunc}, short of the "
@@ -395,7 +386,7 @@ class UImageTable:
     def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:
         """The image of A**i t**j g_k from ``tamed``, its t**m multiple
         reduced over the basis: every term shifted by t**(-m)."""
-        m = self._plan(i, j, k).m
+        m = self.se.exponent(i, j, k)
         return ModuleElement(ZZ, {(e - m, kk): c for (e, kk), c in tamed.terms.items()})
 
 

@@ -265,15 +265,19 @@ MUTANTS = (
      "the search's exactness guard: the cusp-weighted sum of a leaf's orders is "
      "(index/24) * sum w_d, so it is 0 exactly when sum w_d = 0, and a non-integral w "
      "floors to exponents summing below 0, which newman_check's weight condition refuses"),
-    # the one owner of each rule an image's expansions follow (the plan's
-    # precision is the pair of entries above): the plan's t**m reach one
-    # short (test_least_exponent_gives_the_same_images), the monomial of a
-    # pole order off by one t-power (test_reduce_t_times_g1), a monomial
-    # known one coefficient short of a truncation
-    # (test_reduce_detects_corruption), and A dropped from the store key, so
-    # that A * g_k and g_k share one entry
+    # the one owner of each rule an image's expansions follow (the
+    # precision of t**j and y is the pair of entries above): t**m read one
+    # short of its window, or read as if every U_ell product started at q**0
+    # or above, short for a key whose product starts below q**0 (each first
+    # killed by test_least_exponent_gives_the_same_images, and by
+    # test_precision_is_the_least_sufficient[key3, key4] and [key4]), the
+    # monomial of a pole order off by one t-power
+    # (test_reduce_t_times_g1), a monomial known one coefficient short of a
+    # truncation (test_reduce_detects_corruption), and A dropped from the
+    # store key, so that A * g_k and g_k share one entry
     # (test_a_product_is_kept_beside_its_monomial)
-    ("src/etacheck/ujump.py", "1 + self.SLACK - lo)", "self.SLACK - lo)", None),
+    ("src/etacheck/ujump.py", "1 + self.SLACK - min(", "self.SLACK - min(", None),
+    ("src/etacheck/ujump.py", "min(u.val, 0)", "0", None),
     ("src/etacheck/basis.py", "return (e, k) if e >= 0 else None",
      "return (e + 1, k) if e >= 0 else None", None),
     ("src/etacheck/basis.py", "return trunc + self.pole_order(e, k)",
@@ -293,7 +297,7 @@ MUTANTS = (
     # a batch's keys taken shallowest first, so that its products rebuild
     # an entry they read shorter for an earlier key
     # (test_cold_iterate_builds_each_expansion_once_per_phase)
-    ("src/etacheck/ujump.py", "self._plan(*key).prec, reverse=True)", "self._plan(*key).prec)",
+    ("src/etacheck/ujump.py", "self._precision(*key), reverse=True)", "self._precision(*key))",
      None),
     # two clause deletions that make a loop run forever, each killed by the
     # per-test deadline of tests/conftest.py: the pole-set closure adding

@@ -305,7 +305,7 @@ def test_limb_width_follows_the_coefficients_that_meet(monkeypatch, basis20):
     inv_t.mul(inv_t)
     assert widths and max(widths) <= 24
     table = UImageTable(basis20, build_A(rogers_ramanujan().gen), 5)
-    prec = table._plan(1, -4, 4).prec
+    prec = table._precision(1, -4, 4)
     assert prec == 616
     y = basis20.monomial(0, 4, prec, table.A)
     t4 = basis20.monomial(-4, 0, prec)

@@ -358,20 +358,30 @@ def test_least_power_refuses_when_no_power_fits():
         ujump._least_power((Fraction(0), Fraction(1, 2)), (1, -1), (-3, 1), "f")
 
 
-@pytest.mark.parametrize("key", [(0, -1, 0), (1, -4, 4), (1, 0, 0)])
+# keys whose U_ell product starts at q**0 or below, (0, 0, 4) at q**0 and
+# (0, 1, 0) at q**-1: their tamed product ends where the window of t**m
+# ends, as well as where those of t**j and y do
+LOW_START = [(0, 0, 4), (0, 1, 0)]
+
+
+@pytest.mark.parametrize("key", [(0, -1, 0), (1, -4, 4), (1, 0, 0), *LOW_START])
 def test_precision_is_the_least_sufficient(rr_table, b20, key, monkeypatch):
-    # one coefficient less leaves the reduction short of its check
-    # coefficients, and the guard refuses it
-    assert UImageTable(b20, build_A(RR), 5).image(*key) == rr_table.image(*key)
-    plan = UImageTable._plan
-
-    def short(self, *index):
-        least = plan(self, *index)
-        return ujump.Plan(least.m, least.prec - 1, least.reach)
-
-    monkeypatch.setattr(UImageTable, "_plan", short)
-    with pytest.raises(ContractError, match="short of the constant term"):
-        UImageTable(b20, build_A(RR), 5).image(*key)
+    # t**j and y one coefficient short, and for a product that starts at
+    # q**0 or below also t**m one coefficient short of its window, leave the
+    # reduction short of its check coefficients, and the guard refuses it
+    table = UImageTable(b20, build_A(RR), 5)
+    assert table.image(*key) == rr_table.image(*key)
+    start = table._tamed(*key).val + b20.pole_order(table.se.exponent(*key), 0)
+    assert (start <= 0) == (key in LOW_START)
+    rules = [(UImageTable, "_precision")]
+    if key in LOW_START:
+        rules.append((AlgebraBasis, "precision_below"))  # t**m's window
+    for owner, rule in rules:
+        least = getattr(owner, rule)
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, rule, lambda self, *args: least(self, *args) - 1)
+            with pytest.raises(ContractError, match="short of the constant term"):
+                UImageTable(b20, build_A(RR), 5).image(*key)
 
 
 def test_image_of_one(rr_table):
@@ -698,7 +708,7 @@ def test_image_does_not_depend_on_the_monomial_store_precision(rr_cold_run, key)
     b = fresh_basis()
     alone = UImageTable(b, build_A(RR), 5)
     assert alone.image(*key) == table.image(*key)
-    assert max(s.trunc - s.val for s in b._monomials.values()) == alone._plan(*key).prec
+    assert max(s.trunc - s.val for s in b._monomials.values()) == alone._precision(*key)
 
 
 def test_images_from_disk_never_fill_the_monomial_store(rr_cold_run):
