@@ -18,7 +18,7 @@ A = build_A(spec.gen)
 print(f"auxiliary quotient A at level {A.level}: {A}")
 print("poles of A:", ", ".join(str(x) for x, o in order_vector(A).items() if o < 0))
 
-ps = compute_pole_sets(A, 5, 20)
+ps = compute_pole_sets(A, 5)
 print()
 print("sign constraints on the generator's order at the finite cusps:")
 print("  strictly positive:", sorted(map(str, ps.p_A | ps.p_g)))

@@ -396,11 +396,12 @@ def _slot_reader(width: int, n: int):
     return read
 
 
-def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
+def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int, names: list):
     """One pass over the remainders of fs packed at slot width ``width``:
     (bound, the module elements), or (bound, None) when the bound fails and
     the pass was too narrow.  Once the bound holds, a stalled descent or a
-    nonzero residual raises ContractError naming its series."""
+    nonzero residual raises ContractError under names[i], i the first
+    series the failure shows in."""
     n, trunc, lo = len(fs), fs[0].trunc, min(f.val for f in fs)
     read = _slot_reader(width, n)
     rem = [0] * (trunc - lo)  # rem[p] packs the coefficients of q**(lo + p)
@@ -439,24 +440,22 @@ def _greedy_pass(fs: list, b: AlgebraBasis, top: int, width: int):
                            for column in zip(*alphas, const)]
         failure = (read(rem[bad]), "nonzero residual after reduction: the input is not in "
                                    "the module to its stated truncation (or was under-truncated)")
-    slots, what = failure  # named: the first series the failure shows in
-    i = next(i for i, x in enumerate(slots) if x)
-    exc = ContractError(f"series {i}: {what}")
-    exc.series = i  # UImageTable names the image key of the series
-    raise exc
+    slots, what = failure
+    raise ContractError(f"{names[next(i for i, x in enumerate(slots) if x)]}: {what}")
 
 
-def mw_reduce(fs, b: AlgebraBasis) -> list:
+def mw_reduce(fs, b: AlgebraBasis, names: list | None = None) -> list:
     """Greedy principal-part reduction of exact-integer series against the
     basis: each f of fs as a module element sum c[e,k] * t**e * g_k, in order.
 
     All of fs end at one truncation >= 1, so the constant is in view and no
     shared window drops check coefficients of a longer series; the tail past
     the constant is consumed as a corruption check, since the residual of a
-    successful reduction vanishes identically.  Raises ContractError naming
-    the series when the descent stalls at a pole order no basis element
-    reaches or when the residual is not zero; the first pass whose bound
-    holds raises it.  The basis must be monic: a step whose monomial
+    successful reduction vanishes identically.  Raises ContractError when
+    the descent stalls at a pole order no basis element reaches or when the
+    residual is not zero, worded with names[i] for the failing series fs[i]
+    ("series i" when names is None); the first pass whose bound holds
+    raises it.  The basis must be monic: a step whose monomial
     t**e * g_k does not lead with 1 raises ContractError naming that
     monomial, before any pass returns.
 
@@ -479,8 +478,9 @@ def mw_reduce(fs, b: AlgebraBasis) -> list:
     top, lo = max(_max_abs(f.coeffs) for f in fs), min(f.val for f in fs)
     deepest = _step_monomial(b, -lo, fs[0].trunc)
     width = _first_width(top, _max_abs(deepest[2].coeffs) if deepest else 1, max(0, -lo))
+    names = names or [f"series {i}" for i in range(len(fs))]
     while True:
-        bound, outcome = _greedy_pass(fs, b, top, width)
+        bound, outcome = _greedy_pass(fs, b, top, width, names)
         if outcome is not None:
             return outcome
         width = bound.bit_length() + 1

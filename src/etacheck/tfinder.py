@@ -1,7 +1,8 @@
 """Search for the generator t whose zeros cancel every pole the U_ell images meet.
 
-Given the auxiliary quotient A at level ell*N, the finite cusps of Gamma0(N)
-split into four camps that dictate sign constraints on the order of t:
+The auxiliary quotient A lives at level ell*N, and its level is where N is
+read (``compute_pole_sets``).  Given A, the finite cusps of Gamma0(N) split
+into four camps that dictate sign constraints on the order of t:
 
 * p_A      -- cusps whose images under tau -> (tau+r)/ell meet a pole of A,
               closed under the pull-back induced by poles of 1/t (forcing a
@@ -45,14 +46,17 @@ class PoleSets(Frozen):
     __slots__ = ("p_A", "p_g", "p0_prime", "p1_prime")
 
 
-def compute_pole_sets(A: EtaQuotient, ell: int, N: int) -> PoleSets:
-    """Classify the finite cusps of Gamma0(N) as described in the module docstring.
+def compute_pole_sets(A: EtaQuotient, ell: int) -> PoleSets:
+    """Classify the finite cusps of Gamma0(N), N = A.level / ell, as
+    described in the module docstring; an A whose level ell does not
+    divide is refused.
 
     Image classes are computed from the raw fractions (a + c*r)/(c*ell), so the
     result only depends on cusp classes, never on representative choices.
     """
-    if A.level != ell * N:
-        raise SpecError(f"A must live at level {ell}*{N}={ell * N}, got {A.level}")
+    N, rest = divmod(A.level, ell)
+    if rest:
+        raise SpecError(f"A must live at a level divisible by {ell}, got {A.level}")
 
     inf_N = infinity_class(N)
     finite = finite_cusps(N)
@@ -118,7 +122,7 @@ def find_t(gen: FamilyGenerator) -> EtaQuotient:
     """
     A = build_A(gen)
     N = gen.ell * gen.M
-    pole_sets = compute_pole_sets(A, gen.ell, N)
+    pole_sets = compute_pole_sets(A, gen.ell)
     for n0 in range(1, N0_MAX + 1):
         t = solve_W(N, pole_sets, n0)
         if t is not None:

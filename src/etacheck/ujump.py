@@ -372,15 +372,10 @@ class UImageTable:
 
     def _part(self, keys) -> list:
         """The images of keys: their tamed products reduced over the basis
-        as one batch, a failed reduction reported under the key of its
-        series, and each shifted by t**(-m)."""
+        as one batch, which words a failed reduction as "image <key>", and
+        each shifted by t**(-m)."""
         products = [self._tamed(*key) for key in keys]
-        try:
-            reduced = mw_reduce(products, self.basis)
-        except ContractError as exc:
-            if not hasattr(exc, "series"):
-                raise
-            raise ContractError(f"image {keys[exc.series]}: {exc}") from exc
+        reduced = mw_reduce(products, self.basis, [f"image {key}" for key in keys])
         return [self._compute(*key, me) for key, me in zip(keys, reduced)]
 
     def _compute(self, i, j, k, tamed: ModuleElement) -> ModuleElement:

@@ -141,13 +141,12 @@ def builtin_spec(name: str) -> CongruenceFamilySpec:
 
 
 class VerificationReport:
-    """A run's valuation sequence, one entry per step alpha in each list."""
+    """A run's valuation sequence, one entry per step alpha in each list;
+    the header (family name, ell, B and the run length) is read from the
+    spec."""
 
-    def __init__(self, spec_name: str, ell: int, B: int, iterations: int):
-        self.spec_name = spec_name
-        self.ell = ell
-        self.B = B
-        self.iterations = iterations
+    def __init__(self, spec: CongruenceFamilySpec):
+        self.spec = spec
         # support holds {terms, j_min, j_max}
         self.V, self.saturated, self.required = [], [], []
         self.passed, self.support, self.seconds = [], [], []
@@ -158,10 +157,10 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "family": self.spec_name,
-            "ell": self.ell,
-            "B": self.B,
-            "iterations": self.iterations,
+            "family": self.spec.name,
+            "ell": self.spec.gen.ell,
+            "B": self.spec.B,
+            "iterations": self.spec.default_iterations,
             "V": list(self.V),
             "saturated": list(self.saturated),
             "required": list(self.required),
@@ -172,8 +171,9 @@ class VerificationReport:
         }
 
     def text(self) -> str:
-        lines = [f"family {self.spec_name}: ell={self.ell} B={self.B} "
-                 f"iterations={self.iterations}"]
+        spec = self.spec
+        lines = [f"family {spec.name}: ell={spec.gen.ell} B={spec.B} "
+                 f"iterations={spec.default_iterations}"]
         for alpha, v in enumerate(self.V):
             req = self.required[alpha]
             verdict = ("  " if req is None
@@ -195,7 +195,7 @@ def iterate(spec: CongruenceFamilySpec, table: UImageTable) -> VerificationRepor
     truncate.
     """
     ell = spec.gen.ell
-    report = VerificationReport(spec.name, ell, spec.B, spec.default_iterations)
+    report = VerificationReport(spec)
     t0 = time.monotonic()
     for alpha, me in enumerate(_iterates(spec, table, spec.default_iterations)):
         js = [j for j, _ in me.terms] or [0]

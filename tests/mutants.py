@@ -324,6 +324,23 @@ MUTANTS = (
     ("src/etacheck/series.py", "except ImportError:", "except ():",
      "CPython builds ship _decimal, so the import never fails and the handler "
      "never runs (tests/linecov.py allows its one statement for that reason)"),
+    # each fact read from its owner: a failed reduction worded with the
+    # name of the batch's first series, not the failing one
+    # (test_basis.py::test_a_failed_series_is_named), an image
+    # batch reduced under the default names
+    # (test_ujump.py::test_a_failed_image_names_its_key), an A whose level
+    # ell does not divide accepted (test_tfinder.py::
+    # test_level_mismatch_rejected), and the run length of a report's
+    # header read as B (test_verifier.py::test_report_text_shape)
+    ("src/etacheck/basis.py", "names[next(i for i, x in enumerate(slots) if x)]", "names[0]",
+     None),
+    ("src/etacheck/ujump.py", "self.basis, [f\"image {key}\" for key in keys])", "self.basis)",
+     None),
+    ("src/etacheck/tfinder.py", "    if rest:\n", "    if False:\n", None),
+    ("src/etacheck/verifier.py", '"iterations": self.spec.default_iterations,',
+     '"iterations": self.spec.B,', None),
+    ("src/etacheck/verifier.py", "iterations={spec.default_iterations}", "iterations={spec.B}",
+     None),
 )
 
 

@@ -136,7 +136,7 @@ def test_criterion_1_table_reproduction(basis20, rr_spec):
 
 def test_criterion_2_t_search(rr_spec):
     t0 = time.monotonic()
-    ps = compute_pole_sets(build_A(rr_spec.gen), 5, 20)
+    ps = compute_pole_sets(build_A(rr_spec.gen), 5)
     t = solve_W(20, ps, 5)
     assert t is not None and verify_W(t, 5, ps)
     assert dict(t.exponents) == {1: 2, 4: 2, 5: -2, 10: 8, 20: -10}

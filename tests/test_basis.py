@@ -322,8 +322,8 @@ def count_passes(monkeypatch) -> list:
     """(width, bound, outcome) of every greedy pass that returns from now on."""
     passes, greedy_pass = [], basis._greedy_pass
 
-    def traced(fs, b, top, width):
-        bound, outcome = greedy_pass(fs, b, top, width)
+    def traced(fs, b, top, width, names):
+        bound, outcome = greedy_pass(fs, b, top, width, names)
         passes.append((width, bound, outcome))
         return bound, outcome
 
@@ -338,7 +338,7 @@ def test_cold_run_batches_match_the_per_series_reference(family, B, monkeypatch)
     table = UImageTable(AlgebraBasis(b20.level, b20.t, b20.gs), build_A(spec.gen), 5)
     batches = []
     monkeypatch.setattr(ujump, "mw_reduce",
-                        lambda fs, b: batches.append((fs, b)) or mw_reduce(fs, b))
+                        lambda fs, b, names: batches.append((fs, b)) or mw_reduce(fs, b, names))
     iterate(spec, table)
     assert len(batches) >= 3
     passes = count_passes(monkeypatch)
@@ -398,6 +398,9 @@ def test_a_failed_series_is_named(b20):
     last = QSeries.from_terms(ZZ, {trunc - 1: 1}, trunc)
     with pytest.raises(ContractError, match="^series 4: nonzero residual"):
         mw_reduce(fs[:4] + [fs[4].add(last)] + fs[5:], b20)
+    # a caller's names word the failure instead
+    with pytest.raises(ContractError, match="^f4: nonzero residual"):
+        mw_reduce(fs[:4] + [fs[4].add(last)] + fs[5:], b20, [f"f{i}" for i in range(len(fs))])
     # with no constant term in the batch, the first coefficient past the
     # constant is checked too
     first = QSeries.from_terms(ZZ, {1: -1}, trunc)

@@ -125,7 +125,7 @@ def test_classes_need_no_witness_search(monkeypatch):
     assert canonical_cusp(Cusp(31, 50), 100) == Cusp(1, 50)
     assert canonical_cusp(Cusp(13, 20), 100) == Cusp(3, 20)
     assert canonical_cusp(Cusp(11, 30), 100) == Cusp(3, 10)
-    assert compute_pole_sets(A100, 5, 20) == PoleSets(
+    assert compute_pole_sets(A100, 5) == PoleSets(
         frozenset({Cusp(1, 10), Cusp(1, 1), Cusp(1, 4), Cusp(1, 2)}),
         frozenset({Cusp(1, 4)}), frozenset({Cusp(1, 5)}), frozenset())
 

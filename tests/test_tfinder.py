@@ -22,7 +22,7 @@ S_VECTOR = {1: 2, 2: 0, 4: 2, 5: -2, 10: 8, 20: -10}
 
 @pytest.fixture(scope="module")
 def rr_pole_sets():
-    return compute_pole_sets(build_A(RR), 5, 20)
+    return compute_pole_sets(build_A(RR), 5)
 
 
 def test_pole_sets_level_20(rr_pole_sets):
@@ -38,17 +38,17 @@ def test_pole_sets_level_20(rr_pole_sets):
 def test_pole_sets_trivial_quotient():
     # A with no finite poles at all: nothing forced beyond the g-camp
     A1 = EtaQuotient(100, {})
-    ps = compute_pole_sets(A1, 5, 20)
+    ps = compute_pole_sets(A1, 5)
     assert ps.p_A == frozenset()
     assert ps.p_g == frozenset({Cusp(1, 4)})
     # at level 10, 1/5 maps only to itself (p0'), while 1 reaches 1/5 (p1')
-    assert compute_pole_sets(EtaQuotient(50, {}), 5, 10) == PoleSets(
+    assert compute_pole_sets(EtaQuotient(50, {}), 5) == PoleSets(
         frozenset(), frozenset({Cusp(1, 2)}), frozenset({Cusp(1, 5)}), frozenset({Cusp(1, 1)}))
 
 
 def test_pole_sets_same_for_both_families(rr_pole_sets):
     # the second built-in family has poles at the same cusps
-    assert compute_pole_sets(build_A(AS), 5, 20) == rr_pole_sets
+    assert compute_pole_sets(build_A(AS), 5) == rr_pole_sets
 
 
 def test_solve_w5_finds_a_valid_solution(rr_pole_sets):
@@ -104,7 +104,7 @@ def test_find_t_trivial_family():
     gen = FamilyGenerator(4, {}, 5)
     t = find_t(gen)
     assert eta_order_at_cusp(t, infinity_class(20)) < 0
-    ps = compute_pole_sets(build_A(gen), 5, 20)
+    ps = compute_pole_sets(build_A(gen), 5)
     for x in ps.p_g:
         assert eta_order_at_cusp(t, x) > 0
 
@@ -121,15 +121,16 @@ def test_find_t_returns_minimal_order(rr_pole_sets):
 def test_pole_set_representative_invariance():
     # feeding equivalent cusp fractions through the image map lands in the
     # same classes, so the classification cannot depend on representatives
-    ps = compute_pole_sets(build_A(RR), 5, 20)
+    ps = compute_pole_sets(build_A(RR), 5)
     for x in ps.p_A:
         y = Cusp(x.a + 20 * x.c if x.c else x.a, x.c)  # same class, other rep
         assert canonical_cusp(y, 20) == canonical_cusp(x, 20)
 
 
 def test_level_mismatch_rejected():
-    with pytest.raises(SpecError):
-        compute_pole_sets(build_A(RR), 5, 10)
+    # N is read from A's level, so an A at a level 5 does not divide is refused
+    with pytest.raises(SpecError, match="A must live at a level divisible by 5, got 4"):
+        compute_pole_sets(EtaQuotient(4, dict(RR.r)), 5)
 
 
 def test_find_t_refuses_when_no_order_within_its_bound_works(monkeypatch):

@@ -92,7 +92,7 @@ def test_direct_oracle_andrews_sellers():
 def test_iterate_small_run(rr_image_table):
     spec = rogers_ramanujan(B=2)
     rep = iterate(spec, rr_image_table)
-    assert rep.iterations == spec.default_iterations == 4
+    assert rep.spec is spec and spec.default_iterations == 4
     assert rep.V == [0, 0, 1, 1, 2]
     assert rep.ok
     assert all(0 <= v <= 2 for v in rep.V)
@@ -101,7 +101,7 @@ def test_iterate_small_run(rr_image_table):
 def test_iterate_default_lengths(as_image_table):
     spec = andrews_sellers(B=1)
     rep = iterate(spec, as_image_table)
-    assert rep.iterations == 1
+    assert rep.spec is spec and spec.default_iterations == 1
     assert rep.V == [0, 1]
     assert rep.saturated[1]  # everything vanishes mod 5^1 after one step
 
@@ -267,3 +267,6 @@ def test_report_text_shape(rr_image_table):
                           "VERIFIED")
     data = rep.to_json()
     assert data["ok"] and data["V"] == [0, 0, 1, 1, 2]
+    # the header of both forms is the spec's
+    assert (data["family"], data["ell"], data["B"], data["iterations"]) == (
+        "rogers-ramanujan", 5, 2, 4)
