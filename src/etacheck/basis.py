@@ -507,34 +507,27 @@ def construct_basis(t_eq: EtaQuotient) -> AlgebraBasis:
             raise SpecError(f"generator has a pole at the finite cusp {x}")
     t = BasisFunction.from_quotient("t", t_eq, -v1)
     needed = set(range(1, v1))
-    hits = {}  # residue -> (pole_order, construction tuple)
+    hits = {}  # residue -> (pole order, factor tuple); the orders are distinct
     for n0 in range(1, 2 * v1 + 3):
         rho = n0 % v1
         if rho not in needed or rho in hits:
             continue
         found = search_modular_quotients(N, n0, EXPONENT_BOUND, nonneg=finite)
         if found:
-            hits[rho] = (n0, ((1, (found[0],)),))
-    if len(hits) < len(needed):
-        # close under products of two found quotients
-        pool = sorted(hits.values())
-        for rho in sorted(needed - set(hits)):
-            best = None
-            for o1, c1 in pool:
-                for o2, c2 in pool:
-                    if (o1 + o2) % v1 == rho and (best is None or o1 + o2 < best[0]):
-                        (_, (q1,)), = c1
-                        (_, (q2,)), = c2
-                        best = (o1 + o2, ((1, (q1, q2)),))
-            if best is not None:
-                hits[rho] = best
+            hits[rho] = (n0, (found[0],))
+    # close under products of two found quotients, the first least pair in
+    # pool order
+    pool = sorted(hits.values())
+    for rho in sorted(needed - set(hits)):
+        pairs = [(o1 + o2, f1 + f2) for o1, f1 in pool for o2, f2 in pool if (o1 + o2) % v1 == rho]
+        if pairs:
+            hits[rho] = min(pairs, key=operator.itemgetter(0))
     if len(hits) < len(needed):
         raise SearchExhaustedError(
             f"could not cover residues {sorted(needed - set(hits))} mod {v1} "
             f"within exponent bound {EXPONENT_BOUND}")
-    gs = tuple(
-        BasisFunction(f"g{i}", construction, -order)
-        for i, (order, construction) in enumerate(sorted(hits.values()), start=1))
+    gs = tuple(BasisFunction(f"g{i}", ((1, factors),), -order)
+               for i, (order, factors) in enumerate(sorted(hits.values()), start=1))
     b = AlgebraBasis(N, t, gs)
     if not verify_basis(b):
         raise ContractError("constructed basis fails its own structural conditions")

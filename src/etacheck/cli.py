@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a checked conjecture fails, 2 bad usage (a
 u-image j beyond +-64 too), a bad family spec, or a path that cannot be read
-or written (spec file, cache directory, report file), 3 an internal
+or written (spec file, cache directory, report file) or found (a cache
+directory with no --cache-dir, ETACHECK_CACHE or home), 3 an internal
 contract was violated (a basis monomial that does not lead with 1, a
 reduction stall or nonzero residual, runaway support, a malformed cache
 file) or an unexpected error such as MemoryError (traceback on stderr).
@@ -13,6 +14,11 @@ or a path to a JSON file with these seven fields, name and B optional:
      "c": int, "pattern": "even-alpha" | "every-alpha", "B": int}.
 The spec alone sets a verify run's length (2B steps for even-alpha, B for
 every-alpha); ``verify --B`` replaces the B of a built-in or a spec file.
+A spec file that repeats a key, at any depth, is refused.
+
+Only ``u-image`` and ``verify`` open the image table, so only they read its
+location (``image_table``): --cache-dir, else $ETACHECK_CACHE, else
+~/.cache/etacheck.
 
 Eta quotients on the command line are written N:d1^e1,d2^e2,... as in
 20:1^2,4^2,10^8,5^-2,20^-10.
@@ -26,7 +32,7 @@ import os
 import sys
 from pathlib import Path
 
-from .basis import _G20, _H20, construct_basis, load_basis_n20, AlgebraBasis, ModuleElement
+from .basis import construct_basis, load_basis_n20, AlgebraBasis, ModuleElement
 from .errors import ContractError, EtacheckError, SpecError
 from .eta import EtaQuotient
 from .modcurve import (
@@ -41,7 +47,7 @@ from .modcurve import (
 from .series import zmod
 from .tfinder import find_t
 from .ujump import UImageTable, build_A, compute_m_constants
-from .verifier import _BUILTINS, CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
+from .verifier import BUILTINS, CongruenceFamilySpec, builtin_spec, direct_oracle, iterate
 
 
 def parse_eta_spec(text: str) -> EtaQuotient:
@@ -64,25 +70,29 @@ def parse_eta_spec(text: str) -> EtaQuotient:
 
 def load_family_spec(source: str, B=None) -> CongruenceFamilySpec:
     """The built-in family or spec file named by source, at B if one is given."""
-    if source in _BUILTINS:
+    if source in BUILTINS:
         spec = builtin_spec(source)
     else:
         path = Path(source)
         if not path.exists():
             raise SpecError(f"{source!r} is neither a built-in family nor a file")
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
         except ValueError as exc:  # JSON or UTF-8 decoding
             raise SpecError(f"{source}: invalid JSON ({exc})") from exc
         spec = CongruenceFamilySpec.from_json(data)
     return spec if B is None else spec.with_B(B)
 
 
-def default_cache_dir():
-    env = os.environ.get("ETACHECK_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "etacheck"
+def _unique_keys(pairs: list) -> dict:
+    """A spec file's JSON object, refused when it repeats a key: json.loads
+    alone would keep the last value and run another family."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError(f"malformed family spec: repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def resolve_basis(spec: CongruenceFamilySpec) -> AlgebraBasis:
@@ -97,6 +107,17 @@ def resolve_basis(spec: CongruenceFamilySpec) -> AlgebraBasis:
     if t == fixture.t_quotient():
         return fixture
     return construct_basis(t)
+
+
+def image_table(spec: CongruenceFamilySpec, cache_dir: Path | None) -> UImageTable:
+    """The image table of spec's family, stored under cache_dir, else
+    $ETACHECK_CACHE, else ~/.cache/etacheck."""
+    if cache_dir is None:
+        try:
+            cache_dir = Path(os.environ.get("ETACHECK_CACHE") or Path.home() / ".cache/etacheck")
+        except RuntimeError as exc:  # no HOME and no passwd entry
+            raise SpecError("no home directory: pass --cache-dir or set ETACHECK_CACHE") from exc
+    return UImageTable(resolve_basis(spec), build_A(spec.gen), spec.gen.ell, cache_dir=cache_dir)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -128,8 +149,7 @@ def cmd_newman(args) -> int:
 
 
 def cmd_find_t(args) -> int:
-    spec = load_family_spec(args.spec)
-    t = find_t(spec.gen)
+    t = find_t(load_family_spec(args.spec).gen)
     print(f"generator at level {t.level}: "
           + ",".join(f"{d}^{r}" for d, r in t.exponents))
     for x, o in order_vector(t).items():
@@ -138,8 +158,7 @@ def cmd_find_t(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    spec = load_family_spec(args.spec)
-    b = resolve_basis(spec)
+    b = resolve_basis(load_family_spec(args.spec))
     print(f"algebra basis at level {b.level} (v = {b.v})")
     print(f"  {b.t.describe()}   [ord_inf {b.t.ord_inf}]")
     for g in b.gs:
@@ -155,19 +174,14 @@ def cmd_u_image(args) -> int:
             ring = zmod(int(ell), int(power) if caret else 1)
         except ValueError as exc:
             raise SpecError(f"cannot parse --mod {args.mod!r}: {exc}") from exc
-    spec = load_family_spec(args.spec)
-    b = resolve_basis(spec)
-    table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
-    me = table.image(args.i, args.j, args.k)
+    me = image_table(load_family_spec(args.spec), args.cache_dir).image(args.i, args.j, args.k)
     print(me if ring is None else ModuleElement(ring, me.terms))
     return 0
 
 
 def cmd_verify(args) -> int:
     spec = load_family_spec(args.spec, args.B)
-    b = resolve_basis(spec)
-    table = UImageTable(b, build_A(spec.gen), spec.gen.ell, cache_dir=args.cache_dir)
-    report = iterate(spec, table)
+    report = iterate(spec, image_table(spec, args.cache_dir))
     payload = {"spec": spec.to_json(), "report": report.to_json()}
     if args.output:  # first, so a write that fails (exit 2) never follows a printed VERIFIED
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
@@ -204,41 +218,29 @@ def _format_table(title, row_labels, col_labels, cell):
 def cmd_tables(args) -> int:
     spec = builtin_spec("rogers-ramanujan")
     b = load_basis_n20()
-    A = build_A(spec.gen)
-    ell = spec.gen.ell
-    c20 = cusp_representatives(20)
-    c100 = cusp_representatives(100)
-
-    print(_format_table(
-        f"cusps of Gamma0(100) approached by (tau+r)/{ell} from each cusp of Gamma0(20)",
-        c20, [f"r={r}" for r in range(ell)],
-        lambda x, r: cusp_image_under_scaling(x, r, ell, 100)))
-    print()
-    print(_format_table(
-        f"cusps of Gamma0(20) approached by (tau+r)/{ell} from each cusp of Gamma0(20)",
-        c20, [f"r={r}" for r in range(ell)],
-        lambda x, r: cusp_image_under_scaling(x, r, ell, 20)))
-    print()
-
-    print("orders of A at the cusps of Gamma0(100):")
-    for x, o in order_vector(A).items():
-        print(f"  {x}: {o}")
-    print()
-    print("orders of t at the cusps of Gamma0(20):")
-    for x, o in order_vector(b.t_quotient()).items():
-        print(f"  {x}: {o}")
-    print()
+    A, t, ell = build_A(spec.gen), b.t_quotient(), spec.gen.ell
+    for N in (A.level, b.level):
+        print(_format_table(
+            f"cusps of Gamma0({N}) approached by (tau+r)/{ell} from each cusp of Gamma0({b.level})",
+            cusp_representatives(b.level), [f"r={r}" for r in range(ell)],
+            lambda x, r: cusp_image_under_scaling(x, r, ell, N)))
+        print()
+    for name, eq in (("A", A), ("t", t)):
+        print(f"orders of {name} at the cusps of Gamma0({eq.level}):")
+        for x, o in order_vector(eq).items():
+            print(f"  {x}: {o}")
+        print()
 
     se = compute_m_constants(b, A, ell)
-    t = b.t_quotient()
     t_scaled = t.scale_tau(ell)
-    taming = [(name, eq.at_level(100), se.taming_power(eq))
-              for name, eq in (("A", A), ("t", t), ("1/t", t.inverse()), ("g", _G20), ("h", _H20))]
+    h, g = b.gs[1].constituent_quotients()  # g_2 = h - g
+    taming = [(name, eq.at_level(A.level), se.taming_power(eq))
+              for name, eq in (("A", A), ("t", t), ("1/t", t.inverse()), ("g", g), ("h", h))]
     print(f"stability exponents: m_A={se.exponent(1, 0, 0)} m_t={se.exponent(0, 1, 0)} "
           f"m_1/t={se.exponent(0, -1, 0)} m_k={[se.exponent(0, 0, k) for k in range(1, b.v + 1)]}")
     print(_format_table(
-        "orders over Gamma0(100) of the tamed products",
-        c100, [f"t(5tau)^{m} * {name}" for name, _, m in taming],
+        f"orders over Gamma0({A.level}) of the tamed products",
+        cusp_representatives(A.level), [f"t({ell}tau)^{m} * {name}" for name, _, m in taming],
         lambda x, ci: (taming[ci][2] * eta_order_at_cusp(t_scaled, x)
                        + eta_order_at_cusp(taming[ci][1], x))))
     return 0
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="etacheck",
         description="verify families of partition congruences in an "
                     "eta-quotient algebra basis")
-    p.add_argument("--cache-dir", type=Path, default=default_cache_dir(),
+    p.add_argument("--cache-dir", type=Path,
                    help="directory for the persistent image table")
     sub = p.add_subparsers(dest="command", required=True)
 

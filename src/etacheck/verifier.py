@@ -129,15 +129,15 @@ def andrews_sellers(B: int = 5) -> CongruenceFamilySpec:
         "every-alpha", B)
 
 
-_BUILTINS = {"rogers-ramanujan": rogers_ramanujan, "andrews-sellers": andrews_sellers}
+BUILTINS = {"rogers-ramanujan": rogers_ramanujan, "andrews-sellers": andrews_sellers}
 
 
 def builtin_spec(name: str) -> CongruenceFamilySpec:
     """The named built-in family; ``spec.with_B(B)`` sets B."""
-    if name not in _BUILTINS:
+    if name not in BUILTINS:
         raise SpecError(f"unknown built-in family {name!r}; "
-                        f"choices: {', '.join(sorted(_BUILTINS))}")
-    return _BUILTINS[name]()
+                        f"choices: {', '.join(sorted(BUILTINS))}")
+    return BUILTINS[name]()
 
 
 class VerificationReport:

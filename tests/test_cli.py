@@ -1,5 +1,6 @@
 """Exit codes, golden output stability, and spec-file round trips."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -268,6 +269,41 @@ def test_cache_dir_defaults_to_etacheck_cache(capsys, tmp_path, monkeypatch):
         == [f"{fingerprint}/i0_j-1_k0.txt"]
 
 
+def test_a_repeated_spec_key_exits_2(capsys, tmp_path):
+    # json.loads alone keeps a repeated key's last value: "1": -4 after
+    # "1": -3 would run Andrews-Sellers under the spec's name
+    path = tmp_path / "family.json"
+    for text, key in (('{"M": 4, "r": {"1": -3, "1": -4, "2": 5, "4": -2}, "ell": 5, "c": 24, '
+                       '"pattern": "even-alpha", "B": 2}', "'1'"),
+                      ('{"M": 4, "r": {"1": -3, "2": 5, "4": -2}, "ell": 5, "c": 24, '
+                       '"pattern": "even-alpha", "B": 2, "B": 1}', "'B'")):
+        path.write_text(text)
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", str(path))
+        assert code == 2 and out == "" and f"malformed family spec: repeated key {key}" in err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_no_home_needs_a_cache_option_only_to_open_a_table(capsys, tmp_path, monkeypatch):
+    # with neither HOME nor a passwd entry there is no ~/.cache: a command
+    # that opens no table runs, one given --cache-dir runs, and one with no
+    # cache location exits 2 naming the two ways to give one
+    import pwd
+
+    def no_entry(uid):
+        raise KeyError(uid)
+
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("ETACHECK_CACHE", raising=False)
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    code, out, _ = run(capsys, "cusps", "5")
+    assert code == 0 and "2 cusp classes" in out
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "verify", "rogers-ramanujan", "--B", "1")
+    assert code == 0 and out.rstrip().endswith("VERIFIED")
+    code, out, err = run(capsys, "verify", "rogers-ramanujan", "--B", "1")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and "--cache-dir" in err and "ETACHECK_CACHE" in err
+
+
 def test_verify_rejects_bad_counts(capsys, tmp_path, image_cache_dir):
     # the spec alone sets a run's length: a count is a usage error, never a
     # run past the steps mod 5^B can show (which would fail a true family)
@@ -354,6 +390,11 @@ def test_tables_bytes_stable(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "stability exponents: m_A=2 m_t=5 m_1/t=5 m_k=[2, 3, 4, 6]" in out1
+    # the cusp tables and the order lists are each printed by one loop over
+    # their levels, so the bytes are pinned: a swapped level still prints
+    # two well-formed tables
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "b026f6214f35ba721e18c9d69dde2ee8aabcf472b7654f6aceb8866bc4d34a69")
 
 
 def test_failing_conjecture_exits_1(capsys, tmp_path, image_cache_dir):
